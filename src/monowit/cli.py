@@ -3,7 +3,7 @@
 Deterministic, non-interactive driver: every command reads a problem file,
 delegates to the library, and reports on stdout.  Witnesses are always
 re-verified before VERIFIED is printed.  Exit codes: 0 success, 1 usage or
-input error, 2 verification failure.
+input error, 2 verification failure or an internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from .borel import borel_witness, is_borel_type
 from .decompose import irreducible_decomposition
-from .errors import ParseError
+from .errors import ParseError, TheoremViolationError
 from .parsing import ProblemFile, parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport
 from .witness import (
@@ -108,10 +108,10 @@ def _resolve_component(args, ideal, prime):
             )
         return components[args.component]
     if len(components) > 1:
-        for i, q in enumerate(components):
-            print(f"Q_{i} = {q}")
+        listing = "".join(f"\n  Q_{i} = {q}" for i, q in enumerate(components))
         raise CliError(
-            f"{prime} has {len(components)} components; choose one with --component"
+            f"{prime} has {len(components)} components; "
+            f"choose one with --component:{listing}"
         )
     return components[0]
 
@@ -167,10 +167,14 @@ def _cmd_witness(args) -> int:
     ideal = _need_ideal(problem)
     decomposition = irreducible_decomposition(ideal)
     if args.list:
-        for i, p in enumerate(decomposition.primes()):
-            print(f"P_{i} = {p}")
-            for j, q in enumerate(decomposition.components_for(p)):
-                print(f"  Q_{j} = {q}")
+        primes = decomposition.primes()
+        lines = []
+        for i, p in enumerate(primes):
+            lines.append(f"P_{i} = {p}")
+            components = decomposition.components_for(p)
+            lines += [f"  Q_{j} = {q}" for j, q in enumerate(components)]
+        _emit(args, lines, _json_document(
+            ideal.context, ideal, decomposition.components, primes))
         return 0
     if args.prime is None:
         raise CliError("witness requires --prime (or --list to see candidates)")
@@ -382,6 +386,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except TheoremViolationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

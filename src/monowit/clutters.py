@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterable, Union
 
+from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext
 
@@ -119,36 +120,49 @@ class Clutter:
             return False
         return all(not self.is_vertex_cover(k - {v}) for v in k)
 
-    def _enumerate_subsets(self, limit):
+    def _check_limit(self, limit):
         if self.n > limit:
             raise ValueError(
                 f"enumeration over {self.n} vertices exceeds the limit of {limit}"
             )
-        vs = range(self.n)
-        for r in range(self.n + 1):
-            for combo in itertools.combinations(vs, r):
-                yield frozenset(combo)
 
     def maximal_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
-        """Every stable set not properly contained in another stable set."""
-        out = []
-        for a in self._enumerate_subsets(limit):
-            if self.is_stable(a) and all(
-                not self.is_stable(a | {v}) for v in range(self.n) if v not in a
-            ):
-                out.append(a)
+        """Every stable set not properly contained in another stable set: the
+        complements of the minimal vertex covers, which are the supports of
+        the edge ideal's components."""
+        self._check_limit(limit)
+        if not self.edges:
+            return (self.vertices(),)
+        out = [
+            self.vertices() - set(q.support())
+            for q in irreducible_decomposition(self.edge_ideal()).components
+        ]
         return tuple(sorted(out, key=sorted))
 
     def good_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
         """Stable sets whose neighbor set is a minimal vertex cover.
 
         A stable set's neighbor set is minimal as soon as it covers, so the
-        membership test is stability plus the cover check.
+        membership test is stability plus the cover check.  A search on
+        bitmasks grows stable sets by increasing vertex.
         """
+        self._check_limit(limit)
+        edges = [sum(1 << v for v in e) for e in self.edges]
         out = []
-        for a in self._enumerate_subsets(limit):
-            if self.is_stable(a) and self.is_vertex_cover(self.neighbor_set(a)):
-                out.append(a)
+        stack = [(0, 0)]  # (stable set, smallest vertex it may still gain)
+        while stack:
+            a, start = stack.pop()
+            neighbors = 0
+            for e in edges:
+                rest = e & ~a
+                if not rest & (rest - 1):  # one vertex short of the edge
+                    neighbors |= rest
+            if all(e & neighbors for e in edges):
+                out.append(frozenset(v for v in range(self.n) if a >> v & 1))
+            for v in range(start, self.n):
+                b = a | 1 << v
+                if not any(e & b == e for e in edges):
+                    stack.append((b, v + 1))
         return tuple(sorted(out, key=sorted))
 
     def vertex_product(self, subset: Iterable[int]) -> Monomial:

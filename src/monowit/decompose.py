@@ -1,82 +1,60 @@
 """Irredundant irreducible decomposition and associated primes.
 
-A monomial ideal splits along any generator u that is not a pure variable
-power: writing u = x_i^a * u' with i the lowest variable of u and u' free of
-x_i, the ideal is the intersection of the two ideals obtained by replacing u
-with x_i^a and with u'.  Recursing until every generator is a pure power
-yields irreducible candidates; dropping the candidates that contain another
-candidate leaves the unique irredundant set.  Subproblems repeat heavily, so
-the recursion is memoized on canonical generator tuples, which also makes the
-output independent of how the input was presented.
+The decomposition is built one generator at a time.  Monomial ideals form a
+distributive lattice, so if I is the intersection of the components Q, then
+I + (u) is the intersection of the ideals Q + (u).  A component containing u
+survives unchanged; any other Q becomes Q + (x_i^{u_i}), one new component
+for each variable x_i of u.  For irreducible ideals, containing the
+intersection of the others means containing one of them, so the filter is
+pairwise.  A survivor never contains a new component, since the old set was
+irredundant, so only the new components are filtered.  The result is
+unique, so it does not depend on how the input was presented.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
-from .rings import MonomialIdeal, PrimeSupport, RingContext, _minimize_exps
+from .rings import MonomialIdeal, PrimeSupport, RingContext
 
-# exponent-vector tuple of an irreducible ideal, as ((var, exp), ...) sorted by var
-_Powers = tuple[tuple[int, int], ...]
-
-_split_memo: dict[tuple[tuple[int, ...], ...], frozenset[_Powers]] = {}
-
-
-def _pure_power_candidates(gens: tuple[tuple[int, ...], ...]) -> frozenset[_Powers]:
-    """All irreducible candidates produced by exhaustively splitting gens.
-
-    gens must be a minimized, sorted, proper, nonzero generator tuple; the
-    invariant is preserved by each split.
-    """
-    cached = _split_memo.get(gens)
-    if cached is not None:
-        return cached
-
-    result = None
-    for idx, g in enumerate(gens):
-        support = [i for i, e in enumerate(g) if e]
-        if len(support) > 1:
-            i = support[0]
-            head = tuple(e if j == i else 0 for j, e in enumerate(g))
-            tail = tuple(0 if j == i else e for j, e in enumerate(g))
-            rest = gens[:idx] + gens[idx + 1 :]
-            left = _pure_power_candidates(_minimize_exps(rest + (head,)))
-            right = _pure_power_candidates(_minimize_exps(rest + (tail,)))
-            result = left | right
-            break
-    if result is None:
-        # every generator is a pure power; minimality leaves one per variable
-        pairs = []
-        for g in gens:
-            for v, e in enumerate(g):
-                if e:
-                    pairs.append((v, e))
-                    break
-        result = frozenset({tuple(sorted(pairs))})
-    _split_memo[gens] = result
-    return result
+# an irreducible ideal as (support bitmask, exponent tuple); exponent 0 means
+# the variable is absent
+_Component = tuple[int, tuple[int, ...]]
 
 
-def _component_contains(outer: dict[int, int], inner: _Powers) -> bool:
-    """Whether the irreducible ideal `inner` is a subset of `outer`."""
-    return all(v in outer and outer[v] <= e for v, e in inner)
+def _contains(big: _Component, small: _Component) -> bool:
+    """Whether the irreducible ideal `small` is a subset of `big`."""
+    return not small[0] & ~big[0] and all(
+        big[1][i] <= e for i, e in enumerate(small[1]) if e
+    )
 
 
-def _irredundant(candidates: frozenset[_Powers]) -> list[_Powers]:
-    """Drop every candidate that contains another one.
-
-    For irreducible monomial ideals this pairwise criterion coincides with
-    "contains the intersection of the others": the monomial with exponent
-    c_v - 1 on each support variable v of Q and a huge exponent elsewhere
-    lies in every other candidate not contained in Q, but not in Q.
-    """
-    as_dicts = [(c, dict(c)) for c in candidates]
-    keep = []
-    for c, d in as_dicts:
-        if not any(c2 != c and _component_contains(d, c2) for c2, _ in as_dicts):
-            keep.append(c)
-    keep.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
-    return keep
+def _irreducible_components(gens, n: int) -> list[_Component]:
+    """The irredundant components of the ideal generated by the exponent
+    tuples gens, starting from the whole ring (the empty intersection)."""
+    components: list[_Component] = [(0, (0,) * n)]
+    for u in gens:
+        support = [i for i, e in enumerate(u) if e]
+        survivors: list[_Component] = []
+        grown: set[_Component] = set()
+        for mask, q in components:
+            if any(0 < q[i] <= u[i] for i in support):
+                survivors.append((mask, q))
+            else:
+                # u is outside Q, so u_i < Q_i wherever Q_i is set
+                grown.update(
+                    (mask | 1 << i, q[:i] + (u[i],) + q[i + 1 :]) for i in support
+                )
+        # a component contains another only if its support is a superset
+        # and, on equal supports, its exponents are no larger; in this order
+        # every component a new one could contain comes before it
+        fresh: list[_Component] = []
+        for t in sorted(grown, key=lambda c: (c[0].bit_count(), -sum(c[1]))):
+            if not any(_contains(t, s) for s in chain(survivors, fresh)):
+                fresh.append(t)
+        components = survivors + fresh
+    return components
 
 
 class IrreducibleComponent:
@@ -189,13 +167,14 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
+    context = ideal.context
     gens = tuple(g.exps for g in ideal.gens)
-    candidates = _pure_power_candidates(gens)
-    components = [
-        IrreducibleComponent(ideal.context, dict(pairs))
-        for pairs in _irredundant(candidates)
+    pairs = [
+        tuple((i, e) for i, e in enumerate(q) if e)
+        for _, q in _irreducible_components(gens, context.n)
     ]
-    return Decomposition(ideal, components)
+    pairs.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
+    return Decomposition(ideal, (IrreducibleComponent(context, c) for c in pairs))
 
 
 def associated_primes(ideal: MonomialIdeal) -> tuple[PrimeSupport, ...]:
@@ -204,6 +183,9 @@ def associated_primes(ideal: MonomialIdeal) -> tuple[PrimeSupport, ...]:
 
 
 def clear_caches():
-    """Reset memoized state (used by determinism tests)."""
-    _split_memo.clear()
+    """Empty the decomposition cache.
+
+    The engine itself keeps no state between calls; the only memo is the
+    per-ideal cache on irreducible_decomposition.
+    """
     irreducible_decomposition.cache_clear()

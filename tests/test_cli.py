@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import monowit.cli
+from monowit import TheoremViolationError
 from monowit.cli import main
 
 SESSION = """\
@@ -93,10 +95,14 @@ class TestWitness:
         assert out.rstrip().endswith("VERIFIED")
 
     def test_second_prime_by_index_needs_component(self, problem, capsys):
-        code, out, err = run(capsys, ["witness", problem(SESSION), "--prime", "1"])
-        assert code == 1
-        assert "Q_0 = (x1^3, x2^4, x3, x4^5, x8^2)" in out
-        assert "--component" in err
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, [
+                "witness", problem(SESSION), "--prime", "1", "--format", fmt,
+            ])
+            assert code == 1
+            assert out == ""
+            assert "Q_0 = (x1^3, x2^4, x3, x4^5, x8^2)" in err
+            assert "--component" in err
 
     def test_second_prime_with_component(self, problem, capsys):
         code, out, _ = run(capsys, [
@@ -111,6 +117,16 @@ class TestWitness:
         assert code == 0
         assert "P_0 = (x1, x2, x3, x4)" in out
         assert "  Q_0 = (x1, x2^7, x3^5, x4^2)" in out
+
+    def test_list_json_is_the_decompose_document(self, problem, capsys):
+        path = problem(SESSION)
+        code, listed, _ = run(capsys, ["witness", path, "--list", "--format", "json"])
+        assert code == 0
+        _, decomposed, _ = run(capsys, ["decompose", path, "--format", "json"])
+        doc = json.loads(listed)
+        assert doc == json.loads(decomposed)
+        assert len(doc["components"]) == 3
+        assert doc["witness"] is None and doc["verified"] is None
 
     def test_seeded_offsets_reproduce(self, problem, capsys):
         path = problem(SESSION)
@@ -280,3 +296,15 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_internal_error_exits_two_without_traceback(
+        self, problem, capsys, monkeypatch
+    ):
+        def broken(args):
+            raise TheoremViolationError("complement is not a maximal stable set")
+
+        monkeypatch.setattr(monowit.cli, "_cmd_assprimes", broken)
+        code, out, err = run(capsys, ["assprimes", problem(SESSION)])
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: complement is not a maximal stable set\n"

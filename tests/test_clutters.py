@@ -11,7 +11,15 @@ from monowit import (
     squarefree_witness_check,
     verify_witness,
 )
-from util import clutter_corpus, ctx, graph_corpus, ideal, mono
+from util import (
+    clutter_corpus,
+    ctx,
+    graph_corpus,
+    ideal,
+    mono,
+    oracle_good_stable_sets,
+    oracle_maximal_stable_sets,
+)
 
 
 def path3():
@@ -147,6 +155,21 @@ class TestStableFamilies:
         for clutter in graph_corpus()[:15]:
             for a in clutter.maximal_stable_sets():
                 assert clutter.neighbor_set(a) == clutter.vertices() - a
+
+
+class TestStableFamiliesAgainstBruteForce:
+    def test_corpora(self):
+        special = (path3(), triangle(), Clutter(3, [{0}, {1, 2}]),
+                   Clutter(3, [{0}, {1}, {2}]), Clutter(1, [{0}]))
+        for clutter in graph_corpus() + clutter_corpus() + special:
+            assert clutter.maximal_stable_sets() == oracle_maximal_stable_sets(clutter)
+            assert clutter.good_stable_sets() == oracle_good_stable_sets(clutter)
+
+    def test_edgeless_clutter(self):
+        empty = Clutter(3, [])
+        assert empty.maximal_stable_sets() == (frozenset({0, 1, 2}),)
+        good = empty.good_stable_sets()
+        assert len(good) == 8 and good == oracle_good_stable_sets(empty)
 
 
 class TestWitnessBase:

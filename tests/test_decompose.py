@@ -7,6 +7,7 @@ from hypothesis import given
 
 import monowit.decompose
 from monowit import (
+    Clutter,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
@@ -19,11 +20,14 @@ from monowit import (
 from util import (
     box_bounds,
     box_exponents,
+    clutter_corpus,
     ctx,
+    graph_corpus,
     ideal,
     ideals,
     session_ideal,
     six_var_ideal,
+    split_components,
     tiny_corpus,
     witness_corpus,
 )
@@ -189,6 +193,40 @@ class TestHypothesisProperties:
         for q in irreducible_decomposition(I).components:
             base = q.as_ideal()
             assert all(len(g.support()) == 1 for g in base.gens)
+
+
+def assert_matches_split_recursion(I):
+    d = irreducible_decomposition(I)
+    expected = split_components(tuple(g.exps for g in I.gens))
+    assert [q.pairs for q in d.components] == expected
+
+
+class TestSplitRecursionOracle:
+    def test_witness_corpus(self):
+        for I in witness_corpus():
+            assert_matches_split_recursion(I)
+
+    def test_edge_ideals(self):
+        for clutter in graph_corpus() + clutter_corpus():
+            assert_matches_split_recursion(clutter.edge_ideal())
+
+    @given(I=ideals(max_n=5, max_gens=7))
+    def test_random_ideals(self, I):
+        assert_matches_split_recursion(I)
+
+
+class TestCycles:
+    def test_perrin_counts(self):
+        # minimal vertex covers of the n-cycle: P(n) = P(n-2) + P(n-3)
+        perrin = [3, 0, 2]
+        while len(perrin) <= 22:
+            perrin.append(perrin[-2] + perrin[-3])
+        for n in range(3, 23):
+            cycle = Clutter(n, [{i, (i + 1) % n} for i in range(n)])
+            d = irreducible_decomposition(cycle.edge_ideal())
+            assert len(d) == perrin[n]
+            assert all(len(q.support()) >= n // 2 for q in d.components)
+        assert perrin[22] == 486
 
 
 class TestNamedContexts:

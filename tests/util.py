@@ -18,6 +18,7 @@ from monowit import (
     parse_ideal_gens,
     parse_monomial,
 )
+from monowit.rings import _minimize_exps
 
 _CONTEXTS: dict[int, RingContext] = {}
 
@@ -78,6 +79,89 @@ def oracle_minimal_subset(vectors):
         if not dominated:
             out.append(u)
     return set(out)
+
+
+def split_components(gens):
+    """Irredundant components by the split recursion, as sorted
+    ((var, exp), ...) tuples; the reference for the incremental engine.
+
+    A generator u = x_i^a * u' with i its lowest variable and u' free of x_i
+    splits the ideal into the intersection of the ideals obtained by
+    replacing u with x_i^a and with u'.  Recursing until every generator is
+    a pure power yields irreducible candidates; dropping every candidate
+    that contains another leaves the irredundant set.  gens must be a
+    minimized, sorted, proper, nonzero generator tuple of exponent tuples.
+    """
+    memo = {}
+
+    def pure_power_candidates(gens):
+        cached = memo.get(gens)
+        if cached is not None:
+            return cached
+
+        result = None
+        for idx, g in enumerate(gens):
+            support = [i for i, e in enumerate(g) if e]
+            if len(support) > 1:
+                i = support[0]
+                head = tuple(e if j == i else 0 for j, e in enumerate(g))
+                tail = tuple(0 if j == i else e for j, e in enumerate(g))
+                rest = gens[:idx] + gens[idx + 1 :]
+                left = pure_power_candidates(_minimize_exps(rest + (head,)))
+                right = pure_power_candidates(_minimize_exps(rest + (tail,)))
+                result = left | right
+                break
+        if result is None:
+            # every generator is a pure power; minimality leaves one per variable
+            pairs = []
+            for g in gens:
+                for v, e in enumerate(g):
+                    if e:
+                        pairs.append((v, e))
+                        break
+            result = frozenset({tuple(sorted(pairs))})
+        memo[gens] = result
+        return result
+
+    def component_contains(outer, inner):
+        return all(v in outer and outer[v] <= e for v, e in inner)
+
+    candidates = pure_power_candidates(tuple(gens))
+    as_dicts = [(c, dict(c)) for c in candidates]
+    keep = []
+    for c, d in as_dicts:
+        if not any(c2 != c and component_contains(d, c2) for c2, _ in as_dicts):
+            keep.append(c)
+    keep.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
+    return keep
+
+
+def oracle_maximal_stable_sets(clutter):
+    """Every subset of the vertices, kept when stable and not extendable."""
+    out = []
+    for a in _all_subsets(clutter.n):
+        if clutter.is_stable(a) and all(
+            not clutter.is_stable(a | {v}) for v in range(clutter.n) if v not in a
+        ):
+            out.append(a)
+    return tuple(sorted(out, key=sorted))
+
+
+def oracle_good_stable_sets(clutter):
+    """Every subset of the vertices, kept when stable with a covering
+    neighbor set."""
+    out = [
+        a
+        for a in _all_subsets(clutter.n)
+        if clutter.is_stable(a) and clutter.is_vertex_cover(clutter.neighbor_set(a))
+    ]
+    return tuple(sorted(out, key=sorted))
+
+
+def _all_subsets(n):
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            yield frozenset(combo)
 
 
 # ---------------------------------------------------------------------------
