@@ -25,8 +25,6 @@ from .decompose import (
 from .errors import ContextMismatchError, ParseError, TheoremViolationError
 from .parsing import (
     ProblemFile,
-    format_ideal_gens,
-    format_monomial,
     parse_ideal_gens,
     parse_monomial,
     parse_problem_file,
@@ -70,8 +68,6 @@ __all__ = [
     "classify_uniqueness",
     "component_from_witness",
     "exchange_closure",
-    "format_ideal_gens",
-    "format_monomial",
     "irreducible_decomposition",
     "is_borel_type",
     "is_borel_type_by_saturation",

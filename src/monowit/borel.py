@@ -47,12 +47,12 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
         for i in range(ideal.context.n - 1, 0, -1):
             if u.exponent(i) == 0:
                 continue
-            stripped = tuple(0 if t == i else e for t, e in enumerate(u.exps))
+            stripped = list(u.exps)
+            stripped[i] = 0
             for j in range(i):
-                probe = tuple(
-                    e + floors[j] if t == j else e for t, e in enumerate(stripped)
-                )
-                if Monomial(ideal.context, probe) not in ideal:
+                probe = stripped.copy()
+                probe[j] += floors[j]
+                if not ideal._contains_exps(probe):
                     return BorelReport(False, certificate=(u, i, j))
     return BorelReport(True, primes=associated_primes(ideal))
 
@@ -122,21 +122,19 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Smallest ideal containing this one that is closed under moving one
     power of any variable to an earlier variable (hence of Borel type)."""
     _require_decomposable(ideal)
-    ctx = ideal.context
     current = ideal
     while True:
         missing = []
-        for u in current.gens:
-            for i, e in enumerate(u.exps):
+        for u in current._exps:
+            for i, e in enumerate(u):
                 if not e:
                     continue
                 for j in range(i):
-                    moved = list(u.exps)
+                    moved = list(u)
                     moved[i] -= 1
                     moved[j] += 1
-                    m = Monomial(ctx, tuple(moved))
-                    if m not in current:
-                        missing.append(m)
+                    if not current._contains_exps(moved):
+                        missing.append(tuple(moved))
         if not missing:
             return current
-        current = MonomialIdeal(ctx, current.gens + tuple(missing))
+        current = MonomialIdeal._from_exps(ideal.context, current._exps + tuple(missing))

@@ -3,13 +3,15 @@
 Deterministic, non-interactive driver: every command reads a problem file,
 delegates to the library, and reports on stdout.  Witnesses are always
 re-verified before VERIFIED is printed.  Exit codes: 0 success, 1 usage or
-input error, 2 verification failure or an internal error.
+input error or a reader that closed stdout early, 2 verification failure or
+an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -379,7 +381,14 @@ def main(argv=None) -> int:
         # verification failures
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (say `| head`); point stdout at devnull so
+        # the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
     except (CliError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

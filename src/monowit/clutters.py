@@ -22,9 +22,10 @@ DEFAULT_ENUMERATION_LIMIT = 16
 
 
 class Clutter:
-    """A vertex set together with an antichain of non-empty edges."""
+    """A vertex set together with an antichain of non-empty edges, kept as
+    vertex bitmasks (bit v for vertex v) for the predicates."""
 
-    __slots__ = ("context", "edges")
+    __slots__ = ("context", "edges", "_masks", "_ideal")
 
     def __init__(
         self,
@@ -55,6 +56,9 @@ class Clutter:
                 )
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "edges", tuple(sorted(resolved, key=sorted)))
+        masks = tuple(sum(1 << v for v in e) for e in self.edges)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_ideal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Clutter is immutable")
@@ -83,42 +87,58 @@ class Clutter:
     def vertices(self) -> VertexSet:
         return frozenset(range(self.n))
 
-    def _check_subset(self, subset: Iterable[int]) -> VertexSet:
-        out = frozenset(subset)
-        if any(not 0 <= v < self.n for v in out):
-            raise ValueError(f"unknown vertex in {sorted(out)}")
+    def _mask(self, subset: Iterable[int]) -> int:
+        vs = frozenset(subset)
+        if any(not 0 <= v < self.n for v in vs):
+            raise ValueError(f"unknown vertex in {sorted(vs)}")
+        return sum(1 << v for v in vs)
+
+    def _vertex_set(self, mask: int) -> VertexSet:
+        return frozenset(v for v in range(self.n) if mask >> v & 1)
+
+    def _covers(self, k: int) -> bool:
+        return all(e & k for e in self._masks)
+
+    def _stable(self, a: int) -> bool:
+        return not any(e & a == e for e in self._masks)
+
+    def _neighbors(self, a: int) -> int:
+        """Vertices v for which a | {v} contains an edge."""
+        out = 0
+        for e in self._masks:
+            rest = e & ~a
+            if not rest & (rest - 1):  # at most one vertex short of the edge
+                if not rest:  # a contains e, so every vertex qualifies
+                    return (1 << self.n) - 1
+                out |= rest
         return out
 
     def edge_ideal(self) -> MonomialIdeal:
-        """The squarefree ideal with one generator per edge."""
-        ctx = self.context
-        return MonomialIdeal(
-            ctx,
-            (ctx.monomial_from_powers({v: 1 for v in e}) for e in self.edges),
-        )
+        """The squarefree ideal with one generator per edge, built once; the
+        edges are an antichain, so their products are already minimal."""
+        if self._ideal is None:
+            gens = (tuple([e >> v & 1 for v in range(self.n)]) for e in self._masks)
+            ideal = MonomialIdeal._from_exps(self.context, gens, minimal=True)
+            object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
+        return self._ideal
 
     def is_stable(self, subset: Iterable[int]) -> bool:
         """Whether the set contains no edge."""
-        a = self._check_subset(subset)
-        return not any(e <= a for e in self.edges)
+        return self._stable(self._mask(subset))
 
     def neighbor_set(self, subset: Iterable[int]) -> VertexSet:
         """Vertices whose addition to the set makes it contain an edge."""
-        a = self._check_subset(subset)
-        return frozenset(
-            v for v in range(self.n) if any(e <= a | {v} for e in self.edges)
-        )
+        return self._vertex_set(self._neighbors(self._mask(subset)))
 
     def is_vertex_cover(self, subset: Iterable[int]) -> bool:
-        k = self._check_subset(subset)
-        return all(e & k for e in self.edges)
+        return self._covers(self._mask(subset))
 
     def is_minimal_vertex_cover(self, subset: Iterable[int]) -> bool:
         """Whether the set meets every edge and no proper subset does."""
-        k = self._check_subset(subset)
-        if not self.is_vertex_cover(k):
-            return False
-        return all(not self.is_vertex_cover(k - {v}) for v in k)
+        k = self._mask(subset)
+        return self._covers(k) and not any(
+            self._covers(k & ~(1 << v)) for v in range(self.n) if k >> v & 1
+        )
 
     def _check_limit(self, limit):
         if self.n > limit:
@@ -144,31 +164,25 @@ class Clutter:
 
         A stable set's neighbor set is minimal as soon as it covers, so the
         membership test is stability plus the cover check.  A search on
-        bitmasks grows stable sets by increasing vertex.
+        bitmasks grows stable sets by increasing vertex, adding only vertices
+        outside the neighbor set, which keeps them stable.
         """
         self._check_limit(limit)
-        edges = [sum(1 << v for v in e) for e in self.edges]
         out = []
         stack = [(0, 0)]  # (stable set, smallest vertex it may still gain)
         while stack:
             a, start = stack.pop()
-            neighbors = 0
-            for e in edges:
-                rest = e & ~a
-                if not rest & (rest - 1):  # one vertex short of the edge
-                    neighbors |= rest
-            if all(e & neighbors for e in edges):
-                out.append(frozenset(v for v in range(self.n) if a >> v & 1))
+            neighbors = self._neighbors(a)
+            if self._covers(neighbors):
+                out.append(self._vertex_set(a))
             for v in range(start, self.n):
-                b = a | 1 << v
-                if not any(e & b == e for e in edges):
-                    stack.append((b, v + 1))
+                if not neighbors >> v & 1:  # a | {v} is still stable
+                    stack.append((a | 1 << v, v + 1))
         return tuple(sorted(out, key=sorted))
 
     def vertex_product(self, subset: Iterable[int]) -> Monomial:
-        return self.context.monomial_from_powers(
-            {v: 1 for v in self._check_subset(subset)}
-        )
+        k = self._mask(subset)
+        return self.context.monomial(k >> v & 1 for v in range(self.n))
 
     def witness_base(self, prime: PrimeSupport) -> Monomial:
         """The witness t_A for the prime on a minimal vertex cover, with
@@ -180,26 +194,20 @@ class Clutter:
         """
         if prime.context != self.context:
             raise ValueError("prime does not live in this clutter's ring")
-        cover = frozenset(prime.vars)
-        if not self.is_minimal_vertex_cover(cover):
+        if not self.is_minimal_vertex_cover(prime.vars):
             raise ValueError(
                 f"{prime} is not an associated prime of the edge ideal "
                 "(its variables are not a minimal vertex cover)"
             )
-        a = self.vertices() - cover
-        if not self.is_stable(a) or any(
-            self.is_stable(a | {v}) for v in cover
-        ):
+        rest = prime.complement()
+        a = sum(1 << v for v in rest)
+        if not self._stable(a) or any(self._stable(a | 1 << v) for v in prime.vars):
             raise TheoremViolationError(
-                f"complement {sorted(a)} of {prime} is not a maximal stable set"
+                f"complement {list(rest)} of {prime} is not a maximal stable set"
             )
-        if self.neighbor_set(a) != cover:
-            raise TheoremViolationError(
-                f"neighbor set of {sorted(a)} is not {prime}"
-            )
-        t_a = self.vertex_product(a)
+        if self._neighbors(a) != sum(1 << v for v in prime.vars):
+            raise TheoremViolationError(f"neighbor set of {list(rest)} is not {prime}")
+        t_a = self.vertex_product(rest)
         if self.edge_ideal().colon(t_a) != prime.as_ideal():
-            raise TheoremViolationError(
-                f"(I : {t_a}) failed to equal {prime}"
-            )
+            raise TheoremViolationError(f"(I : {t_a}) failed to equal {prime}")
         return t_a

@@ -110,10 +110,10 @@ class IrreducibleComponent:
         return PrimeSupport(self.context, self.support())
 
     def as_ideal(self) -> MonomialIdeal:
-        ctx = self.context
-        return MonomialIdeal(
-            ctx, (ctx.monomial_from_powers({v: e}) for v, e in self.pairs)
-        )
+        """Pure powers of distinct variables, so already an antichain."""
+        n = self.context.n
+        gens = (tuple([e if t == v else 0 for t in range(n)]) for v, e in self.pairs)
+        return MonomialIdeal._from_exps(self.context, gens, minimal=True)
 
 
 class Decomposition:
@@ -168,10 +168,9 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
-    gens = tuple(g.exps for g in ideal.gens)
     pairs = [
         tuple((i, e) for i, e in enumerate(q) if e)
-        for _, q in _irreducible_components(gens, context.n)
+        for _, q in _irreducible_components(ideal._exps, context.n)
     ]
     pairs.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
     return Decomposition(ideal, (IrreducibleComponent(context, c) for c in pairs))

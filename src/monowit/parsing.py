@@ -129,14 +129,6 @@ def parse_ideal_gens(
         gens.append(_scan_monomial(scanner, context))
 
 
-def format_monomial(m: Monomial) -> str:
-    return str(m)
-
-
-def format_ideal_gens(ideal: MonomialIdeal) -> str:
-    return ", ".join(str(g) for g in ideal.gens)
-
-
 @dataclass(frozen=True)
 class ProblemFile:
     context: Optional[RingContext]

@@ -5,10 +5,15 @@ non-negative integers over a fixed ambient ring context, a monomial ideal is
 its unique minimal generating set in a canonical order, and every operation
 (divisibility, lcm/gcd, membership, colon, intersection, radical) is a pure
 function on those tuples.  The coefficient field is never represented.
+
+Ideals compute on their canonical exponent tuples and build `Monomial`
+objects only for the result, through the trusted `MonomialIdeal._from_exps`,
+which skips validation and, for a known antichain, minimization.
 """
 
 from __future__ import annotations
 
+from operator import le, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ContextMismatchError
@@ -157,21 +162,30 @@ class Monomial:
         return Monomial(self.context, tuple(a + b for a, b in zip(self.exps, other.exps)))
 
 
+def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "context", context)
+    object.__setattr__(m, "exps", exps)
+    return m
+
+
 def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Keep the divisibility-minimal exponent vectors, in descending lex order.
 
     Scanning by total degree first means nothing seen later can divide an
-    earlier survivor, so one forward pass suffices.
+    earlier survivor, so one forward pass suffices.  A survivor can divide v
+    only if its support is inside v's, which a bitmask test settles first.
     """
     ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
-    keep: list[tuple[int, ...]] = []
+    keep: list[tuple[int, tuple[int, ...]]] = []  # (support mask, vector)
     for v in ordered:
-        for k in keep:
-            if all(a <= b for a, b in zip(k, v)):
+        mask = sum(1 << i for i, e in enumerate(v) if e)
+        for k_mask, k in keep:
+            if not k_mask & ~mask and all(map(le, k, v)):
                 break
         else:
-            keep.append(v)
-    return tuple(sorted(keep, reverse=True))
+            keep.append((mask, v))
+    return tuple(sorted((k for _, k in keep), reverse=True))
 
 
 class MonomialIdeal:
@@ -182,7 +196,7 @@ class MonomialIdeal:
     generators; the unit ideal is generated by 1.
     """
 
-    __slots__ = ("context", "gens", "_hash")
+    __slots__ = ("context", "gens", "_exps", "_hash")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -191,10 +205,22 @@ class MonomialIdeal:
                 raise ContextMismatchError(
                     f"generator {g!r} does not live in {context!r}"
                 )
-        exps = _minimize_exps(g.exps for g in gens)
-        canonical = tuple(Monomial(context, v) for v in exps)
+        self._set(context, _minimize_exps(g.exps for g in gens))
+
+    @classmethod
+    def _from_exps(cls, context: RingContext, vectors, minimal=False) -> "MonomialIdeal":
+        """Trusted constructor for exponent tuples the library built itself:
+        nothing is validated, and with minimal=True (the caller guarantees an
+        antichain) the vectors are only deduplicated and sorted."""
+        ideal = object.__new__(cls)
+        exps = sorted(set(vectors), reverse=True) if minimal else _minimize_exps(vectors)
+        ideal._set(context, tuple(exps))
+        return ideal
+
+    def _set(self, context: RingContext, exps: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "gens", canonical)
+        object.__setattr__(self, "gens", tuple(_trusted_monomial(context, v) for v in exps))
+        object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash((context, exps)))
 
     def __setattr__(self, name, value):
@@ -203,8 +229,8 @@ class MonomialIdeal:
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
+            and self._exps == other._exps
             and self.context == other.context
-            and tuple(g.exps for g in self.gens) == tuple(g.exps for g in other.gens)
         )
 
     def __hash__(self):
@@ -238,32 +264,30 @@ class MonomialIdeal:
 
     def __contains__(self, m: Monomial) -> bool:
         _require_same_context(self, m)
-        return any(g.divides(m) for g in self.gens)
+        return self._contains_exps(m.exps)
+
+    def _contains_exps(self, v: tuple[int, ...]) -> bool:
+        return any(all(map(le, g, v)) for g in self._exps)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """Whether other is a subset of this ideal."""
         _require_same_context(self, other)
-        return all(g in self for g in other.gens)
+        return all(map(self._contains_exps, other._exps))
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max over the generators (all zeros for the zero ideal)."""
-        out = [0] * self.context.n
-        for g in self.gens:
-            for i, e in enumerate(g.exps):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
+        if not self._exps:
+            return (0,) * self.context.n
+        return tuple(map(max, zip(*self._exps)))
 
     def colon(self, other: Union[Monomial, "MonomialIdeal"]) -> "MonomialIdeal":
         """The quotient (I : v) by a monomial, or (I : J) by a nonzero ideal."""
         if isinstance(other, Monomial):
             _require_same_context(self, other)
             v = other.exps
-            quotients = (
-                Monomial(self.context, tuple(max(a - b, 0) for a, b in zip(g.exps, v)))
-                for g in self.gens
-            )
-            return MonomialIdeal(self.context, quotients)
+            quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v)])
+                         for g in self._exps)
+            return MonomialIdeal._from_exps(self.context, quotients)
         _require_same_context(self, other)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is undefined")
@@ -275,18 +299,20 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _require_same_context(self, other)
-        return MonomialIdeal(
+        return MonomialIdeal._from_exps(
             self.context,
-            (u.lcm(w) for u in self.gens for w in other.gens),
+            (tuple(map(max, u, w)) for u in self._exps for w in other._exps),
         )
 
     __and__ = intersect
 
     def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal(self.context, (g.squarefree_part() for g in self.gens))
+        return MonomialIdeal._from_exps(
+            self.context, (tuple([1 if e else 0 for e in g]) for g in self._exps)
+        )
 
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for g in self.gens for e in g.exps)
+        return all(e <= 1 for g in self._exps for e in g)
 
 
 class PrimeSupport:
@@ -335,5 +361,9 @@ class PrimeSupport:
         return tuple(i for i in range(self.context.n) if i not in inside)
 
     def as_ideal(self) -> MonomialIdeal:
-        ctx = self.context
-        return MonomialIdeal(ctx, (ctx.variable(i) for i in self.vars))
+        n = self.context.n
+        return MonomialIdeal._from_exps(
+            self.context,
+            (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars),
+            minimal=True,
+        )

@@ -153,11 +153,16 @@ class SymmetricPattern:
 def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
     """Generators: every assignment of the exponent multiset to distinct variables."""
     ctx = pattern.context
-    gens = set()
+    placements = set(itertools.permutations(pattern.exps))
+    gens = []
     for variables in itertools.combinations(range(ctx.n), pattern.k):
-        for placement in set(itertools.permutations(pattern.exps)):
-            gens.add(ctx.monomial_from_powers(dict(zip(variables, placement))))
-    return MonomialIdeal(ctx, gens)
+        for placement in placements:
+            exps = [0] * ctx.n
+            for v, e in zip(variables, placement):
+                exps[v] = e
+            gens.append(tuple(exps))
+    # all of one degree and pairwise distinct, hence an antichain
+    return MonomialIdeal._from_exps(ctx, gens, minimal=True)
 
 
 def symmetric_witness(

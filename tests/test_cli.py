@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: output text, JSON schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,3 +311,23 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "internal error: complement is not a maximal stable set\n"
+
+    def test_closed_stdout_exits_one_without_traceback(self, problem):
+        # the C24 decomposition prints about 130 kB, more than a pipe buffers,
+        # so the writer is still printing when the reader goes away
+        n = 24
+        edges = ", ".join(f"x{i + 1}*x{(i + 1) % n + 1}" for i in range(n))
+        path = problem(f"ring n={n}\nideal I = {edges}\n")
+        src = os.path.dirname(os.path.dirname(monowit.cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monowit.cli", "decompose", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline().startswith(b"I = ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err

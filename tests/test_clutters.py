@@ -6,7 +6,9 @@ import pytest
 
 from monowit import (
     Clutter,
+    MonomialIdeal,
     PrimeSupport,
+    TheoremViolationError,
     associated_primes,
     squarefree_witness_check,
     verify_witness,
@@ -227,6 +229,77 @@ class TestWitnessBase:
         assert dot.edge_ideal() == ideal(dot.context, "t1")
         assert dot.witness_base(p) == dot.context.one
         assert dot.maximal_stable_sets() == (frozenset(),)
+
+
+class TestBitmaskPredicates:
+    """The bitmask predicates against set arithmetic over every subset."""
+
+    def test_corpora(self):
+        for clutter in graph_corpus() + clutter_corpus():
+            vertices = range(clutter.n)
+            edges = [frozenset(e) for e in clutter.edges]
+
+            def covers(s):
+                return all(e & s for e in edges)
+
+            for r in range(clutter.n + 1):
+                for combo in itertools.combinations(vertices, r):
+                    s = frozenset(combo)
+                    assert clutter.is_stable(s) == (not any(e <= s for e in edges))
+                    assert clutter.is_vertex_cover(s) == covers(s)
+                    assert clutter.is_minimal_vertex_cover(s) == (
+                        covers(s) and not any(covers(s - {v}) for v in s)
+                    )
+                    assert clutter.neighbor_set(s) == frozenset(
+                        v for v in vertices if any(e <= s | {v} for e in edges)
+                    )
+
+    def test_unknown_vertex_rejected(self):
+        for check in (path3().is_stable, path3().neighbor_set,
+                      path3().is_vertex_cover, path3().is_minimal_vertex_cover):
+            with pytest.raises(ValueError):
+                check({0, 3})
+
+    def test_edge_ideal_built_once(self):
+        for clutter in graph_corpus()[:10] + clutter_corpus()[:5]:
+            c = clutter.context
+            first = clutter.edge_ideal()
+            assert first is clutter.edge_ideal()
+            assert first == MonomialIdeal(
+                c, [c.monomial_from_powers({v: 1 for v in e}) for e in clutter.edges]
+            )
+
+
+class TestWitnessBaseChecksRun:
+    """Each internal check of witness_base fires when its premise is broken."""
+
+    def cover(self):
+        p = path3()
+        return p, PrimeSupport(p.context, [1])
+
+    def test_wrong_colon(self, monkeypatch):
+        p, prime = self.cover()
+        monkeypatch.setattr(MonomialIdeal, "colon", lambda self, other: self)
+        with pytest.raises(TheoremViolationError, match="failed to equal"):
+            p.witness_base(prime)
+
+    def test_complement_not_stable(self, monkeypatch):
+        p, prime = self.cover()
+        monkeypatch.setattr(Clutter, "_stable", lambda self, a: False)
+        with pytest.raises(TheoremViolationError, match="maximal stable"):
+            p.witness_base(prime)
+
+    def test_complement_not_maximal(self, monkeypatch):
+        p, prime = self.cover()
+        monkeypatch.setattr(Clutter, "_stable", lambda self, a: True)
+        with pytest.raises(TheoremViolationError, match="maximal stable"):
+            p.witness_base(prime)
+
+    def test_wrong_neighbor_set(self, monkeypatch):
+        p, prime = self.cover()
+        monkeypatch.setattr(Clutter, "_neighbors", lambda self, a: 0)
+        with pytest.raises(TheoremViolationError, match="neighbor set"):
+            p.witness_base(prime)
 
 
 class TestCoverEnumerationAgreement:

@@ -8,8 +8,6 @@ from monowit import (
     MonomialIdeal,
     ParseError,
     RingContext,
-    format_ideal_gens,
-    format_monomial,
     parse_ideal_gens,
     parse_monomial,
     parse_problem_file,
@@ -82,16 +80,17 @@ class TestRoundTrip:
     def test_monomials(self, data):
         c = ctx(data.draw(st.integers(1, 5)))
         m = data.draw(monomials(c, max_exp=6))
-        assert parse_monomial(format_monomial(m), c) == m
+        assert parse_monomial(str(m), c) == m
 
     @given(I=ideals(proper=False))
     def test_ideals(self, I):
-        assert parse_ideal_gens(format_ideal_gens(I), I.context) == I
+        assert parse_ideal_gens(", ".join(map(str, I)), I.context) == I
 
     def test_zero_ideal(self):
         z = MonomialIdeal(ctx(2), ())
-        assert format_ideal_gens(z) == ""
-        assert parse_ideal_gens(format_ideal_gens(z), ctx(2)) == z
+        text = ", ".join(map(str, z))
+        assert text == ""
+        assert parse_ideal_gens(text, ctx(2)) == z
 
     def test_named_context(self):
         c = RingContext(["alpha", "beta"])

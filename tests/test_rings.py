@@ -8,11 +8,13 @@ import hypothesis.strategies as st
 
 from monowit import (
     ContextMismatchError,
+    IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
     RingContext,
 )
+from monowit.rings import _minimize_exps
 from util import (
     box_bounds,
     box_corpus,
@@ -399,3 +401,56 @@ class TestImmutability:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             Monomial(ctx(2), (1,))
+
+
+class TestTrustedPath:
+    """The tuple core and the trusted constructor against the public,
+    validating constructor and the definitional oracles."""
+
+    @given(data=st.data())
+    def test_minimize_matches_brute_filter(self, data):
+        n = data.draw(st.integers(1, 5))
+        vectors = data.draw(
+            st.lists(st.tuples(*(st.integers(0, 3) for _ in range(n))), max_size=12)
+        )
+        expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
+        assert _minimize_exps(vectors) == expected
+
+    @given(I=ideals(proper=False), data=st.data())
+    def test_trusted_constructor_matches_public(self, I, data):
+        c = I.context
+        extra = data.draw(st.lists(monomials(c), max_size=4))
+        raw = [g.exps for g in I.gens] + [m.exps for m in extra]
+        public = MonomialIdeal(c, [Monomial(c, v) for v in raw])
+        trusted = MonomialIdeal._from_exps(c, raw)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert trusted.gens == public.gens
+        assert [g.context for g in trusted.gens] == [c] * len(public.gens)
+        antichain = [g.exps for g in reversed(public.gens)] * 2
+        assert MonomialIdeal._from_exps(c, antichain, minimal=True) == public
+
+    @given(I=ideals(max_n=3), data=st.data())
+    def test_colon_intersect_membership_match_oracle(self, I, data):
+        c = I.context
+        v = data.draw(monomials(c))
+        J = MonomialIdeal(c, data.draw(st.lists(monomials(c), min_size=1, max_size=3)))
+        quotient, met = I.colon(v), I.intersect(J)
+        bounds = tuple(
+            max(a, b) + 1 for a, b in zip(I.max_exponents(), J.max_exponents())
+        )
+        for exps in box_exponents(bounds):
+            m = Monomial(c, exps)
+            lifted = tuple(a + b for a, b in zip(exps, v.exps))
+            assert (m in I) == oracle_member(I, exps)
+            assert (m in quotient) == oracle_member(I, lifted)
+            assert (m in met) == (oracle_member(I, exps) and oracle_member(J, exps))
+
+    def test_variable_ideals_match_public(self):
+        c = ctx(5)
+        for vs in ([0], [1, 3], [0, 2, 3, 4], range(5)):
+            p = PrimeSupport(c, vs)
+            assert p.as_ideal() == MonomialIdeal(c, [c.variable(i) for i in p.vars])
+            q = IrreducibleComponent(c, {v: v + 2 for v in p.vars})
+            assert q.as_ideal() == MonomialIdeal(
+                c, [c.monomial_from_powers({v: e}) for v, e in q.pairs]
+            )

@@ -1,6 +1,7 @@
 """Witness construction, verification, inversion, and uniqueness."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -237,6 +238,22 @@ class TestSymmetricIdeals:
     def test_too_many_exponents_rejected(self):
         with pytest.raises(ValueError):
             SymmetricPattern(ctx(2), (1, 2, 3))
+
+    def test_generator_count_is_choose_times_multinomial(self):
+        for n in range(1, 6):
+            c = ctx(n)
+            for k in range(1, n + 1):
+                for exps in itertools.combinations_with_replacement((1, 2, 3), k):
+                    I = build_symmetric_ideal(SymmetricPattern(c, exps))
+                    multinomial = math.factorial(k)
+                    for e in set(exps):
+                        multinomial //= math.factorial(exps.count(e))
+                    assert len(I.gens) == math.comb(n, k) * multinomial
+                    assert I == MonomialIdeal(c, [
+                        c.monomial_from_powers(dict(zip(vs, placement)))
+                        for vs in itertools.combinations(range(n), k)
+                        for placement in itertools.permutations(exps)
+                    ])
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
