@@ -12,10 +12,11 @@ exceeds that bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import Monomial, MonomialIdeal, PrimeSupport
+from .rings import Monomial, MonomialIdeal, PrimeSupport, _require_same_context
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,22 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
 
 
 def saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
-    """The stable limit of repeated colon by a nonzero ideal."""
+    """(I : J^inf), the stable limit of repeated colon by a nonzero ideal J.
+
+    For the generators g_1..g_r of J, J^{rk} lies in (g_1^k, ..., g_r^k),
+    which lies in J^k, so (I : J^inf) is the intersection of the (I : g^inf);
+    and (I : g^inf) drops the variables of g from every generator of I.
+    """
     if by.is_zero:
         raise ValueError("saturation by the zero ideal is undefined")
-    current = ideal
-    while True:
-        quotient = current.colon(by)
-        if quotient == current:
-            return current
-        current = quotient
+    _require_same_context(ideal, by)
+    parts = [
+        MonomialIdeal._from_exps(
+            ideal.context, (tuple([0 if d else e for e, d in zip(u, g)]) for u in ideal._exps)
+        )
+        for g in by._exps
+    ]
+    return reduce(MonomialIdeal.intersect, parts)
 
 
 def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:

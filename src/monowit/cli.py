@@ -4,7 +4,8 @@ Deterministic, non-interactive driver: every command reads a problem file,
 delegates to the library, and reports on stdout.  Witnesses are always
 re-verified before VERIFIED is printed.  Exit codes: 0 success, 1 usage or
 input error or a reader that closed stdout early, 2 verification failure or
-an internal error.
+an internal error.  Each command is one `COMMANDS` entry; `_run` loads its
+stanza, prints the verdict and picks the exit code for all of them.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import json
 import os
 import random
 import sys
+from typing import NamedTuple
 
 from .borel import borel_witness, is_borel_type
 from .decompose import irreducible_decomposition
-from .errors import ParseError, TheoremViolationError
-from .parsing import ProblemFile, parse_monomial, parse_problem_file
+from .errors import TheoremViolationError
+from .parsing import parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport
 from .witness import (
     WitnessSpec,
@@ -37,47 +39,22 @@ class CliError(Exception):
     """Input problem; message goes to stderr, exit code 1."""
 
 
-def _exponent_map(m: Monomial) -> dict:
-    names = m.context.names
-    return {names[i]: e for i, e in enumerate(m.exps) if e}
+def _json_document(ideal, components=None, primes=None, witness=None, verified=None):
+    names = ideal.context.names
 
+    def exponents(m: Monomial) -> dict:
+        return {names[i]: e for i, e in enumerate(m.exps) if e}
 
-def _json_document(context, ideal=None, components=None, primes=None,
-                   witness=None, verified=None) -> dict:
     return {
-        "ring": {"n": context.n, "names": list(context.names)} if context else None,
-        "ideal": [_exponent_map(g) for g in ideal.gens] if ideal is not None else None,
-        "components": [
-            {c.context.names[v]: e for v, e in c.pairs} for c in components
-        ] if components is not None else None,
-        "associated_primes": [
-            [p.context.names[i] for i in p.vars] for p in primes
-        ] if primes is not None else None,
-        "witness": _exponent_map(witness) if witness is not None else None,
+        "ring": {"n": len(names), "names": list(names)},
+        "ideal": [exponents(g) for g in ideal.gens],
+        "components": None if components is None else [
+            {names[v]: e for v, e in c.pairs} for c in components],
+        "associated_primes": None if primes is None else [
+            [names[i] for i in p.vars] for p in primes],
+        "witness": None if witness is None else exponents(witness),
         "verified": verified,
     }
-
-
-def _emit(args, lines, document):
-    if args.format == "json":
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _load(path) -> ProblemFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_problem_file(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-
-
-def _need_ideal(problem) -> MonomialIdeal:
-    if problem.ideal is None:
-        raise CliError("the problem file declares no ideal")
-    return problem.ideal
 
 
 def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
@@ -86,14 +63,10 @@ def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
         index = int(selector)
         if index >= len(primes):
             raise CliError(
-                f"prime index {index} out of range; there are {len(primes)} primes"
-            )
+                f"prime index {index} out of range; there are {len(primes)} primes")
         return primes[index]
-    try:
-        variables = [ideal.context.index_of(name.strip()) for name in selector.split(",")]
-        prime = PrimeSupport(ideal.context, variables)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    variables = [ideal.context.index_of(name.strip()) for name in selector.split(",")]
+    prime = PrimeSupport(ideal.context, variables)
     if prime not in primes:
         listing = "; ".join(f"P_{i} = {p}" for i, p in enumerate(primes))
         raise CliError(f"{prime} is not an associated prime ({listing})")
@@ -104,17 +77,13 @@ def _resolve_component(args, ideal, prime):
     components = irreducible_decomposition(ideal).components_for(prime)
     if args.component is not None:
         if not 0 <= args.component < len(components):
-            raise CliError(
-                f"component index {args.component} out of range; "
-                f"there are {len(components)} components for {prime}"
-            )
+            raise CliError(f"component index {args.component} out of range; "
+                           f"there are {len(components)} components for {prime}")
         return components[args.component]
     if len(components) > 1:
         listing = "".join(f"\n  Q_{i} = {q}" for i, q in enumerate(components))
-        raise CliError(
-            f"{prime} has {len(components)} components; "
-            f"choose one with --component:{listing}"
-        )
+        raise CliError(f"{prime} has {len(components)} components; "
+                       f"choose one with --component:{listing}")
     return components[0]
 
 
@@ -123,6 +92,8 @@ def _collect_offsets(args, ideal, prime) -> dict:
     if args.seed is not None:
         if args.offset:
             raise CliError("--seed and --offset are mutually exclusive")
+        if complement and args.max_offset < 0:  # no draw, no bound needed
+            raise CliError(f"--max-offset must be non-negative, got {args.max_offset}")
         rng = random.Random(args.seed)
         return {v: rng.randint(0, args.max_offset) for v in complement}
     offsets = {}
@@ -131,98 +102,67 @@ def _collect_offsets(args, ideal, prime) -> dict:
         var, _, value = item.partition("=")
         if not value or not value.isdigit():
             raise CliError(f"--offset expects var=<non-negative int>, got {item!r}")
-        try:
-            index = ideal.context.index_of(var.strip())
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        index = ideal.context.index_of(var.strip())
         if index not in complement:
             raise CliError(f"{names[index]} is a prime variable; offsets apply outside")
         offsets[index] = int(value)
     return offsets
 
 
-def _cmd_decompose(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _decomposition_fields(decomposition) -> dict:
+    return dict(ideal=decomposition.ideal, components=decomposition.components,
+                primes=decomposition.primes())
+
+
+def _decompose(args, ideal):
     decomposition = irreducible_decomposition(ideal)
     primes = decomposition.primes()
     lines = [f"I = {ideal}", "components:"]
     lines += [f"  Q_{i} = {q}" for i, q in enumerate(decomposition.components)]
-    lines.append("associated primes:")
-    lines += [f"  P_{i} = {p}" for i, p in enumerate(primes)]
-    _emit(args, lines, _json_document(
-        ideal.context, ideal, decomposition.components, primes))
-    return 0
+    lines += ["associated primes:"] + [f"  P_{i} = {p}" for i, p in enumerate(primes)]
+    return lines, _decomposition_fields(decomposition), None
 
 
-def _cmd_assprimes(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _assprimes(args, ideal):
     primes = irreducible_decomposition(ideal).primes()
     lines = [f"P_{i} = {p}" for i, p in enumerate(primes)]
-    _emit(args, lines, _json_document(ideal.context, ideal, primes=primes))
-    return 0
+    return lines, dict(ideal=ideal, primes=primes), None
 
 
-def _cmd_witness(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _witness(args, ideal):
     decomposition = irreducible_decomposition(ideal)
     if args.list:
-        primes = decomposition.primes()
         lines = []
-        for i, p in enumerate(primes):
+        for i, p in enumerate(decomposition.primes()):
             lines.append(f"P_{i} = {p}")
             components = decomposition.components_for(p)
             lines += [f"  Q_{j} = {q}" for j, q in enumerate(components)]
-        _emit(args, lines, _json_document(
-            ideal.context, ideal, decomposition.components, primes))
-        return 0
+        return lines, _decomposition_fields(decomposition), None
     if args.prime is None:
         raise CliError("witness requires --prime (or --list to see candidates)")
     prime = _resolve_prime(args.prime, ideal)
     component = _resolve_component(args, ideal, prime)
     offsets = _collect_offsets(args, ideal, prime)
     v = witness_from_component(ideal, WitnessSpec(prime, component, offsets))
-    verified = verify_witness(ideal, prime, v)
-    lines = [f"P = {prime}", f"Q = {component}", f"v = {v}",
-             "VERIFIED" if verified else "FAILED"]
-    _emit(args, lines, _json_document(
-        ideal.context, ideal, (component,), (prime,), v, verified))
-    return 0 if verified else VERIFY_ERROR
+    lines = [f"P = {prime}", f"Q = {component}", f"v = {v}"]
+    fields = dict(ideal=ideal, components=(component,), primes=(prime,), witness=v)
+    return lines, fields, verify_witness(ideal, prime, v)
 
 
-def _cmd_verify(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _verify(args, ideal):
     prime = _resolve_prime(args.prime, ideal)
-    try:
-        v = parse_monomial(args.monomial, ideal.context)
-    except ParseError as exc:
-        raise CliError(str(exc)) from None
-    verified = verify_witness(ideal, prime, v)
-    lines = [f"(I : {v}) = {ideal.colon(v)}", "VERIFIED" if verified else "FAILED"]
-    _emit(args, lines, _json_document(
-        ideal.context, ideal, primes=(prime,), witness=v, verified=verified))
-    return 0 if verified else VERIFY_ERROR
+    v = parse_monomial(args.monomial, ideal.context)
+    fields = dict(ideal=ideal, primes=(prime,), witness=v)
+    return [f"(I : {v}) = {ideal.colon(v)}"], fields, verify_witness(ideal, prime, v)
 
 
-def _cmd_colon(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
-    try:
-        v = parse_monomial(args.monomial, ideal.context)
-    except ParseError as exc:
-        raise CliError(str(exc)) from None
+def _colon(args, ideal):
+    v = parse_monomial(args.monomial, ideal.context)
     quotient = ideal.colon(v)
-    _emit(args, [f"(I : {v}) = {quotient}"], _json_document(
-        ideal.context, quotient, witness=v))
-    return 0
+    return [f"(I : {v}) = {quotient}"], dict(ideal=quotient, witness=v), None
 
 
-def _cmd_borel(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _borel(args, ideal):
     report = is_borel_type(ideal)
     if not report.is_borel_type:
         if args.prime is not None:
@@ -231,144 +171,134 @@ def _cmd_borel(args) -> int:
         names = ideal.context.names
         lines = ["Borel type: no",
                  f"certificate: u = {u}, i = {names[i]}, j = {names[j]}"]
-        _emit(args, lines, _json_document(ideal.context, ideal, verified=False))
-        return 0
-    lines = ["Borel type: yes"]
-    lines += [f"P_{i} = {p}" for i, p in enumerate(report.primes)]
-    witness = None
-    verified = None
-    if args.prime is not None:
-        prime = _resolve_prime(args.prime, ideal)
-        component = _resolve_component(args, ideal, prime)
-        witness = borel_witness(ideal, prime, component)
-        verified = verify_witness(ideal, prime, witness)
-        lines += [f"v = {witness}", "VERIFIED" if verified else "FAILED"]
-    _emit(args, lines, _json_document(
-        ideal.context, ideal, primes=report.primes,
-        witness=witness, verified=verified))
-    return VERIFY_ERROR if verified is False else 0
+        # a negative detection shows as "verified": false, yet exits 0
+        return lines, dict(ideal=ideal, verified=False), None
+    lines = ["Borel type: yes"] + [f"P_{i} = {p}" for i, p in enumerate(report.primes)]
+    fields = dict(ideal=ideal, primes=report.primes)
+    if args.prime is None:
+        return lines, fields, None
+    prime = _resolve_prime(args.prime, ideal)
+    component = _resolve_component(args, ideal, prime)
+    v = borel_witness(ideal, prime, component)
+    return lines + [f"v = {v}"], dict(fields, witness=v), verify_witness(ideal, prime, v)
 
 
-def _cmd_uniqueness(args) -> int:
-    problem = _load(args.file)
-    ideal = _need_ideal(problem)
+def _uniqueness(args, ideal):
     prime = _resolve_prime(args.prime, ideal)
     result = classify_uniqueness(ideal, prime)
-    verified = all(verify_witness(ideal, prime, w) for w in result.witnesses)
     lines = [f"unique: {'yes' if result.unique else 'no'}"]
     lines += [f"v{i + 1} = {w}" for i, w in enumerate(result.witnesses)]
-    lines.append("VERIFIED" if verified else "FAILED")
-    _emit(args, lines, _json_document(
-        ideal.context, ideal, primes=(prime,),
-        witness=result.witnesses[0], verified=verified))
-    return 0 if verified else VERIFY_ERROR
+    fields = dict(ideal=ideal, primes=(prime,), witness=result.witnesses[0])
+    return lines, fields, all(verify_witness(ideal, prime, w) for w in result.witnesses)
 
 
-def _cmd_clutter_base(args) -> int:
-    problem = _load(args.file)
-    if problem.clutter is None:
-        raise CliError("the problem file declares no clutter")
-    clutter = problem.clutter
+def _clutter_base(args, clutter):
     ideal = clutter.edge_ideal()
     prime = _resolve_prime(args.prime, ideal)
-    try:
-        t_a = clutter.witness_base(prime)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    verified = verify_witness(ideal, prime, t_a)
-    support = [clutter.context.names[v] for v in t_a.support()]
-    lines = [f"A = ({', '.join(support)})", f"v = {t_a}",
-             "VERIFIED" if verified else "FAILED"]
-    _emit(args, lines, _json_document(
-        clutter.context, ideal, primes=(prime,), witness=t_a, verified=verified))
-    return 0 if verified else VERIFY_ERROR
+    v = clutter.witness_base(prime)
+    support = ", ".join(clutter.context.names[i] for i in v.support())
+    fields = dict(ideal=ideal, primes=(prime,), witness=v)
+    return [f"A = ({support})", f"v = {v}"], fields, verify_witness(ideal, prime, v)
 
 
-def _cmd_symgen(args) -> int:
-    problem = _load(args.file)
-    if problem.pattern is None:
-        raise CliError("the problem file declares no sym stanza")
-    pattern = problem.pattern
+def _symgen(args, pattern):
     ideal = build_symmetric_ideal(pattern)
     lines = [f"I = {ideal}"]
-    witness = None
-    verified = None
-    primes = None
-    if args.prime is not None:
-        if args.value_index is None:
-            raise CliError("--prime needs --value-index for symgen")
-        try:
-            variables = [
-                pattern.context.index_of(s.strip()) for s in args.prime.split(",")
-            ]
-            b_choices = (
-                [int(s) for s in args.b.split(",") if s.strip()] if args.b else []
-            )
-            prime, witness = symmetric_witness(
-                pattern, args.value_index, variables, b_choices
-            )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        primes = (prime,)
-        verified = verify_witness(ideal, prime, witness)
-        lines += [f"P = {prime}", f"v = {witness}",
-                  "VERIFIED" if verified else "FAILED"]
-    _emit(args, lines, _json_document(
-        pattern.context, ideal, primes=primes, witness=witness, verified=verified))
-    return VERIFY_ERROR if verified is False else 0
+    if args.prime is None:
+        return lines, dict(ideal=ideal), None
+    if args.value_index is None:
+        raise CliError("--prime needs --value-index for symgen")
+    variables = [pattern.context.index_of(s.strip()) for s in args.prime.split(",")]
+    try:
+        b_choices = [int(s) for s in args.b.split(",") if s.strip()] if args.b else []
+    except ValueError:
+        raise CliError(f"--b expects comma-separated integers, got {args.b!r}") from None
+    prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)
+    fields = dict(ideal=ideal, primes=(prime,), witness=v)
+    return lines + [f"P = {prime}", f"v = {v}"], fields, verify_witness(ideal, prime, v)
+
+
+class Command(NamedTuple):
+    """handler(args, stanza) -> (text lines, JSON fields, verdict); the verdict
+    is None when the command verified nothing."""
+
+    handler: object
+    stanza: str  # the ProblemFile field the handler reads
+    help: str
+    options: tuple = ()  # (flag, add_argument keywords) pairs
+
+
+_PRIME_REQUIRED = ("--prime", dict(required=True))
+
+COMMANDS = {
+    "decompose": Command(_decompose, "ideal", "irredundant irreducible decomposition"),
+    "assprimes": Command(_assprimes, "ideal", "associated primes"),
+    "witness": Command(_witness, "ideal", "construct and verify a witness", (
+        ("--prime", dict(help="prime index or comma-separated variables")),
+        ("--component", dict(type=int, help="component index in canonical order")),
+        ("--offset", dict(action="append", metavar="var=k",
+                          help="extra exponent on a non-prime variable (repeatable)")),
+        ("--seed", dict(type=int, help="seeded random offsets")),
+        ("--max-offset", dict(type=int, default=8,
+                              help="upper bound for seeded offsets")),
+        ("--list", dict(action="store_true",
+                        help="list primes and components, then exit")),
+    )),
+    "verify": Command(_verify, "ideal", "check a candidate witness", (
+        _PRIME_REQUIRED,
+        ("--v", dict(dest="monomial", required=True, help="candidate monomial")),
+    )),
+    "colon": Command(_colon, "ideal", "colon of the ideal by a monomial", (
+        ("--v", dict(dest="monomial", required=True)),
+    )),
+    "borel": Command(_borel, "ideal", "Borel-type detection and witness", (
+        ("--prime", {}), ("--component", dict(type=int)),
+    )),
+    "uniqueness": Command(
+        _uniqueness, "ideal", "witness uniqueness classification", (_PRIME_REQUIRED,)),
+    "clutter-base": Command(
+        _clutter_base, "clutter", "witness from a stable set", (_PRIME_REQUIRED,)),
+    "symgen": Command(_symgen, "pattern", "symmetric power-pattern ideal", (
+        ("--prime", {}),
+        ("--value-index", dict(type=int,
+                               help="0-based index among the distinct exponent values")),
+        ("--b", dict(help="comma-separated complement exponents")),
+    )),
+}
+
+
+def _run(args) -> int:
+    command = COMMANDS[args.command]
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            problem = parse_problem_file(fh.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {args.file}: {exc}") from None
+    subject = getattr(problem, command.stanza)
+    if subject is None:
+        name = {"pattern": "sym stanza"}.get(command.stanza, command.stanza)
+        raise CliError(f"the problem file declares no {name}")
+    lines, fields, verdict = command.handler(args, subject)
+    if verdict is not None:
+        lines.append("VERIFIED" if verdict else "FAILED")
+    fields.setdefault("verified", verdict)
+    if args.format == "json":
+        lines = [json.dumps(_json_document(**fields), indent=2, sort_keys=True)]
+    for line in lines:
+        print(line)
+    return VERIFY_ERROR if verdict is False else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="monowit",
-        description="Monomial ideal decompositions and colon witnesses.",
-    )
+        prog="monowit", description="Monomial ideal decompositions and colon witnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("file", help="problem file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("decompose", _cmd_decompose, help="irredundant irreducible decomposition")
-    add("assprimes", _cmd_assprimes, help="associated primes")
-
-    w = add("witness", _cmd_witness, help="construct and verify a witness")
-    w.add_argument("--prime", help="prime index or comma-separated variables")
-    w.add_argument("--component", type=int, help="component index in canonical order")
-    w.add_argument("--offset", action="append", metavar="var=k",
-                   help="extra exponent on a non-prime variable (repeatable)")
-    w.add_argument("--seed", type=int, help="seeded random offsets")
-    w.add_argument("--max-offset", type=int, default=8,
-                   help="upper bound for seeded offsets")
-    w.add_argument("--list", action="store_true",
-                   help="list primes and components, then exit")
-
-    v = add("verify", _cmd_verify, help="check a candidate witness")
-    v.add_argument("--prime", required=True)
-    v.add_argument("--v", dest="monomial", required=True, help="candidate monomial")
-
-    c = add("colon", _cmd_colon, help="colon of the ideal by a monomial")
-    c.add_argument("--v", dest="monomial", required=True)
-
-    b = add("borel", _cmd_borel, help="Borel-type detection and witness")
-    b.add_argument("--prime")
-    b.add_argument("--component", type=int)
-
-    u = add("uniqueness", _cmd_uniqueness, help="witness uniqueness classification")
-    u.add_argument("--prime", required=True)
-
-    cb = add("clutter-base", _cmd_clutter_base, help="witness from a stable set")
-    cb.add_argument("--prime", required=True)
-
-    s = add("symgen", _cmd_symgen, help="symmetric power-pattern ideal")
-    s.add_argument("--prime")
-    s.add_argument("--value-index", type=int,
-                   help="0-based index among the distinct exponent values")
-    s.add_argument("--b", help="comma-separated complement exponents")
-
+        for flag, options in command.options:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -377,11 +307,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; this tool reserves 2 for
-        # verification failures
+        # argparse exits 2 on usage errors; this tool reserves 2 for failed checks
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        code = args.handler(args)
+        code = _run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
         return code
     except BrokenPipeError:
@@ -389,10 +318,7 @@ def main(argv=None) -> int:
         # the flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
-    except (CliError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TheoremViolationError as exc:

@@ -22,6 +22,11 @@ from .rings import MonomialIdeal, PrimeSupport, RingContext
 # the variable is absent
 _Component = tuple[int, tuple[int, ...]]
 
+# decompositions kept by irreducible_decomposition, least recently used first
+# out; callers reuse one within an operation, so memory stays bounded in a
+# long-lived process
+CACHE_SIZE = 256
+
 
 def _contains(big: _Component, small: _Component) -> bool:
     """Whether the irreducible ideal `small` is a subset of `big`."""
@@ -69,8 +74,8 @@ class IrreducibleComponent:
         for v, e in pairs:
             if not 0 <= v < context.n:
                 raise ValueError(f"variable index {v} out of range")
-            if e < 1:
-                raise ValueError("pure-power exponents must be positive")
+            if not isinstance(e, int) or e < 1:
+                raise ValueError("pure-power exponents must be positive integers")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
 
@@ -160,7 +165,7 @@ class Decomposition:
         return matches
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
     if ideal.is_zero:
@@ -185,6 +190,6 @@ def clear_caches():
     """Empty the decomposition cache.
 
     The engine itself keeps no state between calls; the only memo is the
-    per-ideal cache on irreducible_decomposition.
+    per-ideal cache on irreducible_decomposition, at most CACHE_SIZE entries.
     """
     irreducible_decomposition.cache_clear()

@@ -96,7 +96,7 @@ class Monomial:
             raise ValueError(
                 f"exponent vector has length {len(exps)}, ring has {context.n} variables"
             )
-        if any(e < 0 or not isinstance(e, int) for e in exps):
+        if any(not isinstance(e, int) or e < 0 for e in exps):
             raise ValueError("exponents must be non-negative integers")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exps", exps)

@@ -1,6 +1,8 @@
 """Borel-type detection, saturation, and the one-extra-variable witness."""
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from monowit import (
     IrreducibleComponent,
@@ -15,7 +17,17 @@ from monowit import (
     saturate,
     verify_witness,
 )
-from util import borel_corpus, ctx, ideal, mono, session_ideal
+from util import (
+    borel_corpus,
+    ctx,
+    ideal,
+    ideals,
+    mono,
+    monomials,
+    oracle_saturate,
+    session_ideal,
+    witness_corpus,
+)
 
 
 class TestDetection:
@@ -89,9 +101,25 @@ class TestSaturate:
                 assert saturate(I, single) == saturate(I, prefix)
 
 
+    @given(data=st.data())
+    def test_matches_repeated_colon(self, data):
+        I = data.draw(ideals(max_n=4, max_exp=3, max_gens=5, proper=False))
+        gens = data.draw(st.lists(monomials(I.context), min_size=1, max_size=4))
+        J = MonomialIdeal(I.context, gens)
+        assert saturate(I, J) == oracle_saturate(I, J)
+
+    def test_zero_ideal_saturates_to_zero(self):
+        c = ctx(2)
+        assert saturate(MonomialIdeal(c, ()), ideal(c, "x1")).is_zero
+
+    def test_context_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            saturate(ideal(ctx(2), "x1"), ideal(ctx(3), "x1"))
+
+
 class TestDetectionEquivalence:
     def test_condition_three_matches_saturation_definition(self):
-        for I in borel_corpus():
+        for I in borel_corpus() + witness_corpus():
             assert is_borel_type(I).is_borel_type == is_borel_type_by_saturation(I)
 
     def test_prefix_primes_iff_borel(self):

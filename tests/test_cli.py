@@ -28,6 +28,12 @@ clutter C = {t1,t2},{t2,t3}
 
 SYM = "sym S = n:3 exps:1,3,3\n"
 
+BOREL = "ring n=2\nideal I = x1^2, x1*x2\n"
+
+NOT_BOREL = "ring n=2\nideal I = x2\n"
+
+SCHEMA = {"ring", "ideal", "components", "associated_primes", "witness", "verified"}
+
 
 @pytest.fixture
 def problem(tmp_path):
@@ -277,7 +283,65 @@ class TestSymgen:
         assert "VERIFIED" in out
 
 
+# (command, problem text, extra arguments, exit code, JSON "verified", last
+# text line when the command has a verdict); a non-Borel ideal reports
+# "verified": false, yet has no verdict line and exits 0
+MATRIX = [
+    ("decompose", SESSION, [], 0, None, None),
+    ("assprimes", SESSION, [], 0, None, None),
+    ("witness", SESSION, ["--list"], 0, None, None),
+    ("witness", SESSION, ["--prime", "0"], 0, True, "VERIFIED"),
+    ("verify", SIX_VAR, ["--prime", "x1,x2", "--v", "x3^5*x4^4"], 0, True, "VERIFIED"),
+    ("verify", SIX_VAR, ["--prime", "x1,x2", "--v", "x3^5*x5^2"], 2, False, "FAILED"),
+    ("colon", SESSION, ["--v", "x2^6*x3^4*x4"], 0, None, None),
+    ("borel", BOREL, [], 0, None, None),
+    ("borel", BOREL, ["--prime", "x1"], 0, True, "VERIFIED"),
+    ("borel", NOT_BOREL, [], 0, False, None),
+    ("uniqueness", SIX_VAR, ["--prime", "x1,x2"], 0, True, "VERIFIED"),
+    ("clutter-base", PATH_GRAPH, ["--prime", "t2"], 0, True, "VERIFIED"),
+    ("symgen", SYM, [], 0, None, None),
+    ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "3"], 0, True,
+     "VERIFIED"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, text, extra, exit_code, verified, verdict_line", MATRIX,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(MATRIX)],
+)
+def test_command_matrix(
+    problem, capsys, fmt, command, text, extra, exit_code, verified, verdict_line
+):
+    code, out, err = run(capsys, [command, problem(text), "--format", fmt] + extra)
+    assert code == exit_code and err == ""
+    if fmt == "json":
+        doc = json.loads(out)
+        assert set(doc) == SCHEMA
+        assert doc["verified"] is verified
+    else:
+        last = out.splitlines()[-1]
+        if verdict_line is None:
+            assert last not in ("VERIFIED", "FAILED")
+        else:
+            assert last == verdict_line
+
+
 class TestErrorPaths:
+    def test_negative_max_offset_names_the_flag(self, problem, capsys):
+        code, out, err = run(capsys, [
+            "witness", problem(SESSION), "--prime", "0", "--seed", "1", "--max-offset", "-1",
+        ])
+        assert code == 1 and out == ""
+        assert err == "error: --max-offset must be non-negative, got -1\n"
+
+    def test_non_integer_b_names_the_flag(self, problem, capsys):
+        code, out, err = run(capsys, [
+            "symgen", problem(SYM), "--prime", "x1,x2", "--value-index", "1", "--b", "a",
+        ])
+        assert code == 1 and out == ""
+        assert err == "error: --b expects comma-separated integers, got 'a'\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["assprimes", "/nonexistent/problem.txt"])
         assert code == 1 and "cannot read" in err
@@ -303,10 +367,10 @@ class TestErrorPaths:
     def test_internal_error_exits_two_without_traceback(
         self, problem, capsys, monkeypatch
     ):
-        def broken(args):
+        def broken(ideal):
             raise TheoremViolationError("complement is not a maximal stable set")
 
-        monkeypatch.setattr(monowit.cli, "_cmd_assprimes", broken)
+        monkeypatch.setattr(monowit.cli, "irreducible_decomposition", broken)
         code, out, err = run(capsys, ["assprimes", problem(SESSION)])
         assert code == 2
         assert out == ""

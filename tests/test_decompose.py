@@ -182,6 +182,17 @@ class TestCorpusProperties:
             assert again.components == d.components
 
 
+class TestCache:
+    def test_size_stays_within_the_bound(self):
+        info = irreducible_decomposition.cache_info
+        assert info().maxsize == monowit.decompose.CACHE_SIZE
+        c = ctx(2)
+        for a in range(1, monowit.decompose.CACHE_SIZE + 40):
+            irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))
+            assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize
+
+
 class TestHypothesisProperties:
     @given(I=ideals(max_n=4, max_exp=3, max_gens=5))
     def test_recombination(self, I):

@@ -50,6 +50,24 @@ class TestRingContext:
             ctx(2).index_of("y")
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: Monomial(c, ("a", 1)),
+    lambda c: Monomial(c, (None, 0)),
+    lambda c: Monomial(c, (1.5, 0)),
+    lambda c: Monomial(c, (-1, 0)),
+    lambda c: IrreducibleComponent(c, {0: 1.5}),
+    lambda c: IrreducibleComponent(c, {0: "2"}),
+    lambda c: IrreducibleComponent(c, {0: None}),
+    lambda c: IrreducibleComponent(c, {0: 0}),
+], ids=[
+    "monomial-str", "monomial-none", "monomial-float", "monomial-negative",
+    "component-float", "component-str", "component-none", "component-zero",
+])
+def test_exponents_must_be_integers(build):
+    with pytest.raises(ValueError):
+        build(ctx(2))
+
+
 class TestDivides:
     def test_componentwise(self):
         c = ctx(8)

@@ -136,6 +136,18 @@ def split_components(gens):
     return keep
 
 
+def oracle_saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
+    """The stable limit of repeated colon by a nonzero ideal."""
+    if by.is_zero:
+        raise ValueError("saturation by the zero ideal is undefined")
+    current = ideal
+    while True:
+        quotient = current.colon(by)
+        if quotient == current:
+            return current
+        current = quotient
+
+
 def oracle_maximal_stable_sets(clutter):
     """Every subset of the vertices, kept when stable and not extendable."""
     out = []
