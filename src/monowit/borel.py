@@ -11,16 +11,14 @@ exceeds that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
 from .rings import Monomial, MonomialIdeal, PrimeSupport, _require_same_context
 
 
-@dataclass(frozen=True)
-class BorelReport:
+class BorelReport(NamedTuple):
     """Detection outcome: on failure a concrete (u, i, j) violation, on
     success the associated primes, each a prefix of the variable order."""
 
@@ -78,13 +76,18 @@ def saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
 
 
 def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
-    """Definition-level detection: saturating by x_i and by <x_1..x_i> agree."""
+    """Definition-level detection: saturating by x_i and by <x_1..x_i> agree.
+
+    Saturation by a sum of ideals is the intersection of the saturations by
+    each, so the prefix saturation grows by one intersection per variable.
+    """
     _require_decomposable(ideal)
     ctx = ideal.context
+    prefix = None
     for i in range(ctx.n):
-        single = MonomialIdeal(ctx, [ctx.variable(i)])
-        prefix = MonomialIdeal(ctx, [ctx.variable(t) for t in range(i + 1)])
-        if saturate(ideal, single) != saturate(ideal, prefix):
+        single = saturate(ideal, MonomialIdeal(ctx, [ctx.variable(i)]))
+        prefix = single if prefix is None else prefix.intersect(single)
+        if single != prefix:
             return False
     return True
 

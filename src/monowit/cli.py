@@ -11,12 +11,12 @@ stanza, prints the verdict and picks the exit code for all of them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
 from typing import NamedTuple
 
+from . import __version__
 from .borel import borel_witness, is_borel_type
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
@@ -283,6 +283,8 @@ def _run(args) -> int:
         lines.append("VERIFIED" if verdict else "FAILED")
     fields.setdefault("verified", verdict)
     if args.format == "json":
+        import json  # here, so that text output does not pay for it at start-up
+
         lines = [json.dumps(_json_document(**fields), indent=2, sort_keys=True)]
     for line in lines:
         print(line)
@@ -292,6 +294,7 @@ def _run(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monowit", description="Monomial ideal decompositions and colon witnesses.")
+    parser.add_argument("--version", action="version", version=f"monowit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)

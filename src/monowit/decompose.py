@@ -68,14 +68,15 @@ class IrreducibleComponent:
     __slots__ = ("context", "pairs")
 
     def __init__(self, context: RingContext, powers):
-        pairs = tuple(sorted(dict(powers).items()))
-        if not pairs:
+        powers = dict(powers)
+        if not powers:
             raise ValueError("an irreducible component needs at least one variable")
-        for v, e in pairs:
-            if not 0 <= v < context.n:
+        for v, e in powers.items():
+            if not isinstance(v, int) or not 0 <= v < context.n:
                 raise ValueError(f"variable index {v} out of range")
             if not isinstance(e, int) or e < 1:
                 raise ValueError("pure-power exponents must be positive integers")
+        pairs = tuple(sorted(powers.items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
 

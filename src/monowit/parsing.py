@@ -20,8 +20,7 @@ Blank lines and '#' comments are skipped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clutters import Clutter
 from .errors import ParseError
@@ -129,8 +128,7 @@ def parse_ideal_gens(
         gens.append(_scan_monomial(scanner, context))
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     context: Optional[RingContext]
     ideal: Optional[MonomialIdeal]
     clutter: Optional[Clutter]

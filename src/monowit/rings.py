@@ -13,7 +13,7 @@ which skips validation and, for a known antichain, minimization.
 
 from __future__ import annotations
 
-from operator import le, sub
+from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ContextMismatchError
@@ -72,7 +72,7 @@ class RingContext:
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
         exps = [0] * self.n
         for i, e in powers.items():
-            if not 0 <= i < self.n:
+            if not isinstance(i, int) or not 0 <= i < self.n:
                 raise ValueError(f"variable index {i} out of range")
             exps[i] = e
         return Monomial(self, tuple(exps))
@@ -321,7 +321,11 @@ class PrimeSupport:
     __slots__ = ("context", "vars")
 
     def __init__(self, context: RingContext, variables: Iterable[int]):
-        vs = tuple(sorted(set(variables)))
+        variables = set(variables)
+        try:
+            vs = tuple(sorted(map(index, variables)))
+        except TypeError:
+            raise ValueError("variable indices must be integers") from None
         if not vs:
             raise ValueError("a prime support needs at least one variable")
         if vs[0] < 0 or vs[-1] >= context.n:

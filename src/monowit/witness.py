@@ -11,37 +11,62 @@ classifies when the witness is unique.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _require_same_context
 
 
-@dataclass(frozen=True)
 class WitnessSpec:
     """Inputs for the witness construction: a component, its radical, and
     per-variable increments above the complement exponent floors."""
 
-    prime: PrimeSupport
-    component: IrreducibleComponent
-    offsets: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("prime", "component", "offsets")
 
-    def __post_init__(self):
-        if self.component.support() != self.prime.vars:
+    def __init__(
+        self,
+        prime: PrimeSupport,
+        component: IrreducibleComponent,
+        offsets: Optional[Mapping[int, int]] = None,
+    ):
+        if offsets is None:
+            offsets = {}
+        if component.support() != prime.vars:
             raise ValueError(
-                f"component support {self.component.support()} does not match "
-                f"prime {self.prime}"
+                f"component support {component.support()} does not match "
+                f"prime {prime}"
             )
-        prime_vars = set(self.prime.vars)
-        for v, off in self.offsets.items():
+        prime_vars = set(prime.vars)
+        for v, off in offsets.items():
             if v in prime_vars:
                 raise ValueError(f"offset for variable {v} inside the prime")
-            if not 0 <= v < self.prime.context.n:
+            if not 0 <= v < prime.context.n:
                 raise ValueError(f"offset variable index {v} out of range")
             if off < 0:
                 raise ValueError("offsets must be non-negative")
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "offsets", offsets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WitnessSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("WitnessSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prime, self.component, self.offsets) == (
+            other.prime, other.component, other.offsets)
+
+    # the offsets are a dict, so a spec is not hashable
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"WitnessSpec(prime={self.prime!r}, component={self.component!r}, "
+                f"offsets={self.offsets!r})")
 
     @classmethod
     def for_component(
@@ -113,26 +138,42 @@ def squarefree_witness_check(
     return True
 
 
-@dataclass(frozen=True)
 class SymmetricPattern:
     """All placements of a sorted exponent multiset on k distinct variables."""
 
-    context: RingContext
-    exps: tuple[int, ...]
+    __slots__ = ("context", "exps")
 
-    def __post_init__(self):
-        exps = tuple(self.exps)
-        object.__setattr__(self, "exps", exps)
+    def __init__(self, context: RingContext, exps: Iterable[int]):
+        exps = tuple(exps)
         if not exps:
             raise ValueError("the exponent list must be non-empty")
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be positive")
         if list(exps) != sorted(exps):
             raise ValueError("exponents must be non-decreasing")
-        if self.k > self.context.n:
+        if len(exps) > context.n:
             raise ValueError(
-                f"{self.k} exponents cannot be placed on {self.context.n} variables"
+                f"{len(exps)} exponents cannot be placed on {context.n} variables"
             )
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "exps", exps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymmetricPattern is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SymmetricPattern is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.context, self.exps) == (other.context, other.exps)
+
+    def __hash__(self):
+        return hash((self.context, self.exps))
+
+    def __repr__(self):
+        return f"SymmetricPattern(context={self.context!r}, exps={self.exps!r})"
 
     @property
     def k(self) -> int:
@@ -204,8 +245,7 @@ def symmetric_witness(
     return prime, ctx.monomial_from_powers(powers)
 
 
-@dataclass(frozen=True)
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     """Outcome of the uniqueness classification, carrying verified witnesses:
     one canonical witness when unique, two distinct ones otherwise."""
 

@@ -24,6 +24,7 @@ from util import (
     ideals,
     mono,
     monomials,
+    oracle_is_borel_type_by_saturation,
     oracle_saturate,
     session_ideal,
     witness_corpus,
@@ -121,6 +122,14 @@ class TestDetectionEquivalence:
     def test_condition_three_matches_saturation_definition(self):
         for I in borel_corpus() + witness_corpus():
             assert is_borel_type(I).is_borel_type == is_borel_type_by_saturation(I)
+
+    def test_incremental_prefix_matches_per_prefix_oracle(self):
+        for I in borel_corpus() + witness_corpus():
+            assert is_borel_type_by_saturation(I) == oracle_is_borel_type_by_saturation(I)
+
+    @given(ideals(max_n=5))
+    def test_incremental_prefix_matches_oracle_on_random_ideals(self, I):
+        assert is_borel_type_by_saturation(I) == oracle_is_borel_type_by_saturation(I)
 
     def test_prefix_primes_iff_borel(self):
         for I in borel_corpus():

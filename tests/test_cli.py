@@ -395,3 +395,23 @@ class TestErrorPaths:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+    def test_version(self, capsys):
+        code, out, err = run(capsys, ["--version"])
+        assert code == 0
+        assert out == f"monowit {monowit.__version__}\n" == "monowit 0.1.0\n"
+        assert err == ""
+
+
+def test_import_leaves_out_heavy_stdlib_modules():
+    # the CLI pays for every import on every call; these three are only
+    # needed by record generation (dataclasses, inspect) or JSON output
+    src = os.path.dirname(os.path.dirname(monowit.cli.__file__))
+    probe = ("import sys, monowit.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,0 +1,167 @@
+"""Value semantics of the small immutable records: equality, hashing,
+immutability, repr and the validation their constructors do."""
+
+import pytest
+
+from monowit import (
+    BorelReport,
+    IrreducibleComponent,
+    PrimeSupport,
+    ProblemFile,
+    SymmetricPattern,
+    UniquenessResult,
+    WitnessSpec,
+    is_borel_type,
+    parse_problem_file,
+)
+from util import ctx, ideal, mono
+
+
+def _spec(*offsets):
+    c = ctx(3)
+    return WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}), *offsets)
+
+
+class TestWitnessSpec:
+    def test_equality(self):
+        assert _spec() == _spec()
+        assert _spec({1: 2}) == _spec({1: 2})
+        assert _spec({1: 2}) != _spec({1: 3})
+        assert _spec() != _spec({2: 1})
+        c = ctx(3)
+        other = WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 3}))
+        assert _spec() != other
+        assert _spec() != (_spec().prime, _spec().component, {})
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(_spec())
+
+    def test_immutable(self):
+        spec = _spec()
+        for name in ("prime", "component", "offsets", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
+        assert spec == _spec()
+
+    def test_repr_shows_fields(self):
+        text = repr(_spec({1: 4}))
+        assert text.startswith("WitnessSpec(")
+        for part in ("prime=PrimeSupport((x1))", "component=IrreducibleComponent((x1^2))",
+                     "offsets={1: 4}"):
+            assert part in text
+
+    def test_default_offsets_are_fresh(self):
+        a, b = _spec(), _spec()
+        assert a.offsets == {} and b.offsets == {}
+        assert a.offsets is not b.offsets
+
+    def test_for_component(self):
+        q = IrreducibleComponent(ctx(3), {0: 2})
+        assert WitnessSpec.for_component(q) == _spec()
+        assert WitnessSpec.for_component(q, {1: 2}) == _spec({1: 2})
+
+    @pytest.mark.parametrize("prime, powers, offsets, message", [
+        ([0, 1], {0: 2}, {},
+         "component support (0,) does not match prime (x1, x2)"),
+        ([0], {0: 2}, {0: 1}, "offset for variable 0 inside the prime"),
+        ([0], {0: 2}, {3: 1}, "offset variable index 3 out of range"),
+        ([0], {0: 2}, {-1: 1}, "offset variable index -1 out of range"),
+        ([0], {0: 2}, {1: -1}, "offsets must be non-negative"),
+    ])
+    def test_validation_messages(self, prime, powers, offsets, message):
+        c = ctx(3)
+        with pytest.raises(ValueError) as info:
+            WitnessSpec(PrimeSupport(c, prime), IrreducibleComponent(c, powers), offsets)
+        assert str(info.value) == message
+
+
+class TestSymmetricPattern:
+    def test_stores_a_tuple(self):
+        assert SymmetricPattern(ctx(3), [1, 2]).exps == (1, 2)
+
+    def test_equality_and_hash(self):
+        a = SymmetricPattern(ctx(3), (1, 3, 3))
+        b = SymmetricPattern(ctx(3), [1, 3, 3])
+        assert a == b and hash(a) == hash(b)
+        assert a != SymmetricPattern(ctx(3), (1, 2, 3))
+        assert a != SymmetricPattern(ctx(4), (1, 3, 3))
+        assert a != (ctx(3), (1, 3, 3))
+        assert len({a, b}) == 1
+
+    def test_immutable(self):
+        pattern = SymmetricPattern(ctx(3), (1, 2))
+        for name in ("context", "exps", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pattern, name, None)
+            with pytest.raises(AttributeError):
+                delattr(pattern, name)
+        assert pattern.exps == (1, 2)
+
+    def test_repr_shows_fields(self):
+        assert repr(SymmetricPattern(ctx(2), (1, 2))) == (
+            "SymmetricPattern(context=RingContext(['x1', 'x2']), exps=(1, 2))")
+
+    @pytest.mark.parametrize("n, exps, message", [
+        (3, (), "the exponent list must be non-empty"),
+        (3, (0, 1), "exponents must be positive"),
+        (3, (3, 1), "exponents must be non-decreasing"),
+        (2, (1, 2, 3), "3 exponents cannot be placed on 2 variables"),
+    ])
+    def test_validation_messages(self, n, exps, message):
+        with pytest.raises(ValueError) as info:
+            SymmetricPattern(ctx(n), exps)
+        assert str(info.value) == message
+
+
+class TestUniquenessResult:
+    def test_value_semantics(self):
+        v, w = mono(ctx(2), "x1"), mono(ctx(2), "x2")
+        a = UniquenessResult(True, (v,))
+        assert a == UniquenessResult(True, (v,))
+        assert hash(a) == hash(UniquenessResult(True, (v,)))
+        assert a != UniquenessResult(False, (v,))
+        assert a != UniquenessResult(True, (w,))
+        with pytest.raises(AttributeError):
+            a.unique = False
+        with pytest.raises(AttributeError):
+            del a.unique
+        assert repr(a) == "UniquenessResult(unique=True, witnesses=(Monomial(x1),))"
+
+
+class TestBorelReport:
+    def test_value_semantics(self):
+        c = ctx(2)
+        positive = is_borel_type(ideal(c, "x1^2", "x1*x2"))
+        assert positive == is_borel_type(ideal(c, "x1^2", "x1*x2"))
+        assert hash(positive) == hash(is_borel_type(ideal(c, "x1^2", "x1*x2")))
+        negative = is_borel_type(ideal(c, "x2"))
+        assert negative != positive
+        assert negative == BorelReport(False, certificate=(mono(c, "x2"), 1, 0))
+        assert negative.primes is None and positive.certificate is None
+        with pytest.raises(AttributeError):
+            positive.is_borel_type = False
+        with pytest.raises(AttributeError):
+            del positive.is_borel_type
+        assert repr(negative) == (
+            "BorelReport(is_borel_type=False, certificate=(Monomial(x2), 1, 0), "
+            "primes=None)")
+
+
+class TestProblemFile:
+    def test_value_semantics(self):
+        text = "ring n=2\nideal I = x1^2, x2\n"
+        problem = parse_problem_file(text)
+        assert problem == parse_problem_file(text)
+        assert hash(problem) == hash(parse_problem_file(text))
+        assert problem != parse_problem_file("ring n=2\nideal I = x1\n")
+        assert problem == ProblemFile(ctx(2), ideal(ctx(2), "x1^2", "x2"), None, None)
+        with pytest.raises(AttributeError):
+            problem.ideal = None
+        with pytest.raises(AttributeError):
+            del problem.ideal
+        assert repr(problem) == (
+            "ProblemFile(context=RingContext(['x1', 'x2']), "
+            "ideal=MonomialIdeal((x1^2, x2)), clutter=None, pattern=None)")

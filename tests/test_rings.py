@@ -68,6 +68,27 @@ def test_exponents_must_be_integers(build):
         build(ctx(2))
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: PrimeSupport(c, [0.5]),
+    lambda c: PrimeSupport(c, [1.0]),
+    lambda c: PrimeSupport(c, ["a"]),
+    lambda c: PrimeSupport(c, [0, "a"]),
+    lambda c: PrimeSupport(c, [None]),
+    lambda c: IrreducibleComponent(c, {"a": 1}),
+    lambda c: IrreducibleComponent(c, {0: 1, "a": 1}),
+    lambda c: IrreducibleComponent(c, {0.5: 1}),
+    lambda c: c.monomial_from_powers({"a": 1}),
+    lambda c: c.monomial_from_powers({1.0: 1}),
+], ids=[
+    "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
+    "component-str", "component-mixed", "component-float",
+    "powers-str", "powers-integral-float",
+])
+def test_variable_indices_must_be_integers(build):
+    with pytest.raises(ValueError):
+        build(ctx(2))
+
+
 class TestDivides:
     def test_componentwise(self):
         c = ctx(8)

@@ -17,7 +17,9 @@ from monowit import (
     exchange_closure,
     parse_ideal_gens,
     parse_monomial,
+    saturate,
 )
+from monowit.borel import _require_decomposable
 from monowit.rings import _minimize_exps
 
 _CONTEXTS: dict[int, RingContext] = {}
@@ -146,6 +148,19 @@ def oracle_saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
         if quotient == current:
             return current
         current = quotient
+
+
+def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
+    """Borel type by definition, saturating by each whole prefix
+    <x_1..x_i> from scratch."""
+    _require_decomposable(ideal)
+    ctx = ideal.context
+    for i in range(ctx.n):
+        single = MonomialIdeal(ctx, [ctx.variable(i)])
+        prefix = MonomialIdeal(ctx, [ctx.variable(t) for t in range(i + 1)])
+        if saturate(ideal, single) != saturate(ideal, prefix):
+            return False
+    return True
 
 
 def oracle_maximal_stable_sets(clutter):
