@@ -83,6 +83,9 @@ class IrreducibleComponent:
     def __setattr__(self, name, value):
         raise AttributeError("IrreducibleComponent is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("IrreducibleComponent is immutable")
+
     def __eq__(self, other):
         return (
             isinstance(other, IrreducibleComponent)
@@ -123,15 +126,38 @@ class IrreducibleComponent:
 
 
 class Decomposition:
-    """The irredundant irreducible decomposition of a monomial ideal."""
+    """The irredundant irreducible decomposition of a monomial ideal.
 
-    __slots__ = ("ideal", "components")
+    The constructor indexes the components by support once, so the primes,
+    the components of one prime and membership of a component are lookups;
+    each prime's variable tuple is shared by its PrimeSupport and its key.
+    """
+
+    __slots__ = ("ideal", "components", "_by_support", "_primes")
 
     def __init__(self, ideal: MonomialIdeal, components):
+        components = tuple(components)
+        groups: dict[tuple[int, ...], list[IrreducibleComponent]] = {}
+        for c in components:
+            groups.setdefault(c.support(), []).append(c)
+        context = ideal.context
+        by_support = {}
+        primes = []
+        for vs in sorted(groups):
+            by_support[vs] = tuple(groups[vs])
+            prime = object.__new__(PrimeSupport)  # vs is already sorted and valid
+            object.__setattr__(prime, "context", context)
+            object.__setattr__(prime, "vars", vs)
+            primes.append(prime)
         object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "_by_support", by_support)
+        object.__setattr__(self, "_primes", tuple(primes))
 
     def __setattr__(self, name, value):
+        raise AttributeError("Decomposition is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Decomposition is immutable")
 
     def __eq__(self, other):
@@ -154,14 +180,20 @@ class Decomposition:
     def __len__(self):
         return len(self.components)
 
+    def __contains__(self, component) -> bool:
+        """Whether this is one of the components, comparing only those on
+        its support."""
+        if not isinstance(component, IrreducibleComponent):
+            return False
+        return component in self._by_support.get(component.support(), ())
+
     def primes(self) -> tuple[PrimeSupport, ...]:
-        seen = sorted({c.support() for c in self.components})
-        return tuple(PrimeSupport(self.ideal.context, vs) for vs in seen)
+        return self._primes
 
     def components_for(self, prime: PrimeSupport) -> tuple[IrreducibleComponent, ...]:
         """All components whose support is exactly the given prime."""
-        matches = tuple(c for c in self.components if c.support() == prime.vars)
-        if not matches:
+        matches = self._by_support.get(prime.vars)
+        if matches is None:
             raise ValueError(f"{prime} is not an associated prime of {self.ideal}")
         return matches
 

@@ -40,6 +40,9 @@ class RingContext:
     def __setattr__(self, name, value):
         raise AttributeError("RingContext is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("RingContext is immutable")
+
     @property
     def n(self) -> int:
         return len(self.names)
@@ -104,6 +107,9 @@ class Monomial:
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Monomial is immutable")
+
     def __eq__(self, other):
         return (
             isinstance(other, Monomial)
@@ -140,10 +146,6 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         """Indices of the variables dividing this monomial."""
         return tuple(i for i, e in enumerate(self.exps) if e)
-
-    def squarefree_part(self) -> "Monomial":
-        """The product of the variables in the support."""
-        return Monomial(self.context, tuple(1 if e else 0 for e in self.exps))
 
     def divides(self, other: "Monomial") -> bool:
         _require_same_context(self, other)
@@ -226,6 +228,9 @@ class MonomialIdeal:
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("MonomialIdeal is immutable")
+
     def __eq__(self, other):
         return (
             isinstance(other, MonomialIdeal)
@@ -297,6 +302,34 @@ class MonomialIdeal:
             result = q if result is None else result.intersect(q)
         return result
 
+    def _colon_is_prime(self, v: tuple[int, ...], prime_vars: tuple[int, ...]) -> bool:
+        """Whether (I : x^v) equals the prime P on prime_vars, in one pass
+        over the generators and without building the colon.
+
+        (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
+        exactly where g exceeds v.  So it lies in P exactly when (a) every g
+        exceeds v on some variable of P.  Given (a), x_i is in it exactly when
+        (b) some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1.
+        """
+        mask = 0
+        for i in prime_vars:
+            mask |= 1 << i
+        reached = 0  # the variables of P that (b) has shown lie in the colon
+        for g in self._exps:
+            over = 0  # where g exceeds v
+            bit = 1
+            last = 0  # the excess at the last such variable
+            for a, b in zip(g, v):
+                if a > b:
+                    over |= bit
+                    last = a - b
+                bit <<= 1
+            if not over & mask:
+                return False
+            if last == 1 and not over & (over - 1):
+                reached |= over
+        return reached == mask
+
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _require_same_context(self, other)
         return MonomialIdeal._from_exps(
@@ -334,6 +367,9 @@ class PrimeSupport:
         object.__setattr__(self, "vars", vs)
 
     def __setattr__(self, name, value):
+        raise AttributeError("PrimeSupport is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PrimeSupport is immutable")
 
     def __eq__(self, other):

@@ -11,6 +11,7 @@ classifies when the witness is unique.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
@@ -20,7 +21,9 @@ from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _require_
 
 class WitnessSpec:
     """Inputs for the witness construction: a component, its radical, and
-    per-variable increments above the complement exponent floors."""
+    per-variable increments above the complement exponent floors.  The
+    offsets are copied, checked and kept read-only, so no later change to
+    the caller's mapping can bypass the checks."""
 
     __slots__ = ("prime", "component", "offsets")
 
@@ -30,8 +33,7 @@ class WitnessSpec:
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        if offsets is None:
-            offsets = {}
+        offsets = {} if offsets is None else dict(offsets)
         if component.support() != prime.vars:
             raise ValueError(
                 f"component support {component.support()} does not match "
@@ -47,7 +49,7 @@ class WitnessSpec:
                 raise ValueError("offsets must be non-negative")
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "component", component)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", MappingProxyType(offsets))
 
     def __setattr__(self, name, value):
         raise AttributeError("WitnessSpec is immutable")
@@ -61,18 +63,18 @@ class WitnessSpec:
         return (self.prime, self.component, self.offsets) == (
             other.prime, other.component, other.offsets)
 
-    # the offsets are a dict, so a spec is not hashable
+    # the offsets are a mapping, so a spec is not hashable
     __hash__ = None
 
     def __repr__(self):
         return (f"WitnessSpec(prime={self.prime!r}, component={self.component!r}, "
-                f"offsets={self.offsets!r})")
+                f"offsets={dict(self.offsets)!r})")
 
     @classmethod
     def for_component(
         cls, component: IrreducibleComponent, offsets: Optional[Mapping[int, int]] = None
     ) -> "WitnessSpec":
-        return cls(component.prime(), component, dict(offsets or {}))
+        return cls(component.prime(), component, offsets)
 
 
 def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
@@ -83,7 +85,7 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
     with zero offset are omitted entirely.
     """
     decomposition = irreducible_decomposition(ideal)
-    if spec.component not in decomposition.components:
+    if spec.component not in decomposition:
         raise ValueError(
             f"{spec.component} is not a component of the decomposition of {ideal}"
         )
@@ -97,9 +99,16 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
 
 
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
-    """Whether (I : v) equals the prime, as an exact ideal comparison."""
+    """Whether (I : v) equals the prime, decided exactly in one pass over the
+    generators of I, without building the colon.
+
+    (I : v) is generated by the g / gcd(g, v), so it lies in P exactly when
+    (a) every generator g exceeds v on some variable of P.  Given (a), x_i is
+    in (I : v) exactly when (b) some g exceeds v only on x_i, and by exactly 1.
+    A prime from another ring is never equal to the colon: the answer is False.
+    """
     _require_same_context(ideal, v)
-    return ideal.colon(v) == prime.as_ideal()
+    return prime.context == ideal.context and ideal._colon_is_prime(v.exps, prime.vars)
 
 
 def component_from_witness(
@@ -115,7 +124,7 @@ def component_from_witness(
         raise ValueError(f"{v} is not a witness for {prime}")
     powers = {i: v.exponent(i) + 1 for i in prime.vars}
     component = IrreducibleComponent(ideal.context, powers)
-    if component not in irreducible_decomposition(ideal).components:
+    if component not in irreducible_decomposition(ideal):
         raise TheoremViolationError(
             f"derived component {component} missing from the decomposition of {ideal}"
         )
@@ -262,7 +271,7 @@ def classify_uniqueness(ideal: MonomialIdeal, prime: PrimeSupport) -> Uniqueness
     from two offset choices on a complement variable.
     """
     decomposition = irreducible_decomposition(ideal)
-    if prime not in decomposition.primes():
+    if prime.context != ideal.context:
         raise ValueError(f"{prime} is not an associated prime of {ideal}")
     components = decomposition.components_for(prime)
     if prime.is_full_support:

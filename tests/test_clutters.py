@@ -279,7 +279,8 @@ class TestWitnessBaseChecksRun:
 
     def test_wrong_colon(self, monkeypatch):
         p, prime = self.cover()
-        monkeypatch.setattr(MonomialIdeal, "colon", lambda self, other: self)
+        monkeypatch.setattr(
+            MonomialIdeal, "_colon_is_prime", lambda self, v, prime_vars: False)
         with pytest.raises(TheoremViolationError, match="failed to equal"):
             p.witness_base(prime)
 

@@ -8,20 +8,25 @@ from hypothesis import given
 import monowit.decompose
 from monowit import (
     Clutter,
+    Decomposition,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
     RingContext,
+    WitnessSpec,
     associated_primes,
+    component_from_witness,
     irreducible_decomposition,
     parse_ideal_gens,
+    witness_from_component,
 )
 from util import (
     box_bounds,
     box_exponents,
     clutter_corpus,
     ctx,
+    every_prime,
     graph_corpus,
     ideal,
     ideals,
@@ -191,6 +196,73 @@ class TestCache:
             irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))
             assert info().currsize <= info().maxsize
         assert info().currsize == info().maxsize
+
+
+def corpus_decompositions():
+    """Each corpus decomposition, and the same components handed to the
+    constructor in reverse order."""
+    out = [irreducible_decomposition(I) for I in witness_corpus()] + [
+        irreducible_decomposition(g.edge_ideal()) for g in graph_corpus()]
+    return out + [Decomposition(d.ideal, reversed(d.components)) for d in out]
+
+
+def near_components(d):
+    """The components, each with one exponent raised and (where it stays
+    positive) lowered, and the first component of a ring one variable larger."""
+    out = list(d.components)
+    for q in d.components:
+        for i, e in q.pairs:
+            for step in (1, -1):
+                powers = dict(q.pairs)
+                powers[i] = e + step
+                if powers[i] > 0:
+                    out.append(IrreducibleComponent(q.context, powers))
+    first = d.components[0]
+    out.append(IrreducibleComponent(ctx(d.ideal.context.n + 1), first.pairs))
+    return out
+
+
+class TestIndexedLookups:
+    """primes(), components_for and component membership read an index the
+    constructor builds; each must agree with a plain scan of components."""
+
+    def test_primes_match_a_scan(self):
+        for d in corpus_decompositions():
+            supports = sorted({q.support() for q in d.components})
+            assert d.primes() == tuple(PrimeSupport(d.ideal.context, vs) for vs in supports)
+
+    def test_components_for_matches_a_scan(self):
+        for d in corpus_decompositions():
+            for P in every_prime(d.ideal.context):
+                scan = tuple(q for q in d.components if q.support() == P.vars)
+                if scan:
+                    assert d.components_for(P) == scan
+                else:
+                    with pytest.raises(ValueError, match="is not an associated prime"):
+                        d.components_for(P)
+
+    def test_membership_matches_a_scan(self):
+        members = nonmembers = 0
+        for d in corpus_decompositions():
+            for q in near_components(d):
+                expected = any(q == c for c in d.components)
+                assert (q in d) == expected
+                members += expected
+                nonmembers += not expected
+            assert d.primes()[0] not in d and "x1" not in d
+        assert members and nonmembers
+
+    def test_witness_checks_match_a_scan(self):
+        for I in witness_corpus()[:100]:
+            d = irreducible_decomposition(I)
+            for q in near_components(d):
+                spec = WitnessSpec.for_component(q)
+                if any(q == c for c in d.components):
+                    v = witness_from_component(I, spec)
+                    assert component_from_witness(I, q.prime(), v) == q
+                else:
+                    with pytest.raises(ValueError, match="is not a component"):
+                        witness_from_component(I, spec)
 
 
 class TestHypothesisProperties:

@@ -5,14 +5,18 @@ import pytest
 
 from monowit import (
     BorelReport,
+    Clutter,
     IrreducibleComponent,
     PrimeSupport,
     ProblemFile,
     SymmetricPattern,
     UniquenessResult,
     WitnessSpec,
+    irreducible_decomposition,
     is_borel_type,
     parse_problem_file,
+    verify_witness,
+    witness_from_component,
 )
 from util import ctx, ideal, mono
 
@@ -58,6 +62,23 @@ class TestWitnessSpec:
         assert a.offsets == {} and b.offsets == {}
         assert a.offsets is not b.offsets
 
+    def test_offsets_are_copied(self):
+        c = ctx(3)
+        I = ideal(c, "x1^2", "x1*x2^3")
+        offsets = {1: 0}
+        spec = WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 1}), offsets)
+        offsets[1] = -1  # would bypass the check in __init__ if it were kept
+        assert spec.offsets == {1: 0}
+        v = witness_from_component(I, spec)
+        assert v == mono(c, "x2^3")
+        assert verify_witness(I, spec.prime, v)
+
+    def test_offsets_are_read_only(self):
+        spec = _spec({1: 4})
+        with pytest.raises(TypeError):
+            spec.offsets[1] = 5
+        assert spec.offsets == {1: 4}
+
     def test_for_component(self):
         q = IrreducibleComponent(ctx(3), {0: 2})
         assert WitnessSpec.for_component(q) == _spec()
@@ -76,6 +97,32 @@ class TestWitnessSpec:
         with pytest.raises(ValueError) as info:
             WitnessSpec(PrimeSupport(c, prime), IrreducibleComponent(c, powers), offsets)
         assert str(info.value) == message
+
+
+def _value_objects():
+    c = ctx(3)
+    I = ideal(c, "x1^2", "x1*x2")
+    return [
+        c,
+        mono(c, "x1*x2"),
+        I,
+        PrimeSupport(c, [0, 2]),
+        IrreducibleComponent(c, {0: 2}),
+        irreducible_decomposition(I),
+        Clutter(3, [{0, 1}, {1, 2}]),
+    ]
+
+
+_SLOTS = [(obj, name) for obj in _value_objects() for name in type(obj).__slots__]
+
+
+@pytest.mark.parametrize("obj, name", _SLOTS,
+                         ids=[f"{type(obj).__name__}-{name}" for obj, name in _SLOTS])
+def test_slots_cannot_be_deleted(obj, name):
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(obj, name)
+    assert getattr(obj, name) is before
 
 
 class TestSymmetricPattern:

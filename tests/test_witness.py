@@ -4,13 +4,17 @@ import itertools
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from monowit import (
+    ContextMismatchError,
     IrreducibleComponent,
     Monomial,
     MonomialIdeal,
     PrimeSupport,
+    RingContext,
     SymmetricPattern,
     WitnessSpec,
     associated_primes,
@@ -27,10 +31,14 @@ from util import (
     box_bounds,
     box_exponents,
     ctx,
+    every_prime,
     ideal,
+    ideals,
     mono,
+    oracle_verify_witness,
     session_ideal,
     six_var_ideal,
+    tiny_corpus,
     witness_corpus,
 )
 
@@ -116,6 +124,52 @@ class TestVerifyWitness:
         I = ideal(c, "x1", "x3")
         assert verify_witness(I, PrimeSupport(c, [0, 2]), c.one)
         assert not verify_witness(I, PrimeSupport(c, [0, 1]), c.one)
+
+    @given(I=ideals(proper=False), data=st.data())
+    def test_matches_the_colon_oracle(self, I, data):
+        bounds = box_bounds(I)
+        exps = data.draw(st.tuples(*(st.integers(0, b) for b in bounds)))
+        candidates = [Monomial(I.context, exps)]
+        if I.is_proper:  # and a witness for each component
+            candidates += [witness_from_component(I, WitnessSpec.for_component(q))
+                           for q in irreducible_decomposition(I).components]
+        for v in candidates:
+            for P in every_prime(I.context):
+                assert verify_witness(I, P, v) == oracle_verify_witness(I, P, v)
+
+    def test_exhaustive_sweep_matches_the_colon_oracle(self):
+        """Every box point and every prime, on the zero and unit ideals of
+        each ring with n <= 3 and on the n <= 3 corpus."""
+        cases = []
+        for n in (1, 2, 3):
+            c = ctx(n)
+            cases += [MonomialIdeal(c, []), MonomialIdeal(c, [c.one])]
+        cases += tiny_corpus()
+        outcomes = set()
+        for I in cases:
+            primes = every_prime(I.context)
+            for exps in box_exponents(box_bounds(I, slack=2)):
+                v = Monomial(I.context, exps)
+                for P in primes:
+                    expected = oracle_verify_witness(I, P, v)
+                    assert verify_witness(I, P, v) == expected, (I, P, v)
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_prime_from_another_ring_is_false(self):
+        c = ctx(3)
+        I = ideal(c, "x1", "x3")
+        assert verify_witness(I, PrimeSupport(c, [0, 2]), c.one)
+        renamed = RingContext(["a", "b", "c"])
+        assert not verify_witness(I, PrimeSupport(renamed, [0, 2]), c.one)
+        assert not verify_witness(I, PrimeSupport(ctx(4), [0, 2]), c.one)
+
+    def test_monomial_from_another_ring_raises(self):
+        I = ideal(ctx(3), "x1", "x3")
+        with pytest.raises(ContextMismatchError):
+            verify_witness(I, PrimeSupport(ctx(3), [0, 2]), ctx(4).one)
+        with pytest.raises(ContextMismatchError):
+            verify_witness(I, PrimeSupport(ctx(3), [0, 2]), RingContext(["a", "b", "c"]).one)
 
 
 class TestComponentFromWitness:

@@ -13,6 +13,7 @@ from monowit import (
     Clutter,
     Monomial,
     MonomialIdeal,
+    PrimeSupport,
     RingContext,
     exchange_closure,
     parse_ideal_gens,
@@ -81,6 +82,21 @@ def oracle_minimal_subset(vectors):
         if not dominated:
             out.append(u)
     return set(out)
+
+
+def oracle_verify_witness(ideal_, prime, v) -> bool:
+    """(I : v) == P by building the colon and the prime as ideals: the
+    reference for the one-pass check in verify_witness."""
+    return ideal_.colon(v) == prime.as_ideal()
+
+
+def every_prime(context):
+    """The monomial prime on each non-empty set of variables."""
+    return [
+        PrimeSupport(context, vs)
+        for r in range(1, context.n + 1)
+        for vs in itertools.combinations(range(context.n), r)
+    ]
 
 
 def split_components(gens):
