@@ -12,6 +12,7 @@ exceeds that bound.
 from __future__ import annotations
 
 from functools import reduce
+from operator import index
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
@@ -103,10 +104,15 @@ def borel_witness(
     For P = <x_1..x_k> with component exponents a_1..a_k the witness is
     x_1^{a_1-1} ... x_k^{a_k-1} times x_{k+1}^b, where b defaults to the max
     x_{k+1}-exponent over the generators; for k = n the extra factor is
-    dropped.
+    dropped.  The ideal is of Borel type exactly when every prime is a prefix.
     """
-    report = is_borel_type(ideal)
-    if not report.is_borel_type:
+    try:
+        b = None if extra_exponent is None else index(extra_exponent)
+    except TypeError:
+        raise ValueError("the extra exponent must be an integer") from None
+    _require_decomposable(ideal)
+    decomposition = irreducible_decomposition(ideal)
+    if any(p.vars != tuple(range(len(p.vars))) for p in decomposition.primes()):
         raise ValueError(f"{ideal} is not of Borel type")
     k = len(prime.vars)
     if prime.vars != tuple(range(k)):
@@ -115,14 +121,14 @@ def borel_witness(
         raise ValueError(
             f"component {component} does not have full support on {prime}"
         )
-    if component not in irreducible_decomposition(ideal).components_for(prime):
+    if component not in decomposition.components_for(prime):
         raise ValueError(f"{component} is not a component for {prime}")
     exps = [0] * ideal.context.n
     for v, a in component.pairs:
         exps[v] = a - 1
     if k < ideal.context.n:
         floor = ideal.max_exponents()[k]
-        b = floor if extra_exponent is None else extra_exponent
+        b = floor if b is None else b
         if b < floor:
             raise ValueError(f"extra exponent {b} below the floor {floor}")
         exps[k] = b

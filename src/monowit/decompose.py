@@ -8,12 +8,12 @@ for each variable x_i of u.  For irreducible ideals, containing the
 intersection of the others means containing one of them, so the filter is
 pairwise.  A survivor never contains a new component, since the old set was
 irredundant, so only the new components are filtered.  The result is
-unique, so it does not depend on how the input was presented.
+unique, so it does not depend on how the input was presented.  No state is
+kept between calls: each ideal keeps its own decomposition, freed with it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 
 from .rings import MonomialIdeal, PrimeSupport, RingContext
@@ -21,11 +21,6 @@ from .rings import MonomialIdeal, PrimeSupport, RingContext
 # an irreducible ideal as (support bitmask, exponent tuple); exponent 0 means
 # the variable is absent
 _Component = tuple[int, tuple[int, ...]]
-
-# decompositions kept by irreducible_decomposition, least recently used first
-# out; callers reuse one within an operation, so memory stays bounded in a
-# long-lived process
-CACHE_SIZE = 256
 
 
 def _contains(big: _Component, small: _Component) -> bool:
@@ -198,9 +193,11 @@ class Decomposition:
         return matches
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
-    """The unique irredundant irreducible decomposition of a proper nonzero ideal."""
+    """The unique irredundant irreducible decomposition of a proper nonzero
+    ideal, computed on first use and kept on the ideal."""
+    if ideal._decomposition is not None:
+        return ideal._decomposition
     if ideal.is_zero:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if ideal.is_unit:
@@ -211,18 +208,12 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         for _, q in _irreducible_components(ideal._exps, context.n)
     ]
     pairs.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
-    return Decomposition(ideal, (IrreducibleComponent(context, c) for c in pairs))
+    decomposition = Decomposition(ideal, (IrreducibleComponent(context, c) for c in pairs))
+    object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
+    return decomposition
 
 
 def associated_primes(ideal: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     """The supports of the decomposition components, deduplicated and sorted."""
     return irreducible_decomposition(ideal).primes()
 
-
-def clear_caches():
-    """Empty the decomposition cache.
-
-    The engine itself keeps no state between calls; the only memo is the
-    per-ideal cache on irreducible_decomposition, at most CACHE_SIZE entries.
-    """
-    irreducible_decomposition.cache_clear()

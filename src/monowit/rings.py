@@ -195,10 +195,11 @@ class MonomialIdeal:
 
     The constructor minimizes and sorts, so equality of ideals is structural
     equality of the stored generator tuples.  The zero ideal has no
-    generators; the unit ideal is generated by 1.
+    generators; the unit ideal is generated by 1.  `_decomposition` is
+    filled by `decompose.irreducible_decomposition` on first use.
     """
 
-    __slots__ = ("context", "gens", "_exps", "_hash")
+    __slots__ = ("context", "gens", "_exps", "_hash", "_decomposition")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -224,6 +225,7 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", tuple(_trusted_monomial(context, v) for v in exps))
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash((context, exps)))
+        object.__setattr__(self, "_decomposition", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")

@@ -11,12 +11,14 @@ classifies when the witness is unique.
 from __future__ import annotations
 
 import itertools
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _require_same_context
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext,
+                    _require_same_context, _trusted_monomial)
 
 
 class WitnessSpec:
@@ -33,7 +35,10 @@ class WitnessSpec:
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        offsets = {} if offsets is None else dict(offsets)
+        try:
+            offsets = {index(v): index(off) for v, off in dict(offsets or ()).items()}
+        except TypeError:
+            raise ValueError("offset variables and offsets must be integers") from None
         if component.support() != prime.vars:
             raise ValueError(
                 f"component support {component.support()} does not match "
@@ -95,7 +100,7 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
         exps[v] = a - 1
     for v in spec.prime.complement():
         exps[v] = floors[v] + spec.offsets.get(v, 0)
-    return Monomial(ideal.context, tuple(exps))
+    return _trusted_monomial(ideal.context, tuple(exps))
 
 
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
@@ -274,16 +279,11 @@ def classify_uniqueness(ideal: MonomialIdeal, prime: PrimeSupport) -> Uniqueness
     if prime.context != ideal.context:
         raise ValueError(f"{prime} is not an associated prime of {ideal}")
     components = decomposition.components_for(prime)
-    if prime.is_full_support:
-        if len(components) == 1:
-            v = witness_from_component(ideal, WitnessSpec.for_component(components[0]))
-            return UniquenessResult(True, (v,))
-        v1 = witness_from_component(ideal, WitnessSpec.for_component(components[0]))
-        v2 = witness_from_component(ideal, WitnessSpec.for_component(components[1]))
-        return UniquenessResult(False, (v1, v2))
-    bump = prime.complement()[0]
     v1 = witness_from_component(ideal, WitnessSpec.for_component(components[0]))
-    v2 = witness_from_component(
-        ideal, WitnessSpec.for_component(components[0], {bump: 1})
-    )
-    return UniquenessResult(False, (v1, v2))
+    if not prime.is_full_support:
+        second = WitnessSpec.for_component(components[0], {prime.complement()[0]: 1})
+    elif len(components) > 1:
+        second = WitnessSpec.for_component(components[1])
+    else:
+        return UniquenessResult(True, (v1,))
+    return UniquenessResult(False, (v1, witness_from_component(ideal, second)))

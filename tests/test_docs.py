@@ -1,0 +1,24 @@
+"""The README's library example runs and prints what its comment says."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_block():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_quick_start_prints_its_comment():
+    code = quick_start_block()
+    expected = re.search(r"^print\(.*\)\s+# (.+)$", code, re.M).group(1).strip()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == [expected]
+    assert expected == "x2^6*x3^4*x4*x5^5*x6^5*x7^2*x8^13"

@@ -12,6 +12,7 @@ from monowit import (
     SymmetricPattern,
     UniquenessResult,
     WitnessSpec,
+    borel_witness,
     irreducible_decomposition,
     is_borel_type,
     parse_problem_file,
@@ -97,6 +98,27 @@ class TestWitnessSpec:
         with pytest.raises(ValueError) as info:
             WitnessSpec(PrimeSupport(c, prime), IrreducibleComponent(c, powers), offsets)
         assert str(info.value) == message
+
+
+def _borel_witness(extra):
+    c = ctx(2)
+    return borel_witness(ideal(c, "x1^2", "x1*x2"), PrimeSupport(c, [0]),
+                         IrreducibleComponent(c, {0: 1}), extra_exponent=extra)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _spec({1: 1.5}), "offset variables and offsets must be integers"),
+    (lambda: _spec({1: "2"}), "offset variables and offsets must be integers"),
+    (lambda: _spec({"a": 1}), "offset variables and offsets must be integers"),
+    (lambda: _spec({1.0: 2}), "offset variables and offsets must be integers"),
+    (lambda: _borel_witness("3"), "the extra exponent must be an integer"),
+    (lambda: _borel_witness(2.5), "the extra exponent must be an integer"),
+], ids=["offset-float", "offset-str", "variable-str", "variable-float",
+        "extra-str", "extra-float"])
+def test_non_integer_offsets_rejected_early(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def _value_objects():
