@@ -1,66 +1,75 @@
 """Irredundant irreducible decomposition and associated primes.
 
-The decomposition is built one generator at a time.  Monomial ideals form a
-distributive lattice, so if I is the intersection of the components Q, then
-I + (u) is the intersection of the ideals Q + (u).  A component containing u
-survives unchanged; any other Q becomes Q + (x_i^{u_i}), one new component
-for each variable x_i of u.  For irreducible ideals, containing the
-intersection of the others means containing one of them, so the filter is
-pairwise.  A survivor never contains a new component, since the old set was
-irredundant, so only the new components are filtered.  The result is
+The decomposition is built one generator at a time, in ascending degree.
+Monomial ideals form a distributive lattice, so if I is the intersection of
+the components Q, then I + (u) is the intersection of the ideals Q + (u).  A
+component containing u survives; any other Q yields a candidate
+t = Q + (x_i^{u_i}) for each variable x_i of u, kept exactly when each j in
+its support S has a private generator g: g_j = t_j and g_l < t_l for every
+other l in S.  That is exact: an irreducible ideal strictly inside t that
+contains I + (u) lies inside t with some t_j raised by one, and that raise
+loses a generator just when j has a private one.  This is the monomial form
+of the critical-edge test of minimal-transversal enumeration (Murakami and
+Uno, Discrete Appl. Math. 2014).  Generators are looked up by (variable,
+exponent), and x_i is skipped, since u is private there.  The result is
 unique, so it does not depend on how the input was presented.  No state is
 kept between calls: each ideal keeps its own decomposition, freed with it.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from operator import le
 
 from .rings import MonomialIdeal, PrimeSupport, RingContext
 
-# an irreducible ideal as (support bitmask, exponent tuple); exponent 0 means
-# the variable is absent
-_Component = tuple[int, tuple[int, ...]]
+
+def _has_private(others, t: tuple[int, ...]) -> bool:
+    """Whether some generator, given by its other (variable, exponent)
+    pairs, lies below t on each of them."""
+    for rest in others:
+        for l, f in rest:
+            if t[l] <= f:
+                break
+        else:
+            return True
+    return False
 
 
-def _contains(big: _Component, small: _Component) -> bool:
-    """Whether the irreducible ideal `small` is a subset of `big`."""
-    return not small[0] & ~big[0] and all(
-        big[1][i] <= e for i, e in enumerate(small[1]) if e
-    )
-
-
-def _irreducible_components(gens, n: int) -> list[_Component]:
+def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The irredundant components of the ideal generated by the exponent
-    tuples gens, starting from the whole ring (the empty intersection)."""
-    components: list[_Component] = [(0, (0,) * n)]
-    for u in gens:
-        support = [i for i, e in enumerate(u) if e]
-        survivors: list[_Component] = []
-        grown: set[_Component] = set()
-        for mask, q in components:
-            if any(0 < q[i] <= u[i] for i in support):
-                survivors.append((mask, q))
-            else:
-                # u is outside Q, so u_i < Q_i wherever Q_i is set
-                grown.update(
-                    (mask | 1 << i, q[:i] + (u[i],) + q[i + 1 :]) for i in support
-                )
-        # a component contains another only if its support is a superset
-        # and, on equal supports, its exponents are no larger; in this order
-        # every component a new one could contain comes before it
-        fresh: list[_Component] = []
-        for t in sorted(grown, key=lambda c: (c[0].bit_count(), -sum(c[1]))):
-            if not any(_contains(t, s) for s in chain(survivors, fresh)):
-                fresh.append(t)
+    tuples gens, as (support, exponents on the support) pairs.  Inside, an
+    absent variable has an exponent above every generator's, so u lies in
+    the component q exactly when q_i <= u_i for some i."""
+    absent = max(map(max, gens)) + 1
+    components = [((), (absent,) * n)]  # the whole ring, the empty intersection
+    others: dict[tuple[int, int], list] = {}  # (j, g_j) -> the other pairs of each g
+    for u in sorted(gens, key=sum):
+        pairs = [(i, e) for i, e in enumerate(u) if e]
+        for i, e in pairs:
+            others.setdefault((i, e), []).append([p for p in pairs if p[0] != i])
+        survivors, fresh = [], []
+        for support, q in components:
+            if any(map(le, q, u)):
+                survivors.append((support, q))
+                continue
+            # no candidate repeats: if Q + (x_i^{u_i}) = Q' + (x_k^{u_k}), then
+            # i = k makes Q and Q' comparable, and i != k puts u in Q'
+            for i, e in pairs:
+                t = q[:i] + (e,) + q[i + 1 :]
+                for j in support:
+                    if j != i and not _has_private(others[j, t[j]], t):
+                        break
+                else:
+                    grown = support if q[i] < absent else tuple(sorted((*support, i)))
+                    fresh.append((grown, t))
         components = survivors + fresh
-    return components
+    return [(support, tuple(q[j] for j in support)) for support, q in components]
 
 
 class IrreducibleComponent:
     """An ideal generated by pure variable powers, as a var -> exponent map."""
 
-    __slots__ = ("context", "pairs")
+    __slots__ = ("context", "pairs", "_support")
 
     def __init__(self, context: RingContext, powers):
         powers = dict(powers)
@@ -74,6 +83,7 @@ class IrreducibleComponent:
         pairs = tuple(sorted(powers.items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_support", tuple(v for v, _ in pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IrreducibleComponent is immutable")
@@ -102,7 +112,7 @@ class IrreducibleComponent:
         return dict(self.pairs)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.pairs)
+        return self._support
 
     def exponent(self, i: int) -> int:
         for v, e in self.pairs:
@@ -203,12 +213,14 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
-    pairs = [
-        tuple((i, e) for i, e in enumerate(q) if e)
-        for _, q in _irreducible_components(ideal._exps, context.n)
-    ]
-    pairs.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
-    decomposition = Decomposition(ideal, (IrreducibleComponent(context, c) for c in pairs))
+    components = []
+    for support, exps in sorted(_irreducible_components(ideal._exps, context.n)):
+        c = object.__new__(IrreducibleComponent)  # exponents are positive and in range
+        object.__setattr__(c, "context", context)
+        object.__setattr__(c, "pairs", tuple(zip(support, exps)))
+        object.__setattr__(c, "_support", support)
+        components.append(c)
+    decomposition = Decomposition(ideal, components)
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

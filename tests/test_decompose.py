@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from monowit import (
     Clutter,
@@ -19,8 +20,10 @@ from monowit import (
     component_from_witness,
     irreducible_decomposition,
     parse_ideal_gens,
+    verify_witness,
     witness_from_component,
 )
+from monowit.decompose import _irreducible_components
 from util import (
     box_bounds,
     box_exponents,
@@ -30,6 +33,7 @@ from util import (
     graph_corpus,
     ideal,
     ideals,
+    pairwise_components,
     session_ideal,
     six_var_ideal,
     split_components,
@@ -294,45 +298,84 @@ class TestHypothesisProperties:
             assert all(len(g.support()) == 1 for g in base.gens)
 
 
-def assert_matches_split_recursion(I):
-    d = irreducible_decomposition(I)
-    expected = split_components(tuple(g.exps for g in I.gens))
-    assert [q.pairs for q in d.components] == expected
+def assert_matches_oracles(I, rng):
+    """The decomposition, and the engine fed the generators in given,
+    reversed and shuffled order, equal the split recursion and the pairwise
+    filter."""
+    gens, n = I._exps, I.context.n
+    expected = split_components(gens)
+    assert pairwise_components(gens, n) == expected
+    assert [q.pairs for q in irreducible_decomposition(I).components] == expected
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    for order in (gens, gens[::-1], shuffled):
+        found = sorted(_irreducible_components(order, n))
+        assert [tuple(zip(support, exps)) for support, exps in found] == expected
 
 
 class TestSplitRecursionOracle:
+    """The engine against the split recursion and the pairwise filter."""
+
     def test_witness_corpus(self):
+        rng = random.Random(8)
         for I in witness_corpus():
-            assert_matches_split_recursion(I)
+            assert_matches_oracles(I, rng)
 
     def test_edge_ideals(self):
+        rng = random.Random(9)
         for clutter in graph_corpus() + clutter_corpus():
-            assert_matches_split_recursion(clutter.edge_ideal())
+            assert_matches_oracles(clutter.edge_ideal(), rng)
 
-    @given(I=ideals(max_n=5, max_gens=7))
-    def test_random_ideals(self, I):
-        assert_matches_split_recursion(I)
+    @given(I=ideals(max_n=5, max_gens=7), rng=st.randoms(use_true_random=False))
+    def test_random_ideals(self, I, rng):
+        assert_matches_oracles(I, rng)
+
+
+def assert_certified(I, d):
+    """Every generator lies in every component, and each component's
+    Theorem 3.1 witness verifies."""
+    for q in d.components:
+        assert all(any(g[v] >= e for v, e in q.pairs) for g in I._exps)
+        v = witness_from_component(I, WitnessSpec.for_component(q))
+        assert verify_witness(I, q.prime(), v)
 
 
 class TestCycles:
     def test_perrin_counts(self):
         # minimal vertex covers of the n-cycle: P(n) = P(n-2) + P(n-3)
         perrin = [3, 0, 2]
-        while len(perrin) <= 22:
+        while len(perrin) <= 30:
             perrin.append(perrin[-2] + perrin[-3])
-        for n in range(3, 23):
+        for n in range(3, 31):
             cycle = Clutter(n, [{i, (i + 1) % n} for i in range(n)])
             d = irreducible_decomposition(cycle.edge_ideal())
             assert len(d) == perrin[n]
             assert all(len(q.support()) >= n // 2 for q in d.components)
-        assert perrin[22] == 486
+        assert perrin[22] == 486 and perrin[30] == 4610
+        assert_certified(cycle.edge_ideal(), d)
+
+    def test_random_ideal_at_scale(self):
+        rng = random.Random(2)
+        c = ctx(10)
+        gens = []
+        while len(MonomialIdeal(c, gens).gens) < 20:
+            exps = [0] * 10
+            for v in rng.sample(range(10), rng.randint(2, 4)):
+                exps[v] = rng.randint(1, 5)
+            gens.append(Monomial(c, tuple(exps)))
+        I = MonomialIdeal(c, gens)
+        d = irreducible_decomposition(I)
+        assert len(d) == 365
+        assert [q.pairs for q in d.components] == pairwise_components(I._exps, 10)
+        assert_certified(I, d)
 
 
 class TestNamedContexts:
     def test_components_carry_the_declared_ring(self):
         named = RingContext(["a", "b", "c"])
         I = parse_ideal_gens("a^2*b, b*c^3", named)
-        # prime the shared exponent-level memo with the default-named twin
+        # an ideal with the same exponents on the default names, decomposed
+        # first, must leave the named ideal its own ring
         irreducible_decomposition(parse_ideal_gens("x1^2*x2, x2*x3^3", ctx(3)))
         d = irreducible_decomposition(I)
         assert all(q.context == named for q in d.components)

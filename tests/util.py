@@ -154,6 +154,50 @@ def split_components(gens):
     return keep
 
 
+def pairwise_components(gens, n):
+    """Irredundant components by adding one generator at a time and keeping
+    each new component that contains no other, as sorted ((var, exp), ...)
+    tuples; the reference for the private-generator test.
+
+    A component is (support bitmask, exponent tuple), exponent 0 meaning the
+    variable is absent.  A component containing u survives; any other Q
+    becomes Q + (x_i^{u_i}) for each variable x_i of u.  For irreducible
+    ideals, containing the intersection of the others means containing one
+    of them, so the filter is pairwise.
+    """
+
+    def contains(big, small):
+        """Whether the irreducible ideal `small` is a subset of `big`."""
+        return not small[0] & ~big[0] and all(
+            big[1][i] <= e for i, e in enumerate(small[1]) if e
+        )
+
+    components = [(0, (0,) * n)]
+    for u in gens:
+        support = [i for i, e in enumerate(u) if e]
+        survivors = []
+        grown = set()
+        for mask, q in components:
+            if any(0 < q[i] <= u[i] for i in support):
+                survivors.append((mask, q))
+            else:
+                # u is outside Q, so u_i < Q_i wherever Q_i is set
+                grown.update(
+                    (mask | 1 << i, q[:i] + (u[i],) + q[i + 1 :]) for i in support
+                )
+        # a component contains another only if its support is a superset
+        # and, on equal supports, its exponents are no larger; in this order
+        # every component a new one could contain comes before it
+        fresh = []
+        for t in sorted(grown, key=lambda c: (c[0].bit_count(), -sum(c[1]))):
+            if not any(contains(t, s) for s in itertools.chain(survivors, fresh)):
+                fresh.append(t)
+        components = survivors + fresh
+    pairs = [tuple((i, e) for i, e in enumerate(q) if e) for _, q in components]
+    pairs.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
+    return pairs
+
+
 def oracle_saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
     """The stable limit of repeated colon by a nonzero ideal."""
     if by.is_zero:
