@@ -16,7 +16,7 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import Monomial, MonomialIdeal, PrimeSupport, _require_same_context
+from .rings import Monomial, MonomialIdeal, PrimeSupport, _require_same_context, _trusted_monomial
 
 
 class BorelReport(NamedTuple):
@@ -43,16 +43,17 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
     """
     _require_decomposable(ideal)
     floors = ideal.max_exponents()
-    for u in ideal.gens:
+    for u in ideal._exps:
         for i in range(ideal.context.n - 1, 0, -1):
-            if u.exponent(i) == 0:
+            if u[i] == 0:
                 continue
-            stripped = list(u.exps)
+            stripped = list(u)
             stripped[i] = 0
             for j in range(i):
                 probe = stripped.copy()
                 probe[j] += floors[j]
                 if not ideal._contains_exps(probe):
+                    u = _trusted_monomial(ideal.context, u)
                     return BorelReport(False, certificate=(u, i, j))
     return BorelReport(True, primes=associated_primes(ideal))
 
@@ -132,7 +133,7 @@ def borel_witness(
         if b < floor:
             raise ValueError(f"extra exponent {b} below the floor {floor}")
         exps[k] = b
-    return Monomial(ideal.context, tuple(exps))
+    return _trusted_monomial(ideal.context, tuple(exps))
 
 
 def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -14,14 +14,14 @@ from typing import FrozenSet, Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext
+from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen
 
 VertexSet = FrozenSet[int]
 
 DEFAULT_ENUMERATION_LIMIT = 16
 
 
-class Clutter:
+class Clutter(_Frozen):
     """A vertex set together with an antichain of non-empty edges, kept as
     vertex bitmasks (bit v for vertex v) for the predicates."""
 
@@ -59,12 +59,6 @@ class Clutter:
         masks = tuple(sum(1 << v for v in e) for e in self.edges)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Clutter is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Clutter is immutable")
 
     def __eq__(self, other):
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import le
 
-from .rings import MonomialIdeal, PrimeSupport, RingContext
+from .rings import MonomialIdeal, PrimeSupport, RingContext, _Frozen, _trusted_prime
 
 
 def _has_private(others, t: tuple[int, ...]) -> bool:
@@ -66,7 +66,7 @@ def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[i
     return [(support, tuple(q[j] for j in support)) for support, q in components]
 
 
-class IrreducibleComponent:
+class IrreducibleComponent(_Frozen):
     """An ideal generated by pure variable powers, as a var -> exponent map."""
 
     __slots__ = ("context", "pairs", "_support")
@@ -83,13 +83,7 @@ class IrreducibleComponent:
         pairs = tuple(sorted(powers.items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_support", tuple(v for v, _ in pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IrreducibleComponent is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("IrreducibleComponent is immutable")
+        object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))
 
     def __eq__(self, other):
         return (
@@ -112,7 +106,7 @@ class IrreducibleComponent:
         return dict(self.pairs)
 
     def support(self) -> tuple[int, ...]:
-        return self._support
+        return self._support.vars
 
     def exponent(self, i: int) -> int:
         for v, e in self.pairs:
@@ -121,7 +115,7 @@ class IrreducibleComponent:
         return 0
 
     def prime(self) -> PrimeSupport:
-        return PrimeSupport(self.context, self.support())
+        return self._support
 
     def as_ideal(self) -> MonomialIdeal:
         """Pure powers of distinct variables, so already an antichain."""
@@ -130,12 +124,22 @@ class IrreducibleComponent:
         return MonomialIdeal._from_exps(self.context, gens, minimal=True)
 
 
-class Decomposition:
+def _trusted_component(context: RingContext, support: tuple[int, ...],
+                       exps: tuple[int, ...]) -> IrreducibleComponent:
+    """An IrreducibleComponent on a sorted in-range support, exponents >= 1."""
+    c = object.__new__(IrreducibleComponent)
+    object.__setattr__(c, "context", context)
+    object.__setattr__(c, "pairs", tuple(zip(support, exps)))
+    object.__setattr__(c, "_support", _trusted_prime(context, support))
+    return c
+
+
+class Decomposition(_Frozen):
     """The irredundant irreducible decomposition of a monomial ideal.
 
     The constructor indexes the components by support once, so the primes,
     the components of one prime and membership of a component are lookups;
-    each prime's variable tuple is shared by its PrimeSupport and its key.
+    each prime is the one its first component holds.
     """
 
     __slots__ = ("ideal", "components", "_by_support", "_primes")
@@ -145,25 +149,11 @@ class Decomposition:
         groups: dict[tuple[int, ...], list[IrreducibleComponent]] = {}
         for c in components:
             groups.setdefault(c.support(), []).append(c)
-        context = ideal.context
-        by_support = {}
-        primes = []
-        for vs in sorted(groups):
-            by_support[vs] = tuple(groups[vs])
-            prime = object.__new__(PrimeSupport)  # vs is already sorted and valid
-            object.__setattr__(prime, "context", context)
-            object.__setattr__(prime, "vars", vs)
-            primes.append(prime)
+        by_support = {vs: tuple(groups[vs]) for vs in sorted(groups)}
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_by_support", by_support)
-        object.__setattr__(self, "_primes", tuple(primes))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Decomposition is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Decomposition is immutable")
+        object.__setattr__(self, "_primes", tuple(cs[0].prime() for cs in by_support.values()))
 
     def __eq__(self, other):
         return (
@@ -213,14 +203,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
-    components = []
-    for support, exps in sorted(_irreducible_components(ideal._exps, context.n)):
-        c = object.__new__(IrreducibleComponent)  # exponents are positive and in range
-        object.__setattr__(c, "context", context)
-        object.__setattr__(c, "pairs", tuple(zip(support, exps)))
-        object.__setattr__(c, "_support", support)
-        components.append(c)
-    decomposition = Decomposition(ideal, components)
+    pairs = sorted(_irreducible_components(ideal._exps, context.n))
+    decomposition = Decomposition(ideal, [_trusted_component(context, s, e) for s, e in pairs])
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

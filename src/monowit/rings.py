@@ -6,42 +6,48 @@ its unique minimal generating set in a canonical order, and every operation
 (divisibility, lcm/gcd, membership, colon, intersection, radical) is a pure
 function on those tuples.  The coefficient field is never represented.
 
-Ideals compute on their canonical exponent tuples and build `Monomial`
-objects only for the result, through the trusted `MonomialIdeal._from_exps`,
-which skips validation and, for a known antichain, minimization.
+An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
+each read.  Library-built values skip validation through the trusted
+constructor beside their class.  All value classes inherit `_Frozen`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ContextMismatchError
 
 
-class RingContext:
+class _Frozen:
+    """Base of the value classes: each constructor fills the slots through
+    object.__setattr__, and every later assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class RingContext(_Frozen):
     """Ambient polynomial ring: a number of variables plus display names."""
 
     __slots__ = ("names",)
 
     def __init__(self, names_or_size: Union[int, Iterable[str]]):
         if isinstance(names_or_size, int):
-            if names_or_size < 1:
-                raise ValueError("a ring context needs at least one variable")
             names = tuple(f"x{i + 1}" for i in range(names_or_size))
         else:
             names = tuple(names_or_size)
-            if not names:
-                raise ValueError("a ring context needs at least one variable")
-            if len(set(names)) != len(names):
-                raise ValueError("variable names must be pairwise distinct")
+        if not names:
+            raise ValueError("a ring context needs at least one variable")
+        if len(set(names)) != len(names):
+            raise ValueError("variable names must be pairwise distinct")
         object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingContext is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RingContext is immutable")
 
     @property
     def n(self) -> int:
@@ -88,7 +94,7 @@ def _require_same_context(a, b):
         )
 
 
-class Monomial:
+class Monomial(_Frozen):
     """A monomial x^a, stored as its exponent vector."""
 
     __slots__ = ("context", "exps")
@@ -103,12 +109,6 @@ class Monomial:
             raise ValueError("exponents must be non-negative integers")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Monomial is immutable")
 
     def __eq__(self, other):
         return (
@@ -165,6 +165,7 @@ class Monomial:
 
 
 def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
+    """A Monomial on a tuple of non-negative ints of the ring's length."""
     m = object.__new__(Monomial)
     object.__setattr__(m, "context", context)
     object.__setattr__(m, "exps", exps)
@@ -190,16 +191,18 @@ def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(sorted((k for _, k in keep), reverse=True))
 
 
-class MonomialIdeal:
-    """A monomial ideal, held as its minimal generators in lex order.
+class MonomialIdeal(_Frozen):
+    """A monomial ideal, held as the exponent tuples of its minimal
+    generators in descending lex order.
 
     The constructor minimizes and sorts, so equality of ideals is structural
-    equality of the stored generator tuples.  The zero ideal has no
-    generators; the unit ideal is generated by 1.  `_decomposition` is
-    filled by `decompose.irreducible_decomposition` on first use.
+    equality of the stored tuples.  `gens` builds the generators as
+    `Monomial`s on each read.  The zero ideal has no generators; the unit
+    ideal is generated by 1.  `_decomposition` is filled by
+    `decompose.irreducible_decomposition` on first use.
     """
 
-    __slots__ = ("context", "gens", "_exps", "_hash", "_decomposition")
+    __slots__ = ("context", "_exps", "_hash", "_decomposition")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -222,16 +225,9 @@ class MonomialIdeal:
 
     def _set(self, context: RingContext, exps: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "gens", tuple(_trusted_monomial(context, v) for v in exps))
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash((context, exps)))
         object.__setattr__(self, "_decomposition", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MonomialIdeal is immutable")
 
     def __eq__(self, other):
         return (
@@ -247,23 +243,27 @@ class MonomialIdeal:
         return f"MonomialIdeal({self})"
 
     def __str__(self):
-        if not self.gens:
+        if not self._exps:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(_trusted_monomial(self.context, v) for v in self._exps)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self._exps)
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     @property
     def is_proper(self) -> bool:
@@ -288,21 +288,19 @@ class MonomialIdeal:
         return tuple(map(max, zip(*self._exps)))
 
     def colon(self, other: Union[Monomial, "MonomialIdeal"]) -> "MonomialIdeal":
-        """The quotient (I : v) by a monomial, or (I : J) by a nonzero ideal."""
-        if isinstance(other, Monomial):
-            _require_same_context(self, other)
-            v = other.exps
-            quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v)])
-                         for g in self._exps)
-            return MonomialIdeal._from_exps(self.context, quotients)
+        """The quotient (I : v) by a monomial, or (I : J) by a nonzero ideal,
+        which is the intersection of the (I : v) over the generators v of J."""
         _require_same_context(self, other)
+        if isinstance(other, Monomial):
+            return self._colon_exps(other.exps)
         if other.is_zero:
             raise ValueError("colon by the zero ideal is undefined")
-        result = None
-        for v in other.gens:
-            q = self.colon(v)
-            result = q if result is None else result.intersect(q)
-        return result
+        return reduce(MonomialIdeal.intersect, map(self._colon_exps, other._exps))
+
+    def _colon_exps(self, v: tuple[int, ...]) -> "MonomialIdeal":
+        quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v)])
+                     for g in self._exps)
+        return MonomialIdeal._from_exps(self.context, quotients)
 
     def _colon_is_prime(self, v: tuple[int, ...], prime_vars: tuple[int, ...]) -> bool:
         """Whether (I : x^v) equals the prime P on prime_vars, in one pass
@@ -350,7 +348,7 @@ class MonomialIdeal:
         return all(e <= 1 for g in self._exps for e in g)
 
 
-class PrimeSupport:
+class PrimeSupport(_Frozen):
     """A monomial prime ideal, stored as its (sorted, non-empty) variable set."""
 
     __slots__ = ("context", "vars")
@@ -367,12 +365,6 @@ class PrimeSupport:
             raise ValueError(f"variable indices {vs} out of range for n={context.n}")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "vars", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeSupport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PrimeSupport is immutable")
 
     def __eq__(self, other):
         return (
@@ -409,3 +401,11 @@ class PrimeSupport:
             (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars),
             minimal=True,
         )
+
+
+def _trusted_prime(context: RingContext, vs: tuple[int, ...]) -> PrimeSupport:
+    """A PrimeSupport on indices already sorted, distinct and in range."""
+    prime = object.__new__(PrimeSupport)
+    object.__setattr__(prime, "context", context)
+    object.__setattr__(prime, "vars", vs)
+    return prime

@@ -17,11 +17,11 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext,
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen,
                     _require_same_context, _trusted_monomial)
 
 
-class WitnessSpec:
+class WitnessSpec(_Frozen):
     """Inputs for the witness construction: a component, its radical, and
     per-variable increments above the complement exponent floors.  The
     offsets are copied, checked and kept read-only, so no later change to
@@ -56,12 +56,6 @@ class WitnessSpec:
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "offsets", MappingProxyType(offsets))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WitnessSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("WitnessSpec is immutable")
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -94,12 +88,10 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
         raise ValueError(
             f"{spec.component} is not a component of the decomposition of {ideal}"
         )
-    floors = ideal.max_exponents()
-    exps = [0] * ideal.context.n
+    offsets = spec.offsets  # WitnessSpec keeps them off the prime, which the loop overwrites
+    exps = [f + offsets.get(v, 0) for v, f in enumerate(ideal.max_exponents())]
     for v, a in spec.component.pairs:
         exps[v] = a - 1
-    for v in spec.prime.complement():
-        exps[v] = floors[v] + spec.offsets.get(v, 0)
     return _trusted_monomial(ideal.context, tuple(exps))
 
 
@@ -152,7 +144,7 @@ def squarefree_witness_check(
     return True
 
 
-class SymmetricPattern:
+class SymmetricPattern(_Frozen):
     """All placements of a sorted exponent multiset on k distinct variables."""
 
     __slots__ = ("context", "exps")
@@ -171,12 +163,6 @@ class SymmetricPattern:
             )
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exps", exps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricPattern is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SymmetricPattern is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

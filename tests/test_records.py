@@ -19,6 +19,7 @@ from monowit import (
     verify_witness,
     witness_from_component,
 )
+from monowit.rings import _Frozen
 from util import ctx, ideal, mono
 
 
@@ -132,7 +133,14 @@ def _value_objects():
         IrreducibleComponent(c, {0: 2}),
         irreducible_decomposition(I),
         Clutter(3, [{0, 1}, {1, 2}]),
+        _spec({1: 4}),
+        SymmetricPattern(c, (1, 2)),
     ]
+
+
+def test_value_classes_share_one_base():
+    classes = {type(obj) for obj in _value_objects()}
+    assert len(classes) == 9 and all(issubclass(cls, _Frozen) for cls in classes)
 
 
 _SLOTS = [(obj, name) for obj in _value_objects() for name in type(obj).__slots__]
@@ -142,8 +150,13 @@ _SLOTS = [(obj, name) for obj in _value_objects() for name in type(obj).__slots_
                          ids=[f"{type(obj).__name__}-{name}" for obj, name in _SLOTS])
 def test_slots_cannot_be_deleted(obj, name):
     before = getattr(obj, name)
-    with pytest.raises(AttributeError, match="is immutable"):
+    message = f"^{type(obj).__name__} is immutable$"
+    with pytest.raises(AttributeError, match=message):
         delattr(obj, name)
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, name, None)
+    with pytest.raises(AttributeError, match=message):
+        setattr(obj, "unknown", None)
     assert getattr(obj, name) is before
 
 

@@ -13,6 +13,8 @@ from monowit import (
     MonomialIdeal,
     PrimeSupport,
     RingContext,
+    exchange_closure,
+    saturate,
 )
 from monowit.rings import _minimize_exps
 from util import (
@@ -28,6 +30,7 @@ from util import (
     oracle_minimal_subset,
     session_ideal,
     six_var_ideal,
+    tiny_corpus,
 )
 
 
@@ -172,6 +175,24 @@ class TestMinimize:
             rng.shuffle(gens)
             assert MonomialIdeal(c, gens) == made
             assert MonomialIdeal(c, made.gens) == made
+        # gens is built from the stored tuples on each read, also for the
+        # ideals that operations derive through the trusted constructor
+        corpus = tiny_corpus()
+        derived = [MonomialIdeal(ctx(2), ()), MonomialIdeal(ctx(2), [ctx(2).one])]
+        for k, I in enumerate(corpus):
+            c = I.context
+            J = next(J for J in corpus[k + 1:] + corpus[:k] if J.context == c)
+            derived += [I, I.intersect(J), I.colon(c.variable(0)), I.colon(J),
+                        I.radical(), saturate(I, ideal(c, "x1")), exchange_closure(I)]
+        for I in derived:
+            gens = I.gens
+            assert tuple(g.exps for g in gens) == I._exps
+            assert len(I) == len(gens) and list(I) == list(gens)
+            assert MonomialIdeal(I.context, gens) == I
+            with pytest.raises(AttributeError, match="^MonomialIdeal is immutable$"):
+                I.gens = gens
+            with pytest.raises(AttributeError, match="^MonomialIdeal is immutable$"):
+                del I.gens
 
     def test_planted_divisibilities_match_brute_filter(self):
         rng = random.Random(3)
