@@ -12,11 +12,11 @@ exceeds that bound.
 from __future__ import annotations
 
 from functools import reduce
-from operator import index
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import Monomial, MonomialIdeal, PrimeSupport, _require_same_context, _trusted_monomial
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, _ints, _require_same_context,
+                    _trusted_monomial)
 
 
 class BorelReport(NamedTuple):
@@ -107,10 +107,9 @@ def borel_witness(
     x_{k+1}-exponent over the generators; for k = n the extra factor is
     dropped.  The ideal is of Borel type exactly when every prime is a prefix.
     """
-    try:
-        b = None if extra_exponent is None else index(extra_exponent)
-    except TypeError:
-        raise ValueError("the extra exponent must be an integer") from None
+    if extra_exponent is not None:
+        (extra_exponent,) = _ints((extra_exponent,), "the extra exponent must be an integer",
+                                  low=None)
     _require_decomposable(ideal)
     decomposition = irreducible_decomposition(ideal)
     if any(p.vars != tuple(range(len(p.vars))) for p in decomposition.primes()):
@@ -129,7 +128,7 @@ def borel_witness(
         exps[v] = a - 1
     if k < ideal.context.n:
         floor = ideal.max_exponents()[k]
-        b = floor if b is None else b
+        b = floor if extra_exponent is None else extra_exponent
         if b < floor:
             raise ValueError(f"extra exponent {b} below the floor {floor}")
         exps[k] = b

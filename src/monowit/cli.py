@@ -35,10 +35,6 @@ USAGE_ERROR = 1
 VERIFY_ERROR = 2
 
 
-class CliError(Exception):
-    """Input problem; message goes to stderr, exit code 1."""
-
-
 def _json_document(ideal, components=None, primes=None, witness=None, verified=None):
     names = ideal.context.names
 
@@ -62,14 +58,14 @@ def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
     if selector.isdigit():
         index = int(selector)
         if index >= len(primes):
-            raise CliError(
+            raise ValueError(
                 f"prime index {index} out of range; there are {len(primes)} primes")
         return primes[index]
     variables = [ideal.context.index_of(name.strip()) for name in selector.split(",")]
     prime = PrimeSupport(ideal.context, variables)
     if prime not in primes:
         listing = "; ".join(f"P_{i} = {p}" for i, p in enumerate(primes))
-        raise CliError(f"{prime} is not an associated prime ({listing})")
+        raise ValueError(f"{prime} is not an associated prime ({listing})")
     return prime
 
 
@@ -77,13 +73,13 @@ def _resolve_component(args, ideal, prime):
     components = irreducible_decomposition(ideal).components_for(prime)
     if args.component is not None:
         if not 0 <= args.component < len(components):
-            raise CliError(f"component index {args.component} out of range; "
-                           f"there are {len(components)} components for {prime}")
+            raise ValueError(f"component index {args.component} out of range; "
+                             f"there are {len(components)} components for {prime}")
         return components[args.component]
     if len(components) > 1:
         listing = "".join(f"\n  Q_{i} = {q}" for i, q in enumerate(components))
-        raise CliError(f"{prime} has {len(components)} components; "
-                       f"choose one with --component:{listing}")
+        raise ValueError(f"{prime} has {len(components)} components; "
+                         f"choose one with --component:{listing}")
     return components[0]
 
 
@@ -91,9 +87,9 @@ def _collect_offsets(args, ideal, prime) -> dict:
     complement = prime.complement()
     if args.seed is not None:
         if args.offset:
-            raise CliError("--seed and --offset are mutually exclusive")
+            raise ValueError("--seed and --offset are mutually exclusive")
         if complement and args.max_offset < 0:  # no draw, no bound needed
-            raise CliError(f"--max-offset must be non-negative, got {args.max_offset}")
+            raise ValueError(f"--max-offset must be non-negative, got {args.max_offset}")
         rng = random.Random(args.seed)
         return {v: rng.randint(0, args.max_offset) for v in complement}
     offsets = {}
@@ -101,10 +97,10 @@ def _collect_offsets(args, ideal, prime) -> dict:
     for item in args.offset or []:
         var, _, value = item.partition("=")
         if not value or not value.isdigit():
-            raise CliError(f"--offset expects var=<non-negative int>, got {item!r}")
+            raise ValueError(f"--offset expects var=<non-negative int>, got {item!r}")
         index = ideal.context.index_of(var.strip())
         if index not in complement:
-            raise CliError(f"{names[index]} is a prime variable; offsets apply outside")
+            raise ValueError(f"{names[index]} is a prime variable; offsets apply outside")
         offsets[index] = int(value)
     return offsets
 
@@ -139,7 +135,7 @@ def _witness(args, ideal):
             lines += [f"  Q_{j} = {q}" for j, q in enumerate(components)]
         return lines, _decomposition_fields(decomposition), None
     if args.prime is None:
-        raise CliError("witness requires --prime (or --list to see candidates)")
+        raise ValueError("witness requires --prime (or --list to see candidates)")
     prime = _resolve_prime(args.prime, ideal)
     component = _resolve_component(args, ideal, prime)
     offsets = _collect_offsets(args, ideal, prime)
@@ -166,7 +162,7 @@ def _borel(args, ideal):
     report = is_borel_type(ideal)
     if not report.is_borel_type:
         if args.prime is not None:
-            raise CliError("the ideal is not of Borel type; no witness available")
+            raise ValueError("the ideal is not of Borel type; no witness available")
         u, i, j = report.certificate
         names = ideal.context.names
         lines = ["Borel type: no",
@@ -207,12 +203,12 @@ def _symgen(args, pattern):
     if args.prime is None:
         return lines, dict(ideal=ideal), None
     if args.value_index is None:
-        raise CliError("--prime needs --value-index for symgen")
+        raise ValueError("--prime needs --value-index for symgen")
     variables = [pattern.context.index_of(s.strip()) for s in args.prime.split(",")]
     try:
         b_choices = [int(s) for s in args.b.split(",") if s.strip()] if args.b else []
     except ValueError:
-        raise CliError(f"--b expects comma-separated integers, got {args.b!r}") from None
+        raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)
     fields = dict(ideal=ideal, primes=(prime,), witness=v)
     return lines + [f"P = {prime}", f"v = {v}"], fields, verify_witness(ideal, prime, v)
@@ -273,11 +269,11 @@ def _run(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             problem = parse_problem_file(fh.read())
     except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc}") from None
+        raise ValueError(f"cannot read {args.file}: {exc}") from None
     subject = getattr(problem, command.stanza)
     if subject is None:
         name = {"pattern": "sym stanza"}.get(command.stanza, command.stanza)
-        raise CliError(f"the problem file declares no {name}")
+        raise ValueError(f"the problem file declares no {name}")
     lines, fields, verdict = command.handler(args, subject)
     if verdict is not None:
         lines.append("VERIFIED" if verdict else "FAILED")
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
         # the flush at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except TheoremViolationError as exc:

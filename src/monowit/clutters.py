@@ -60,15 +60,8 @@ class Clutter(_Frozen):
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Clutter)
-            and self.context == other.context
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.edges))
+    def _key(self):
+        return self.context, self.edges
 
     def __repr__(self):
         shown = ", ".join(

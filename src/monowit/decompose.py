@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from operator import le
 
-from .rings import MonomialIdeal, PrimeSupport, RingContext, _Frozen, _trusted_prime
+from .rings import MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints, _trusted_prime
 
 
 def _has_private(others, t: tuple[int, ...]) -> bool:
@@ -75,28 +75,18 @@ class IrreducibleComponent(_Frozen):
         powers = dict(powers)
         if not powers:
             raise ValueError("an irreducible component needs at least one variable")
-        for v, e in powers.items():
-            if not isinstance(v, int) or not 0 <= v < context.n:
-                raise ValueError(f"variable index {v} out of range")
-            if not isinstance(e, int) or e < 1:
-                raise ValueError("pure-power exponents must be positive integers")
-        pairs = tuple(sorted(powers.items()))
+        checked = []
+        for v, e in powers.items():  # item by item: the first bad entry is reported
+            (v,) = _ints((v,), "variable index {} out of range", high=context.n)
+            (e,) = _ints((e,), "pure-power exponents must be positive integers", low=1)
+            checked.append((v, e))
+        pairs = tuple(sorted(checked))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IrreducibleComponent)
-            and self.pairs == other.pairs
-            and self.context == other.context
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.pairs))
-
-    def __repr__(self):
-        return f"IrreducibleComponent({self.as_ideal()})"
+    def _key(self):
+        return self.context, self.pairs
 
     def __str__(self):
         return str(self.as_ideal())
@@ -155,15 +145,8 @@ class Decomposition(_Frozen):
         object.__setattr__(self, "_by_support", by_support)
         object.__setattr__(self, "_primes", tuple(cs[0].prime() for cs in by_support.values()))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Decomposition)
-            and self.ideal == other.ideal
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.ideal, self.components))
+    def _key(self):
+        return self.ideal, self.components
 
     def __repr__(self):
         comps = " ^ ".join(str(c) for c in self.components)

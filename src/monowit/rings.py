@@ -8,23 +8,58 @@ function on those tuples.  The coefficient field is never represented.
 
 An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
 each read.  Library-built values skip validation through the trusted
-constructor beside their class.  All value classes inherit `_Frozen`.
+constructor beside their class.  All value classes inherit `_Frozen`, which
+gives them immutability, equality, hashing and the default repr; outside
+integers are checked and converted by `_ints`.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import index, le, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ContextMismatchError
 
 
+def _ints(values, message: str, low: Optional[int] = 0,
+          high: Optional[int] = None) -> tuple[int, ...]:
+    """The values as plain ints.  The first one that is not an integer, lies
+    below low or is not below high (None: no bound) raises
+    ValueError(message.format(value)), so a "{}" in message names it."""
+    out = []
+    for v in values:
+        try:
+            i = index(v)
+        except TypeError:
+            raise ValueError(message.format(v)) from None
+        if low is not None and i < low or high is not None and i >= high:
+            raise ValueError(message.format(v))
+        out.append(i)
+    return tuple(out)
+
+
 class _Frozen:
-    """Base of the value classes: each constructor fills the slots through
-    object.__setattr__, and every later assignment or deletion raises."""
+    """Base of the value classes.  Each class states its identity in
+    `_key()`: two values are equal exactly when they have the same type and
+    equal keys, and a value hashes as its key.  Each constructor fills the
+    slots through object.__setattr__, and every later assignment or deletion
+    raises."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other is self:  # most comparisons are of a ring with itself
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -53,11 +88,8 @@ class RingContext(_Frozen):
     def n(self) -> int:
         return len(self.names)
 
-    def __eq__(self, other):
-        return isinstance(other, RingContext) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
+    def _key(self):
+        return self.names
 
     def __repr__(self):
         return f"RingContext({list(self.names)!r})"
@@ -80,9 +112,8 @@ class RingContext(_Frozen):
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
         exps = [0] * self.n
-        for i, e in powers.items():
-            if not isinstance(i, int) or not 0 <= i < self.n:
-                raise ValueError(f"variable index {i} out of range")
+        for i, e in zip(_ints(powers, "variable index {} out of range", high=self.n),
+                        powers.values()):
             exps[i] = e
         return Monomial(self, tuple(exps))
 
@@ -105,23 +136,12 @@ class Monomial(_Frozen):
             raise ValueError(
                 f"exponent vector has length {len(exps)}, ring has {context.n} variables"
             )
-        if any(not isinstance(e, int) or e < 0 for e in exps):
-            raise ValueError("exponents must be non-negative integers")
+        exps = _ints(exps, "exponents must be non-negative integers")
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exps", exps)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.exps == other.exps
-            and self.context == other.context
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.exps))
-
-    def __repr__(self):
-        return f"Monomial({self})"
+    def _key(self):
+        return self.context, self.exps
 
     def __str__(self):
         names = self.context.names
@@ -229,18 +249,11 @@ class MonomialIdeal(_Frozen):
         object.__setattr__(self, "_hash", hash((context, exps)))
         object.__setattr__(self, "_decomposition", None)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialIdeal)
-            and self._exps == other._exps
-            and self.context == other.context
-        )
+    def _key(self):
+        return self.context, self._exps
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"MonomialIdeal({self})"
 
     def __str__(self):
         if not self._exps:
@@ -354,11 +367,7 @@ class PrimeSupport(_Frozen):
     __slots__ = ("context", "vars")
 
     def __init__(self, context: RingContext, variables: Iterable[int]):
-        variables = set(variables)
-        try:
-            vs = tuple(sorted(map(index, variables)))
-        except TypeError:
-            raise ValueError("variable indices must be integers") from None
+        vs = tuple(sorted(_ints(set(variables), "variable indices must be integers", low=None)))
         if not vs:
             raise ValueError("a prime support needs at least one variable")
         if vs[0] < 0 or vs[-1] >= context.n:
@@ -366,18 +375,8 @@ class PrimeSupport(_Frozen):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "vars", vs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrimeSupport)
-            and self.vars == other.vars
-            and self.context == other.context
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.vars))
-
-    def __repr__(self):
-        return f"PrimeSupport({self})"
+    def _key(self):
+        return self.context, self.vars
 
     def __str__(self):
         names = self.context.names

@@ -11,13 +11,12 @@ classifies when the witness is unique.
 from __future__ import annotations
 
 import itertools
-from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .decompose import IrreducibleComponent, irreducible_decomposition
+from .decompose import IrreducibleComponent, _trusted_component, irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen,
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
                     _require_same_context, _trusted_monomial)
 
 
@@ -35,10 +34,10 @@ class WitnessSpec(_Frozen):
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        try:
-            offsets = {index(v): index(off) for v, off in dict(offsets or ()).items()}
-        except TypeError:
-            raise ValueError("offset variables and offsets must be integers") from None
+        raw = dict(offsets or ())
+        message = "offset variables and offsets must be integers"
+        offsets = dict(zip(_ints(raw, message, low=None), _ints(raw.values(), message, low=None)))
+        _require_same_context(prime, component)
         if component.support() != prime.vars:
             raise ValueError(
                 f"component support {component.support()} does not match "
@@ -56,11 +55,8 @@ class WitnessSpec(_Frozen):
         object.__setattr__(self, "component", component)
         object.__setattr__(self, "offsets", MappingProxyType(offsets))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.prime, self.component, self.offsets) == (
-            other.prime, other.component, other.offsets)
+    def _key(self):
+        return self.prime, self.component, self.offsets
 
     # the offsets are a mapping, so a spec is not hashable
     __hash__ = None
@@ -119,8 +115,8 @@ def component_from_witness(
     """
     if not verify_witness(ideal, prime, v):
         raise ValueError(f"{v} is not a witness for {prime}")
-    powers = {i: v.exponent(i) + 1 for i in prime.vars}
-    component = IrreducibleComponent(ideal.context, powers)
+    exps = tuple(v.exps[i] + 1 for i in prime.vars)  # verified, so in range and positive
+    component = _trusted_component(ideal.context, prime.vars, exps)
     if component not in irreducible_decomposition(ideal):
         raise TheoremViolationError(
             f"derived component {component} missing from the decomposition of {ideal}"
@@ -153,8 +149,7 @@ class SymmetricPattern(_Frozen):
         exps = tuple(exps)
         if not exps:
             raise ValueError("the exponent list must be non-empty")
-        if any(e < 1 for e in exps):
-            raise ValueError("exponents must be positive")
+        exps = _ints(exps, "exponents must be positive", low=1)
         if list(exps) != sorted(exps):
             raise ValueError("exponents must be non-decreasing")
         if len(exps) > context.n:
@@ -164,13 +159,8 @@ class SymmetricPattern(_Frozen):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "exps", exps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.context, self.exps) == (other.context, other.exps)
-
-    def __hash__(self):
-        return hash((self.context, self.exps))
+    def _key(self):
+        return self.context, self.exps
 
     def __repr__(self):
         return f"SymmetricPattern(context={self.context!r}, exps={self.exps!r})"
@@ -221,8 +211,7 @@ def symmetric_witness(
     """
     ctx = pattern.context
     breaks = pattern.breaks()
-    if not 0 <= value_index < len(breaks):
-        raise ValueError(f"value_index {value_index} out of range")
+    (value_index,) = _ints((value_index,), "value_index {} out of range", high=len(breaks))
     first_pos = breaks[value_index]
     value = pattern.exps[first_pos]
     prime = PrimeSupport(ctx, prime_vars)

@@ -6,9 +6,13 @@ import pytest
 from monowit import (
     BorelReport,
     Clutter,
+    ContextMismatchError,
+    Decomposition,
     IrreducibleComponent,
+    Monomial,
     PrimeSupport,
     ProblemFile,
+    RingContext,
     SymmetricPattern,
     UniquenessResult,
     WitnessSpec,
@@ -100,6 +104,11 @@ class TestWitnessSpec:
             WitnessSpec(PrimeSupport(c, prime), IrreducibleComponent(c, powers), offsets)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n", [4, 1])
+    def test_prime_from_another_ring_rejected(self, n):
+        with pytest.raises(ContextMismatchError):
+            WitnessSpec(PrimeSupport(ctx(n), [0]), IrreducibleComponent(ctx(3), {0: 1}))
+
 
 def _borel_witness(extra):
     c = ctx(2)
@@ -122,8 +131,8 @@ def test_non_integer_offsets_rejected_early(build, message):
     assert str(info.value) == message
 
 
-def _value_objects():
-    c = ctx(3)
+def _value_objects(c=None):
+    c = c or ctx(3)
     I = ideal(c, "x1^2", "x1*x2")
     return [
         c,
@@ -133,9 +142,65 @@ def _value_objects():
         IrreducibleComponent(c, {0: 2}),
         irreducible_decomposition(I),
         Clutter(3, [{0, 1}, {1, 2}]),
-        _spec({1: 4}),
+        WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}), {1: 4}),
         SymmetricPattern(c, (1, 2)),
     ]
+
+
+def _changed_values(c):
+    """Per entry of _value_objects(c), values that differ in one key field."""
+    I = ideal(c, "x1^2", "x1*x2")
+    components = irreducible_decomposition(I).components
+    q = IrreducibleComponent(c, {0: 2})
+    return [
+        [RingContext(["x1", "x2", "y"])],
+        [mono(c, "x1*x3"), mono(ctx(4), "x1*x2")],
+        [ideal(c, "x1^2", "x2"), ideal(ctx(4), "x1^2", "x1*x2")],
+        [PrimeSupport(c, [0, 1]), PrimeSupport(ctx(4), [0, 2])],
+        [IrreducibleComponent(c, {0: 3}), IrreducibleComponent(ctx(4), {0: 2})],
+        [Decomposition(I, components[:1]), Decomposition(ideal(c, "x1^2"), components)],
+        [Clutter(3, [{0, 1}, {0, 2}]), Clutter(["a", "b", "c"], [{0, 1}, {1, 2}])],
+        [WitnessSpec(q.prime(), q, {1: 5}), WitnessSpec(q.prime(), q)],
+        [SymmetricPattern(c, (1, 3)), SymmetricPattern(ctx(4), (1, 2))],
+    ]
+
+
+_REPRS = [
+    "RingContext(['x1', 'x2', 'x3'])",
+    "Monomial(x1*x2)",
+    "MonomialIdeal((x1^2, x1*x2))",
+    "PrimeSupport((x1, x3))",
+    "IrreducibleComponent((x1^2))",
+    "Decomposition((x1^2, x1*x2) = (x1) ^ (x1^2, x2))",
+    "Clutter({t1,t2}, {t2,t3})",
+    "WitnessSpec(prime=PrimeSupport((x1)), component=IrreducibleComponent((x1^2)), "
+    "offsets={1: 4})",
+    "SymmetricPattern(context=RingContext(['x1', 'x2', 'x3']), exps=(1, 2))",
+]
+
+
+@pytest.mark.parametrize("k", range(9), ids=[type(o).__name__ for o in _value_objects()])
+def test_value_equality_hash_and_repr(k):
+    obj = _value_objects()[k]
+    again = _value_objects(RingContext(3))[k]  # in a ring equal to, not the same as, obj's
+    assert again is not obj and again == obj and not again != obj
+    if isinstance(obj, WitnessSpec):
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(again) == hash(obj)
+    for changed in _changed_values(ctx(3))[k]:
+        assert type(changed) is type(obj) and changed != obj and obj != changed
+    assert obj.__eq__(object()) is NotImplemented
+    for other in _value_objects():
+        if type(other) is not type(obj):
+            assert obj != other and other != obj
+    c = ctx(2)
+    for a, b in [(Monomial(c, (1, 2)), SymmetricPattern(c, (1, 2))),
+                 (Monomial(c, (0, 1)), PrimeSupport(c, [0, 1]))]:
+        if type(obj) in (type(a), type(b)):
+            assert a._key() == b._key() and a != b and b != a
+    assert repr(obj) == _REPRS[k]
 
 
 def test_value_classes_share_one_base():

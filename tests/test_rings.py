@@ -13,8 +13,12 @@ from monowit import (
     MonomialIdeal,
     PrimeSupport,
     RingContext,
+    SymmetricPattern,
+    WitnessSpec,
+    borel_witness,
     exchange_closure,
     saturate,
+    symmetric_witness,
 )
 from monowit.rings import _minimize_exps
 from util import (
@@ -62,34 +66,73 @@ class TestRingContext:
     lambda c: IrreducibleComponent(c, {0: "2"}),
     lambda c: IrreducibleComponent(c, {0: None}),
     lambda c: IrreducibleComponent(c, {0: 0}),
+    lambda c: SymmetricPattern(c, [1.5, 2]),
+    lambda c: SymmetricPattern(c, ["a"]),
+    lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0.0, [0], [2]),
 ], ids=[
     "monomial-str", "monomial-none", "monomial-float", "monomial-negative",
     "component-float", "component-str", "component-none", "component-zero",
+    "pattern-float", "pattern-str", "value-index-float",
 ])
 def test_exponents_must_be_integers(build):
     with pytest.raises(ValueError):
         build(ctx(2))
 
 
-@pytest.mark.parametrize("build", [
-    lambda c: PrimeSupport(c, [0.5]),
-    lambda c: PrimeSupport(c, [1.0]),
-    lambda c: PrimeSupport(c, ["a"]),
-    lambda c: PrimeSupport(c, [0, "a"]),
-    lambda c: PrimeSupport(c, [None]),
-    lambda c: IrreducibleComponent(c, {"a": 1}),
-    lambda c: IrreducibleComponent(c, {0: 1, "a": 1}),
-    lambda c: IrreducibleComponent(c, {0.5: 1}),
-    lambda c: c.monomial_from_powers({"a": 1}),
-    lambda c: c.monomial_from_powers({1.0: 1}),
+class _Index:
+    """An integer type that is not int, such as numpy.int64."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("build, read, expected", [
+    (lambda c: Monomial(c, (_Index(2), True)), lambda m: m.exps, (2, 1)),
+    (lambda c: c.monomial_from_powers({_Index(1): 3}), lambda m: m.exps, (0, 3)),
+    (lambda c: PrimeSupport(c, [_Index(1), False]), lambda p: p.vars, (0, 1)),
+    (lambda c: IrreducibleComponent(c, {_Index(1): _Index(2), False: True}),
+     lambda q: sum(q.pairs, ()), (0, 1, 1, 2)),
+    (lambda c: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}),
+                           {_Index(1): True}),
+     lambda s: sum(s.offsets.items(), ()), (1, 1)),
+    (lambda c: borel_witness(ideal(c, "x1^2", "x1*x2"), PrimeSupport(c, [0]),
+                             IrreducibleComponent(c, {0: 1}), _Index(3)),
+     lambda m: m.exps, (0, 3)),
+    (lambda c: SymmetricPattern(c, [True, _Index(2)]), lambda p: p.exps, (1, 2)),
+    (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), _Index(0), [0], [2]),
+     lambda pv: pv[1].exps, (0, 2)),
+], ids=["monomial", "powers", "prime", "component", "offsets", "borel-extra", "pattern",
+        "value-index"])
+def test_index_integers_are_stored_as_int(build, read, expected):
+    stored = read(build(ctx(2)))
+    assert stored == expected and all(type(i) is int for i in stored)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda c: PrimeSupport(c, [0.5]), "variable indices must be integers"),
+    (lambda c: PrimeSupport(c, [1.0]), "variable indices must be integers"),
+    (lambda c: PrimeSupport(c, ["a"]), "variable indices must be integers"),
+    (lambda c: PrimeSupport(c, [0, "a"]), "variable indices must be integers"),
+    (lambda c: PrimeSupport(c, [None]), "variable indices must be integers"),
+    (lambda c: IrreducibleComponent(c, {"a": 1}), "variable index a out of range"),
+    (lambda c: IrreducibleComponent(c, {0: 1, "a": 1}), "variable index a out of range"),
+    (lambda c: IrreducibleComponent(c, {0.5: 1}), "variable index 0.5 out of range"),
+    (lambda c: IrreducibleComponent(c, {2: 1}), "variable index 2 out of range"),
+    (lambda c: c.monomial_from_powers({"a": 1}), "variable index a out of range"),
+    (lambda c: c.monomial_from_powers({1.0: 1}), "variable index 1.0 out of range"),
+    (lambda c: c.monomial_from_powers({-1: 1}), "variable index -1 out of range"),
 ], ids=[
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
-    "component-str", "component-mixed", "component-float",
-    "powers-str", "powers-integral-float",
+    "component-str", "component-mixed", "component-float", "component-too-large",
+    "powers-str", "powers-integral-float", "powers-negative",
 ])
-def test_variable_indices_must_be_integers(build):
-    with pytest.raises(ValueError):
+def test_variable_indices_must_be_integers(build, message):
+    with pytest.raises(ValueError) as info:
         build(ctx(2))
+    assert str(info.value) == message
 
 
 class TestDivides:

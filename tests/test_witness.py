@@ -376,7 +376,7 @@ class TestSymmetricWitness:
 
     def test_value_index_out_of_range(self):
         pattern = SymmetricPattern(ctx(3), (1, 3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^value_index 2 out of range$"):
             symmetric_witness(pattern, 2, (0, 1), (3,))
 
     def test_full_value_prime_takes_no_complement_exponents(self):
