@@ -4,7 +4,8 @@ A clutter is a hypergraph whose edges form an antichain under inclusion;
 simple graphs are the special case of 2-element edges.  The minimal vertex
 covers are exactly the supports of the associated primes of the edge ideal,
 and for the prime on a cover P the product of the complementary vertices is
-already a witness: (I : t_A) = <P> for A = V \\ P.
+already a witness: (I : t_A) = <P> for A = V \\ P.  Both stable-set
+families are read from those covers, the edge ideal's component supports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import FrozenSet, Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen
+from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints
 
 VertexSet = FrozenSet[int]
 
@@ -40,9 +41,8 @@ class Clutter(_Frozen):
             context = RingContext(vertices)
         resolved = set()
         for edge in edges:
-            members = frozenset(
-                v if isinstance(v, int) else context.index_of(v) for v in edge
-            )
+            indices = [context.index_of(v) if isinstance(v, str) else v for v in edge]
+            members = frozenset(_ints(indices, "unknown vertex {}", low=None))
             if not members:
                 raise ValueError("edges must be non-empty")
             if any(not 0 <= v < context.n for v in members):
@@ -130,44 +130,45 @@ class Clutter(_Frozen):
             self._covers(k & ~(1 << v)) for v in range(self.n) if k >> v & 1
         )
 
-    def _check_limit(self, limit):
-        if self.n > limit:
-            raise ValueError(
-                f"enumeration over {self.n} vertices exceeds the limit of {limit}"
-            )
-
-    def maximal_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
-        """Every stable set not properly contained in another stable set: the
-        complements of the minimal vertex covers, which are the supports of
-        the edge ideal's components."""
-        self._check_limit(limit)
+    def _cover_masks(self) -> list[int]:
+        """The minimal vertex covers as bitmasks: the supports of the edge
+        ideal's components, or the empty cover when there are no edges."""
         if not self.edges:
-            return (self.vertices(),)
-        out = [
-            self.vertices() - set(q.support())
+            return [0]
+        return [
+            sum(1 << v for v in q.support())
             for q in irreducible_decomposition(self.edge_ideal()).components
         ]
+
+    def maximal_stable_sets(self):
+        """Every stable set not properly contained in another stable set: the
+        complements of the minimal vertex covers."""
+        full = (1 << self.n) - 1
+        out = [self._vertex_set(full & ~p) for p in self._cover_masks()]
         return tuple(sorted(out, key=sorted))
 
     def good_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
         """Stable sets whose neighbor set is a minimal vertex cover.
 
-        A stable set's neighbor set is minimal as soon as it covers, so the
-        membership test is stability plus the cover check.  A search on
-        bitmasks grows stable sets by increasing vertex, adding only vertices
-        outside the neighbor set, which keeps them stable.
+        Each lies in T = V \\ P for its cover P; every b inside T has N(b)
+        inside P, so b is good exactly when N(b) = P.  Those b form an up-set
+        in T: a search from T that drops vertices in increasing order while
+        N(b) = P holds visits good stable sets only.
         """
-        self._check_limit(limit)
+        if self.n > limit:
+            raise ValueError(
+                f"enumeration over {self.n} vertices exceeds the limit of {limit}"
+            )
+        full = (1 << self.n) - 1
         out = []
-        stack = [(0, 0)]  # (stable set, smallest vertex it may still gain)
-        while stack:
-            a, start = stack.pop()
-            neighbors = self._neighbors(a)
-            if self._covers(neighbors):
-                out.append(self._vertex_set(a))
-            for v in range(start, self.n):
-                if not neighbors >> v & 1:  # a | {v} is still stable
-                    stack.append((a | 1 << v, v + 1))
+        for p in self._cover_masks():
+            stack = [(full & ~p, 0)]  # (good set, smallest vertex it may still drop)
+            while stack:
+                b, start = stack.pop()
+                out.append(self._vertex_set(b))
+                for v in range(start, self.n):
+                    if b >> v & 1 and self._neighbors(b & ~(1 << v)) == p:
+                        stack.append((b & ~(1 << v), v + 1))
         return tuple(sorted(out, key=sorted))
 
     def vertex_product(self, subset: Iterable[int]) -> Monomial:

@@ -89,7 +89,9 @@ class IrreducibleComponent(_Frozen):
         return self.context, self.pairs
 
     def __str__(self):
-        return str(self.as_ideal())
+        names = self.context.names
+        return "(" + ", ".join(
+            names[v] if e == 1 else f"{names[v]}^{e}" for v, e in self.pairs) + ")"
 
     @property
     def powers(self) -> dict[int, int]:

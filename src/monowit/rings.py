@@ -222,7 +222,7 @@ class MonomialIdeal(_Frozen):
     `decompose.irreducible_decomposition` on first use.
     """
 
-    __slots__ = ("context", "_exps", "_hash", "_decomposition")
+    __slots__ = ("context", "_exps", "_decomposition")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -246,14 +246,10 @@ class MonomialIdeal(_Frozen):
     def _set(self, context: RingContext, exps: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_hash", hash((context, exps)))
         object.__setattr__(self, "_decomposition", None)
 
     def _key(self):
         return self.context, self._exps
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         if not self._exps:

@@ -222,6 +222,7 @@ def symmetric_witness(
         )
     tail_floors = pattern.exps[first_pos + 1 :]
     complement = prime.complement()
+    b_choices = _ints(b_choices, "complement exponent {} is not an integer", low=None)
     if len(b_choices) != len(tail_floors):
         raise ValueError(
             f"need {len(tail_floors)} complement exponents, got {len(b_choices)}"

@@ -1,6 +1,7 @@
 """Clutters, stable sets, covers, and the complement witness."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from util import (
     mono,
     oracle_good_stable_sets,
     oracle_maximal_stable_sets,
+    search_good_stable_sets,
 )
 
 
@@ -34,6 +36,14 @@ def triangle():
 
 def square():
     return Clutter(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}])
+
+
+def cycle(n):
+    return Clutter(n, [{i, (i + 1) % n} for i in range(n)])
+
+
+def complete_graph(n):
+    return Clutter(n, [set(e) for e in itertools.combinations(range(n), 2)])
 
 
 def brute_minimal_covers(clutter):
@@ -139,10 +149,13 @@ class TestStableFamilies:
         )
 
     def test_enumeration_limit(self):
-        wide = Clutter(17, [{0, 1}])
-        with pytest.raises(ValueError):
-            wide.maximal_stable_sets()
-        assert wide.maximal_stable_sets(limit=17)
+        # maximal stable sets come from the decomposition and take no limit
+        assert len(cycle(30).maximal_stable_sets()) == 4610  # a Perrin number
+        k17 = complete_graph(17)
+        with pytest.raises(ValueError, match="^enumeration over 17 vertices exceeds "
+                                             "the limit of 16$"):
+            k17.good_stable_sets()
+        assert k17.good_stable_sets(limit=17) == tuple(frozenset({v}) for v in range(17))
 
     def test_good_sets_satisfy_colon_identity(self):
         for clutter in clutter_corpus()[:8]:
@@ -167,6 +180,25 @@ class TestStableFamiliesAgainstBruteForce:
             assert clutter.maximal_stable_sets() == oracle_maximal_stable_sets(clutter)
             assert clutter.good_stable_sets() == oracle_good_stable_sets(clutter)
 
+    def test_wide_clutters_against_search(self):
+        """Cycles C10-C20, and random graphs and clutters on 10-15 vertices,
+        against the search over every stable set."""
+        wide = [cycle(n) for n in range(10, 21)]
+        rng = random.Random(2468)
+        for k in range(16):
+            n = rng.randint(10, 15)
+            if k % 2:
+                raw = {frozenset(rng.sample(range(n), rng.choice((2, 3))))
+                       for _ in range(rng.randint(n, 2 * n))}
+                edges = [e for e in raw if not any(f < e for f in raw)]
+            else:
+                edges = [{v, rng.randrange(v)} for v in range(1, n)]
+                edges += [{u, v} for u, v in itertools.combinations(range(n), 2)
+                          if rng.random() < 0.25 and {u, v} not in edges]
+            wide.append(Clutter(n, edges))
+        for c in wide:
+            assert c.good_stable_sets(limit=c.n) == search_good_stable_sets(c)
+
     def test_edgeless_clutter(self):
         empty = Clutter(3, [])
         assert empty.maximal_stable_sets() == (frozenset({0, 1, 2}),)
@@ -187,7 +219,7 @@ class TestWitnessBase:
 
     def test_complete_graph_leaves_one_vertex(self):
         for s in (3, 4, 5):
-            k = Clutter(s, [set(e) for e in itertools.combinations(range(s), 2)])
+            k = complete_graph(s)
             cover = PrimeSupport(k.context, range(s - 1))
             assert k.witness_base(cover) == k.context.variable(s - 1)
 

@@ -175,6 +175,7 @@ class TestCorpusProperties:
             assert set(d.primes()) == {q.prime() for q in d.components}
             for q in d.components:
                 assert q.as_ideal().radical() == q.prime().as_ideal()
+                assert str(q) == str(q.as_ideal())
 
     def test_determinism_under_shuffle_and_redundancy(self):
         rng = random.Random(5150)

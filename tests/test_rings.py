@@ -7,6 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from monowit import (
+    Clutter,
     ContextMismatchError,
     IrreducibleComponent,
     Monomial,
@@ -57,26 +58,38 @@ class TestRingContext:
             ctx(2).index_of("y")
 
 
-@pytest.mark.parametrize("build", [
-    lambda c: Monomial(c, ("a", 1)),
-    lambda c: Monomial(c, (None, 0)),
-    lambda c: Monomial(c, (1.5, 0)),
-    lambda c: Monomial(c, (-1, 0)),
-    lambda c: IrreducibleComponent(c, {0: 1.5}),
-    lambda c: IrreducibleComponent(c, {0: "2"}),
-    lambda c: IrreducibleComponent(c, {0: None}),
-    lambda c: IrreducibleComponent(c, {0: 0}),
-    lambda c: SymmetricPattern(c, [1.5, 2]),
-    lambda c: SymmetricPattern(c, ["a"]),
-    lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0.0, [0], [2]),
+@pytest.mark.parametrize("build, message", [
+    (lambda c: Monomial(c, ("a", 1)), "exponents must be non-negative integers"),
+    (lambda c: Monomial(c, (None, 0)), "exponents must be non-negative integers"),
+    (lambda c: Monomial(c, (1.5, 0)), "exponents must be non-negative integers"),
+    (lambda c: Monomial(c, (-1, 0)), "exponents must be non-negative integers"),
+    (lambda c: IrreducibleComponent(c, {0: 1.5}),
+     "pure-power exponents must be positive integers"),
+    (lambda c: IrreducibleComponent(c, {0: "2"}),
+     "pure-power exponents must be positive integers"),
+    (lambda c: IrreducibleComponent(c, {0: None}),
+     "pure-power exponents must be positive integers"),
+    (lambda c: IrreducibleComponent(c, {0: 0}),
+     "pure-power exponents must be positive integers"),
+    (lambda c: SymmetricPattern(c, [1.5, 2]), "exponents must be positive"),
+    (lambda c: SymmetricPattern(c, ["a"]), "exponents must be positive"),
+    (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0.0, [0], [2]),
+     "value_index 0.0 out of range"),
+    (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0, [0], ["a"]),
+     "complement exponent a is not an integer"),
+    (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0, [0], [None]),
+     "complement exponent None is not an integer"),
+    (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), 0, [0], [2.5]),
+     "complement exponent 2.5 is not an integer"),
 ], ids=[
     "monomial-str", "monomial-none", "monomial-float", "monomial-negative",
     "component-float", "component-str", "component-none", "component-zero",
-    "pattern-float", "pattern-str", "value-index-float",
+    "pattern-float", "pattern-str", "value-index-float", "b-str", "b-none", "b-float",
 ])
-def test_exponents_must_be_integers(build):
-    with pytest.raises(ValueError):
+def test_exponents_must_be_integers(build, message):
+    with pytest.raises(ValueError) as info:
         build(ctx(2))
+    assert str(info.value) == message
 
 
 class _Index:
@@ -104,8 +117,9 @@ class _Index:
     (lambda c: SymmetricPattern(c, [True, _Index(2)]), lambda p: p.exps, (1, 2)),
     (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), _Index(0), [0], [2]),
      lambda pv: pv[1].exps, (0, 2)),
+    (lambda c: Clutter(c.n, [[_Index(0), 1]]), lambda k: tuple(sorted(k.edges[0])), (0, 1)),
 ], ids=["monomial", "powers", "prime", "component", "offsets", "borel-extra", "pattern",
-        "value-index"])
+        "value-index", "clutter"])
 def test_index_integers_are_stored_as_int(build, read, expected):
     stored = read(build(ctx(2)))
     assert stored == expected and all(type(i) is int for i in stored)
@@ -124,10 +138,11 @@ def test_index_integers_are_stored_as_int(build, read, expected):
     (lambda c: c.monomial_from_powers({"a": 1}), "variable index a out of range"),
     (lambda c: c.monomial_from_powers({1.0: 1}), "variable index 1.0 out of range"),
     (lambda c: c.monomial_from_powers({-1: 1}), "variable index -1 out of range"),
+    (lambda c: Clutter(c.n, [[0.5, 1]]), "unknown vertex 0.5"),
 ], ids=[
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
     "component-str", "component-mixed", "component-float", "component-too-large",
-    "powers-str", "powers-integral-float", "powers-negative",
+    "powers-str", "powers-integral-float", "powers-negative", "clutter-float",
 ])
 def test_variable_indices_must_be_integers(build, message):
     with pytest.raises(ValueError) as info:

@@ -245,6 +245,23 @@ def oracle_good_stable_sets(clutter):
     return tuple(sorted(out, key=sorted))
 
 
+def search_good_stable_sets(clutter):
+    """Good stable sets by a search that grows stable sets by increasing
+    vertex, adding only vertices outside the neighbor set, so it visits every
+    stable set; the reference for the search inside each cover's complement."""
+    out = []
+    stack = [(0, 0)]  # (stable set, smallest vertex it may still gain)
+    while stack:
+        a, start = stack.pop()
+        neighbors = clutter._neighbors(a)
+        if clutter._covers(neighbors):
+            out.append(clutter._vertex_set(a))
+        for v in range(start, clutter.n):
+            if not neighbors >> v & 1:  # a | {v} is still stable
+                stack.append((a | 1 << v, v + 1))
+    return tuple(sorted(out, key=sorted))
+
+
 def _all_subsets(n):
     for r in range(n + 1):
         for combo in itertools.combinations(range(n), r):
