@@ -110,19 +110,13 @@ def borel_witness(
     if extra_exponent is not None:
         (extra_exponent,) = _ints((extra_exponent,), "the extra exponent must be an integer",
                                   low=None)
-    _require_decomposable(ideal)
     decomposition = irreducible_decomposition(ideal)
     if any(p.vars != tuple(range(len(p.vars))) for p in decomposition.primes()):
         raise ValueError(f"{ideal} is not of Borel type")
-    k = len(prime.vars)
-    if prime.vars != tuple(range(k)):
-        raise ValueError(f"{prime} is not a prefix prime")
-    if component.support() != prime.vars:
-        raise ValueError(
-            f"component {component} does not have full support on {prime}"
-        )
+    # every associated prime is now a prefix, and its components have its support
     if component not in decomposition.components_for(prime):
         raise ValueError(f"{component} is not a component for {prime}")
+    k = len(prime.vars)
     exps = [0] * ideal.context.n
     for v, a in component.pairs:
         exps[v] = a - 1

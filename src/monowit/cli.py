@@ -105,8 +105,8 @@ def _collect_offsets(args, ideal, prime) -> dict:
     return offsets
 
 
-def _decomposition_fields(decomposition) -> dict:
-    return dict(ideal=decomposition.ideal, components=decomposition.components,
+def _decomposition_fields(ideal, decomposition) -> dict:
+    return dict(ideal=ideal, components=decomposition.components,
                 primes=decomposition.primes())
 
 
@@ -116,7 +116,7 @@ def _decompose(args, ideal):
     lines = [f"I = {ideal}", "components:"]
     lines += [f"  Q_{i} = {q}" for i, q in enumerate(decomposition.components)]
     lines += ["associated primes:"] + [f"  P_{i} = {p}" for i, p in enumerate(primes)]
-    return lines, _decomposition_fields(decomposition), None
+    return lines, _decomposition_fields(ideal, decomposition), None
 
 
 def _assprimes(args, ideal):
@@ -133,7 +133,7 @@ def _witness(args, ideal):
             lines.append(f"P_{i} = {p}")
             components = decomposition.components_for(p)
             lines += [f"  Q_{j} = {q}" for j, q in enumerate(components)]
-        return lines, _decomposition_fields(decomposition), None
+        return lines, _decomposition_fields(ideal, decomposition), None
     if args.prime is None:
         raise ValueError("witness requires --prime (or --list to see candidates)")
     prime = _resolve_prime(args.prime, ideal)

@@ -13,7 +13,8 @@ of the critical-edge test of minimal-transversal enumeration (Murakami and
 Uno, Discrete Appl. Math. 2014).  Generators are looked up by (variable,
 exponent), and x_i is skipped, since u is private there.  The result is
 unique, so it does not depend on how the input was presented.  No state is
-kept between calls: each ideal keeps its own decomposition, freed with it.
+kept between calls: each ideal keeps its own decomposition, which holds only
+its components, so reference counting frees it with the ideal.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ class IrreducibleComponent(_Frozen):
         return "(" + ", ".join(
             names[v] if e == 1 else f"{names[v]}^{e}" for v, e in self.pairs) + ")"
 
-    @property
-    def powers(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def support(self) -> tuple[int, ...]:
         return self._support.vars
 
@@ -134,25 +131,23 @@ class Decomposition(_Frozen):
     each prime is the one its first component holds.
     """
 
-    __slots__ = ("ideal", "components", "_by_support", "_primes")
+    __slots__ = ("components", "_by_support", "_primes")
 
-    def __init__(self, ideal: MonomialIdeal, components):
+    def __init__(self, components):
         components = tuple(components)
         groups: dict[tuple[int, ...], list[IrreducibleComponent]] = {}
         for c in components:
             groups.setdefault(c.support(), []).append(c)
         by_support = {vs: tuple(groups[vs]) for vs in sorted(groups)}
-        object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_by_support", by_support)
         object.__setattr__(self, "_primes", tuple(cs[0].prime() for cs in by_support.values()))
 
     def _key(self):
-        return self.ideal, self.components
+        return self.components
 
-    def __repr__(self):
-        comps = " ^ ".join(str(c) for c in self.components)
-        return f"Decomposition({self.ideal} = {comps})"
+    def __str__(self):
+        return " ^ ".join(map(str, self.components))
 
     def __iter__(self):
         return iter(self.components)
@@ -171,10 +166,11 @@ class Decomposition(_Frozen):
         return self._primes
 
     def components_for(self, prime: PrimeSupport) -> tuple[IrreducibleComponent, ...]:
-        """All components whose support is exactly the given prime."""
+        """All components whose support is exactly the given prime, which
+        must be of their ring: the one check of whether a prime is associated."""
         matches = self._by_support.get(prime.vars)
-        if matches is None:
-            raise ValueError(f"{prime} is not an associated prime of {self.ideal}")
+        if matches is None or matches[0].context != prime.context:
+            raise ValueError(f"{prime} is not an associated prime")
         return matches
 
 
@@ -189,7 +185,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
     pairs = sorted(_irreducible_components(ideal._exps, context.n))
-    decomposition = Decomposition(ideal, [_trusted_component(context, s, e) for s, e in pairs])
+    decomposition = Decomposition([_trusted_component(context, s, e) for s, e in pairs])
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

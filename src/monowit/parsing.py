@@ -153,9 +153,9 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
     raise ParseError("ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'", line)
 
 
-def _parse_clutter(rhs: str, context: RingContext, line: int) -> Clutter:
+def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Clutter:
     edges = []
-    scanner = _Scanner(rhs, line)
+    scanner = _Scanner(rhs, line, column)
     while True:
         scanner.skip_ws()
         if scanner.exhausted:
@@ -164,10 +164,14 @@ def _parse_clutter(rhs: str, context: RingContext, line: int) -> Clutter:
         edge = []
         while True:
             scanner.skip_ws()
+            start = scanner.pos
             name = scanner.take(_NAME)
             if name is None:
                 raise scanner.error("expected a vertex name")
-            edge.append(name)
+            try:
+                edge.append(context.index_of(name))
+            except ValueError as exc:
+                raise scanner.error(str(exc), at=start) from None
             scanner.skip_ws()
             if scanner.peek() == "}":
                 scanner.pos += 1
@@ -225,21 +229,22 @@ def parse_problem_file(text: str) -> ProblemFile:
             _, _, rhs = rest.partition("=")
             if pattern is not None:
                 raise ParseError("duplicate sym stanza", lineno)
-            pattern = _parse_sym(rhs, lineno)
+            pattern, sym_line = _parse_sym(rhs, lineno), lineno
             continue
         if context is None:
             raise ParseError(f"{kind} stanza before any ring declaration", lineno)
         _, eq, rhs = rest.partition("=")
         if not eq:
             raise ParseError(f"{kind} stanza needs '= ...'", lineno)
+        column = len(raw) - len(raw.lstrip()) + len(stripped) - len(rhs) + 1  # of rhs in raw
         if kind == "ideal":
             if ideal is not None:
                 raise ParseError("duplicate ideal stanza", lineno)
-            ideal = parse_ideal_gens(rhs, context, lineno)
+            ideal = parse_ideal_gens(rhs, context, lineno, column)
         else:
             if clutter is not None:
                 raise ParseError("duplicate clutter stanza", lineno)
-            clutter = _parse_clutter(rhs, context, lineno)
+            clutter = _parse_clutter(rhs, context, lineno, column)
     if pattern is not None and context is not None and pattern.context.n != context.n:
-        raise ParseError("sym stanza size disagrees with the ring declaration")
+        raise ParseError("sym stanza size disagrees with the ring declaration", sym_line)
     return ProblemFile(context, ideal, clutter, pattern)

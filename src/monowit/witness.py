@@ -251,10 +251,7 @@ def classify_uniqueness(ideal: MonomialIdeal, prime: PrimeSupport) -> Uniqueness
     distinct witnesses are constructed: from two full-support components, or
     from two offset choices on a complement variable.
     """
-    decomposition = irreducible_decomposition(ideal)
-    if prime.context != ideal.context:
-        raise ValueError(f"{prime} is not an associated prime of {ideal}")
-    components = decomposition.components_for(prime)
+    components = irreducible_decomposition(ideal).components_for(prime)
     v1 = witness_from_component(ideal, WitnessSpec.for_component(components[0]))
     if not prime.is_full_support:
         second = WitnessSpec.for_component(components[0], {prime.complement()[0]: 1})

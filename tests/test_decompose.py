@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,8 @@ from monowit import (
     RingContext,
     WitnessSpec,
     associated_primes,
+    borel_witness,
+    classify_uniqueness,
     component_from_witness,
     irreducible_decomposition,
     parse_ideal_gens,
@@ -205,18 +208,26 @@ class TestLifetime:
         assert first == second and first is not second
         d1, d2 = irreducible_decomposition(first), irreducible_decomposition(second)
         assert d1 == d2 and d1 is not d2
-        assert d1.ideal is first and d2.ideal is second
+        assert irreducible_decomposition(first) is d1
+        assert irreducible_decomposition(second) is d2
 
     def test_dropped_ideals_free_their_decompositions(self):
+        """A decomposition holds no reference back to its ideal, so reference
+        counting frees it with the ideal, with no cyclic collection."""
         def alive():
-            return sum(isinstance(o, Decomposition) and o.ideal.context is c
+            return sum(isinstance(o, Decomposition) and o.components[0].context is c
                        for o in gc.get_objects())
 
         c = RingContext(2)  # not shared with the corpora, which stay alive
-        for a in range(1, 301):
-            assert len(irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))) == 1
-        gc.collect()
-        assert alive() == 0
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for a in range(1, 301):
+                assert len(irreducible_decomposition(ideal(c, f"x1^{a}", "x2"))) == 1
+            assert alive() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def corpus_decompositions():
@@ -224,7 +235,7 @@ def corpus_decompositions():
     constructor in reverse order."""
     out = [irreducible_decomposition(I) for I in witness_corpus()] + [
         irreducible_decomposition(g.edge_ideal()) for g in graph_corpus()]
-    return out + [Decomposition(d.ideal, reversed(d.components)) for d in out]
+    return out + [Decomposition(reversed(d.components)) for d in out]
 
 
 def near_components(d):
@@ -239,7 +250,7 @@ def near_components(d):
                 if powers[i] > 0:
                     out.append(IrreducibleComponent(q.context, powers))
     first = d.components[0]
-    out.append(IrreducibleComponent(ctx(d.ideal.context.n + 1), first.pairs))
+    out.append(IrreducibleComponent(ctx(first.context.n + 1), first.pairs))
     return out
 
 
@@ -250,11 +261,12 @@ class TestIndexedLookups:
     def test_primes_match_a_scan(self):
         for d in corpus_decompositions():
             supports = sorted({q.support() for q in d.components})
-            assert d.primes() == tuple(PrimeSupport(d.ideal.context, vs) for vs in supports)
+            ring = d.components[0].context
+            assert d.primes() == tuple(PrimeSupport(ring, vs) for vs in supports)
 
     def test_components_for_matches_a_scan(self):
         for d in corpus_decompositions():
-            for P in every_prime(d.ideal.context):
+            for P in every_prime(d.components[0].context):
                 scan = tuple(q for q in d.components if q.support() == P.vars)
                 if scan:
                     assert d.components_for(P) == scan
@@ -284,6 +296,22 @@ class TestIndexedLookups:
                 else:
                     with pytest.raises(ValueError, match="is not a component"):
                         witness_from_component(I, spec)
+
+    @pytest.mark.parametrize("ring", [RingContext(["y1", "y2"]), RingContext(3)],
+                             ids=["same-size", "larger"])
+    @pytest.mark.parametrize("check", [
+        lambda I, P: irreducible_decomposition(I).components_for(P),
+        lambda I, P: classify_uniqueness(I, P),
+        lambda I, P: borel_witness(I, P, irreducible_decomposition(I).components[0]),
+    ], ids=["components_for", "classify_uniqueness", "borel_witness"])
+    def test_primes_of_another_ring_are_not_associated(self, check, ring):
+        """A prime on the indices of an associated prime, in another ring,
+        is not associated: components_for rejects it for every caller."""
+        I = ideal(ctx(2), "x1^2", "x1*x2^3")
+        assert irreducible_decomposition(I).primes()[0].vars == (0,)
+        P = PrimeSupport(ring, [0])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(P))} is not an associated prime$"):
+            check(I, P)
 
 
 class TestHypothesisProperties:

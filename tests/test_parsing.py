@@ -145,6 +145,21 @@ class TestProblemFile:
         with pytest.raises(ParseError):
             parse_problem_file("ring n=0\n")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("ring n=2\nideal I = x1*y\n", 2, 14),
+        ("ring n=2\nideal I=x1^0\n", 2, 12),
+        ("ring vars=a,b\n\tideal I = a ,  b*c  # c\n", 2, 19),
+        ("ring vars=a,b\n  clutter C = {a,b},{a,c}\n", 2, 24),
+        ("ring vars=a,b\nclutter C = {a,b}x\n", 2, 18),
+        ("ring n=2\nsym S = n:3 exps:1,1\n", 2, 1),
+        ("# sym first\nsym S = n:3 exps:1,1\nring n=2\n", 2, 1),
+    ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
+            "clutter-syntax", "sym-after-ring", "sym-before-ring"])
+    def test_error_positions_count_from_the_line_start(self, text, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_nested_clutter_edges_rejected(self):
         with pytest.raises(ParseError):
             parse_problem_file("ring vars=a,b\nclutter C = {a},{a,b}\n")

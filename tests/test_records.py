@@ -158,7 +158,8 @@ def _changed_values(c):
         [ideal(c, "x1^2", "x2"), ideal(ctx(4), "x1^2", "x1*x2")],
         [PrimeSupport(c, [0, 1]), PrimeSupport(ctx(4), [0, 2])],
         [IrreducibleComponent(c, {0: 3}), IrreducibleComponent(ctx(4), {0: 2})],
-        [Decomposition(I, components[:1]), Decomposition(ideal(c, "x1^2"), components)],
+        [Decomposition(components[:1]),
+         irreducible_decomposition(ideal(ctx(4), "x1^2", "x1*x2"))],
         [Clutter(3, [{0, 1}, {0, 2}]), Clutter(["a", "b", "c"], [{0, 1}, {1, 2}])],
         [WitnessSpec(q.prime(), q, {1: 5}), WitnessSpec(q.prime(), q)],
         [SymmetricPattern(c, (1, 3)), SymmetricPattern(ctx(4), (1, 2))],
@@ -171,7 +172,7 @@ _REPRS = [
     "MonomialIdeal((x1^2, x1*x2))",
     "PrimeSupport((x1, x3))",
     "IrreducibleComponent((x1^2))",
-    "Decomposition((x1^2, x1*x2) = (x1) ^ (x1^2, x2))",
+    "Decomposition((x1) ^ (x1^2, x2))",
     "Clutter({t1,t2}, {t2,t3})",
     "WitnessSpec(prime=PrimeSupport((x1)), component=IrreducibleComponent((x1^2)), "
     "offsets={1: 4})",
