@@ -54,8 +54,9 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
 
 
 def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
-    primes = irreducible_decomposition(ideal).primes()
+    decomposition = irreducible_decomposition(ideal)
     if selector.isdigit():
+        primes = decomposition.primes()
         index = int(selector)
         if index >= len(primes):
             raise ValueError(
@@ -63,9 +64,7 @@ def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
         return primes[index]
     variables = [ideal.context.index_of(name.strip()) for name in selector.split(",")]
     prime = PrimeSupport(ideal.context, variables)
-    if prime not in primes:
-        listing = "; ".join(f"P_{i} = {p}" for i, p in enumerate(primes))
-        raise ValueError(f"{prime} is not an associated prime ({listing})")
+    decomposition.components_for(prime)
     return prime
 
 

@@ -22,6 +22,10 @@ VertexSet = FrozenSet[int]
 DEFAULT_ENUMERATION_LIMIT = 16
 
 
+def _braced(names, edge) -> str:
+    return "{" + ",".join(names[v] for v in sorted(edge)) + "}"
+
+
 class Clutter(_Frozen):
     """A vertex set together with an antichain of non-empty edges, kept as
     vertex bitmasks (bit v for vertex v) for the predicates."""
@@ -48,14 +52,15 @@ class Clutter(_Frozen):
             if any(not 0 <= v < context.n for v in members):
                 raise ValueError(f"edge {sorted(members)} mentions an unknown vertex")
             resolved.add(members)
-        for e, f in itertools.combinations(resolved, 2):
+        edges = tuple(sorted(resolved, key=sorted))
+        for e, f in itertools.combinations(edges, 2):
             if e <= f or f <= e:
                 raise ValueError(
-                    f"edges {sorted(e)} and {sorted(f)} are nested; "
-                    "a clutter's edges must form an antichain"
+                    f"edges {_braced(context.names, e)} and {_braced(context.names, f)} "
+                    "are nested; a clutter's edges must form an antichain"
                 )
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "edges", tuple(sorted(resolved, key=sorted)))
+        object.__setattr__(self, "edges", edges)
         masks = tuple(sum(1 << v for v in e) for e in self.edges)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
@@ -64,10 +69,7 @@ class Clutter(_Frozen):
         return self.context, self.edges
 
     def __repr__(self):
-        shown = ", ".join(
-            "{" + ",".join(self.context.names[v] for v in sorted(e)) + "}"
-            for e in self.edges
-        )
+        shown = ", ".join(_braced(self.context.names, e) for e in self.edges)
         return f"Clutter({shown})"
 
     @property
@@ -179,29 +181,14 @@ class Clutter(_Frozen):
         """The witness t_A for the prime on a minimal vertex cover, with
         A the complementary vertex set.
 
-        The complement of a minimal cover is a maximal stable set whose
-        neighbor set is exactly the cover, so t_A alone realizes the colon;
-        each of those facts is re-checked and a failure is an internal error.
-        The colon is checked without building it: (I : t_A) lies in P because
-        every edge meets the cover P, and x_i is in it because some edge has
-        x_i as its only vertex outside A; one pass over the edges checks both.
+        The edge ideal's decomposition checks that the prime is associated,
+        which covers its ring.  The complement of a minimal cover is a maximal
+        stable set whose neighbor set is exactly the cover, so t_A alone
+        realizes the colon; one pass over the generators certifies it, and a
+        failure is an internal error.
         """
-        if prime.context != self.context:
-            raise ValueError("prime does not live in this clutter's ring")
-        if not self.is_minimal_vertex_cover(prime.vars):
-            raise ValueError(
-                f"{prime} is not an associated prime of the edge ideal "
-                "(its variables are not a minimal vertex cover)"
-            )
-        rest = prime.complement()
-        a = sum(1 << v for v in rest)
-        if not self._stable(a) or any(self._stable(a | 1 << v) for v in prime.vars):
-            raise TheoremViolationError(
-                f"complement {list(rest)} of {prime} is not a maximal stable set"
-            )
-        if self._neighbors(a) != sum(1 << v for v in prime.vars):
-            raise TheoremViolationError(f"neighbor set of {list(rest)} is not {prime}")
-        t_a = self.vertex_product(rest)
+        irreducible_decomposition(self.edge_ideal()).components_for(prime)
+        t_a = self.vertex_product(prime.complement())
         if not self.edge_ideal()._colon_is_prime(t_a.exps, prime.vars):
             raise TheoremViolationError(f"(I : {t_a}) failed to equal {prime}")
         return t_a

@@ -186,11 +186,11 @@ def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Cl
         raise ParseError("clutter declaration lists no edges", line)
     try:
         return Clutter(context.names, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
+    except ValueError as exc:  # at the first '{'
+        raise scanner.error(str(exc), at=len(rhs) - len(rhs.lstrip(" \t"))) from None
 
 
-def _parse_sym(rhs: str, line: int) -> SymmetricPattern:
+def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
     m = re.fullmatch(r"\s*n:(\d+)\s+exps:([0-9,\s]+)", rhs)
     if not m:
         raise ParseError("sym declaration must be 'sym <name> = n:<k> exps:a,b,...'", line)
@@ -200,8 +200,8 @@ def _parse_sym(rhs: str, line: int) -> SymmetricPattern:
     try:
         exps = tuple(int(s) for s in m.group(2).split(",") if s.strip())
         return SymmetricPattern(RingContext(n), exps)
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
+    except ValueError as exc:  # at 'n:'
+        raise ParseError(str(exc), line, column + len(rhs) - len(rhs.lstrip())) from None
 
 
 _STANZA = re.compile(r"(ring|ideal|clutter|sym)\b\s*(.*)")
@@ -225,18 +225,17 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ParseError("duplicate ring declaration", lineno)
             context = _parse_ring(rest, lineno)
             continue
+        _, eq, rhs = rest.partition("=")
+        column = len(raw) - len(raw.lstrip()) + len(stripped) - len(rhs) + 1  # of rhs in raw
         if kind == "sym":
-            _, _, rhs = rest.partition("=")
             if pattern is not None:
                 raise ParseError("duplicate sym stanza", lineno)
-            pattern, sym_line = _parse_sym(rhs, lineno), lineno
+            pattern, sym_line = _parse_sym(rhs, lineno, column), lineno
             continue
         if context is None:
             raise ParseError(f"{kind} stanza before any ring declaration", lineno)
-        _, eq, rhs = rest.partition("=")
         if not eq:
             raise ParseError(f"{kind} stanza needs '= ...'", lineno)
-        column = len(raw) - len(raw.lstrip()) + len(stripped) - len(rhs) + 1  # of rhs in raw
         if kind == "ideal":
             if ideal is not None:
                 raise ParseError("duplicate ideal stanza", lineno)

@@ -265,6 +265,14 @@ class TestClutterBase:
         ])
         assert code == 1 and "not an associated prime" in err
 
+    def test_non_cover_prime_names_only_the_prime(self, problem, capsys):
+        edges = ",".join(f"{{x{i + 1},x{(i + 1) % 24 + 1}}}" for i in range(24))
+        path = problem(f"ring n=24\nclutter C = {edges}\n")
+        code, out, err = run(capsys, ["clutter-base", path, "--prime", "x1"])
+        assert (code, out, err) == (1, "", "error: (x1) is not an associated prime\n")
+        code, out, _ = run(capsys, ["clutter-base", path, "--prime", "0"])
+        assert code == 0 and out.endswith("VERIFIED\n")
+
 
 class TestSymgen:
     def test_generators(self, problem, capsys):

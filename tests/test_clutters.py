@@ -71,8 +71,8 @@ class TestConstruction:
         assert c.edges == (frozenset({0, 1}), frozenset({1, 2}))
 
     def test_nested_edges_rejected(self):
-        with pytest.raises(ValueError):
-            Clutter(3, [{0, 1}, {0, 1, 2}])
+        with pytest.raises(ValueError, match=r"^edges \{t1,t2\} and \{t1,t2,t3\} are nested"):
+            Clutter(3, [{0, 1, 2}, {0, 1}])
 
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +255,28 @@ class TestWitnessBase:
         p = PrimeSupport(spikes.context, [0, 1, 2])
         assert spikes.witness_base(p) == spikes.context.one
 
+    def test_every_vertex_subset(self):
+        """A witness exactly for the minimal covers, the complement's product;
+        every other subset is rejected as not associated."""
+        for clutter in graph_corpus() + clutter_corpus():
+            I = clutter.edge_ideal()
+            covers = brute_minimal_covers(clutter)
+            for r in range(1, clutter.n + 1):
+                for vars_ in itertools.combinations(range(clutter.n), r):
+                    p = PrimeSupport(clutter.context, vars_)
+                    if frozenset(vars_) in covers:
+                        t_a = clutter.witness_base(p)
+                        assert t_a == clutter.vertex_product(p.complement())
+                        assert verify_witness(I, p, t_a)
+                    else:
+                        with pytest.raises(ValueError, match="not an associated prime"):
+                            clutter.witness_base(p)
+
+    def test_edgeless_clutter_rejected(self):
+        empty = Clutter(3, [])
+        with pytest.raises(ValueError, match="zero ideal"):
+            empty.witness_base(PrimeSupport(empty.context, [0]))
+
     def test_one_vertex_clutter(self):
         dot = Clutter(1, [{0}])
         p = PrimeSupport(dot.context, [0])
@@ -303,36 +325,14 @@ class TestBitmaskPredicates:
 
 
 class TestWitnessBaseChecksRun:
-    """Each internal check of witness_base fires when its premise is broken."""
-
-    def cover(self):
-        p = path3()
-        return p, PrimeSupport(p.context, [1])
+    """The colon check of witness_base fires when its premise is broken."""
 
     def test_wrong_colon(self, monkeypatch):
-        p, prime = self.cover()
+        p = path3()
         monkeypatch.setattr(
             MonomialIdeal, "_colon_is_prime", lambda self, v, prime_vars: False)
         with pytest.raises(TheoremViolationError, match="failed to equal"):
-            p.witness_base(prime)
-
-    def test_complement_not_stable(self, monkeypatch):
-        p, prime = self.cover()
-        monkeypatch.setattr(Clutter, "_stable", lambda self, a: False)
-        with pytest.raises(TheoremViolationError, match="maximal stable"):
-            p.witness_base(prime)
-
-    def test_complement_not_maximal(self, monkeypatch):
-        p, prime = self.cover()
-        monkeypatch.setattr(Clutter, "_stable", lambda self, a: True)
-        with pytest.raises(TheoremViolationError, match="maximal stable"):
-            p.witness_base(prime)
-
-    def test_wrong_neighbor_set(self, monkeypatch):
-        p, prime = self.cover()
-        monkeypatch.setattr(Clutter, "_neighbors", lambda self, a: 0)
-        with pytest.raises(TheoremViolationError, match="neighbor set"):
-            p.witness_base(prime)
+            p.witness_base(PrimeSupport(p.context, [1]))
 
 
 class TestCoverEnumerationAgreement:

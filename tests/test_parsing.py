@@ -153,13 +153,18 @@ class TestProblemFile:
         ("ring vars=a,b\nclutter C = {a,b}x\n", 2, 18),
         ("ring n=2\nsym S = n:3 exps:1,1\n", 2, 1),
         ("# sym first\nsym S = n:3 exps:1,1\nring n=2\n", 2, 1),
+        ("ring vars=a,b\nclutter C = {a},{a,b}\n", 2, 13),
+        ("ring vars=a,b\n  clutter C = \t{a,b},{b}\n", 2, 16),
+        ("sym S = n:2 exps:0,1\n", 1, 9),
+        ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
-            "clutter-syntax", "sym-after-ring", "sym-before-ring"])
+            "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
+            "clutter-nested-indented", "sym-exponent", "sym-exponent-indented"])
     def test_error_positions_count_from_the_line_start(self, text, line, column):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)
         assert (info.value.line, info.value.column) == (line, column)
 
     def test_nested_clutter_edges_rejected(self):
-        with pytest.raises(ParseError):
-            parse_problem_file("ring vars=a,b\nclutter C = {a},{a,b}\n")
+        with pytest.raises(ParseError, match=r"^edges \{a\} and \{a,b\} are nested"):
+            parse_problem_file("ring vars=a,b\nclutter C = {a,b},{a}\n")
