@@ -16,14 +16,24 @@ from typing import FrozenSet, Iterable, Union
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints
+from .rings import _trusted_monomial
 
 VertexSet = FrozenSet[int]
 
 DEFAULT_ENUMERATION_LIMIT = 16
 
 
-def _braced(names, edge) -> str:
-    return "{" + ",".join(names[v] for v in sorted(edge)) + "}"
+def _braced(names, mask: int) -> str:
+    return "{" + ",".join(names[v] for v in _bits(mask)) + "}"
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in ascending order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 class Clutter(_Frozen):
@@ -53,15 +63,15 @@ class Clutter(_Frozen):
                 raise ValueError(f"edge {sorted(members)} mentions an unknown vertex")
             resolved.add(members)
         edges = tuple(sorted(resolved, key=sorted))
-        for e, f in itertools.combinations(edges, 2):
-            if e <= f or f <= e:
+        masks = tuple(sum(1 << v for v in e) for e in edges)
+        for e, f in itertools.combinations(masks, 2):
+            if e & f in (e, f):
                 raise ValueError(
                     f"edges {_braced(context.names, e)} and {_braced(context.names, f)} "
                     "are nested; a clutter's edges must form an antichain"
                 )
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "edges", edges)
-        masks = tuple(sum(1 << v for v in e) for e in self.edges)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
 
@@ -69,7 +79,7 @@ class Clutter(_Frozen):
         return self.context, self.edges
 
     def __repr__(self):
-        shown = ", ".join(_braced(self.context.names, e) for e in self.edges)
+        shown = ", ".join(_braced(self.context.names, e) for e in self._masks)
         return f"Clutter({shown})"
 
     @property
@@ -86,13 +96,10 @@ class Clutter(_Frozen):
         return sum(1 << v for v in vs)
 
     def _vertex_set(self, mask: int) -> VertexSet:
-        return frozenset(v for v in range(self.n) if mask >> v & 1)
+        return frozenset(_bits(mask))
 
     def _covers(self, k: int) -> bool:
         return all(e & k for e in self._masks)
-
-    def _stable(self, a: int) -> bool:
-        return not any(e & a == e for e in self._masks)
 
     def _neighbors(self, a: int) -> int:
         """Vertices v for which a | {v} contains an edge."""
@@ -116,7 +123,8 @@ class Clutter(_Frozen):
 
     def is_stable(self, subset: Iterable[int]) -> bool:
         """Whether the set contains no edge."""
-        return self._stable(self._mask(subset))
+        a = self._mask(subset)
+        return not any(e & a == e for e in self._masks)
 
     def neighbor_set(self, subset: Iterable[int]) -> VertexSet:
         """Vertices whose addition to the set makes it contain an edge."""
@@ -146,16 +154,16 @@ class Clutter(_Frozen):
         """Every stable set not properly contained in another stable set: the
         complements of the minimal vertex covers."""
         full = (1 << self.n) - 1
-        out = [self._vertex_set(full & ~p) for p in self._cover_masks()]
-        return tuple(sorted(out, key=sorted))
+        return tuple(map(frozenset, sorted(_bits(full & ~p) for p in self._cover_masks())))
 
     def good_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
         """Stable sets whose neighbor set is a minimal vertex cover.
 
-        Each lies in T = V \\ P for its cover P; every b inside T has N(b)
-        inside P, so b is good exactly when N(b) = P.  Those b form an up-set
-        in T: a search from T that drops vertices in increasing order while
-        N(b) = P holds visits good stable sets only.
+        Each lies in T = V \\ P for its cover P and has N(b) inside P: a vertex
+        of P is in N(b) when it is the one vertex of P on an edge whose rest
+        lies in b, read from one table of (rest, vertex) rows per cover.  The
+        good b, those with N(b) = P, form an up-set in T: a search from T that
+        drops vertices in increasing order while N(b) = P holds visits them only.
         """
         if self.n > limit:
             raise ValueError(
@@ -164,18 +172,38 @@ class Clutter(_Frozen):
         full = (1 << self.n) - 1
         out = []
         for p in self._cover_masks():
-            stack = [(full & ~p, 0)]  # (good set, smallest vertex it may still drop)
+            table = [(e & ~p, over) for e in self._masks if not (over := e & p) & (over - 1)]
+            stack = [(full & ~p, full & ~p)]  # (good set, vertices it may still drop)
             while stack:
-                b, start = stack.pop()
-                out.append(self._vertex_set(b))
-                for v in range(start, self.n):
-                    if b >> v & 1 and self._neighbors(b & ~(1 << v)) == p:
-                        stack.append((b & ~(1 << v), v + 1))
-        return tuple(sorted(out, key=sorted))
+                b, droppable = stack.pop()
+                out.append(_bits(b))
+                while droppable:
+                    low = droppable & -droppable
+                    droppable ^= low
+                    c = b ^ low
+                    reached = 0
+                    for rest, v in table:
+                        if not rest & ~c:
+                            reached |= v
+                    if reached == p:
+                        stack.append((c, droppable))
+        return tuple(map(frozenset, sorted(out)))
 
     def vertex_product(self, subset: Iterable[int]) -> Monomial:
         k = self._mask(subset)
         return self.context.monomial(k >> v & 1 for v in range(self.n))
+
+    def _colon_is_cover(self, p: int) -> bool:
+        """`MonomialIdeal._colon_is_prime` for t_A, A = V \\ P, on the edge
+        masks: an edge e exceeds t_A on e & P alone, and by 1 there."""
+        reached = 0
+        for e in self._masks:
+            over = e & p
+            if not over:
+                return False
+            if not over & (over - 1):
+                reached |= over
+        return reached == p
 
     def witness_base(self, prime: PrimeSupport) -> Monomial:
         """The witness t_A for the prime on a minimal vertex cover, with
@@ -184,11 +212,13 @@ class Clutter(_Frozen):
         The edge ideal's decomposition checks that the prime is associated,
         which covers its ring.  The complement of a minimal cover is a maximal
         stable set whose neighbor set is exactly the cover, so t_A alone
-        realizes the colon; one pass over the generators certifies it, and a
-        failure is an internal error.
+        realizes the colon; one pass of the colon test over the edge masks
+        certifies it, and a failure is an internal error.
         """
         irreducible_decomposition(self.edge_ideal()).components_for(prime)
-        t_a = self.vertex_product(prime.complement())
-        if not self.edge_ideal()._colon_is_prime(t_a.exps, prime.vars):
+        p = sum(1 << v for v in prime.vars)
+        a = ((1 << self.n) - 1) & ~p
+        t_a = _trusted_monomial(self.context, tuple([a >> v & 1 for v in range(self.n)]))
+        if not self._colon_is_cover(p):
             raise TheoremViolationError(f"(I : {t_a}) failed to equal {prime}")
         return t_a

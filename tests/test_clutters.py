@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monowit import (
     Clutter,
@@ -285,6 +287,40 @@ class TestWitnessBase:
         assert dot.maximal_stable_sets() == (frozenset(),)
 
 
+class TestColonOnMasks:
+    """The colon test on edge masks against the ring's colon test."""
+
+    def test_every_vertex_subset(self):
+        outcomes = set()
+        for clutter in graph_corpus() + clutter_corpus():
+            I = clutter.edge_ideal()
+            for r in range(1, clutter.n + 1):
+                for vars_ in itertools.combinations(range(clutter.n), r):
+                    t_a = clutter.vertex_product(set(range(clutter.n)) - set(vars_))
+                    expected = I._colon_is_prime(t_a.exps, vars_)
+                    assert clutter._colon_is_cover(sum(1 << v for v in vars_)) == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+@st.composite
+def small_clutters(draw):
+    """Clutters on at most 9 vertices with edges of size 2-3; vertices on no
+    edge are allowed."""
+    n = draw(st.integers(2, 9))
+    raw = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=3),
+                        min_size=1, max_size=12))
+    return Clutter(n, {e for e in raw if not any(f < e for f in raw)})
+
+
+class TestStableFamiliesOnRandomClutters:
+    @given(clutter=small_clutters())
+    def test_against_search_and_oracle(self, clutter):
+        good = clutter.good_stable_sets()
+        assert good == search_good_stable_sets(clutter) == oracle_good_stable_sets(clutter)
+        assert clutter.maximal_stable_sets() == oracle_maximal_stable_sets(clutter)
+
+
 class TestBitmaskPredicates:
     """The bitmask predicates against set arithmetic over every subset."""
 
@@ -329,8 +365,7 @@ class TestWitnessBaseChecksRun:
 
     def test_wrong_colon(self, monkeypatch):
         p = path3()
-        monkeypatch.setattr(
-            MonomialIdeal, "_colon_is_prime", lambda self, v, prime_vars: False)
+        monkeypatch.setattr(Clutter, "_colon_is_cover", lambda self, prime_mask: False)
         with pytest.raises(TheoremViolationError, match="failed to equal"):
             p.witness_base(PrimeSupport(p.context, [1]))
 
