@@ -118,15 +118,13 @@ def borel_witness(
         raise ValueError(f"{component} is not a component for {prime}")
     k = len(prime.vars)
     exps = [0] * ideal.context.n
-    for v, a in component.pairs:
-        exps[v] = a - 1
     if k < ideal.context.n:
         floor = ideal.max_exponents()[k]
         b = floor if extra_exponent is None else extra_exponent
         if b < floor:
             raise ValueError(f"extra exponent {b} below the floor {floor}")
         exps[k] = b
-    return _trusted_monomial(ideal.context, tuple(exps))
+    return component._witness(exps)
 
 
 def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -55,7 +55,7 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
 
 def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
     decomposition = irreducible_decomposition(ideal)
-    if selector.isdigit():
+    if selector.isdecimal():
         primes = decomposition.primes()
         index = int(selector)
         if index >= len(primes):
@@ -95,7 +95,7 @@ def _collect_offsets(args, ideal, prime) -> dict:
     names = ideal.context.names
     for item in args.offset or []:
         var, _, value = item.partition("=")
-        if not value or not value.isdigit():
+        if not value or not value.isdecimal():
             raise ValueError(f"--offset expects var=<non-negative int>, got {item!r}")
         index = ideal.context.index_of(var.strip())
         if index not in complement:

@@ -90,7 +90,7 @@ class Clutter(_Frozen):
         return frozenset(range(self.n))
 
     def _mask(self, subset: Iterable[int]) -> int:
-        vs = frozenset(subset)
+        vs = frozenset(_ints(subset, "unknown vertex {}", low=None))
         if any(not 0 <= v < self.n for v in vs):
             raise ValueError(f"unknown vertex in {sorted(vs)}")
         return sum(1 << v for v in vs)

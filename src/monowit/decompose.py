@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from operator import le
 
-from .rings import MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints, _trusted_prime
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
+                    _trusted_monomial, _trusted_prime)
 
 
 def _has_private(others, t: tuple[int, ...]) -> bool:
@@ -73,15 +74,14 @@ class IrreducibleComponent(_Frozen):
     __slots__ = ("context", "pairs", "_support")
 
     def __init__(self, context: RingContext, powers):
-        powers = dict(powers)
-        if not powers:
-            raise ValueError("an irreducible component needs at least one variable")
-        checked = []
-        for v, e in powers.items():  # item by item: the first bad entry is reported
+        checked = {}  # item by item, before hashing: the first bad entry is reported
+        for v, e in powers.items() if hasattr(powers, "items") else powers:
             (v,) = _ints((v,), "variable index {} out of range", high=context.n)
             (e,) = _ints((e,), "pure-power exponents must be positive integers", low=1)
-            checked.append((v, e))
-        pairs = tuple(sorted(checked))
+            checked[v] = e
+        if not checked:
+            raise ValueError("an irreducible component needs at least one variable")
+        pairs = tuple(sorted(checked.items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))
@@ -106,21 +106,18 @@ class IrreducibleComponent(_Frozen):
     def prime(self) -> PrimeSupport:
         return self._support
 
+    def _witness(self, exps: list[int]) -> Monomial:
+        """Theorem 3.1's witness: the list exps holds the exponents outside
+        this component, and a_j - 1 is written into it on each x_j inside."""
+        for v, a in self.pairs:
+            exps[v] = a - 1
+        return _trusted_monomial(self.context, tuple(exps))
+
     def as_ideal(self) -> MonomialIdeal:
         """Pure powers of distinct variables, so already an antichain."""
         n = self.context.n
         gens = (tuple([e if t == v else 0 for t in range(n)]) for v, e in self.pairs)
         return MonomialIdeal._from_exps(self.context, gens, minimal=True)
-
-
-def _trusted_component(context: RingContext, support: tuple[int, ...],
-                       exps: tuple[int, ...]) -> IrreducibleComponent:
-    """An IrreducibleComponent on a sorted in-range support, exponents >= 1."""
-    c = object.__new__(IrreducibleComponent)
-    object.__setattr__(c, "context", context)
-    object.__setattr__(c, "pairs", tuple(zip(support, exps)))
-    object.__setattr__(c, "_support", _trusted_prime(context, support))
-    return c
 
 
 class Decomposition(_Frozen):
@@ -184,8 +181,14 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
-    pairs = sorted(_irreducible_components(ideal._exps, context.n))
-    decomposition = Decomposition([_trusted_component(context, s, e) for s, e in pairs])
+    components = []
+    for support, exps in sorted(_irreducible_components(ideal._exps, context.n)):
+        c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
+        object.__setattr__(c, "context", context)
+        object.__setattr__(c, "pairs", tuple(zip(support, exps)))
+        object.__setattr__(c, "_support", _trusted_prime(context, support))
+        components.append(c)
+    decomposition = Decomposition(components)
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

@@ -139,7 +139,7 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
     rhs = rhs.strip()
     if rhs.startswith("n="):
         digits = rhs[2:].strip()
-        if not digits.isdigit() or int(digits) < 1:
+        if not digits.isdecimal() or int(digits) < 1:
             raise ParseError("ring size must be a positive integer", line)
         return RingContext(int(digits))
     if rhs.startswith("vars="):

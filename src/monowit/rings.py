@@ -363,7 +363,7 @@ class PrimeSupport(_Frozen):
     __slots__ = ("context", "vars")
 
     def __init__(self, context: RingContext, variables: Iterable[int]):
-        vs = tuple(sorted(_ints(set(variables), "variable indices must be integers", low=None)))
+        vs = tuple(sorted(set(_ints(variables, "variable indices must be integers", low=None))))
         if not vs:
             raise ValueError("a prime support needs at least one variable")
         if vs[0] < 0 or vs[-1] >= context.n:

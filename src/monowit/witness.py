@@ -14,10 +14,10 @@ import itertools
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .decompose import IrreducibleComponent, _trusted_component, irreducible_decomposition
+from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
-                    _require_same_context, _trusted_monomial)
+                    _require_same_context)
 
 
 class WitnessSpec(_Frozen):
@@ -34,18 +34,17 @@ class WitnessSpec(_Frozen):
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        raw = dict(offsets or ())
+        raw = offsets.items() if hasattr(offsets, "items") else offsets or ()
         message = "offset variables and offsets must be integers"
-        offsets = dict(zip(_ints(raw, message, low=None), _ints(raw.values(), message, low=None)))
+        offsets = dict(_ints(pair, message, low=None) for pair in raw)  # ints before hashing
         _require_same_context(prime, component)
         if component.support() != prime.vars:
             raise ValueError(
                 f"component support {component.support()} does not match "
                 f"prime {prime}"
             )
-        prime_vars = set(prime.vars)
         for v, off in offsets.items():
-            if v in prime_vars:
+            if v in prime.vars:
                 raise ValueError(f"offset for variable {v} inside the prime")
             if not 0 <= v < prime.context.n:
                 raise ValueError(f"offset variable index {v} out of range")
@@ -77,18 +76,15 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
 
     Exponents are a_j - 1 on the prime variables and (max generator exponent
     + offset) on the rest; complement variables absent from the ideal and
-    with zero offset are omitted entirely.
+    with zero offset are omitted entirely.  The caller's component is checked.
     """
-    decomposition = irreducible_decomposition(ideal)
-    if spec.component not in decomposition:
+    if spec.component not in irreducible_decomposition(ideal):
         raise ValueError(
             f"{spec.component} is not a component of the decomposition of {ideal}"
         )
-    offsets = spec.offsets  # WitnessSpec keeps them off the prime, which the loop overwrites
-    exps = [f + offsets.get(v, 0) for v, f in enumerate(ideal.max_exponents())]
-    for v, a in spec.component.pairs:
-        exps[v] = a - 1
-    return _trusted_monomial(ideal.context, tuple(exps))
+    offsets = spec.offsets  # WitnessSpec keeps them off the prime, which the rule overwrites
+    return spec.component._witness(
+        [f + offsets.get(v, 0) for v, f in enumerate(ideal.max_exponents())])
 
 
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
@@ -107,21 +103,19 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
 def component_from_witness(
     ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial
 ) -> IrreducibleComponent:
-    """Recover the decomposition component a verified witness points at.
+    """The decomposition's own component that a verified witness points at.
 
-    The component's exponent on each prime variable is the witness exponent
-    plus one; it is guaranteed to be a member of the decomposition, and a
-    miss is reported as an internal inconsistency.
+    Its exponent on each prime variable is the witness exponent plus one.  It
+    must exist: a miss, even of the whole prime, is an internal inconsistency.
     """
     if not verify_witness(ideal, prime, v):
         raise ValueError(f"{v} is not a witness for {prime}")
-    exps = tuple(v.exps[i] + 1 for i in prime.vars)  # verified, so in range and positive
-    component = _trusted_component(ideal.context, prime.vars, exps)
-    if component not in irreducible_decomposition(ideal):
-        raise TheoremViolationError(
-            f"derived component {component} missing from the decomposition of {ideal}"
-        )
-    return component
+    pairs = tuple((i, v.exps[i] + 1) for i in prime.vars)  # verified: in range, positive
+    for component in irreducible_decomposition(ideal)._by_support.get(prime.vars, ()):
+        if component.pairs == pairs:
+            return component
+    raise TheoremViolationError(f"derived component {IrreducibleComponent(ideal.context, pairs)}"
+                                f" missing from the decomposition of {ideal}")
 
 
 def squarefree_witness_check(
@@ -170,11 +164,7 @@ class SymmetricPattern(_Frozen):
         return len(self.exps)
 
     def distinct_values(self) -> tuple[int, ...]:
-        out = []
-        for e in self.exps:
-            if not out or out[-1] != e:
-                out.append(e)
-        return tuple(out)
+        return tuple(sorted(set(self.exps)))
 
     def breaks(self) -> tuple[int, ...]:
         """0-based position of the first occurrence of each distinct value."""
@@ -182,18 +172,23 @@ class SymmetricPattern(_Frozen):
 
 
 def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
-    """Generators: every assignment of the exponent multiset to distinct variables."""
+    """Generators: every assignment of the exponent multiset to distinct
+    variables.  From the zero vector, each distinct exponent in turn takes
+    every choice of still-free variables for its run, so each is built once."""
     ctx = pattern.context
-    placements = set(itertools.permutations(pattern.exps))
-    gens = []
-    for variables in itertools.combinations(range(ctx.n), pattern.k):
-        for placement in placements:
-            exps = [0] * ctx.n
-            for v, e in zip(variables, placement):
-                exps[v] = e
-            gens.append(tuple(exps))
+    partial = [[0] * ctx.n]
+    for value in pattern.distinct_values():
+        grown = []
+        for exps in partial:
+            free = [v for v, e in enumerate(exps) if not e]
+            for chosen in itertools.combinations(free, pattern.exps.count(value)):
+                placed = exps.copy()
+                for v in chosen:
+                    placed[v] = value
+                grown.append(placed)
+        partial = grown
     # all of one degree and pairwise distinct, hence an antichain
-    return MonomialIdeal._from_exps(ctx, gens, minimal=True)
+    return MonomialIdeal._from_exps(ctx, map(tuple, partial), minimal=True)
 
 
 def symmetric_witness(
@@ -248,15 +243,18 @@ def classify_uniqueness(ideal: MonomialIdeal, prime: PrimeSupport) -> Uniqueness
 
     It is unique exactly when the prime uses every variable and the
     decomposition has a single full-support component.  Otherwise two
-    distinct witnesses are constructed: from two full-support components, or
-    from two offset choices on a complement variable.
+    distinct witnesses are built straight from the prime's components: from
+    two full-support components, or from one with two exponents on a
+    complement variable.
     """
     components = irreducible_decomposition(ideal).components_for(prime)
-    v1 = witness_from_component(ideal, WitnessSpec.for_component(components[0]))
+    floors = list(ideal.max_exponents())
+    v1 = components[0]._witness(floors.copy())
     if not prime.is_full_support:
-        second = WitnessSpec.for_component(components[0], {prime.complement()[0]: 1})
+        floors[prime.complement()[0]] += 1
+        v2 = components[0]._witness(floors)
     elif len(components) > 1:
-        second = WitnessSpec.for_component(components[1])
+        v2 = components[1]._witness(floors)
     else:
         return UniquenessResult(True, (v1,))
-    return UniquenessResult(False, (v1, witness_from_component(ideal, second)))
+    return UniquenessResult(False, (v1, v2))

@@ -350,6 +350,21 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err == "error: --b expects comma-separated integers, got 'a'\n"
 
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("decompose", "ring n=\u00b2\nideal I = x1\n", [],
+         "ring size must be a positive integer (line 1, column 1)"),
+        ("verify", SIX_VAR, ["--prime", "\u00b2", "--v", "x1"], "unknown variable '\u00b2'"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x8=\u00b2"],
+         "--offset expects var=<non-negative int>, got 'x8=\u00b2'"),
+    ], ids=["ring-size", "prime-selector", "offset-value"])
+    def test_non_decimal_digits_keep_their_messages(
+        self, problem, capsys, command, text, extra, message
+    ):
+        # a superscript two passes str.isdigit() but not int()
+        code, out, err = run(capsys, [command, problem(text)] + extra)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["assprimes", "/nonexistent/problem.txt"])
         assert code == 1 and "cannot read" in err

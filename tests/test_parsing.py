@@ -145,6 +145,14 @@ class TestProblemFile:
         with pytest.raises(ParseError):
             parse_problem_file("ring n=0\n")
 
+    @pytest.mark.parametrize("text", ["ring n=0\n", "ring n=x\n", "ring n=\u00b2\n"],
+                             ids=["zero", "letter", "superscript-two"])
+    def test_ring_size_must_be_a_decimal_integer(self, text):
+        # str.isdigit() accepts a superscript two, which int() then rejects
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == "ring size must be a positive integer (line 1, column 1)"
+
     @pytest.mark.parametrize("text, line, column", [
         ("ring n=2\nideal I = x1*y\n", 2, 14),
         ("ring n=2\nideal I=x1^0\n", 2, 12),
@@ -157,9 +165,11 @@ class TestProblemFile:
         ("ring vars=a,b\n  clutter C = \t{a,b},{b}\n", 2, 16),
         ("sym S = n:2 exps:0,1\n", 1, 9),
         ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11),
+        ("ring n=\u00b2\nideal I = x1\n", 1, 1),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
-            "clutter-nested-indented", "sym-exponent", "sym-exponent-indented"])
+            "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
+            "ring-superscript-size"])
     def test_error_positions_count_from_the_line_start(self, text, line, column):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)

@@ -139,10 +139,19 @@ def test_index_integers_are_stored_as_int(build, read, expected):
     (lambda c: c.monomial_from_powers({1.0: 1}), "variable index 1.0 out of range"),
     (lambda c: c.monomial_from_powers({-1: 1}), "variable index -1 out of range"),
     (lambda c: Clutter(c.n, [[0.5, 1]]), "unknown vertex 0.5"),
+    # unhashable or non-integer indices are checked before a set, dict or mask is built
+    (lambda c: PrimeSupport(c, [[0]]), "variable indices must be integers"),
+    (lambda c: IrreducibleComponent(c, [([0], 1)]), "variable index [0] out of range"),
+    (lambda c: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}), [([1], 1)]),
+     "offset variables and offsets must be integers"),
+    (lambda c: Clutter(3, [[0, 1]]).is_stable([0.5]), "unknown vertex 0.5"),
+    (lambda c: Clutter(3, [[0, 1]]).vertex_product([[0]]), "unknown vertex [0]"),
 ], ids=[
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
     "component-str", "component-mixed", "component-float", "component-too-large",
     "powers-str", "powers-integral-float", "powers-negative", "clutter-float",
+    "prime-list", "component-pairs-list", "offsets-pairs-list", "stable-float",
+    "vertex-product-list",
 ])
 def test_variable_indices_must_be_integers(build, message):
     with pytest.raises(ValueError) as info:

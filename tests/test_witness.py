@@ -16,6 +16,7 @@ from monowit import (
     PrimeSupport,
     RingContext,
     SymmetricPattern,
+    TheoremViolationError,
     WitnessSpec,
     associated_primes,
     build_symmetric_ideal,
@@ -27,6 +28,7 @@ from monowit import (
     verify_witness,
     witness_from_component,
 )
+from monowit.decompose import Decomposition
 from util import (
     box_bounds,
     box_exponents,
@@ -35,6 +37,7 @@ from util import (
     ideal,
     ideals,
     mono,
+    oracle_symmetric_gens,
     oracle_verify_witness,
     session_ideal,
     six_var_ideal,
@@ -193,6 +196,31 @@ class TestComponentFromWitness:
                 v = witness_from_component(I, WitnessSpec.for_component(q))
                 assert component_from_witness(I, q.prime(), v) == q
 
+    def test_returns_the_decompositions_own_component(self):
+        for I in witness_corpus()[:40]:
+            d = irreducible_decomposition(I)
+            for q in d.components:
+                v = witness_from_component(I, WitnessSpec.for_component(q))
+                recovered = component_from_witness(I, q.prime(), v)
+                assert recovered is q
+                assert any(recovered is own for own in d.components_for(q.prime()))
+
+    @pytest.mark.parametrize("keep_other", [True, False],
+                             ids=["other-component-on-prime", "no-component-on-prime"])
+    def test_missing_derived_component_is_an_internal_error(self, keep_other):
+        # (x1, x2)^2 = (x1, x2^2) ^ (x1^2, x2); x2 points at (x1, x2^2), which
+        # a stored decomposition that lacks it cannot return
+        I = ideal(ctx(2), "x1^2", "x1*x2", "x2^2")
+        P = PrimeSupport(ctx(2), [0, 1])
+        derived, other = irreducible_decomposition(I).components_for(P)
+        assert derived.pairs == ((0, 1), (1, 2))
+        object.__setattr__(I, "_decomposition", Decomposition([other] if keep_other else []))
+        with pytest.raises(TheoremViolationError) as info:
+            component_from_witness(I, P, mono(ctx(2), "x2"))
+        assert str(info.value) == (
+            "derived component (x1, x2^2) missing from the decomposition of "
+            "(x1^2, x1*x2, x2^2)")
+
     def test_invalid_witness_rejected(self):
         I = six_var_ideal()
         P = PrimeSupport(ctx(6), [0, 1])
@@ -284,6 +312,21 @@ class TestSymmetricIdeals:
             "x1^5*x2^2*x3^4", "x1^4*x2^5*x3^2", "x1^5*x2^4*x3^2",
         )
         assert build_symmetric_ideal(pattern) == expected
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, 3), min_size=1, max_size=n))))
+    def test_matches_the_definitional_oracle_in_order(self, case):
+        n, exps = case
+        pattern = SymmetricPattern(ctx(n), sorted(exps))
+        built = [g.exps for g in build_symmetric_ideal(pattern).gens]
+        assert built == oracle_symmetric_gens(pattern)
+
+    def test_twelve_variables_one_then_eleven_twos(self):
+        # twelve generators, each a placement of the lone 1: no 12! orderings
+        pattern = SymmetricPattern(ctx(12), (1,) + (2,) * 11)
+        gens = build_symmetric_ideal(pattern).gens
+        assert len(gens) == 12
+        assert sorted(g.exps.index(1) for g in gens) == list(range(12))
 
     def test_single_exponent_on_two_variables(self):
         c = ctx(2)

@@ -90,6 +90,14 @@ def oracle_verify_witness(ideal_, prime, v) -> bool:
     return ideal_.colon(v) == prime.as_ideal()
 
 
+def oracle_symmetric_gens(pattern) -> list[tuple[int, ...]]:
+    """Every exponent vector whose nonzero entries, sorted, are the pattern's
+    exponents, in the generator order of an ideal (descending lex)."""
+    values = (0,) + tuple(sorted(set(pattern.exps)))
+    return sorted((e for e in itertools.product(values, repeat=pattern.context.n)
+                   if sorted(x for x in e if x) == list(pattern.exps)), reverse=True)
+
+
 def every_prime(context):
     """The monomial prime on each non-empty set of variables."""
     return [
