@@ -10,62 +10,83 @@ other l in S.  That is exact: an irreducible ideal strictly inside t that
 contains I + (u) lies inside t with some t_j raised by one, and that raise
 loses a generator just when j has a private one.  This is the monomial form
 of the critical-edge test of minimal-transversal enumeration (Murakami and
-Uno, Discrete Appl. Math. 2014).  Generators are looked up by (variable,
-exponent), and x_i is skipped, since u is private there.  The result is
-unique, so it does not depend on how the input was presented.  No state is
-kept between calls: each ideal keeps its own decomposition, which holds only
-its components, so reference counting frees it with the ideal.
+Uno, Discrete Appl. Math. 2014), and x_i is skipped, since u is private there.
+
+Each monomial is one int on ranked level bits: the polarization of Herzog
+and Hibi (Monomial Ideals, 2011, section 1.6) on the levels that occur, so
+it keeps only the order of the exponents.  x_i gets one bit per distinct
+nonzero exponent of x_i among the generators, in increasing order, so a mask
+has at most n * |G| bits however large the exponents are.  A generator sets every level of x_i at or below
+its own, and a component sets one bit per variable of its support, so u lies
+in Q exactly when their masks meet.  The generators are filed by the bit of
+each of their levels, and g is private for bit b of t when g misses every
+other bit of t.  The surviving masks are decoded once, at the end.  The
+result is unique, so it does not depend on how the input was presented.  No
+state is kept between calls: each ideal keeps its own decomposition, which
+holds only its components, so reference counting frees it with the ideal.
 """
 
 from __future__ import annotations
-
-from operator import le
 
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
                     _trusted_monomial, _trusted_prime)
 
 
-def _has_private(others, t: tuple[int, ...]) -> bool:
-    """Whether some generator, given by its other (variable, exponent)
-    pairs, lies below t on each of them."""
-    for rest in others:
-        for l, f in rest:
-            if t[l] <= f:
-                break
-        else:
-            return True
-    return False
-
-
 def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The irredundant components of the ideal generated by the exponent
-    tuples gens, as (support, exponents on the support) pairs.  Inside, an
-    absent variable has an exponent above every generator's, so u lies in
-    the component q exactly when q_i <= u_i for some i."""
-    absent = max(map(max, gens)) + 1
-    components = [((), (absent,) * n)]  # the whole ring, the empty intersection
-    others: dict[tuple[int, int], list] = {}  # (j, g_j) -> the other pairs of each g
+    tuples gens, as (support, exponents on the support) pairs."""
+    levels = sorted({(i, e) for u in gens for i, e in enumerate(u) if e})
+    below = {}  # (i, e) -> (the bit of that level, the bits of x_i up to it)
+    var_bits = [0] * n
+    bit = 1
+    for i, e in levels:
+        var_bits[i] |= bit
+        below[i, e] = (bit, var_bits[i])
+        bit <<= 1
+    components = [0]  # the zero ideal: no pure power, and no generator in it
+    others: dict[int, list[int]] = {}  # a level bit -> the generators exactly at it
     for u in sorted(gens, key=sum):
-        pairs = [(i, e) for i, e in enumerate(u) if e]
-        for i, e in pairs:
-            others.setdefault((i, e), []).append([p for p in pairs if p[0] != i])
+        mask, heads = 0, []
+        for i, e in enumerate(u):
+            if e:
+                b, up_to = below[i, e]
+                mask |= up_to
+                heads.append((b, ~var_bits[i]))
+        for b, _ in heads:
+            others.setdefault(b, []).append(mask)
         survivors, fresh = [], []
-        for support, q in components:
-            if any(map(le, q, u)):
-                survivors.append((support, q))
+        for q in components:
+            if q & mask:
+                survivors.append(q)
                 continue
             # no candidate repeats: if Q + (x_i^{u_i}) = Q' + (x_k^{u_k}), then
             # i = k makes Q and Q' comparable, and i != k puts u in Q'
-            for i, e in pairs:
-                t = q[:i] + (e,) + q[i + 1 :]
-                for j in support:
-                    if j != i and not _has_private(others[j, t[j]], t):
-                        break
+            for b, off_i in heads:
+                rest = q & off_i  # the bits of t to find a private generator for
+                t = rest | b
+                while rest:
+                    c = rest & -rest
+                    rest ^= c
+                    away = t ^ c
+                    for g in others[c]:
+                        if not g & away:
+                            break
+                    else:
+                        break  # no private generator for c
                 else:
-                    grown = support if q[i] < absent else tuple(sorted((*support, i)))
-                    fresh.append((grown, t))
+                    fresh.append(t)
         components = survivors + fresh
-    return [(support, tuple(q[j] for j in support)) for support, q in components]
+    out = []
+    for q in components:
+        support, exps = [], []
+        while q:
+            c = q & -q
+            q ^= c
+            i, e = levels[c.bit_length() - 1]
+            support.append(i)
+            exps.append(e)
+        out.append((tuple(support), tuple(exps)))
+    return out
 
 
 class IrreducibleComponent(_Frozen):

@@ -3,6 +3,7 @@
 import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -41,6 +42,7 @@ from util import (
     six_var_ideal,
     split_components,
     tiny_corpus,
+    tuple_components,
     witness_corpus,
 )
 
@@ -328,9 +330,9 @@ class TestHypothesisProperties:
 
 
 def assert_matches_oracles(I, rng):
-    """The decomposition, and the engine fed the generators in given,
-    reversed and shuffled order, equal the split recursion and the pairwise
-    filter."""
+    """The decomposition equals the split recursion and the pairwise filter,
+    and the engine fed the generators in given, reversed and shuffled order
+    equals the tuple engine fed the same order."""
     gens, n = I._exps, I.context.n
     expected = split_components(gens)
     assert pairwise_components(gens, n) == expected
@@ -339,6 +341,7 @@ def assert_matches_oracles(I, rng):
     rng.shuffle(shuffled)
     for order in (gens, gens[::-1], shuffled):
         found = sorted(_irreducible_components(order, n))
+        assert found == sorted(tuple_components(order, n))
         assert [tuple(zip(support, exps)) for support, exps in found] == expected
 
 
@@ -397,6 +400,77 @@ class TestCycles:
         assert len(d) == 365
         assert [q.pairs for q in d.components] == pairwise_components(I._exps, 10)
         assert_certified(I, d)
+
+
+def lift_ideal(I, lift):
+    """I with each nonzero exponent e of x_i replaced by lift(i, e)."""
+    c = I.context
+    return MonomialIdeal(c, [Monomial(c, tuple(e and lift(i, e) for i, e in enumerate(g)))
+                             for g in I._exps])
+
+
+def best_time(f, repeat=5):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestOrderType:
+    """The engine reads only the order of each variable's exponents: one
+    level bit per distinct exponent, not one per value up to the largest."""
+
+    @given(I=ideals(max_n=5, max_exp=4, max_gens=7), data=st.data())
+    def test_increasing_maps_carry_the_components(self, I, data):
+        n = I.context.n
+        shifts = data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n))
+
+        def lift(i, e):
+            return 1000 * e + shifts[i]
+
+        expected = [tuple((i, lift(i, e)) for i, e in q.pairs)
+                    for q in irreducible_decomposition(I).components]
+        lifted = irreducible_decomposition(lift_ideal(I, lift))
+        assert [q.pairs for q in lifted.components] == expected
+
+    def test_exponents_near_a_million(self):
+        small = ideal(ctx(4), "x1^3*x2", "x2^2*x3^2", "x3*x4^3", "x1*x4^2", "x1^2*x3^3")
+        large = lift_ideal(small, lambda i, e: 999_999 + e)
+        assert str(large).startswith("(x1^1000002*x2^1000000, ")
+        assert [str(q) for q in irreducible_decomposition(large)] == [
+            "(x1^1000002, x2^1000001, x3^1000002, x4^1000001)",
+            "(x1^1000000, x2^1000001, x4^1000002)",
+            "(x1^1000001, x2^1000001, x4^1000001)",
+            "(x1^1000000, x3^1000000)",
+            "(x1^1000000, x3^1000001, x4^1000002)",
+            "(x1^1000002, x3^1000001, x4^1000001)",
+            "(x2^1000000, x3^1000002, x4^1000001)",
+        ]
+        # the same order of time as the small twin: a mask with a bit per
+        # value up to a million would take seconds, not microseconds
+        n = small.context.n
+        twin = best_time(lambda: _irreducible_components(small._exps, n))
+        lifted = best_time(lambda: _irreducible_components(large._exps, n))
+        assert lifted < 10 * twin + 0.01
+
+
+class TestCoverIdeal:
+    def test_the_cover_ideal_of_a_cycle_decomposes_to_its_edges(self):
+        """Alexander duality: the ideal generated by the minimal vertex
+        covers of C22, read off its edge ideal's components, has the 22
+        edges as its components."""
+        n = 22
+        c = ctx(n)
+        edges = Clutter(n, [{i, (i + 1) % n} for i in range(n)]).edge_ideal()
+        covers = [q.support() for q in irreducible_decomposition(edges)]
+        assert len(covers) == 486
+        cover_ideal = MonomialIdeal(c, [Monomial(c, tuple(int(i in s) for i in range(n)))
+                                        for s in covers])
+        assert len(cover_ideal.gens) == 486
+        found = [q.pairs for q in irreducible_decomposition(cover_ideal)]
+        assert found == sorted(tuple(sorted({(i, 1), ((i + 1) % n, 1)})) for i in range(n))
 
 
 class TestNamedContexts:

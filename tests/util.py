@@ -4,6 +4,7 @@ exponent boxes, hypothesis strategies, and the seeded random corpora."""
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from functools import lru_cache
 
@@ -160,6 +161,50 @@ def split_components(gens):
             keep.append(c)
     keep.sort(key=lambda c: (tuple(v for v, _ in c), tuple(e for _, e in c)))
     return keep
+
+
+def tuple_components(gens, n):
+    """Irredundant components by the private-generator test on exponent
+    tuples, as unsorted (support, exponents on the support) pairs; the
+    reference for the engine's level bitmasks, and the engine it replaced.
+
+    Inside, an absent variable has an exponent above every generator's, so
+    u lies in the component q exactly when q_i <= u_i for some i.  Each
+    generator is filed under its (variable, exponent) pairs with its other
+    pairs, and is private for (j, t_j) when it lies below t on all of them.
+    """
+
+    def has_private(others, t):
+        for rest in others:
+            for l, f in rest:
+                if t[l] <= f:
+                    break
+            else:
+                return True
+        return False
+
+    absent = max(map(max, gens)) + 1
+    components = [((), (absent,) * n)]
+    others = {}  # (j, g_j) -> the other pairs of each g
+    for u in sorted(gens, key=sum):
+        pairs = [(i, e) for i, e in enumerate(u) if e]
+        for i, e in pairs:
+            others.setdefault((i, e), []).append([p for p in pairs if p[0] != i])
+        survivors, fresh = [], []
+        for support, q in components:
+            if any(map(operator.le, q, u)):
+                survivors.append((support, q))
+                continue
+            for i, e in pairs:
+                t = q[:i] + (e,) + q[i + 1 :]
+                for j in support:
+                    if j != i and not has_private(others[j, t[j]], t):
+                        break
+                else:
+                    grown = support if q[i] < absent else tuple(sorted((*support, i)))
+                    fresh.append((grown, t))
+        components = survivors + fresh
+    return [(support, tuple(q[j] for j in support)) for support, q in components]
 
 
 def pairwise_components(gens, n):
