@@ -16,14 +16,15 @@ Each monomial is one int on ranked level bits: the polarization of Herzog
 and Hibi (Monomial Ideals, 2011, section 1.6) on the levels that occur, so
 it keeps only the order of the exponents.  x_i gets one bit per distinct
 nonzero exponent of x_i among the generators, in increasing order, so a mask
-has at most n * |G| bits however large the exponents are.  A generator sets every level of x_i at or below
-its own, and a component sets one bit per variable of its support, so u lies
-in Q exactly when their masks meet.  The generators are filed by the bit of
-each of their levels, and g is private for bit b of t when g misses every
-other bit of t.  The surviving masks are decoded once, at the end.  The
-result is unique, so it does not depend on how the input was presented.  No
-state is kept between calls: each ideal keeps its own decomposition, which
-holds only its components, so reference counting frees it with the ideal.
+has at most n * |G| bits however large the exponents are.  A generator sets
+every level of x_i at or below its own, and a component sets one bit per
+variable of its support, so u lies in Q exactly when their masks meet.  The
+generators are filed by the bit of each of their levels, and g is private
+for bit b of t when g misses every other bit of t.  The surviving masks are
+decoded once, at the end.  The result is unique, so it does not depend on
+how the input was presented.  No state is kept between calls: each ideal
+keeps its own decomposition, which holds only its components, so reference
+counting frees it with the ideal.
 """
 
 from __future__ import annotations
