@@ -37,7 +37,6 @@ from .witness import (
     build_symmetric_ideal,
     classify_uniqueness,
     component_from_witness,
-    squarefree_witness_check,
     symmetric_witness,
     verify_witness,
     witness_from_component,
@@ -75,7 +74,6 @@ __all__ = [
     "parse_monomial",
     "parse_problem_file",
     "saturate",
-    "squarefree_witness_check",
     "symmetric_witness",
     "verify_witness",
     "witness_from_component",

@@ -100,6 +100,8 @@ def _collect_offsets(args, ideal, prime) -> dict:
         index = ideal.context.index_of(var.strip())
         if index not in complement:
             raise ValueError(f"{names[index]} is a prime variable; offsets apply outside")
+        if index in offsets:
+            raise ValueError(f"--offset gives {names[index]} more than once")
         offsets[index] = int(value)
     return offsets
 

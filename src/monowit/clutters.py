@@ -86,9 +86,6 @@ class Clutter(_Frozen):
     def n(self) -> int:
         return self.context.n
 
-    def vertices(self) -> VertexSet:
-        return frozenset(range(self.n))
-
     def _mask(self, subset: Iterable[int]) -> int:
         vs = frozenset(_ints(subset, "unknown vertex {}", low=None))
         if any(not 0 <= v < self.n for v in vs):
@@ -97,9 +94,6 @@ class Clutter(_Frozen):
 
     def _vertex_set(self, mask: int) -> VertexSet:
         return frozenset(_bits(mask))
-
-    def _covers(self, k: int) -> bool:
-        return all(e & k for e in self._masks)
 
     def _neighbors(self, a: int) -> int:
         """Vertices v for which a | {v} contains an edge."""
@@ -129,16 +123,6 @@ class Clutter(_Frozen):
     def neighbor_set(self, subset: Iterable[int]) -> VertexSet:
         """Vertices whose addition to the set makes it contain an edge."""
         return self._vertex_set(self._neighbors(self._mask(subset)))
-
-    def is_vertex_cover(self, subset: Iterable[int]) -> bool:
-        return self._covers(self._mask(subset))
-
-    def is_minimal_vertex_cover(self, subset: Iterable[int]) -> bool:
-        """Whether the set meets every edge and no proper subset does."""
-        k = self._mask(subset)
-        return self._covers(k) and not any(
-            self._covers(k & ~(1 << v)) for v in range(self.n) if k >> v & 1
-        )
 
     def _cover_masks(self) -> list[int]:
         """The minimal vertex covers as bitmasks: the supports of the edge

@@ -96,14 +96,15 @@ class IrreducibleComponent(_Frozen):
     __slots__ = ("context", "pairs", "_support")
 
     def __init__(self, context: RingContext, powers):
-        checked = {}  # item by item, before hashing: the first bad entry is reported
-        for v, e in powers.items() if hasattr(powers, "items") else powers:
-            (v,) = _ints((v,), "variable index {} out of range", high=context.n)
-            (e,) = _ints((e,), "pure-power exponents must be positive integers", low=1)
-            checked[v] = e
-        if not checked:
+        try:
+            values = powers.values()
+        except AttributeError:
+            raise ValueError("powers must be a mapping from variable index to exponent") from None
+        if not powers:
             raise ValueError("an irreducible component needs at least one variable")
-        pairs = tuple(sorted(checked.items()))
+        variables = _ints(powers, "variable index {} out of range", high=context.n)
+        exps = _ints(values, "pure-power exponents must be positive integers", low=1)
+        pairs = tuple(sorted(dict(zip(variables, exps)).items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))

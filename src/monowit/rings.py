@@ -3,8 +3,8 @@
 Everything is combinatorics on exponent vectors: a monomial is a tuple of
 non-negative integers over a fixed ambient ring context, a monomial ideal is
 its unique minimal generating set in a canonical order, and every operation
-(divisibility, lcm/gcd, membership, colon, intersection, radical) is a pure
-function on those tuples.  The coefficient field is never represented.
+(divisibility, membership, colon, intersection) is a pure function on those
+tuples.  The coefficient field is never represented.
 
 An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
 each read.  Library-built values skip validation through the trusted
@@ -171,18 +171,6 @@ class Monomial(_Frozen):
         _require_same_context(self, other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _require_same_context(self, other)
-        return Monomial(self.context, tuple(map(max, self.exps, other.exps)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _require_same_context(self, other)
-        return Monomial(self.context, tuple(map(min, self.exps, other.exps)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _require_same_context(self, other)
-        return Monomial(self.context, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
 
 def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
     """A Monomial on a tuple of non-negative ints of the ring's length."""
@@ -274,10 +262,6 @@ class MonomialIdeal(_Frozen):
     def is_unit(self) -> bool:
         return len(self._exps) == 1 and not any(self._exps[0])
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def __contains__(self, m: Monomial) -> bool:
         _require_same_context(self, m)
         return self._contains_exps(m.exps)
@@ -347,11 +331,6 @@ class MonomialIdeal(_Frozen):
         )
 
     __and__ = intersect
-
-    def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal._from_exps(
-            self.context, (tuple([1 if e else 0 for e in g]) for g in self._exps)
-        )
 
     def is_squarefree(self) -> bool:
         return all(e <= 1 for g in self._exps for e in g)

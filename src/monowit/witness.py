@@ -34,9 +34,13 @@ class WitnessSpec(_Frozen):
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        raw = offsets.items() if hasattr(offsets, "items") else offsets or ()
+        offsets = {} if offsets is None else offsets
+        try:
+            values = offsets.values()
+        except AttributeError:
+            raise ValueError("offsets must be a mapping from variable index to offset") from None
         message = "offset variables and offsets must be integers"
-        offsets = dict(_ints(pair, message, low=None) for pair in raw)  # ints before hashing
+        offsets = dict(zip(_ints(offsets, message, low=None), _ints(values, message, low=None)))
         _require_same_context(prime, component)
         if component.support() != prime.vars:
             raise ValueError(
@@ -64,12 +68,6 @@ class WitnessSpec(_Frozen):
         return (f"WitnessSpec(prime={self.prime!r}, component={self.component!r}, "
                 f"offsets={dict(self.offsets)!r})")
 
-    @classmethod
-    def for_component(
-        cls, component: IrreducibleComponent, offsets: Optional[Mapping[int, int]] = None
-    ) -> "WitnessSpec":
-        return cls(component.prime(), component, offsets)
-
 
 def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
     """The canonical witness for spec.prime built from spec.component.
@@ -88,13 +86,10 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
 
 
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
-    """Whether (I : v) equals the prime, decided exactly in one pass over the
-    generators of I, without building the colon.
+    """Whether (I : v) equals the prime, by `MonomialIdeal._colon_is_prime`.
 
-    (I : v) is generated by the g / gcd(g, v), so it lies in P exactly when
-    (a) every generator g exceeds v on some variable of P.  Given (a), x_i is
-    in (I : v) exactly when (b) some g exceeds v only on x_i, and by exactly 1.
-    A prime from another ring is never equal to the colon: the answer is False.
+    A monomial from another ring than I raises ContextMismatchError; a prime
+    from another ring is never equal to the colon, so the answer is False.
     """
     _require_same_context(ideal, v)
     return prime.context == ideal.context and ideal._colon_is_prime(v.exps, prime.vars)
@@ -114,24 +109,9 @@ def component_from_witness(
     for component in irreducible_decomposition(ideal)._by_support.get(prime.vars, ()):
         if component.pairs == pairs:
             return component
-    raise TheoremViolationError(f"derived component {IrreducibleComponent(ideal.context, pairs)}"
-                                f" missing from the decomposition of {ideal}")
-
-
-def squarefree_witness_check(
-    ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial
-) -> bool:
-    """Assert that a squarefree ideal's witness avoids the prime's variables."""
-    if not ideal.is_squarefree():
-        raise ValueError("squarefree witness check requires a squarefree ideal")
-    if not verify_witness(ideal, prime, v):
-        raise ValueError(f"{v} is not a witness for {prime}")
-    bad = [i for i in prime.vars if v.exponent(i)]
-    if bad:
-        raise TheoremViolationError(
-            f"witness {v} for squarefree ideal carries prime variables {bad}"
-        )
-    return True
+    raise TheoremViolationError(
+        f"derived component {IrreducibleComponent(ideal.context, dict(pairs))}"
+        f" missing from the decomposition of {ideal}")
 
 
 class SymmetricPattern(_Frozen):

@@ -171,6 +171,14 @@ class TestWitness:
         ])
         assert code == 1 and "prime variable" in err
 
+    def test_repeated_offset_names_the_variable(self, problem, capsys):
+        code, out, err = run(capsys, [
+            "witness", problem(SESSION), "--prime", "0",
+            "--offset", "x5=3", "--offset", "x5=4",
+        ])
+        assert (code, out) == (1, "")
+        assert err == "error: --offset gives x5 more than once\n"
+
 
 class TestVerify:
     def test_failing_candidate_exits_two(self, problem, capsys):

@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what its comment says."""
+"""The README's library example runs and prints what its comment says, and
+the package exports every name it lists."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import monowit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +25,8 @@ def test_library_quick_start_prints_its_comment():
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == [expected]
     assert expected == "x2^6*x3^4*x4*x5^5*x6^5*x7^2*x8^13"
+
+
+def test_star_import_exports_every_listed_name():
+    exec("from monowit import *", {})  # a listed name that is gone raises here
+    assert len(set(monowit.__all__)) == len(monowit.__all__)

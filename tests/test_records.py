@@ -85,11 +85,6 @@ class TestWitnessSpec:
             spec.offsets[1] = 5
         assert spec.offsets == {1: 4}
 
-    def test_for_component(self):
-        q = IrreducibleComponent(ctx(3), {0: 2})
-        assert WitnessSpec.for_component(q) == _spec()
-        assert WitnessSpec.for_component(q, {1: 2}) == _spec({1: 2})
-
     @pytest.mark.parametrize("prime, powers, offsets, message", [
         ([0, 1], {0: 2}, {},
          "component support (0,) does not match prime (x1, x2)"),

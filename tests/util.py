@@ -20,6 +20,7 @@ from monowit import (
     parse_ideal_gens,
     parse_monomial,
     saturate,
+    verify_witness,
 )
 from monowit.borel import _require_decomposable
 from monowit.rings import _minimize_exps
@@ -39,6 +40,11 @@ def mono(context: RingContext, text: str) -> Monomial:
 
 def ideal(context: RingContext, *gens: str) -> MonomialIdeal:
     return parse_ideal_gens(", ".join(gens), context)
+
+
+def times_variable(m: Monomial, i: int) -> Monomial:
+    """The product m * x_i."""
+    return Monomial(m.context, [e + (j == i) for j, e in enumerate(m.exps)])
 
 
 def session_ideal() -> MonomialIdeal:
@@ -85,10 +91,22 @@ def oracle_minimal_subset(vectors):
     return set(out)
 
 
+def oracle_radical(ideal_) -> MonomialIdeal:
+    """The radical: one squarefree generator per generator, on its support."""
+    c = ideal_.context
+    return MonomialIdeal(c, [Monomial(c, [min(e, 1) for e in g.exps]) for g in ideal_.gens])
+
+
 def oracle_verify_witness(ideal_, prime, v) -> bool:
     """(I : v) == P by building the colon and the prime as ideals: the
     reference for the one-pass check in verify_witness."""
     return ideal_.colon(v) == prime.as_ideal()
+
+
+def squarefree_witness(ideal_, prime, v) -> bool:
+    """The shape of a witness for a squarefree ideal: it verifies, and no
+    variable of the prime divides it."""
+    return verify_witness(ideal_, prime, v) and not any(v.exps[i] for i in prime.vars)
 
 
 def oracle_symmetric_gens(pattern) -> list[tuple[int, ...]]:
@@ -293,7 +311,7 @@ def oracle_good_stable_sets(clutter):
     out = [
         a
         for a in _all_subsets(clutter.n)
-        if clutter.is_stable(a) and clutter.is_vertex_cover(clutter.neighbor_set(a))
+        if clutter.is_stable(a) and all(e & clutter.neighbor_set(a) for e in clutter.edges)
     ]
     return tuple(sorted(out, key=sorted))
 
@@ -307,7 +325,7 @@ def search_good_stable_sets(clutter):
     while stack:
         a, start = stack.pop()
         neighbors = clutter._neighbors(a)
-        if clutter._covers(neighbors):
+        if all(e & neighbors for e in clutter._masks):
             out.append(clutter._vertex_set(a))
         for v in range(start, clutter.n):
             if not neighbors >> v & 1:  # a | {v} is still stable
