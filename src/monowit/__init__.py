@@ -15,7 +15,7 @@ from .borel import (
     is_borel_type_by_saturation,
     saturate,
 )
-from .clutters import Clutter, VertexSet
+from .clutters import Clutter
 from .decompose import (
     Decomposition,
     IrreducibleComponent,
@@ -59,7 +59,6 @@ __all__ = [
     "SymmetricPattern",
     "TheoremViolationError",
     "UniquenessResult",
-    "VertexSet",
     "WitnessSpec",
     "associated_primes",
     "borel_witness",

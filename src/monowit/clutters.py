@@ -1,26 +1,25 @@
-"""Edge ideals of clutters: stable sets, vertex covers, and witness bases.
+"""Edge ideals of clutters: their stable-set families and witness bases.
 
 A clutter is a hypergraph whose edges form an antichain under inclusion;
 simple graphs are the special case of 2-element edges.  The minimal vertex
 covers are exactly the supports of the associated primes of the edge ideal,
 and for the prime on a cover P the product of the complementary vertices is
 already a witness: (I : t_A) = <P> for A = V \\ P.  Both stable-set
-families are read from those covers, the edge ideal's component supports.
+families, the maximal and the good stable sets, are read from those covers,
+the edge ideal's component supports.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Union
+from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints
 from .rings import _trusted_monomial
 
-VertexSet = FrozenSet[int]
-
-DEFAULT_ENUMERATION_LIMIT = 16
+_GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
 
 def _braced(names, mask: int) -> str:
@@ -38,7 +37,7 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 class Clutter(_Frozen):
     """A vertex set together with an antichain of non-empty edges, kept as
-    vertex bitmasks (bit v for vertex v) for the predicates."""
+    vertex bitmasks (bit v for vertex v) for the searches and checks."""
 
     __slots__ = ("context", "edges", "_masks", "_ideal")
 
@@ -86,26 +85,6 @@ class Clutter(_Frozen):
     def n(self) -> int:
         return self.context.n
 
-    def _mask(self, subset: Iterable[int]) -> int:
-        vs = frozenset(_ints(subset, "unknown vertex {}", low=None))
-        if any(not 0 <= v < self.n for v in vs):
-            raise ValueError(f"unknown vertex in {sorted(vs)}")
-        return sum(1 << v for v in vs)
-
-    def _vertex_set(self, mask: int) -> VertexSet:
-        return frozenset(_bits(mask))
-
-    def _neighbors(self, a: int) -> int:
-        """Vertices v for which a | {v} contains an edge."""
-        out = 0
-        for e in self._masks:
-            rest = e & ~a
-            if not rest & (rest - 1):  # at most one vertex short of the edge
-                if not rest:  # a contains e, so every vertex qualifies
-                    return (1 << self.n) - 1
-                out |= rest
-        return out
-
     def edge_ideal(self) -> MonomialIdeal:
         """The squarefree ideal with one generator per edge, built once; the
         edges are an antichain, so their products are already minimal."""
@@ -114,15 +93,6 @@ class Clutter(_Frozen):
             ideal = MonomialIdeal._from_exps(self.context, gens, minimal=True)
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
-
-    def is_stable(self, subset: Iterable[int]) -> bool:
-        """Whether the set contains no edge."""
-        a = self._mask(subset)
-        return not any(e & a == e for e in self._masks)
-
-    def neighbor_set(self, subset: Iterable[int]) -> VertexSet:
-        """Vertices whose addition to the set makes it contain an edge."""
-        return self._vertex_set(self._neighbors(self._mask(subset)))
 
     def _cover_masks(self) -> list[int]:
         """The minimal vertex covers as bitmasks: the supports of the edge
@@ -140,7 +110,7 @@ class Clutter(_Frozen):
         full = (1 << self.n) - 1
         return tuple(map(frozenset, sorted(_bits(full & ~p) for p in self._cover_masks())))
 
-    def good_stable_sets(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
+    def good_stable_sets(self):
         """Stable sets whose neighbor set is a minimal vertex cover.
 
         Each lies in T = V \\ P for its cover P and has N(b) inside P: a vertex
@@ -148,11 +118,9 @@ class Clutter(_Frozen):
         lies in b, read from one table of (rest, vertex) rows per cover.  The
         good b, those with N(b) = P, form an up-set in T: a search from T that
         drops vertices in increasing order while N(b) = P holds visits them only.
+        An edgeless clutter on n vertices has 2^n of them, so past 2^16 sets,
+        as many as 16 vertices can have, the search raises ValueError.
         """
-        if self.n > limit:
-            raise ValueError(
-                f"enumeration over {self.n} vertices exceeds the limit of {limit}"
-            )
         full = (1 << self.n) - 1
         out = []
         for p in self._cover_masks():
@@ -161,6 +129,8 @@ class Clutter(_Frozen):
             while stack:
                 b, droppable = stack.pop()
                 out.append(_bits(b))
+                if len(out) > _GOOD_SET_CAP:
+                    raise ValueError(f"more than {_GOOD_SET_CAP} good stable sets")
                 while droppable:
                     low = droppable & -droppable
                     droppable ^= low
@@ -172,10 +142,6 @@ class Clutter(_Frozen):
                     if reached == p:
                         stack.append((c, droppable))
         return tuple(map(frozenset, sorted(out)))
-
-    def vertex_product(self, subset: Iterable[int]) -> Monomial:
-        k = self._mask(subset)
-        return self.context.monomial(k >> v & 1 for v in range(self.n))
 
     def _colon_is_cover(self, p: int) -> bool:
         """`MonomialIdeal._colon_is_prime` for t_A, A = V \\ P, on the edge

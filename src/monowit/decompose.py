@@ -29,8 +29,8 @@ counting frees it with the ideal.
 
 from __future__ import annotations
 
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
-                    _trusted_monomial, _trusted_prime)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
+                    _ints, _trusted_monomial, _trusted_prime)
 
 
 def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -104,7 +104,7 @@ class IrreducibleComponent(_Frozen):
             raise ValueError("an irreducible component needs at least one variable")
         variables = _ints(powers, "variable index {} out of range", high=context.n)
         exps = _ints(values, "pure-power exponents must be positive integers", low=1)
-        pairs = tuple(sorted(dict(zip(variables, exps)).items()))
+        pairs = tuple(sorted(_by_index(variables, exps).items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))
@@ -119,12 +119,6 @@ class IrreducibleComponent(_Frozen):
 
     def support(self) -> tuple[int, ...]:
         return self._support.vars
-
-    def exponent(self, i: int) -> int:
-        for v, e in self.pairs:
-            if v == i:
-                return e
-        return 0
 
     def prime(self) -> PrimeSupport:
         return self._support

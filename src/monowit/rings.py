@@ -3,19 +3,19 @@
 Everything is combinatorics on exponent vectors: a monomial is a tuple of
 non-negative integers over a fixed ambient ring context, a monomial ideal is
 its unique minimal generating set in a canonical order, and every operation
-(divisibility, membership, colon, intersection) is a pure function on those
+(membership, colon by a monomial, intersection) is a pure function on those
 tuples.  The coefficient field is never represented.
 
 An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
 each read.  Library-built values skip validation through the trusted
 constructor beside their class.  All value classes inherit `_Frozen`, which
 gives them immutability, equality, hashing and the default repr; outside
-integers are checked and converted by `_ints`.
+integers are checked and converted by `_ints`, and `_by_index` refuses a
+mapping whose keys name one variable index twice.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -37,6 +37,16 @@ def _ints(values, message: str, low: Optional[int] = 0,
             raise ValueError(message.format(v))
         out.append(i)
     return tuple(out)
+
+
+def _by_index(indices: tuple[int, ...], values) -> dict:
+    """dict(zip(indices, values)) for keys already read by `_ints`.  Keys
+    that are distinct to their mapping can still name one index, which raises."""
+    out = dict(zip(indices, values))
+    if len(out) < len(indices):
+        twice = next(i for i in indices if indices.count(i) > 1)
+        raise ValueError(f"variable index {twice} is given more than once")
+    return out
 
 
 class _Frozen:
@@ -112,8 +122,8 @@ class RingContext(_Frozen):
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
         exps = [0] * self.n
-        for i, e in zip(_ints(powers, "variable index {} out of range", high=self.n),
-                        powers.values()):
+        indices = _ints(powers, "variable index {} out of range", high=self.n)
+        for i, e in _by_index(indices, powers.values()).items():
             exps[i] = e
         return Monomial(self, tuple(exps))
 
@@ -152,24 +162,9 @@ class Monomial(_Frozen):
         ]
         return "*".join(parts) if parts else "1"
 
-    @property
-    def is_one(self) -> bool:
-        return not any(self.exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def exponent(self, i: int) -> int:
-        return self.exps[i]
-
     def support(self) -> tuple[int, ...]:
         """Indices of the variables dividing this monomial."""
         return tuple(i for i, e in enumerate(self.exps) if e)
-
-    def divides(self, other: "Monomial") -> bool:
-        _require_same_context(self, other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
 
 
 def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
@@ -269,26 +264,16 @@ class MonomialIdeal(_Frozen):
     def _contains_exps(self, v: tuple[int, ...]) -> bool:
         return any(all(map(le, g, v)) for g in self._exps)
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """Whether other is a subset of this ideal."""
-        _require_same_context(self, other)
-        return all(map(self._contains_exps, other._exps))
-
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max over the generators (all zeros for the zero ideal)."""
         if not self._exps:
             return (0,) * self.context.n
         return tuple(map(max, zip(*self._exps)))
 
-    def colon(self, other: Union[Monomial, "MonomialIdeal"]) -> "MonomialIdeal":
-        """The quotient (I : v) by a monomial, or (I : J) by a nonzero ideal,
-        which is the intersection of the (I : v) over the generators v of J."""
-        _require_same_context(self, other)
-        if isinstance(other, Monomial):
-            return self._colon_exps(other.exps)
-        if other.is_zero:
-            raise ValueError("colon by the zero ideal is undefined")
-        return reduce(MonomialIdeal.intersect, map(self._colon_exps, other._exps))
+    def colon(self, v: Monomial) -> "MonomialIdeal":
+        """The quotient (I : v) by a monomial."""
+        _require_same_context(self, v)
+        return self._colon_exps(v.exps)
 
     def _colon_exps(self, v: tuple[int, ...]) -> "MonomialIdeal":
         quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v)])
@@ -329,11 +314,6 @@ class MonomialIdeal(_Frozen):
             self.context,
             (tuple(map(max, u, w)) for u in self._exps for w in other._exps),
         )
-
-    __and__ = intersect
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for g in self._exps for e in g)
 
 
 class PrimeSupport(_Frozen):

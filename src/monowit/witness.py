@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
-                    _require_same_context)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
+                    _ints, _require_same_context)
 
 
 class WitnessSpec(_Frozen):
@@ -40,7 +40,7 @@ class WitnessSpec(_Frozen):
         except AttributeError:
             raise ValueError("offsets must be a mapping from variable index to offset") from None
         message = "offset variables and offsets must be integers"
-        offsets = dict(zip(_ints(offsets, message, low=None), _ints(values, message, low=None)))
+        offsets = _by_index(_ints(offsets, message, low=None), _ints(values, message, low=None))
         _require_same_context(prime, component)
         if component.support() != prime.vars:
             raise ValueError(

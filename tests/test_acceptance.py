@@ -71,12 +71,12 @@ def drop_one_intersections(ideals_):
     prefix = [None] * (n + 1)
     suffix = [None] * (n + 1)
     for i in range(n):
-        prefix[i + 1] = ideals_[i] if prefix[i] is None else prefix[i] & ideals_[i]
+        prefix[i + 1] = ideals_[i] if prefix[i] is None else prefix[i].intersect(ideals_[i])
     for i in range(n - 1, -1, -1):
-        suffix[i] = ideals_[i] if suffix[i + 1] is None else ideals_[i] & suffix[i + 1]
+        suffix[i] = ideals_[i] if suffix[i + 1] is None else ideals_[i].intersect(suffix[i + 1])
     for i in range(n):
         left, right = prefix[i], suffix[i + 1]
-        yield left & right if left is not None and right is not None else (
+        yield left.intersect(right) if left is not None and right is not None else (
             right if left is None else left
         )
 

@@ -24,7 +24,7 @@ class TestParseMonomial:
         assert m.exps == (0, 0, 0, 2, 0, 0, 0, 2)
 
     def test_unit(self):
-        assert parse_monomial("1", ctx(2)).is_one
+        assert parse_monomial("1", ctx(2)) == ctx(2).one
 
     def test_whitespace_ignored(self):
         assert parse_monomial("  x1 ^ 2 * x2 ", ctx(2)).exps == (2, 1)

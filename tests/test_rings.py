@@ -33,6 +33,7 @@ from util import (
     ideals,
     mono,
     monomials,
+    oracle_colon_by_ideal,
     oracle_member,
     oracle_minimal_subset,
     oracle_radical,
@@ -128,6 +129,18 @@ def test_index_integers_are_stored_as_int(build, read, expected):
     assert stored == expected and all(type(i) is int for i in stored)
 
 
+@pytest.mark.parametrize("build", [
+    lambda c: c.monomial_from_powers({1: 2, _Index(1): 3}),
+    lambda c: IrreducibleComponent(c, {1: 2, _Index(1): 3}),
+    lambda c: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}),
+                          {1: 5, _Index(1): 0}),
+], ids=["powers", "component", "offsets"])
+def test_one_index_given_twice(build):
+    # the keys are distinct to the mapping, so only their indices collide
+    with pytest.raises(ValueError, match="^variable index 1 is given more than once$"):
+        build(ctx(2))
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda c: PrimeSupport(c, [0.5]), "variable indices must be integers"),
     (lambda c: PrimeSupport(c, [1.0]), "variable indices must be integers"),
@@ -153,14 +166,12 @@ def test_index_integers_are_stored_as_int(build, read, expected):
     (lambda c: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}),
                            [(1, 3), (1, 0)]),
      "offsets must be a mapping from variable index to offset"),
-    (lambda c: Clutter(3, [[0, 1]]).is_stable([0.5]), "unknown vertex 0.5"),
-    (lambda c: Clutter(3, [[0, 1]]).vertex_product([[0]]), "unknown vertex [0]"),
 ], ids=[
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
     "component-str", "component-mixed", "component-float", "component-too-large",
     "powers-str", "powers-integral-float", "powers-negative", "clutter-float",
     "prime-list", "component-tuple", "offsets-tuple", "component-pairs-list",
-    "offsets-pairs-list", "stable-float", "vertex-product-list",
+    "offsets-pairs-list",
 ])
 def test_variable_indices_must_be_integers(build, message):
     with pytest.raises(ValueError) as info:
@@ -169,21 +180,23 @@ def test_variable_indices_must_be_integers(build, message):
 
 
 class TestDivides:
+    """u divides w exactly when w lies in the principal ideal (u)."""
+
     def test_componentwise(self):
         c = ctx(8)
-        assert mono(c, "x1*x4^2").divides(mono(c, "x1^3*x4^2*x8"))
+        assert mono(c, "x1^3*x4^2*x8") in ideal(c, "x1*x4^2")
 
     def test_reflexive(self):
         u = mono(ctx(3), "x1^2*x3")
-        assert u.divides(u)
+        assert u in MonomialIdeal(u.context, [u])
 
     def test_missing_variable(self):
         c = ctx(3)
-        assert not mono(c, "x3").divides(mono(c, "x1^2"))
+        assert mono(c, "x1^2") not in ideal(c, "x3")
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
-            ctx(2).one.divides(ctx(3).one)
+            ctx(3).one in MonomialIdeal(ctx(2), [ctx(2).one])
 
 
 class TestContextMismatchEverywhere:
@@ -206,7 +219,7 @@ class TestContextMismatchEverywhere:
     def test_same_size_different_names_still_mismatch(self):
         named = RingContext(["a", "b"])
         with pytest.raises(ContextMismatchError):
-            ctx(2).one.divides(named.one)
+            ideal(ctx(2), "x1").colon(named.one)
 
 
 class TestLcmGcd:
@@ -215,7 +228,7 @@ class TestLcmGcd:
 
     def test_lcm(self):
         c = ctx(2)
-        assert ideal(c, "x1^2*x2") & ideal(c, "x2^3") == ideal(c, "x1^2*x2^3")
+        assert ideal(c, "x1^2*x2").intersect(ideal(c, "x2^3")) == ideal(c, "x1^2*x2^3")
 
     def test_gcd(self):
         c = ctx(2)  # gcd(x1^2*x2, x2^3) = x2
@@ -224,17 +237,17 @@ class TestLcmGcd:
     def test_unit_is_lcm_identity(self):
         c = ctx(4)
         u = ideal(c, "x2^5*x4")
-        assert u & MonomialIdeal(c, [c.one]) == u
+        assert u.intersect(MonomialIdeal(c, [c.one])) == u
 
     @given(data=st.data())
     def test_lcm_gcd_degree_identity(self, data):
         c = ctx(3)
         u = data.draw(monomials(c))
         w = data.draw(monomials(c))
-        (lcm,) = MonomialIdeal(c, [u]) & MonomialIdeal(c, [w])
+        (lcm,) = MonomialIdeal(c, [u]).intersect(MonomialIdeal(c, [w]))
         (u_over_gcd,) = MonomialIdeal(c, [u]).colon(w)
         # deg lcm + deg gcd = deg u + deg w
-        assert lcm.degree == w.degree + u_over_gcd.degree
+        assert sum(lcm.exps) == sum(w.exps) + sum(u_over_gcd.exps)
 
 
 class TestMinimize:
@@ -264,7 +277,7 @@ class TestMinimize:
         for k, I in enumerate(corpus):
             c = I.context
             J = next(J for J in corpus[k + 1:] + corpus[:k] if J.context == c)
-            derived += [I, I.intersect(J), I.colon(c.variable(0)), I.colon(J),
+            derived += [I, I.intersect(J), I.colon(c.variable(0)), oracle_colon_by_ideal(I, J),
                         saturate(I, ideal(c, "x1")), exchange_closure(I)]
         for I in derived:
             gens = I.gens
@@ -317,15 +330,20 @@ class TestMembership:
                 assert (m in I) == oracle_member(I, exps)
 
 
+def contains(I, J):
+    """Whether J lies in I: each generator of J is a member of I."""
+    return all(g in I for g in J)
+
+
 class TestContainmentAndEquality:
     def test_reflexive(self):
         I = session_ideal()
-        assert I.contains_ideal(I)
+        assert contains(I, I)
 
     def test_strict_power_containment(self):
         c = ctx(1)
-        assert ideal(c, "x1").contains_ideal(ideal(c, "x1^2"))
-        assert not ideal(c, "x1^2").contains_ideal(ideal(c, "x1"))
+        assert contains(ideal(c, "x1"), ideal(c, "x1^2"))
+        assert not contains(ideal(c, "x1^2"), ideal(c, "x1"))
 
     def test_equality_is_canonical_form(self):
         c = ctx(2)
@@ -338,7 +356,7 @@ class TestContainmentAndEquality:
         J = data.draw(ideals())
         if I.context != J.context:
             return
-        both = I.contains_ideal(J) and J.contains_ideal(I)
+        both = contains(I, J) and contains(J, I)
         assert both == (I == J)
 
 
@@ -382,9 +400,11 @@ class TestColonByMonomial:
 
 
 class TestColonByIdeal:
+    """(I : J) through the colon by each generator of J and intersection."""
+
     def test_by_unit_ideal(self):
         I = session_ideal()
-        assert I.colon(ideal(I.context, "1")) == I
+        assert oracle_colon_by_ideal(I, ideal(I.context, "1")) == I
 
     def test_derived_value_from_box_oracle(self):
         # m in (I : <x1, x2>) iff m*x1 and m*x2 are both in I; over the box
@@ -399,20 +419,15 @@ class TestColonByIdeal:
             and oracle_member(I, (exps[0], exps[1] + 1))
         ]
         expected = MonomialIdeal(c, [Monomial(c, e) for e in members])
-        assert I.colon(J) == expected
-        assert I.colon(J) == ideal(c, "x1^2*x2")
+        assert oracle_colon_by_ideal(I, J) == expected
+        assert oracle_colon_by_ideal(I, J) == ideal(c, "x1^2*x2")
 
     def test_quotient_contains_numerator(self):
         rng = random.Random(17)
         for I in box_corpus()[:15]:
             gens = [g for g in I.gens]
             J = MonomialIdeal(I.context, rng.sample(gens, rng.randint(1, len(gens))))
-            assert I.colon(J).contains_ideal(I)
-
-    def test_zero_divisor_rejected(self):
-        I = session_ideal()
-        with pytest.raises(ValueError):
-            I.colon(MonomialIdeal(I.context, ()))
+            assert contains(oracle_colon_by_ideal(I, J), I)
 
 
 class TestIntersect:
@@ -429,8 +444,8 @@ class TestIntersect:
         A = ideal(c, "x1^2", "x2*x3")
         B = ideal(c, "x2^2")
         C = ideal(c, "x1*x3^2", "x3^3")
-        assert A & B == B & A
-        assert (A & B) & C == A & (B & C)
+        assert A.intersect(B) == B.intersect(A)
+        assert A.intersect(B).intersect(C) == A.intersect(B.intersect(C))
 
     def test_box_oracle(self):
         pairs = list(zip(box_corpus()[:20], box_corpus()[20:40]))
@@ -474,20 +489,22 @@ class TestRadical:
         r = self.radical(I)
         assert r == oracle_radical(I)
         assert self.radical(r) == r
-        assert r.is_squarefree()
+        assert max(r.max_exponents()) <= 1
 
 
 class TestIsSquarefree:
+    """An ideal is squarefree when no generator has an exponent above 1."""
+
     def test_session_ideal_is_not(self):
-        assert not session_ideal().is_squarefree()
+        assert max(session_ideal().max_exponents()) > 1
 
     def test_unit_ideal_is(self):
         c = ctx(2)
-        assert MonomialIdeal(c, [c.one]).is_squarefree()
+        assert max(MonomialIdeal(c, [c.one]).max_exponents()) <= 1
 
     def test_edge_ideal_style(self):
         c = ctx(4)
-        assert ideal(c, "x1*x2", "x2*x3*x4").is_squarefree()
+        assert max(ideal(c, "x1*x2", "x2*x3*x4").max_exponents()) <= 1
 
 
 class TestPrimeSupport:
@@ -514,7 +531,7 @@ class TestZeroAndUnitBehavior:
         assert zero.colon(mono(c, "x1")) == zero
         assert zero.intersect(ideal(c, "x1")) == zero
         assert mono(c, "x1") not in zero
-        assert ideal(c, "x1").contains_ideal(zero)
+        assert contains(ideal(c, "x1"), zero)
 
     def test_unit_ideal_operations(self):
         c = ctx(2)
@@ -522,12 +539,12 @@ class TestZeroAndUnitBehavior:
         assert unit.colon(mono(c, "x1^3")) == unit
         assert unit.intersect(ideal(c, "x2")) == ideal(c, "x2")
         assert mono(c, "x1*x2") in unit
-        assert unit.contains_ideal(ideal(c, "x1"))
+        assert contains(unit, ideal(c, "x1"))
 
     def test_colon_of_zero_by_ideal(self):
         c = ctx(2)
         zero = MonomialIdeal(c, ())
-        assert zero.colon(ideal(c, "x1", "x2")) == zero
+        assert oracle_colon_by_ideal(zero, ideal(c, "x1", "x2")) == zero
 
     def test_max_exponents_of_extremes(self):
         c = ctx(3)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import hypothesis.strategies as st
 
@@ -95,6 +95,12 @@ def oracle_radical(ideal_) -> MonomialIdeal:
     """The radical: one squarefree generator per generator, on its support."""
     c = ideal_.context
     return MonomialIdeal(c, [Monomial(c, [min(e, 1) for e in g.exps]) for g in ideal_.gens])
+
+
+def oracle_colon_by_ideal(ideal_, by) -> MonomialIdeal:
+    """(I : J) for a nonzero J: the intersection of the (I : v) over the
+    generators v of J."""
+    return reduce(MonomialIdeal.intersect, (ideal_.colon(v) for v in by))
 
 
 def oracle_verify_witness(ideal_, prime, v) -> bool:
@@ -275,7 +281,7 @@ def oracle_saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("saturation by the zero ideal is undefined")
     current = ideal
     while True:
-        quotient = current.colon(by)
+        quotient = oracle_colon_by_ideal(current, by)
         if quotient == current:
             return current
         current = quotient
@@ -294,12 +300,41 @@ def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     return True
 
 
+def vertex_mask(vertices) -> int:
+    """The bitmask of a vertex set, bit v for vertex v."""
+    return sum(1 << v for v in vertices)
+
+
+def is_stable(clutter, a: int) -> bool:
+    """Whether the vertex mask a contains no edge."""
+    return not any(e & a == e for e in clutter._masks)
+
+
+def neighbor_mask(clutter, a: int) -> int:
+    """The vertices v for which the vertex mask a | {v} contains an edge."""
+    out = 0
+    for e in clutter._masks:
+        rest = e & ~a
+        if not rest & (rest - 1):  # at most one vertex short of the edge
+            if not rest:  # a contains e, so every vertex qualifies
+                return (1 << clutter.n) - 1
+            out |= rest
+    return out
+
+
+def neighbor_set(clutter, vertices) -> frozenset:
+    """The neighbor set of a vertex set, through neighbor_mask."""
+    neighbors = neighbor_mask(clutter, vertex_mask(vertices))
+    return frozenset(v for v in range(clutter.n) if neighbors >> v & 1)
+
+
 def oracle_maximal_stable_sets(clutter):
     """Every subset of the vertices, kept when stable and not extendable."""
     out = []
     for a in _all_subsets(clutter.n):
-        if clutter.is_stable(a) and all(
-            not clutter.is_stable(a | {v}) for v in range(clutter.n) if v not in a
+        k = vertex_mask(a)
+        if is_stable(clutter, k) and all(
+            not is_stable(clutter, k | 1 << v) for v in range(clutter.n) if v not in a
         ):
             out.append(a)
     return tuple(sorted(out, key=sorted))
@@ -311,7 +346,8 @@ def oracle_good_stable_sets(clutter):
     out = [
         a
         for a in _all_subsets(clutter.n)
-        if clutter.is_stable(a) and all(e & clutter.neighbor_set(a) for e in clutter.edges)
+        if is_stable(clutter, vertex_mask(a))
+        and all(e & neighbor_set(clutter, a) for e in clutter.edges)
     ]
     return tuple(sorted(out, key=sorted))
 
@@ -324,9 +360,9 @@ def search_good_stable_sets(clutter):
     stack = [(0, 0)]  # (stable set, smallest vertex it may still gain)
     while stack:
         a, start = stack.pop()
-        neighbors = clutter._neighbors(a)
+        neighbors = neighbor_mask(clutter, a)
         if all(e & neighbors for e in clutter._masks):
-            out.append(clutter._vertex_set(a))
+            out.append(frozenset(v for v in range(clutter.n) if a >> v & 1))
         for v in range(start, clutter.n):
             if not neighbors >> v & 1:  # a | {v} is still stable
                 stack.append((a | 1 << v, v + 1))
@@ -358,7 +394,7 @@ def ideals(draw, max_n=4, max_exp=3, max_gens=5, proper=True):
     gens = [draw(monomials(context, max_exp)) for _ in range(count)]
     result = MonomialIdeal(context, gens)
     if proper and (result.is_unit or result.is_zero):
-        gens = [g for g in gens if not g.is_one]
+        gens = [g for g in gens if any(g.exps)]
         if not gens:
             gens = [context.variable(draw(st.integers(0, n - 1)))]
         result = MonomialIdeal(context, gens)
