@@ -5,7 +5,9 @@ delegates to the library, and reports on stdout.  Witnesses are always
 re-verified before VERIFIED is printed.  Exit codes: 0 success, 1 usage or
 input error or a reader that closed stdout early, 2 verification failure or
 an internal error.  Each command is one `COMMANDS` entry; `_run` loads its
-stanza, prints the verdict and picks the exit code for all of them.
+stanza, prints the verdict and picks the exit code for all of them.  Each
+handler imports the witness and Borel functions it calls, so a command
+compiles only the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,19 +19,10 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .borel import borel_witness, is_borel_type
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .parsing import parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport
-from .witness import (
-    WitnessSpec,
-    build_symmetric_ideal,
-    classify_uniqueness,
-    symmetric_witness,
-    verify_witness,
-    witness_from_component,
-)
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -127,6 +120,8 @@ def _assprimes(args, ideal):
 
 
 def _witness(args, ideal):
+    from .witness import WitnessSpec, verify_witness, witness_from_component
+
     decomposition = irreducible_decomposition(ideal)
     if args.list:
         lines = []
@@ -147,6 +142,8 @@ def _witness(args, ideal):
 
 
 def _verify(args, ideal):
+    from .witness import verify_witness
+
     prime = _resolve_prime(args.prime, ideal)
     v = parse_monomial(args.monomial, ideal.context)
     fields = dict(ideal=ideal, primes=(prime,), witness=v)
@@ -160,6 +157,9 @@ def _colon(args, ideal):
 
 
 def _borel(args, ideal):
+    from .borel import borel_witness, is_borel_type
+    from .witness import verify_witness
+
     report = is_borel_type(ideal)
     if not report.is_borel_type:
         if args.prime is not None:
@@ -181,6 +181,8 @@ def _borel(args, ideal):
 
 
 def _uniqueness(args, ideal):
+    from .witness import classify_uniqueness, verify_witness
+
     prime = _resolve_prime(args.prime, ideal)
     result = classify_uniqueness(ideal, prime)
     lines = [f"unique: {'yes' if result.unique else 'no'}"]
@@ -190,6 +192,8 @@ def _uniqueness(args, ideal):
 
 
 def _clutter_base(args, clutter):
+    from .witness import verify_witness
+
     ideal = clutter.edge_ideal()
     prime = _resolve_prime(args.prime, ideal)
     v = clutter.witness_base(prime)
@@ -199,6 +203,8 @@ def _clutter_base(args, clutter):
 
 
 def _symgen(args, pattern):
+    from .witness import build_symmetric_ideal, symmetric_witness, verify_witness
+
     ideal = build_symmetric_ideal(pattern)
     lines = [f"I = {ideal}"]
     if args.prime is None:

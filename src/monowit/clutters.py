@@ -114,33 +114,41 @@ class Clutter(_Frozen):
         """Stable sets whose neighbor set is a minimal vertex cover.
 
         Each lies in T = V \\ P for its cover P and has N(b) inside P: a vertex
-        of P is in N(b) when it is the one vertex of P on an edge whose rest
-        lies in b, read from one table of (rest, vertex) rows per cover.  The
-        good b, those with N(b) = P, form an up-set in T: a search from T that
-        drops vertices in increasing order while N(b) = P holds visits them only.
-        An edgeless clutter on n vertices has 2^n of them, so past 2^16 sets,
-        as many as 16 vertices can have, the search raises ValueError.
+        v of P is in N(b) when some edge meets P in v alone and has its rest
+        inside b.  The good b, those with N(b) = P, form an up-set in T, and b
+        cannot drop a vertex u when, for some v, every such rest inside b
+        contains u; one pass over the rests, grouped by v, finds all of them.
+        A search from T drops the other vertices in increasing order and
+        visits good sets only.  A vertex b cannot drop stays so in every
+        subset of b, so it is never tried again below b.  An edgeless clutter
+        on n vertices has 2^n good sets, so past 2^16 sets, as many as 16
+        vertices can have, the search raises ValueError.
         """
         full = (1 << self.n) - 1
         out = []
         for p in self._cover_masks():
-            table = [(e & ~p, over) for e in self._masks if not (over := e & p) & (over - 1)]
-            stack = [(full & ~p, full & ~p)]  # (good set, vertices it may still drop)
+            rests = {}  # vertex bit of P -> rests of the edges meeting P there alone
+            for e in self._masks:
+                if not (over := e & p) & (over - 1):
+                    rests.setdefault(over, []).append(e & ~p)
+            t = full & ~p
+            stack = [(_bits(t), t, t)]  # (members, good set, vertices it may still drop)
             while stack:
-                b, droppable = stack.pop()
-                out.append(_bits(b))
+                members, b, droppable = stack.pop()
+                out.append(members)
                 if len(out) > _GOOD_SET_CAP:
                     raise ValueError(f"more than {_GOOD_SET_CAP} good stable sets")
-                while droppable:
-                    low = droppable & -droppable
-                    droppable ^= low
-                    c = b ^ low
-                    reached = 0
-                    for rest, v in table:
-                        if not rest & ~c:
-                            reached |= v
-                    if reached == p:
-                        stack.append((c, droppable))
+                outside = ~b
+                for group in rests.values():
+                    kept = b  # the vertices every rest of this group inside b holds
+                    for rest in group:
+                        if not rest & outside:
+                            kept &= rest
+                    droppable &= ~kept
+                for i, u in enumerate(members):
+                    if droppable >> u & 1:
+                        droppable ^= 1 << u
+                        stack.append((members[:i] + members[i + 1:], b ^ 1 << u, droppable))
         return tuple(map(frozenset, sorted(out)))
 
     def _colon_is_cover(self, p: int) -> bool:

@@ -20,12 +20,14 @@ Blank lines and '#' comments are skipped.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .clutters import Clutter
 from .errors import ParseError
 from .rings import Monomial, MonomialIdeal, RingContext
-from .witness import SymmetricPattern
+
+if TYPE_CHECKING:  # imported where a stanza needs them, so an ideal file loads neither
+    from .clutters import Clutter
+    from .witness import SymmetricPattern
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"[0-9]+")
@@ -154,6 +156,8 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
 
 
 def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Clutter:
+    from .clutters import Clutter
+
     edges = []
     scanner = _Scanner(rhs, line, column)
     while True:
@@ -191,6 +195,8 @@ def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Cl
 
 
 def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
+    from .witness import SymmetricPattern
+
     m = re.fullmatch(r"\s*n:(\d+)\s+exps:([0-9,\s]+)", rhs)
     if not m:
         raise ParseError("sym declaration must be 'sym <name> = n:<k> exps:a,b,...'", line)

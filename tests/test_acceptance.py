@@ -31,6 +31,7 @@ from util import (
     box_corpus,
     clutter_corpus,
     ctx,
+    drop_one_intersections,
     graph_corpus,
     ideal,
     mono,
@@ -64,21 +65,6 @@ def intersect_all(ideals_):
     for j in ideals_:
         result = j if result is None else result.intersect(j)
     return result
-
-
-def drop_one_intersections(ideals_):
-    n = len(ideals_)
-    prefix = [None] * (n + 1)
-    suffix = [None] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = ideals_[i] if prefix[i] is None else prefix[i].intersect(ideals_[i])
-    for i in range(n - 1, -1, -1):
-        suffix[i] = ideals_[i] if suffix[i + 1] is None else ideals_[i].intersect(suffix[i + 1])
-    for i in range(n):
-        left, right = prefix[i], suffix[i + 1]
-        yield left.intersect(right) if left is not None and right is not None else (
-            right if left is None else left
-        )
 
 
 @criterion(1, "eight-variable session reproduction, exact, under one second")

@@ -10,6 +10,7 @@ import pytest
 import monowit.cli
 from monowit import TheoremViolationError
 from monowit.cli import main
+from util import fresh_interpreter
 
 SESSION = """\
 ring n=8
@@ -437,12 +438,24 @@ class TestErrorPaths:
 def test_import_leaves_out_heavy_stdlib_modules():
     # the CLI pays for every import on every call; these three are only
     # needed by record generation (dataclasses, inspect) or JSON output
-    src = os.path.dirname(os.path.dirname(monowit.cli.__file__))
     probe = ("import sys, monowit.cli; "
              "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert fresh_interpreter(probe) == "[]\n"
+
+
+UNUSED_BY_DECOMPOSE = "{'monowit.borel', 'monowit.clutters', 'monowit.witness'}"
+
+
+def test_import_leaves_out_the_witness_borel_and_clutter_modules():
+    probe = f"import sys, monowit.cli; print(sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)))"
+    assert fresh_interpreter(probe) == "[]\n"
+
+
+def test_decompose_loads_no_witness_borel_or_clutter_module(problem):
+    path = problem(SESSION)
+    probe = ("import contextlib, io, sys\n"
+             "from monowit.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = main(['decompose', {path!r}])\n"
+             f"print(code, sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)))")
+    assert fresh_interpreter(probe) == "0 []\n"

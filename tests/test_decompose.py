@@ -33,6 +33,7 @@ from util import (
     box_exponents,
     clutter_corpus,
     ctx,
+    drop_one_intersections,
     every_prime,
     graph_corpus,
     ideal,
@@ -55,28 +56,6 @@ def intersect_all(components):
         j = q.as_ideal()
         result = j if result is None else result.intersect(j)
     return result
-
-
-def drop_one_intersections(components):
-    """Intersections of all-but-one component, via prefix/suffix products."""
-    ideals = [q.as_ideal() for q in components]
-    n = len(ideals)
-    prefix = [None] * (n + 1)
-    suffix = [None] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = ideals[i] if prefix[i] is None else prefix[i].intersect(ideals[i])
-    for i in range(n - 1, -1, -1):
-        suffix[i] = ideals[i] if suffix[i + 1] is None else ideals[i].intersect(suffix[i + 1])
-    out = []
-    for i in range(n):
-        left, right = prefix[i], suffix[i + 1]
-        if left is None:
-            out.append(right)
-        elif right is None:
-            out.append(left)
-        else:
-            out.append(left.intersect(right))
-    return out
 
 
 class TestSessionIdeal:
@@ -166,7 +145,7 @@ class TestCorpusProperties:
             d = irreducible_decomposition(I)
             if len(d) == 1:
                 continue
-            for partial in drop_one_intersections(d.components):
+            for partial in drop_one_intersections([q.as_ideal() for q in d.components]):
                 assert partial != I
 
     def test_components_are_canonically_sorted(self):

@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache, reduce
 
 import hypothesis.strategies as st
 
+import monowit
 from monowit import (
     Clutter,
     Monomial,
@@ -32,6 +36,18 @@ def ctx(n: int) -> RingContext:
     if n not in _CONTEXTS:
         _CONTEXTS[n] = RingContext(n)
     return _CONTEXTS[n]
+
+
+def fresh_interpreter(probe: str) -> str:
+    """stdout of the code `probe`, run in a new interpreter that imports
+    monowit from the same tree as these tests."""
+    src = os.path.dirname(os.path.dirname(monowit.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def mono(context: RingContext, text: str) -> Monomial:
@@ -101,6 +117,29 @@ def oracle_colon_by_ideal(ideal_, by) -> MonomialIdeal:
     """(I : J) for a nonzero J: the intersection of the (I : v) over the
     generators v of J."""
     return reduce(MonomialIdeal.intersect, (ideal_.colon(v) for v in by))
+
+
+def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
+    """For each of two or more ideals, the intersection of all the others,
+    from prefix and suffix intersections: an irredundant decomposition of I
+    gives none equal to I."""
+    n = len(ideals_)
+    prefix = [None] * (n + 1)
+    suffix = [None] * (n + 1)
+    for i in range(n):
+        prefix[i + 1] = ideals_[i] if prefix[i] is None else prefix[i].intersect(ideals_[i])
+    for i in range(n - 1, -1, -1):
+        suffix[i] = ideals_[i] if suffix[i + 1] is None else ideals_[i].intersect(suffix[i + 1])
+    out = []
+    for i in range(n):
+        left, right = prefix[i], suffix[i + 1]
+        if left is None:
+            out.append(right)
+        elif right is None:
+            out.append(left)
+        else:
+            out.append(left.intersect(right))
+    return out
 
 
 def oracle_verify_witness(ideal_, prime, v) -> bool:
