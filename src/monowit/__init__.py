@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "borel": ("BorelReport", "borel_witness", "exchange_closure", "is_borel_type",
-              "is_borel_type_by_saturation", "saturate"),
+              "is_borel_type_by_saturation"),
     "clutters": ("Clutter",),
     "decompose": ("Decomposition", "IrreducibleComponent", "associated_primes",
                   "irreducible_decomposition"),

@@ -1,4 +1,4 @@
-"""Borel-type ideals: detection, saturation, and the one-extra-variable witness.
+"""Borel-type ideals: detection and the one-extra-variable witness.
 
 An ideal is of Borel type when saturating by x_i and by <x_1..x_i> agree for
 every i; equivalently every associated prime is a prefix <x_1..x_j>, and
@@ -11,12 +11,10 @@ exceeds that bound.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, _ints, _require_same_context,
-                    _trusted_monomial)
+from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted_monomial
 
 
 class BorelReport(NamedTuple):
@@ -58,36 +56,18 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
     return BorelReport(True, primes=associated_primes(ideal))
 
 
-def saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
-    """(I : J^inf), the stable limit of repeated colon by a nonzero ideal J.
-
-    For the generators g_1..g_r of J, J^{rk} lies in (g_1^k, ..., g_r^k),
-    which lies in J^k, so (I : J^inf) is the intersection of the (I : g^inf);
-    and (I : g^inf) drops the variables of g from every generator of I.
-    """
-    if by.is_zero:
-        raise ValueError("saturation by the zero ideal is undefined")
-    _require_same_context(ideal, by)
-    parts = [
-        MonomialIdeal._from_exps(
-            ideal.context, (tuple([0 if d else e for e, d in zip(u, g)]) for u in ideal._exps)
-        )
-        for g in by._exps
-    ]
-    return reduce(MonomialIdeal.intersect, parts)
-
-
 def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     """Definition-level detection: saturating by x_i and by <x_1..x_i> agree.
 
-    Saturation by a sum of ideals is the intersection of the saturations by
-    each, so the prefix saturation grows by one intersection per variable.
+    (I : x_i^inf) drops x_i from every generator, and saturation by a sum of
+    ideals is the intersection of the saturations by each, so the prefix
+    saturation grows by one intersection per variable.
     """
     _require_decomposable(ideal)
-    ctx = ideal.context
     prefix = None
-    for i in range(ctx.n):
-        single = saturate(ideal, MonomialIdeal(ctx, [ctx.variable(i)]))
+    for i in range(ideal.context.n):
+        single = MonomialIdeal._from_exps(
+            ideal.context, (u[:i] + (0,) + u[i + 1:] for u in ideal._exps))
         prefix = single if prefix is None else prefix.intersect(single)
         if single != prefix:
             return False
@@ -95,21 +75,15 @@ def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
 
 
 def borel_witness(
-    ideal: MonomialIdeal,
-    prime: PrimeSupport,
-    component: IrreducibleComponent,
-    extra_exponent: Optional[int] = None,
+    ideal: MonomialIdeal, prime: PrimeSupport, component: IrreducibleComponent
 ) -> Monomial:
     """Witness for a prefix prime touching at most one variable outside it.
 
     For P = <x_1..x_k> with component exponents a_1..a_k the witness is
-    x_1^{a_1-1} ... x_k^{a_k-1} times x_{k+1}^b, where b defaults to the max
+    x_1^{a_1-1} ... x_k^{a_k-1} times x_{k+1}^b, where b is the max
     x_{k+1}-exponent over the generators; for k = n the extra factor is
     dropped.  The ideal is of Borel type exactly when every prime is a prefix.
     """
-    if extra_exponent is not None:
-        (extra_exponent,) = _ints((extra_exponent,), "the extra exponent must be an integer",
-                                  low=None)
     decomposition = irreducible_decomposition(ideal)
     if any(p.vars != tuple(range(len(p.vars))) for p in decomposition.primes()):
         raise ValueError(f"{ideal} is not of Borel type")
@@ -119,11 +93,7 @@ def borel_witness(
     k = len(prime.vars)
     exps = [0] * ideal.context.n
     if k < ideal.context.n:
-        floor = ideal.max_exponents()[k]
-        b = floor if extra_exponent is None else extra_exponent
-        if b < floor:
-            raise ValueError(f"extra exponent {b} below the floor {floor}")
-        exps[k] = b
+        exps[k] = ideal.max_exponents()[k]
     return component._witness(exps)
 
 

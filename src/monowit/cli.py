@@ -46,7 +46,12 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
     }
 
 
-def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
+def _variables(selector: str, context) -> list[int]:
+    return [context.index_of(name.strip()) for name in selector.split(",")]
+
+
+def _resolve_prime(selector: str, ideal: MonomialIdeal) -> tuple[PrimeSupport, tuple]:
+    """The selected prime and its components; raises if it is not associated."""
     decomposition = irreducible_decomposition(ideal)
     if selector.isdecimal():
         primes = decomposition.primes()
@@ -54,15 +59,13 @@ def _resolve_prime(selector: str, ideal: MonomialIdeal) -> PrimeSupport:
         if index >= len(primes):
             raise ValueError(
                 f"prime index {index} out of range; there are {len(primes)} primes")
-        return primes[index]
-    variables = [ideal.context.index_of(name.strip()) for name in selector.split(",")]
-    prime = PrimeSupport(ideal.context, variables)
-    decomposition.components_for(prime)
-    return prime
+        prime = primes[index]
+    else:
+        prime = PrimeSupport(ideal.context, _variables(selector, ideal.context))
+    return prime, decomposition.components_for(prime)
 
 
-def _resolve_component(args, ideal, prime):
-    components = irreducible_decomposition(ideal).components_for(prime)
+def _resolve_component(args, prime, components):
     if args.component is not None:
         if not 0 <= args.component < len(components):
             raise ValueError(f"component index {args.component} out of range; "
@@ -132,8 +135,8 @@ def _witness(args, ideal):
         return lines, _decomposition_fields(ideal, decomposition), None
     if args.prime is None:
         raise ValueError("witness requires --prime (or --list to see candidates)")
-    prime = _resolve_prime(args.prime, ideal)
-    component = _resolve_component(args, ideal, prime)
+    prime, components = _resolve_prime(args.prime, ideal)
+    component = _resolve_component(args, prime, components)
     offsets = _collect_offsets(args, ideal, prime)
     v = witness_from_component(ideal, WitnessSpec(prime, component, offsets))
     lines = [f"P = {prime}", f"Q = {component}", f"v = {v}"]
@@ -144,7 +147,7 @@ def _witness(args, ideal):
 def _verify(args, ideal):
     from .witness import verify_witness
 
-    prime = _resolve_prime(args.prime, ideal)
+    prime, _ = _resolve_prime(args.prime, ideal)
     v = parse_monomial(args.monomial, ideal.context)
     fields = dict(ideal=ideal, primes=(prime,), witness=v)
     return [f"(I : {v}) = {ideal.colon(v)}"], fields, verify_witness(ideal, prime, v)
@@ -174,8 +177,8 @@ def _borel(args, ideal):
     fields = dict(ideal=ideal, primes=report.primes)
     if args.prime is None:
         return lines, fields, None
-    prime = _resolve_prime(args.prime, ideal)
-    component = _resolve_component(args, ideal, prime)
+    prime, components = _resolve_prime(args.prime, ideal)
+    component = _resolve_component(args, prime, components)
     v = borel_witness(ideal, prime, component)
     return lines + [f"v = {v}"], dict(fields, witness=v), verify_witness(ideal, prime, v)
 
@@ -183,7 +186,7 @@ def _borel(args, ideal):
 def _uniqueness(args, ideal):
     from .witness import classify_uniqueness, verify_witness
 
-    prime = _resolve_prime(args.prime, ideal)
+    prime, _ = _resolve_prime(args.prime, ideal)
     result = classify_uniqueness(ideal, prime)
     lines = [f"unique: {'yes' if result.unique else 'no'}"]
     lines += [f"v{i + 1} = {w}" for i, w in enumerate(result.witnesses)]
@@ -195,7 +198,7 @@ def _clutter_base(args, clutter):
     from .witness import verify_witness
 
     ideal = clutter.edge_ideal()
-    prime = _resolve_prime(args.prime, ideal)
+    prime, _ = _resolve_prime(args.prime, ideal)
     v = clutter.witness_base(prime)
     support = ", ".join(clutter.context.names[i] for i in v.support())
     fields = dict(ideal=ideal, primes=(prime,), witness=v)
@@ -211,7 +214,7 @@ def _symgen(args, pattern):
         return lines, dict(ideal=ideal), None
     if args.value_index is None:
         raise ValueError("--prime needs --value-index for symgen")
-    variables = [pattern.context.index_of(s.strip()) for s in args.prime.split(",")]
+    variables = _variables(args.prime, pattern.context)
     try:
         b_choices = [int(s) for s in args.b.split(",") if s.strip()] if args.b else []
     except ValueError:

@@ -4,12 +4,12 @@ Monomial grammar (whitespace ignored, "1" is the unit monomial):
 
     monomial := '1' | term ('*' term)*
     term     := var ('^' posint)?
-    var      := declared ring name
+    var      := declared ring name, [A-Za-z_][A-Za-z0-9_]*
 
 Problem files hold one construct per stanza, after a ring declaration:
 
     ring n=8                  (names default to x1..xn)
-    ring vars=t1,t2,t3        (explicit names)
+    ring vars=t1,t2,t3        (explicit names, each matching var's pattern)
     ideal I = x1^4, x2^7*x4
     clutter C = {t1,t2},{t2,t3}
     sym S = n:3 exps:1,3,3
@@ -148,6 +148,9 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
         names = [s.strip() for s in rhs[5:].split(",") if s.strip()]
         if not names:
             raise ParseError("ring declaration lists no variables", line)
+        for name in names:  # else no stanza or option could refer to it
+            if not _NAME.fullmatch(name):
+                raise ParseError(f"invalid variable name {name!r}", line)
         try:
             return RingContext(names)
         except ValueError as exc:

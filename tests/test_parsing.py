@@ -153,6 +153,18 @@ class TestProblemFile:
             parse_problem_file(text)
         assert str(info.value) == "ring size must be a positive integer (line 1, column 1)"
 
+    @pytest.mark.parametrize("text, name", [
+        ("ring vars=a b,c\nideal I = c\n", "a b"),
+        ("ring vars=c-d,e\nideal I = e\n", "c-d"),
+        ("ring vars=e,1x\nideal I = e\n", "1x"),
+        ("ring vars=\u00e9,b\nideal I = b\n", "\u00e9"),
+    ], ids=["space", "hyphen", "leading-digit", "non-ascii"])
+    def test_ring_names_must_be_identifiers(self, text, name):
+        # a name the monomial grammar cannot read could never be referred to
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == f"invalid variable name {name!r} (line 1, column 1)"
+
     @pytest.mark.parametrize("text, line, column", [
         ("ring n=2\nideal I = x1*y\n", 2, 14),
         ("ring n=2\nideal I=x1^0\n", 2, 12),
@@ -166,10 +178,15 @@ class TestProblemFile:
         ("sym S = n:2 exps:0,1\n", 1, 9),
         ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11),
         ("ring n=\u00b2\nideal I = x1\n", 1, 1),
+        ("ring n=2\nideal I = x1^   \n", 2, 14),
+        ("ring n=2\nideal I = 12\n", 2, 12),
+        ("ring n=2\nideal I = x1*\u00e9\n", 2, 14),
+        ("ring n=2\nideal I = x1\t*\tx2\t*\ty\n", 2, 21),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
-            "ring-superscript-size"])
+            "ring-superscript-size", "ideal-caret-then-spaces",
+            "ideal-unit-then-digit", "ideal-non-ascii-name", "ideal-tabs"])
     def test_error_positions_count_from_the_line_start(self, text, line, column):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)

@@ -16,7 +16,6 @@ from monowit import (
     SymmetricPattern,
     UniquenessResult,
     WitnessSpec,
-    borel_witness,
     irreducible_decomposition,
     is_borel_type,
     parse_problem_file,
@@ -105,21 +104,12 @@ class TestWitnessSpec:
             WitnessSpec(PrimeSupport(ctx(n), [0]), IrreducibleComponent(ctx(3), {0: 1}))
 
 
-def _borel_witness(extra):
-    c = ctx(2)
-    return borel_witness(ideal(c, "x1^2", "x1*x2"), PrimeSupport(c, [0]),
-                         IrreducibleComponent(c, {0: 1}), extra_exponent=extra)
-
-
 @pytest.mark.parametrize("build, message", [
     (lambda: _spec({1: 1.5}), "offset variables and offsets must be integers"),
     (lambda: _spec({1: "2"}), "offset variables and offsets must be integers"),
     (lambda: _spec({"a": 1}), "offset variables and offsets must be integers"),
     (lambda: _spec({1.0: 2}), "offset variables and offsets must be integers"),
-    (lambda: _borel_witness("3"), "the extra exponent must be an integer"),
-    (lambda: _borel_witness(2.5), "the extra exponent must be an integer"),
-], ids=["offset-float", "offset-str", "variable-str", "variable-float",
-        "extra-str", "extra-float"])
+], ids=["offset-float", "offset-str", "variable-str", "variable-float"])
 def test_non_integer_offsets_rejected_early(build, message):
     with pytest.raises(ValueError) as info:
         build()

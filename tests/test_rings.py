@@ -18,9 +18,7 @@ from monowit import (
     SymmetricPattern,
     WitnessSpec,
     associated_primes,
-    borel_witness,
     exchange_closure,
-    saturate,
     symmetric_witness,
 )
 from monowit.rings import _minimize_exps
@@ -115,14 +113,11 @@ class _Index:
     (lambda c: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}),
                            {_Index(1): True}),
      lambda s: sum(s.offsets.items(), ()), (1, 1)),
-    (lambda c: borel_witness(ideal(c, "x1^2", "x1*x2"), PrimeSupport(c, [0]),
-                             IrreducibleComponent(c, {0: 1}), _Index(3)),
-     lambda m: m.exps, (0, 3)),
     (lambda c: SymmetricPattern(c, [True, _Index(2)]), lambda p: p.exps, (1, 2)),
     (lambda c: symmetric_witness(SymmetricPattern(c, [1, 2]), _Index(0), [0], [2]),
      lambda pv: pv[1].exps, (0, 2)),
     (lambda c: Clutter(c.n, [[_Index(0), 1]]), lambda k: tuple(sorted(k.edges[0])), (0, 1)),
-], ids=["monomial", "powers", "prime", "component", "offsets", "borel-extra", "pattern",
+], ids=["monomial", "powers", "prime", "component", "offsets", "pattern",
         "value-index", "clutter"])
 def test_index_integers_are_stored_as_int(build, read, expected):
     stored = read(build(ctx(2)))
@@ -278,7 +273,7 @@ class TestMinimize:
             c = I.context
             J = next(J for J in corpus[k + 1:] + corpus[:k] if J.context == c)
             derived += [I, I.intersect(J), I.colon(c.variable(0)), oracle_colon_by_ideal(I, J),
-                        saturate(I, ideal(c, "x1")), exchange_closure(I)]
+                        exchange_closure(I)]
         for I in derived:
             gens = I.gens
             assert tuple(g.exps for g in gens) == I._exps

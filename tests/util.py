@@ -23,7 +23,6 @@ from monowit import (
     exchange_closure,
     parse_ideal_gens,
     parse_monomial,
-    saturate,
     verify_witness,
 )
 from monowit.borel import _require_decomposable
@@ -334,7 +333,7 @@ def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     for i in range(ctx.n):
         single = MonomialIdeal(ctx, [ctx.variable(i)])
         prefix = MonomialIdeal(ctx, [ctx.variable(t) for t in range(i + 1)])
-        if saturate(ideal, single) != saturate(ideal, prefix):
+        if oracle_saturate(ideal, single) != oracle_saturate(ideal, prefix):
             return False
     return True
 
