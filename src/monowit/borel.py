@@ -1,16 +1,19 @@
-"""Borel-type ideals: detection and the one-extra-variable witness.
+"""Borel-type ideals: detection, the exchange closure, and the
+one-extra-variable witness.
 
 An ideal is of Borel type when saturating by x_i and by <x_1..x_i> agree for
 every i; equivalently every associated prime is a prefix <x_1..x_j>, and
-equivalently every generator u satisfies the exchange test: for j < i with
-x_i dividing u, some power of x_j times u/x_i^{nu_i(u)} lies back in the
-ideal.  The existential power is decided at the finite bound max nu_j over
-the generators, which is exact because a generator's x_j-exponent never
-exceeds that bound.
+equivalently every generator u passes the exchange test: for j < i with x_i
+dividing u, u with x_i dropped lies in (I : x_j^inf).  One kernel,
+`_exchange_failure`, runs that test for both detectors: the prefix
+saturation is the intersection of the (I : x_j^inf) for j <= i, so it
+equals (I : x_i^inf) exactly when the test holds for that i.
+`exchange_closure` is a worklist that checks each generator's moves once.
 """
 
 from __future__ import annotations
 
+from operator import le
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
@@ -33,45 +36,48 @@ def _require_decomposable(ideal: MonomialIdeal):
         raise ValueError("the unit ideal is not classified")
 
 
+def _exchange_failure(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], int, int]]:
+    """The first generator u, i and j < i with x_i dividing u and u with x_i
+    dropped outside (I : x_j^inf), or None when there is none.
+
+    Generators are scanned in stored order, i descending and j ascending.
+    (I : x_j^inf) is generated by the generators with x_j dropped.
+    """
+    _require_decomposable(ideal)
+    n = ideal.context.n
+    saturations = [[g[:j] + (0,) + g[j + 1:] for g in ideal._exps] for j in range(n - 1)]
+    for u in ideal._exps:
+        for i in range(n - 1, 0, -1):
+            if u[i] == 0:
+                continue
+            stripped = u[:i] + (0,) + u[i + 1:]
+            for j in range(i):
+                if not any(all(map(le, g, stripped)) for g in saturations[j]):
+                    return u, i, j
+    return None
+
+
 def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
     """Exchange-test detection over the minimal generators.
 
     Checking generators suffices: any u in the ideal is a monomial multiple
     of a generator, and the multiple carries over to the exchanged monomial.
     """
-    _require_decomposable(ideal)
-    floors = ideal.max_exponents()
-    for u in ideal._exps:
-        for i in range(ideal.context.n - 1, 0, -1):
-            if u[i] == 0:
-                continue
-            stripped = list(u)
-            stripped[i] = 0
-            for j in range(i):
-                probe = stripped.copy()
-                probe[j] += floors[j]
-                if not ideal._contains_exps(probe):
-                    u = _trusted_monomial(ideal.context, u)
-                    return BorelReport(False, certificate=(u, i, j))
+    failure = _exchange_failure(ideal)
+    if failure is not None:
+        u, i, j = failure
+        return BorelReport(False, certificate=(_trusted_monomial(ideal.context, u), i, j))
     return BorelReport(True, primes=associated_primes(ideal))
 
 
 def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     """Definition-level detection: saturating by x_i and by <x_1..x_i> agree.
 
-    (I : x_i^inf) drops x_i from every generator, and saturation by a sum of
-    ideals is the intersection of the saturations by each, so the prefix
-    saturation grows by one intersection per variable.
+    The prefix saturation is the intersection of the (I : x_j^inf) for
+    j <= i, so the two agree exactly when (I : x_i^inf) lies in every
+    (I : x_j^inf) with j < i: the exchange kernel's condition.
     """
-    _require_decomposable(ideal)
-    prefix = None
-    for i in range(ideal.context.n):
-        single = MonomialIdeal._from_exps(
-            ideal.context, (u[:i] + (0,) + u[i + 1:] for u in ideal._exps))
-        prefix = single if prefix is None else prefix.intersect(single)
-        if single != prefix:
-            return False
-    return True
+    return _exchange_failure(ideal) is None
 
 
 def borel_witness(
@@ -99,21 +105,28 @@ def borel_witness(
 
 def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Smallest ideal containing this one that is closed under moving one
-    power of any variable to an earlier variable (hence of Borel type)."""
+    power of any variable to an earlier variable (hence of Borel type).
+
+    A worklist: each generator, seed or new, has its moves checked once,
+    against the generators so far.  That suffices because a move of a
+    multiple w*u is a multiple of u or of a move of u, and the ideal only
+    grows.
+    """
     _require_decomposable(ideal)
-    current = ideal
-    while True:
-        missing = []
-        for u in current._exps:
-            for i, e in enumerate(u):
-                if not e:
-                    continue
-                for j in range(i):
-                    moved = list(u)
-                    moved[i] -= 1
-                    moved[j] += 1
-                    if not current._contains_exps(moved):
-                        missing.append(tuple(moved))
-        if not missing:
-            return current
-        current = MonomialIdeal._from_exps(ideal.context, current._exps + tuple(missing))
+    gens = list(ideal._exps)
+    seen = set(gens)  # most moves land on a generator itself
+    for u in gens:  # the list grows as the loop runs
+        for i, e in enumerate(u):
+            if not e:
+                continue
+            for j in range(i):
+                moved = list(u)
+                moved[i] -= 1
+                moved[j] += 1
+                moved = tuple(moved)
+                if moved not in seen and not any(all(map(le, g, moved)) for g in gens):
+                    gens.append(moved)
+                    seen.add(moved)
+    if len(gens) == len(ideal._exps):
+        return ideal
+    return MonomialIdeal._from_exps(ideal.context, gens)

@@ -216,7 +216,7 @@ def _symgen(args, pattern):
         raise ValueError("--prime needs --value-index for symgen")
     variables = _variables(args.prime, pattern.context)
     try:
-        b_choices = [int(s) for s in args.b.split(",") if s.strip()] if args.b else []
+        b_choices = [int(s) for s in args.b.split(",")] if args.b else []
     except ValueError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)

@@ -145,9 +145,11 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
             raise ParseError("ring size must be a positive integer", line)
         return RingContext(int(digits))
     if rhs.startswith("vars="):
-        names = [s.strip() for s in rhs[5:].split(",") if s.strip()]
-        if not names:
+        names = [s.strip() for s in rhs[5:].split(",")]
+        if names == [""]:
             raise ParseError("ring declaration lists no variables", line)
+        if "" in names:
+            raise ParseError("ring declaration has an empty variable name", line)
         for name in names:  # else no stanza or option could refer to it
             if not _NAME.fullmatch(name):
                 raise ParseError(f"invalid variable name {name!r}", line)
@@ -206,11 +208,14 @@ def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
     n = int(m.group(1))
     if n < 1:
         raise ParseError("sym ring size must be positive", line)
+    column += len(rhs) - len(rhs.lstrip())  # of 'n:'
+    entries = m.group(2).split(",")
+    if not all(s.strip() for s in entries):
+        raise ParseError("sym exps list has an empty entry", line, column)
     try:
-        exps = tuple(int(s) for s in m.group(2).split(",") if s.strip())
-        return SymmetricPattern(RingContext(n), exps)
-    except ValueError as exc:  # at 'n:'
-        raise ParseError(str(exc), line, column + len(rhs) - len(rhs.lstrip())) from None
+        return SymmetricPattern(RingContext(n), tuple(map(int, entries)))
+    except ValueError as exc:
+        raise ParseError(str(exc), line, column) from None
 
 
 _STANZA = re.compile(r"(ring|ideal|clutter|sym)\b\s*(.*)")

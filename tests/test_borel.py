@@ -1,6 +1,9 @@
-"""Borel-type detection, the saturation oracle, and the one-extra-variable witness."""
+"""Borel-type detection, the saturation oracle, the exchange closure, and the
+one-extra-variable witness."""
 
+import itertools
 from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -19,17 +22,29 @@ from monowit import (
     verify_witness,
 )
 from util import (
+    borel_closure_seeds,
     borel_corpus,
     ctx,
     ideal,
     ideals,
     mono,
     monomials,
+    oracle_exchange_certificate,
+    oracle_exchange_closure,
     oracle_is_borel_type_by_saturation,
     oracle_saturate,
     session_ideal,
     witness_corpus,
 )
+
+
+def certificate_exps(I):
+    """is_borel_type's certificate as (u.exps, i, j), or None."""
+    certificate = is_borel_type(I).certificate
+    if certificate is None:
+        return None
+    u, i, j = certificate
+    return u.exps, i, j
 
 
 class TestDetection:
@@ -61,6 +76,14 @@ class TestDetection:
             stripped[j] = stripped.get(j, 0) + bound
             probe = I.context.monomial_from_powers(stripped)
             assert probe not in I
+
+    def test_certificate_matches_probe_oracle(self):
+        for I in borel_corpus() + witness_corpus():
+            assert certificate_exps(I) == oracle_exchange_certificate(I)
+
+    @given(ideals(max_n=5))
+    def test_certificate_matches_probe_oracle_on_random_ideals(self, I):
+        assert certificate_exps(I) == oracle_exchange_certificate(I)
 
     def test_session_ideal_is_not_borel_type(self):
         assert not is_borel_type(session_ideal()).is_borel_type
@@ -183,12 +206,29 @@ class TestExchangeClosure:
             closed = exchange_closure(I)
             assert all(g in closed for g in I)
             assert is_borel_type(closed).is_borel_type
-            assert exchange_closure(closed) == closed
+            assert exchange_closure(closed) is closed
 
     def test_closed_corpus_half_is_borel_type(self):
         for idx, I in enumerate(borel_corpus()):
             if idx % 2:
                 assert is_borel_type(I).is_borel_type
+
+    def test_matches_round_oracle_on_corpus_seeds(self):
+        for seed in borel_closure_seeds():
+            assert exchange_closure(seed) == oracle_exchange_closure(seed)
+
+    @given(ideals())
+    def test_matches_round_oracle_on_random_ideals(self, I):
+        assert exchange_closure(I) == oracle_exchange_closure(I)
+
+    @pytest.mark.parametrize("n, d", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_closure_of_last_variable_power_is_maximal_ideal_power(self, n, d):
+        c = ctx(n)
+        closed = exchange_closure(MonomialIdeal(c, [c.monomial_from_powers({n - 1: d})]))
+        power = MonomialIdeal(c, [c.monomial(vs.count(v) for v in range(n))
+                                  for vs in itertools.combinations_with_replacement(range(n), d)])
+        assert closed == power
+        assert len(closed) == comb(n + d - 1, d)
 
     def test_known_closure(self):
         c = ctx(2)

@@ -359,6 +359,22 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err == "error: --b expects comma-separated integers, got 'a'\n"
 
+    @pytest.mark.parametrize("b", [",,2,", "2,", ",2", "1,,2", " "])
+    def test_empty_b_entry_rejected(self, problem, capsys, b):
+        code, out, err = run(capsys, [
+            "symgen", problem(SYM), "--prime", "x1,x2", "--value-index", "1", "--b", b,
+        ])
+        assert code == 1 and out == ""
+        assert err == f"error: --b expects comma-separated integers, got {b!r}\n"
+
+    def test_empty_b_means_no_exponents(self, problem, capsys):
+        # the last pattern position has no complement exponents to choose
+        args = ["symgen", problem("sym S = n:3 exps:1,2,3\n"), "--prime", "x1,x2,x3",
+                "--value-index", "2"]
+        code, out, err = run(capsys, args + ["--b", ""])
+        assert (code, err) == (0, "") and out.endswith("VERIFIED\n")
+        assert run(capsys, args) == (code, out, err)
+
     @pytest.mark.parametrize("command, text, extra, message", [
         ("decompose", "ring n=\u00b2\nideal I = x1\n", [],
          "ring size must be a positive integer (line 1, column 1)"),

@@ -165,6 +165,26 @@ class TestProblemFile:
             parse_problem_file(text)
         assert str(info.value) == f"invalid variable name {name!r} (line 1, column 1)"
 
+    @pytest.mark.parametrize("text, message", [
+        ("ring vars=a,,b\nideal I = a\n",
+         "ring declaration has an empty variable name (line 1, column 1)"),
+        ("ring vars=a,b,\nideal I = a\n",
+         "ring declaration has an empty variable name (line 1, column 1)"),
+        ("ring vars=,a\n", "ring declaration has an empty variable name (line 1, column 1)"),
+        ("# names\nring vars=a, ,b\n",
+         "ring declaration has an empty variable name (line 2, column 1)"),
+        ("ring vars=\n", "ring declaration lists no variables (line 1, column 1)"),
+        ("sym S = n:3 exps:1,,3\n", "sym exps list has an empty entry (line 1, column 9)"),
+        ("ring n=3\n sym S = n:3 exps:1,3,\n",
+         "sym exps list has an empty entry (line 2, column 10)"),
+    ], ids=["ring-double-comma", "ring-trailing-comma", "ring-leading-comma",
+            "ring-blank-name", "ring-no-names", "sym-double-comma", "sym-trailing-comma"])
+    def test_empty_list_entries_rejected(self, text, message):
+        # a missing entry is more likely a typo than an intent
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text, line, column", [
         ("ring n=2\nideal I = x1*y\n", 2, 14),
         ("ring n=2\nideal I=x1^0\n", 2, 12),

@@ -338,6 +338,49 @@ def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     return True
 
 
+def oracle_exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The exchange closure in rounds: every round tries every move of every
+    generator, adds the missing ones and minimizes, until a round adds none."""
+    _require_decomposable(ideal)
+    current = ideal
+    while True:
+        missing = []
+        for u in current._exps:
+            for i, e in enumerate(u):
+                if not e:
+                    continue
+                for j in range(i):
+                    moved = list(u)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    if not current._contains_exps(moved):
+                        missing.append(tuple(moved))
+        if not missing:
+            return current
+        current = MonomialIdeal._from_exps(ideal.context, current._exps + tuple(missing))
+
+
+def oracle_exchange_certificate(ideal: MonomialIdeal):
+    """The first exchange-test violation (u.exps, i, j) as a membership probe:
+    u with x_i dropped times x_j to the largest x_j-exponent among the
+    generators must lie in the ideal.  None when the ideal is of Borel type.
+    Generators in stored order, i descending, j ascending."""
+    _require_decomposable(ideal)
+    floors = ideal.max_exponents()
+    for u in ideal._exps:
+        for i in range(ideal.context.n - 1, 0, -1):
+            if u[i] == 0:
+                continue
+            stripped = list(u)
+            stripped[i] = 0
+            for j in range(i):
+                probe = stripped.copy()
+                probe[j] += floors[j]
+                if not ideal._contains_exps(probe):
+                    return u, i, j
+    return None
+
+
 def vertex_mask(vertices) -> int:
     """The bitmask of a vertex set, bit v for vertex v."""
     return sum(1 << v for v in vertices)
@@ -495,6 +538,28 @@ def tiny_corpus(count=100, seed=90210):
 
 
 @lru_cache(maxsize=None)
+def _borel_draws(count, seed):
+    """(seed, ideal) pairs: a raw random ideal with seed None, or a closure
+    with the seed it closes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            closure_seed = _random_ideal(rng, max_n=4, max_exp=3, max_gens=2, min_n=2)
+            if closure_seed.is_zero or closure_seed.is_unit:
+                continue
+            candidate = exchange_closure(closure_seed)
+            if len(candidate.gens) > 40:
+                continue
+            out.append((closure_seed, candidate))
+        else:
+            candidate = _random_ideal(rng, max_n=5, max_exp=3, max_gens=3, min_n=2)
+            if candidate.is_zero or candidate.is_unit:
+                continue
+            out.append((None, candidate))
+    return tuple(out)
+
+
 def borel_corpus(count=100, seed=246810):
     """Half raw random ideals, half exchange closures that force Borel type.
 
@@ -502,22 +567,12 @@ def borel_corpus(count=100, seed=246810):
     are kept small and oversized results are redrawn; the saturation-based
     cross-check is quadratic in the generator count.
     """
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        if len(out) % 2:
-            candidate = _random_ideal(rng, max_n=4, max_exp=3, max_gens=2, min_n=2)
-            if candidate.is_zero or candidate.is_unit:
-                continue
-            candidate = exchange_closure(candidate)
-            if len(candidate.gens) > 40:
-                continue
-        else:
-            candidate = _random_ideal(rng, max_n=5, max_exp=3, max_gens=3, min_n=2)
-            if candidate.is_zero or candidate.is_unit:
-                continue
-        out.append(candidate)
-    return tuple(out)
+    return tuple(ideal for _, ideal in _borel_draws(count, seed))
+
+
+def borel_closure_seeds(count=100, seed=246810):
+    """The seeds whose exchange closures make up half of borel_corpus."""
+    return tuple(s for s, _ in _borel_draws(count, seed) if s is not None)
 
 
 @lru_cache(maxsize=None)
