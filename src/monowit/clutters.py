@@ -63,12 +63,23 @@ class Clutter(_Frozen):
             resolved.add(members)
         edges = tuple(sorted(resolved, key=sorted))
         masks = tuple(sum(1 << v for v in e) for e in edges)
-        for e, f in itertools.combinations(masks, 2):
-            if e & f in (e, f):
-                raise ValueError(
-                    f"edges {_braced(context.names, e)} and {_braced(context.names, f)} "
-                    "are nested; a clutter's edges must form an antichain"
-                )
+        by_size: dict[int, list[int]] = {}  # distinct edges of one size never nest
+        for k, e in enumerate(edges):
+            by_size.setdefault(len(e), []).append(k)
+        nested = [
+            (min(i, j), max(i, j))
+            for small, large in itertools.combinations(by_size.values(), 2)
+            for i in small
+            for j in large
+            if masks[i] & masks[j] in (masks[i], masks[j])
+        ]
+        if nested:
+            i, j = min(nested)  # the first nested pair in sorted edge order
+            raise ValueError(
+                f"edges {_braced(context.names, masks[i])} and "
+                f"{_braced(context.names, masks[j])} are nested; "
+                "a clutter's edges must form an antichain"
+            )
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_masks", masks)

@@ -183,7 +183,8 @@ class Decomposition(_Frozen):
         """All components whose support is exactly the given prime, which
         must be of their ring: the one check of whether a prime is associated."""
         matches = self._by_support.get(prime.vars)
-        if matches is None or matches[0].context != prime.context:
+        if matches is None or (matches[0].context is not prime.context
+                               and matches[0].context != prime.context):
             raise ValueError(f"{prime} is not an associated prime")
         return matches
 

@@ -150,10 +150,7 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
             raise ParseError("ring declaration lists no variables", line)
         if "" in names:
             raise ParseError("ring declaration has an empty variable name", line)
-        for name in names:  # else no stanza or option could refer to it
-            if not _NAME.fullmatch(name):
-                raise ParseError(f"invalid variable name {name!r}", line)
-        try:
+        try:  # the constructor checks the name grammar and distinctness
             return RingContext(names)
         except ValueError as exc:
             raise ParseError(str(exc), line) from None

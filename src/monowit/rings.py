@@ -7,15 +7,17 @@ its unique minimal generating set in a canonical order, and every operation
 tuples.  The coefficient field is never represented.
 
 An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
-each read.  Library-built values skip validation through the trusted
-constructor beside their class.  All value classes inherit `_Frozen`, which
-gives them immutability, equality, hashing and the default repr; outside
-integers are checked and converted by `_ints`, and `_by_index` refuses a
-mapping whose keys name one variable index twice.
+each read.  It also keeps its exponent floors (`max_exponents`) once they are
+first read, as it keeps its decomposition.  Library-built values skip
+validation through the trusted constructor beside their class.  All value
+classes inherit `_Frozen`, which gives them immutability, equality, hashing
+and the default repr; outside integers are checked and converted by `_ints`,
+and `_by_index` refuses a mapping whose keys name one variable index twice.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -79,24 +81,32 @@ class _Frozen:
 
 
 class RingContext(_Frozen):
-    """Ambient polynomial ring: a number of variables plus display names."""
+    """Ambient polynomial ring: a number of variables plus display names.
 
-    __slots__ = ("names",)
+    A name is a str matching [A-Za-z_][A-Za-z0-9_]*, so that every monomial
+    prints and parses back; generated names x1..xn are not checked."""
+
+    __slots__ = ("names", "n")
 
     def __init__(self, names_or_size: Union[int, Iterable[str]]):
         if isinstance(names_or_size, int):
             names = tuple(f"x{i + 1}" for i in range(names_or_size))
         else:
-            names = tuple(names_or_size)
+            try:
+                names = tuple(names_or_size)
+            except TypeError:
+                raise ValueError(
+                    f"a ring context needs a size or variable names, not {names_or_size!r}"
+                ) from None
+            for name in names:
+                if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+                    raise ValueError(f"invalid variable name {name!r}")
         if not names:
             raise ValueError("a ring context needs at least one variable")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be pairwise distinct")
         object.__setattr__(self, "names", names)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
+        object.__setattr__(self, "n", len(names))
 
     def _key(self):
         return self.names
@@ -129,7 +139,7 @@ class RingContext(_Frozen):
 
 
 def _require_same_context(a, b):
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatchError(
             f"operands live in different rings: {a.context!r} vs {b.context!r}"
         )
@@ -183,9 +193,10 @@ def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     only if its support is inside v's, which a bitmask test settles first.
     """
     ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
+    bits = [1 << i for i in range(len(ordered[0]))] if ordered else []
     keep: list[tuple[int, tuple[int, ...]]] = []  # (support mask, vector)
     for v in ordered:
-        mask = sum(1 << i for i, e in enumerate(v) if e)
+        mask = sum(compress(bits, v))
         for k_mask, k in keep:
             if not k_mask & ~mask and all(map(le, k, v)):
                 break
@@ -202,15 +213,16 @@ class MonomialIdeal(_Frozen):
     equality of the stored tuples.  `gens` builds the generators as
     `Monomial`s on each read.  The zero ideal has no generators; the unit
     ideal is generated by 1.  `_decomposition` is filled by
-    `decompose.irreducible_decomposition` on first use.
+    `decompose.irreducible_decomposition` on first use, and `_max` by
+    `max_exponents`: the ideal keeps both, and they are freed with it.
     """
 
-    __slots__ = ("context", "_exps", "_decomposition")
+    __slots__ = ("context", "_exps", "_decomposition", "_max")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
         for g in gens:
-            if g.context != context:
+            if g.context is not context and g.context != context:
                 raise ContextMismatchError(
                     f"generator {g!r} does not live in {context!r}"
                 )
@@ -230,6 +242,7 @@ class MonomialIdeal(_Frozen):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_decomposition", None)
+        object.__setattr__(self, "_max", None)
 
     def _key(self):
         return self.context, self._exps
@@ -265,10 +278,13 @@ class MonomialIdeal(_Frozen):
         return any(all(map(le, g, v)) for g in self._exps)
 
     def max_exponents(self) -> tuple[int, ...]:
-        """Componentwise max over the generators (all zeros for the zero ideal)."""
-        if not self._exps:
-            return (0,) * self.context.n
-        return tuple(map(max, zip(*self._exps)))
+        """Componentwise max over the generators (all zeros for the zero
+        ideal): the exponent floors of the witnesses, computed on first use
+        and kept on the ideal."""
+        if self._max is None:
+            floors = tuple(map(max, zip(*self._exps))) if self._exps else (0,) * self.context.n
+            object.__setattr__(self, "_max", floors)  # races store equal tuples
+        return self._max
 
     def colon(self, v: Monomial) -> "MonomialIdeal":
         """The quotient (I : v) by a monomial."""

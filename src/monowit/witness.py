@@ -92,7 +92,8 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
     from another ring is never equal to the colon, so the answer is False.
     """
     _require_same_context(ideal, v)
-    return prime.context == ideal.context and ideal._colon_is_prime(v.exps, prime.vars)
+    return ((prime.context is ideal.context or prime.context == ideal.context)
+            and ideal._colon_is_prime(v.exps, prime.vars))
 
 
 def component_from_witness(

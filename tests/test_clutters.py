@@ -83,6 +83,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^edges \{t1,t2\} and \{t1,t2,t3\} are nested"):
             Clutter(3, [{0, 1, 2}, {0, 1}])
 
+    def test_first_nested_pair_in_sorted_edge_order_is_named(self):
+        rng = random.Random(2468)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            edges = {frozenset(rng.sample(range(n), rng.randint(1, n)))
+                     for _ in range(rng.randint(2, 6))}
+            ordered = sorted(edges, key=sorted)
+            pairs = [(e, f) for e, f in itertools.combinations(ordered, 2) if e < f or f < e]
+            if not pairs:
+                assert Clutter(n, edges).edges == tuple(ordered)
+                continue
+            names = ["{" + ",".join(f"t{v + 1}" for v in sorted(e)) + "}" for e in pairs[0]]
+            with pytest.raises(ValueError) as info:
+                Clutter(n, edges)
+            assert str(info.value).startswith(f"edges {names[0]} and {names[1]} are nested")
+
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):
             Clutter(3, [set()])

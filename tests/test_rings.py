@@ -55,6 +55,28 @@ class TestRingContext:
         with pytest.raises(ValueError):
             RingContext(["a", "a"])
 
+    @pytest.mark.parametrize("arg, message", [
+        ([1, 2], "invalid variable name 1"),
+        (["a", ""], "invalid variable name ''"),
+        (["a b"], "invalid variable name 'a b'"),
+        (["1x"], "invalid variable name '1x'"),
+        (["\u00e9"], "invalid variable name '\u00e9'"),
+        ((b"x",), "invalid variable name b'x'"),
+        (2.0, "a ring context needs a size or variable names, not 2.0"),
+        (None, "a ring context needs a size or variable names, not None"),
+    ], ids=["ints", "empty-name", "space", "leading-digit", "non-ascii", "bytes",
+            "float-size", "none"])
+    def test_rejects_names_that_cannot_print_or_parse(self, arg, message):
+        with pytest.raises(ValueError) as info:
+            RingContext(arg)
+        assert str(info.value) == message
+
+    def test_n_is_a_frozen_slot(self):
+        for r in (ctx(4), RingContext(["a", "_b", "c9"])):
+            assert r.n == len(r.names)
+        with pytest.raises(AttributeError, match="^RingContext is immutable$"):
+            r.n = 5
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             ctx(2).index_of("y")
@@ -546,6 +568,12 @@ class TestZeroAndUnitBehavior:
         assert MonomialIdeal(c, ()).max_exponents() == (0, 0, 0)
         assert MonomialIdeal(c, [c.one]).max_exponents() == (0, 0, 0)
 
+    @given(I=ideals(proper=False))
+    def test_max_exponents_read_once(self, I):
+        floors = I.max_exponents()
+        assert floors == tuple(map(max, zip(*(g.exps for g in I.gens))))
+        assert I.max_exponents() is floors
+
 
 class TestImmutability:
     def test_monomial_rejects_mutation(self):
@@ -574,6 +602,27 @@ class TestTrustedPath:
         )
         expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
         assert _minimize_exps(vectors) == expected
+
+    def test_minimize_past_one_machine_word(self):
+        # the support masks span more than 64 bits
+        rng = random.Random(6471)
+        for _ in range(40):
+            n = rng.randint(65, 130)
+            base = []
+            for _ in range(rng.randint(1, 8)):
+                v = [0] * n
+                for i in rng.sample(range(n), rng.randint(1, 4)):
+                    v[i] = rng.randint(1, 3)
+                base.append(v)
+            vectors = [tuple(v) for v in base]
+            for v in base:  # multiples, some raised only past bit 64
+                w = v.copy()
+                w[rng.randrange(n)] += 1
+                w[rng.randrange(64, n)] += rng.randint(0, 2)
+                vectors.append(tuple(w))
+            rng.shuffle(vectors)
+            expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
+            assert _minimize_exps(vectors) == expected
 
     @given(I=ideals(proper=False), data=st.data())
     def test_trusted_constructor_matches_public(self, I, data):
