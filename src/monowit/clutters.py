@@ -11,7 +11,6 @@ the edge ideal's component supports.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
@@ -35,11 +34,41 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _nested_pair(masks: tuple[int, ...]):
+    """The first pair (i, j), i < j, of nested masks, or None.  Distinct
+    masks of one size never nest, so a mask is tested only against the
+    smaller masks whose lowest vertex it contains."""
+    sizes = [e.bit_count() for e in masks]
+    if len(set(sizes)) < 2:
+        return None
+    by_low = {}  # (size, lowest vertex bit) -> indices of the masks
+    for k, e in enumerate(masks):
+        by_low.setdefault((sizes[k], e & -e), []).append(k)
+    smaller = sorted({s for s, _ in by_low})
+    nested = []
+    for j, e in enumerate(masks):
+        for s in smaller:
+            if s >= sizes[j]:
+                break
+            rest = e
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for i in by_low.get((s, low), ()):
+                    if masks[i] & e == masks[i]:
+                        nested.append((min(i, j), max(i, j)))
+    return min(nested, default=None)
+
+
 class Clutter(_Frozen):
     """A vertex set together with an antichain of non-empty edges, kept as
-    vertex bitmasks (bit v for vertex v) for the searches and checks."""
+    vertex bitmasks (bit v for vertex v) for the searches and checks.  The
+    public constructor validates names and ints and reduces each edge to its
+    mask; the parser builds the masks itself and calls `_from_masks`.  The
+    minimal vertex covers are decoded from the edge ideal's decomposition on
+    first use and kept, like the edge ideal."""
 
-    __slots__ = ("context", "edges", "_masks", "_ideal")
+    __slots__ = ("context", "edges", "_masks", "_ideal", "_covers")
 
     def __init__(
         self,
@@ -52,7 +81,7 @@ class Clutter(_Frozen):
             context = RingContext(tuple(f"t{i + 1}" for i in range(vertices)))
         else:
             context = RingContext(vertices)
-        resolved = set()
+        masks = []
         for edge in edges:
             indices = [context.index_of(v) if isinstance(v, str) else v for v in edge]
             members = frozenset(_ints(indices, "unknown vertex {}", low=None))
@@ -60,30 +89,35 @@ class Clutter(_Frozen):
                 raise ValueError("edges must be non-empty")
             if any(not 0 <= v < context.n for v in members):
                 raise ValueError(f"edge {sorted(members)} mentions an unknown vertex")
-            resolved.add(members)
-        edges = tuple(sorted(resolved, key=sorted))
-        masks = tuple(sum(1 << v for v in e) for e in edges)
-        by_size: dict[int, list[int]] = {}  # distinct edges of one size never nest
-        for k, e in enumerate(edges):
-            by_size.setdefault(len(e), []).append(k)
-        nested = [
-            (min(i, j), max(i, j))
-            for small, large in itertools.combinations(by_size.values(), 2)
-            for i in small
-            for j in large
-            if masks[i] & masks[j] in (masks[i], masks[j])
-        ]
-        if nested:
-            i, j = min(nested)  # the first nested pair in sorted edge order
+            masks.append(sum(1 << v for v in members))
+        self._set(context, masks)
+
+    @classmethod
+    def _from_masks(cls, context: RingContext, masks) -> "Clutter":
+        """Trusted constructor for non-empty edge masks over the context's
+        vertices; duplicates are dropped, and nested edges raise ValueError."""
+        clutter = object.__new__(cls)
+        clutter._set(context, masks)
+        return clutter
+
+    def _set(self, context: RingContext, masks):
+        """Sort the distinct masks into edge order (by their sorted vertex
+        lists), check that they form an antichain, and fill the slots."""
+        ordered = sorted((_bits(e), e) for e in set(masks))
+        masks = tuple([e for _, e in ordered])
+        nested = _nested_pair(masks)
+        if nested is not None:
+            i, j = nested
             raise ValueError(
                 f"edges {_braced(context.names, masks[i])} and "
                 f"{_braced(context.names, masks[j])} are nested; "
                 "a clutter's edges must form an antichain"
             )
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple([frozenset(b) for b, _ in ordered]))
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
+        object.__setattr__(self, "_covers", None)
 
     def _key(self):
         return self.context, self.edges
@@ -105,15 +139,19 @@ class Clutter(_Frozen):
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 
-    def _cover_masks(self) -> list[int]:
+    def _cover_masks(self) -> tuple[int, ...]:
         """The minimal vertex covers as bitmasks: the supports of the edge
-        ideal's components, or the empty cover when there are no edges."""
-        if not self.edges:
-            return [0]
-        return [
-            sum(1 << v for v in q.support())
-            for q in irreducible_decomposition(self.edge_ideal()).components
-        ]
+        ideal's components, or the empty cover when there are no edges.
+        Decoded once, on first use."""
+        if self._covers is None:
+            covers = (0,)
+            if self._masks:
+                covers = tuple([
+                    sum(1 << v for v in q.support())
+                    for q in irreducible_decomposition(self.edge_ideal()).components
+                ])
+            object.__setattr__(self, "_covers", covers)  # racing threads store equal tuples
+        return self._covers
 
     def maximal_stable_sets(self):
         """Every stable set not properly contained in another stable set: the
@@ -128,7 +166,8 @@ class Clutter(_Frozen):
         v of P is in N(b) when some edge meets P in v alone and has its rest
         inside b.  The good b, those with N(b) = P, form an up-set in T, and b
         cannot drop a vertex u when, for some v, every such rest inside b
-        contains u; one pass over the rests, grouped by v, finds all of them.
+        contains u; one pass over the rests, grouped by v, finds all of them,
+        and stops once no vertex is left that b could drop.
         A search from T drops the other vertices in increasing order and
         visits good sets only.  A vertex b cannot drop stays so in every
         subset of b, so it is never tried again below b.  An edgeless clutter
@@ -151,6 +190,8 @@ class Clutter(_Frozen):
                     raise ValueError(f"more than {_GOOD_SET_CAP} good stable sets")
                 outside = ~b
                 for group in rests.values():
+                    if not droppable:
+                        break
                     kept = b  # the vertices every rest of this group inside b holds
                     for rest in group:
                         if not rest & outside:

@@ -14,6 +14,12 @@ Problem files hold one construct per stanza, after a ring declaration:
     clutter C = {t1,t2},{t2,t3}
     sym S = n:3 exps:1,3,3
 
+A clutter stanza lists its edges over the ring's names; only spaces and
+tabs may surround its tokens, and a comma may follow the last edge:
+
+    clutter := edge (',' edge)* ','?
+    edge    := '{' var (',' var)* '}'
+
 Blank lines and '#' comments are skipped.
 """
 
@@ -157,43 +163,65 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
     raise ParseError("ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'", line)
 
 
+# Kept as strings: re compiles and caches the pattern on the first clutter
+# stanza, so importing this module for an ideal file compiles nothing more.
+_EDGE = r"\{[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*\}" % (_NAME.pattern, _NAME.pattern)
+_CLUTTER = r"[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*(?:,[ \t]*)?" % (_EDGE, _EDGE)
+
+
 def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Clutter:
+    """One match of `_CLUTTER` checks the stanza's grammar, and then each
+    vertex costs a dict lookup and a bit set.  A stanza the pattern rejects,
+    or one naming an unknown vertex, is walked token by token to report the
+    error."""
     from .clutters import Clutter
 
-    edges = []
+    bits = {name: 1 << i for i, name in enumerate(context.names)}
+    if re.fullmatch(_CLUTTER, rhs) is None:
+        _raise_clutter_error(rhs, bits, line, column)
+    masks = []
+    try:
+        for body in re.findall(r"\{([^}]*)\}", rhs):
+            mask = 0
+            for name in body.split(","):
+                mask |= bits[name.strip(" \t")]
+            masks.append(mask)
+    except KeyError:
+        _raise_clutter_error(rhs, bits, line, column)
+    try:
+        return Clutter._from_masks(context, masks)
+    except ValueError as exc:  # at the first '{'
+        raise ParseError(str(exc), line, column + len(rhs) - len(rhs.lstrip(" \t"))) from None
+
+
+def _raise_clutter_error(rhs: str, names, line: int, column: int):
+    """Walk the stanza token by token and raise at the first token that does
+    not fit the grammar, or at the first vertex not in names.  A stanza
+    that gets through the walk is blank: it lists no edges."""
     scanner = _Scanner(rhs, line, column)
     while True:
         scanner.skip_ws()
         if scanner.exhausted:
             break
         scanner.expect_char("{")
-        edge = []
         while True:
             scanner.skip_ws()
             start = scanner.pos
             name = scanner.take(_NAME)
             if name is None:
                 raise scanner.error("expected a vertex name")
-            try:
-                edge.append(context.index_of(name))
-            except ValueError as exc:
-                raise scanner.error(str(exc), at=start) from None
+            if name not in names:
+                raise scanner.error(f"unknown variable {name!r}", at=start)
             scanner.skip_ws()
             if scanner.peek() == "}":
                 scanner.pos += 1
                 break
             scanner.expect_char(",")
-        edges.append(edge)
         scanner.skip_ws()
         if scanner.exhausted:
             break
         scanner.expect_char(",")
-    if not edges:
-        raise ParseError("clutter declaration lists no edges", line)
-    try:
-        return Clutter(context.names, edges)
-    except ValueError as exc:  # at the first '{'
-        raise scanner.error(str(exc), at=len(rhs) - len(rhs.lstrip(" \t"))) from None
+    raise ParseError("clutter declaration lists no edges", line)
 
 
 def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:

@@ -84,11 +84,13 @@ class TestConstruction:
             Clutter(3, [{0, 1, 2}, {0, 1}])
 
     def test_first_nested_pair_in_sorted_edge_order_is_named(self):
+        # sizes 1-4 on up to 10 vertices, so a pair is found through the
+        # index of the smaller edges by their lowest vertex
         rng = random.Random(2468)
-        for _ in range(200):
-            n = rng.randint(2, 6)
-            edges = {frozenset(rng.sample(range(n), rng.randint(1, n)))
-                     for _ in range(rng.randint(2, 6))}
+        for _ in range(600):
+            n = rng.randint(2, 10)
+            edges = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 4))))
+                     for _ in range(rng.randint(2, 12))}
             ordered = sorted(edges, key=sorted)
             pairs = [(e, f) for e, f in itertools.combinations(ordered, 2) if e < f or f < e]
             if not pairs:
@@ -372,6 +374,23 @@ class TestBitmaskPredicates:
             assert first == MonomialIdeal(
                 c, [c.monomial_from_powers({v: 1 for v in e}) for e in clutter.edges]
             )
+
+    def test_covers_decoded_once(self, monkeypatch):
+        import monowit.clutters
+
+        decode = monowit.clutters.irreducible_decomposition
+        calls = []
+
+        def counted(ideal):
+            calls.append(ideal)
+            return decode(ideal)
+
+        monkeypatch.setattr(monowit.clutters, "irreducible_decomposition", counted)
+        clutter = cycle(7)
+        first = clutter.maximal_stable_sets()
+        clutter.good_stable_sets()
+        assert clutter.maximal_stable_sets() == first
+        assert calls == [clutter.edge_ideal()]
 
 
 class TestWitnessBaseChecksRun:

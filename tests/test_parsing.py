@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from monowit import (
+    Clutter,
     MonomialIdeal,
     ParseError,
     RingContext,
@@ -185,33 +186,89 @@ class TestProblemFile:
             parse_problem_file(text)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("text, line, column", [
-        ("ring n=2\nideal I = x1*y\n", 2, 14),
-        ("ring n=2\nideal I=x1^0\n", 2, 12),
-        ("ring vars=a,b\n\tideal I = a ,  b*c  # c\n", 2, 19),
-        ("ring vars=a,b\n  clutter C = {a,b},{a,c}\n", 2, 24),
-        ("ring vars=a,b\nclutter C = {a,b}x\n", 2, 18),
-        ("ring n=2\nsym S = n:3 exps:1,1\n", 2, 1),
-        ("# sym first\nsym S = n:3 exps:1,1\nring n=2\n", 2, 1),
-        ("ring vars=a,b\nclutter C = {a},{a,b}\n", 2, 13),
-        ("ring vars=a,b\n  clutter C = \t{a,b},{b}\n", 2, 16),
-        ("sym S = n:2 exps:0,1\n", 1, 9),
-        ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11),
-        ("ring n=\u00b2\nideal I = x1\n", 1, 1),
-        ("ring n=2\nideal I = x1^   \n", 2, 14),
-        ("ring n=2\nideal I = 12\n", 2, 12),
-        ("ring n=2\nideal I = x1*\u00e9\n", 2, 14),
-        ("ring n=2\nideal I = x1\t*\tx2\t*\ty\n", 2, 21),
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("ring n=2\nideal I = x1*y\n", 2, 14, "unknown variable 'y'"),
+        ("ring n=2\nideal I=x1^0\n", 2, 12, "exponents must be positive"),
+        ("ring vars=a,b\n\tideal I = a ,  b*c  # c\n", 2, 19, "unknown variable 'c'"),
+        ("ring vars=a,b\n  clutter C = {a,b},{a,c}\n", 2, 24, "unknown variable 'c'"),
+        ("ring vars=a,b\nclutter C = {a,b}x\n", 2, 18, "expected ','"),
+        ("ring n=2\nsym S = n:3 exps:1,1\n", 2, 1,
+         "sym stanza size disagrees with the ring declaration"),
+        ("# sym first\nsym S = n:3 exps:1,1\nring n=2\n", 2, 1,
+         "sym stanza size disagrees with the ring declaration"),
+        ("ring vars=a,b\nclutter C = {a},{a,b}\n", 2, 13,
+         "edges {a} and {a,b} are nested; a clutter's edges must form an antichain"),
+        ("ring vars=a,b\n  clutter C = \t{a,b},{b}\n", 2, 16,
+         "edges {a,b} and {b} are nested; a clutter's edges must form an antichain"),
+        ("sym S = n:2 exps:0,1\n", 1, 9, "exponents must be positive"),
+        ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11, "exponents must be positive"),
+        ("ring n=\u00b2\nideal I = x1\n", 1, 1, "ring size must be a positive integer"),
+        ("ring n=2\nideal I = x1^   \n", 2, 14, "expected an exponent"),
+        ("ring n=2\nideal I = 12\n", 2, 12, "expected ','"),
+        ("ring n=2\nideal I = x1*\u00e9\n", 2, 14, "expected a variable name"),
+        ("ring n=2\nideal I = x1\t*\tx2\t*\ty\n", 2, 21, "unknown variable 'y'"),
+        ("ring vars=a,b\nclutter C = {a, b,}\n", 2, 19, "expected a vertex name"),
+        ("ring vars=a,b\n clutter C = {}\n", 2, 15, "expected a vertex name"),
+        ("ring vars=a,b\nclutter C = {a,b\n", 2, 17, "expected ','"),
+        ("ring vars=a,b\nclutter C = {a,b}{b}\n", 2, 18, "expected ','"),
+        ("ring vars=a,b\nclutter C =\t{,a}\n", 2, 14, "expected a vertex name"),
+        ("ring vars=a,b\nclutter C = {a,\u00e9}\n", 2, 16, "expected a vertex name"),
+        ("ring vars=a,b,c\nclutter C = {a,b}, {b,c},\t{c, z}\n", 2, 31,
+         "unknown variable 'z'"),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
             "ring-superscript-size", "ideal-caret-then-spaces",
-            "ideal-unit-then-digit", "ideal-non-ascii-name", "ideal-tabs"])
-    def test_error_positions_count_from_the_line_start(self, text, line, column):
+            "ideal-unit-then-digit", "ideal-non-ascii-name", "ideal-tabs",
+            "clutter-trailing-comma-in-edge", "clutter-empty-edge", "clutter-unclosed-edge",
+            "clutter-missing-comma", "clutter-leading-comma-in-edge",
+            "clutter-non-ascii-vertex", "clutter-later-unknown-vertex"])
+    def test_error_positions_count_from_the_line_start(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)
         assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"{message} (line {line}, column {column})"
+
+    def test_comma_after_the_last_edge_is_accepted(self):
+        text = "ring vars=a,b,c\nclutter C = {a,b},{b,c}"
+        assert parse_problem_file(text + ",\n") == parse_problem_file(text + "\n")
 
     def test_nested_clutter_edges_rejected(self):
         with pytest.raises(ParseError, match=r"^edges \{a\} and \{a,b\} are nested"):
             parse_problem_file("ring vars=a,b\nclutter C = {a,b},{a}\n")
+
+
+@st.composite
+def clutter_texts(draw):
+    """A clutter stanza over random names, with spaces and tabs around every
+    token, repeated edges, and each edge's vertices in any order, some of
+    them twice; returns the text, the names and the edges as name lists."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                          min_size=1, max_size=8, unique=True))
+    raw = draw(st.lists(st.frozensets(st.integers(0, len(names) - 1), min_size=1, max_size=4),
+                        min_size=1, max_size=8))
+    antichain = sorted({e for e in raw if not any(f < e for f in raw)}, key=sorted)
+    edges = []
+    for e in draw(st.lists(st.sampled_from(antichain), min_size=1, max_size=12)):
+        repeats = draw(st.lists(st.sampled_from(sorted(e)), max_size=2))
+        edges.append([names[v] for v in draw(st.permutations(sorted(e) + repeats))])
+    ws = st.sampled_from(["", " ", "\t", "  ", " \t "])
+
+    def listed(items, opening="", closing=""):
+        inner = "".join((draw(ws) + "," + draw(ws) if k else "") + item
+                        for k, item in enumerate(items))
+        return opening + draw(ws) + inner + draw(ws) + closing
+
+    body = listed([listed(edge, "{", "}") for edge in edges])
+    text = f"ring vars={','.join(names)}\nclutter C ={body}\n"
+    return text, names, edges
+
+
+class TestClutterStanza:
+    @given(case=clutter_texts())
+    def test_parses_as_the_constructor_builds(self, case):
+        text, names, edges = case
+        parsed = parse_problem_file(text).clutter
+        built = Clutter(names, edges)
+        assert parsed == built
+        assert parsed._masks == built._masks
