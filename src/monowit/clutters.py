@@ -6,7 +6,8 @@ covers are exactly the supports of the associated primes of the edge ideal,
 and for the prime on a cover P the product of the complementary vertices is
 already a witness: (I : t_A) = <P> for A = V \\ P.  Both stable-set
 families, the maximal and the good stable sets, are read from those covers,
-the edge ideal's component supports.
+the edge ideal's component supports.  A clutter is stored only as its edge
+masks; `edges` builds the frozensets on each read.
 """
 
 from __future__ import annotations
@@ -61,14 +62,14 @@ def _nested_pair(masks: tuple[int, ...]):
 
 
 class Clutter(_Frozen):
-    """A vertex set together with an antichain of non-empty edges, kept as
-    vertex bitmasks (bit v for vertex v) for the searches and checks.  The
-    public constructor validates names and ints and reduces each edge to its
-    mask; the parser builds the masks itself and calls `_from_masks`.  The
+    """A vertex set together with an antichain of non-empty edges, kept only
+    as vertex bitmasks (bit v for vertex v) in edge order.  The public
+    constructor validates names and ints and reduces each edge to its mask;
+    the parser builds the masks itself and calls `_from_masks`.  The
     minimal vertex covers are decoded from the edge ideal's decomposition on
     first use and kept, like the edge ideal."""
 
-    __slots__ = ("context", "edges", "_masks", "_ideal", "_covers")
+    __slots__ = ("context", "_masks", "_ideal", "_covers")
 
     def __init__(
         self,
@@ -103,8 +104,7 @@ class Clutter(_Frozen):
     def _set(self, context: RingContext, masks):
         """Sort the distinct masks into edge order (by their sorted vertex
         lists), check that they form an antichain, and fill the slots."""
-        ordered = sorted((_bits(e), e) for e in set(masks))
-        masks = tuple([e for _, e in ordered])
+        masks = tuple(sorted(set(masks), key=_bits))
         nested = _nested_pair(masks)
         if nested is not None:
             i, j = nested
@@ -114,13 +114,12 @@ class Clutter(_Frozen):
                 "a clutter's edges must form an antichain"
             )
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "edges", tuple([frozenset(b) for b, _ in ordered]))
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_ideal", None)
         object.__setattr__(self, "_covers", None)
 
     def _key(self):
-        return self.context, self.edges
+        return self.context, self._masks
 
     def __repr__(self):
         shown = ", ".join(_braced(self.context.names, e) for e in self._masks)
@@ -129,6 +128,10 @@ class Clutter(_Frozen):
     @property
     def n(self) -> int:
         return self.context.n
+
+    @property
+    def edges(self) -> tuple[frozenset, ...]:
+        return tuple([frozenset(_bits(e)) for e in self._masks])
 
     def edge_ideal(self) -> MonomialIdeal:
         """The squarefree ideal with one generator per edge, built once; the

@@ -15,12 +15,15 @@ Problem files hold one construct per stanza, after a ring declaration:
     sym S = n:3 exps:1,3,3
 
 A clutter stanza lists its edges over the ring's names; only spaces and
-tabs may surround its tokens, and a comma may follow the last edge:
+tabs may surround its tokens, and nothing may follow the last edge:
 
-    clutter := edge (',' edge)* ','?
+    clutter := edge (',' edge)*
     edge    := '{' var (',' var)* '}'
 
-Blank lines and '#' comments are skipped.
+The declared ring owns every name: monomials and clutter vertices resolve
+through its one name table, and a sym pattern is placed in that ring
+whichever stanza comes first (a file with no ring gives the pattern the
+ring x1..xn of its own size).  Blank lines and '#' comments are skipped.
 """
 
 from __future__ import annotations
@@ -166,43 +169,43 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
 # Kept as strings: re compiles and caches the pattern on the first clutter
 # stanza, so importing this module for an ideal file compiles nothing more.
 _EDGE = r"\{[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*\}" % (_NAME.pattern, _NAME.pattern)
-_CLUTTER = r"[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*(?:,[ \t]*)?" % (_EDGE, _EDGE)
+_CLUTTER = r"[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*" % (_EDGE, _EDGE)
 
 
 def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Clutter:
     """One match of `_CLUTTER` checks the stanza's grammar, and then each
-    vertex costs a dict lookup and a bit set.  A stanza the pattern rejects,
-    or one naming an unknown vertex, is walked token by token to report the
-    error."""
+    vertex costs a lookup in the ring's name table and a bit set.  A stanza
+    the pattern rejects, or one naming an unknown vertex, is walked token by
+    token to report the error."""
     from .clutters import Clutter
 
-    bits = {name: 1 << i for i, name in enumerate(context.names)}
+    index = context._index
     if re.fullmatch(_CLUTTER, rhs) is None:
-        _raise_clutter_error(rhs, bits, line, column)
+        _raise_clutter_error(rhs, index, line, column)
     masks = []
     try:
         for body in re.findall(r"\{([^}]*)\}", rhs):
             mask = 0
             for name in body.split(","):
-                mask |= bits[name.strip(" \t")]
+                mask |= 1 << index[name.strip(" \t")]
             masks.append(mask)
     except KeyError:
-        _raise_clutter_error(rhs, bits, line, column)
+        _raise_clutter_error(rhs, index, line, column)
     try:
         return Clutter._from_masks(context, masks)
     except ValueError as exc:  # at the first '{'
         raise ParseError(str(exc), line, column + len(rhs) - len(rhs.lstrip(" \t"))) from None
 
 
-def _raise_clutter_error(rhs: str, names, line: int, column: int):
+def _raise_clutter_error(rhs: str, index: dict, line: int, column: int):
     """Walk the stanza token by token and raise at the first token that does
-    not fit the grammar, or at the first vertex not in names.  A stanza
-    that gets through the walk is blank: it lists no edges."""
+    not fit the grammar, or at the first vertex not in index.  A blank
+    stanza lists no edges, and a comma must be followed by an edge."""
     scanner = _Scanner(rhs, line, column)
+    scanner.skip_ws()
+    if scanner.exhausted:
+        raise ParseError("clutter declaration lists no edges", line)
     while True:
-        scanner.skip_ws()
-        if scanner.exhausted:
-            break
         scanner.expect_char("{")
         while True:
             scanner.skip_ws()
@@ -210,7 +213,7 @@ def _raise_clutter_error(rhs: str, names, line: int, column: int):
             name = scanner.take(_NAME)
             if name is None:
                 raise scanner.error("expected a vertex name")
-            if name not in names:
+            if name not in index:
                 raise scanner.error(f"unknown variable {name!r}", at=start)
             scanner.skip_ws()
             if scanner.peek() == "}":
@@ -218,10 +221,8 @@ def _raise_clutter_error(rhs: str, names, line: int, column: int):
                 break
             scanner.expect_char(",")
         scanner.skip_ws()
-        if scanner.exhausted:
-            break
         scanner.expect_char(",")
-    raise ParseError("clutter declaration lists no edges", line)
+        scanner.skip_ws()
 
 
 def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
@@ -247,10 +248,7 @@ _STANZA = re.compile(r"(ring|ideal|clutter|sym)\b\s*(.*)")
 
 
 def parse_problem_file(text: str) -> ProblemFile:
-    context = None
-    ideal = None
-    clutter = None
-    pattern = None
+    stanzas = {}  # kind -> its parsed value; each kind appears at most once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -259,30 +257,28 @@ def parse_problem_file(text: str) -> ProblemFile:
         if not m:
             raise ParseError(f"unrecognized stanza {stripped.split()[0]!r}", lineno)
         kind, rest = m.group(1), m.group(2)
-        if kind == "ring":
-            if context is not None:
-                raise ParseError("duplicate ring declaration", lineno)
-            context = _parse_ring(rest, lineno)
-            continue
         _, eq, rhs = rest.partition("=")
         column = len(raw) - len(raw.lstrip()) + len(stripped) - len(rhs) + 1  # of rhs in raw
-        if kind == "sym":
-            if pattern is not None:
-                raise ParseError("duplicate sym stanza", lineno)
-            pattern, sym_line = _parse_sym(rhs, lineno, column), lineno
-            continue
-        if context is None:
-            raise ParseError(f"{kind} stanza before any ring declaration", lineno)
-        if not eq:
-            raise ParseError(f"{kind} stanza needs '= ...'", lineno)
-        if kind == "ideal":
-            if ideal is not None:
-                raise ParseError("duplicate ideal stanza", lineno)
-            ideal = parse_ideal_gens(rhs, context, lineno, column)
+        context = stanzas.get("ring")
+        if kind in ("ideal", "clutter"):
+            if context is None:
+                raise ParseError(f"{kind} stanza before any ring declaration", lineno)
+            if not eq:
+                raise ParseError(f"{kind} stanza needs '= ...'", lineno)
+        if kind in stanzas:
+            noun = "declaration" if kind == "ring" else "stanza"
+            raise ParseError(f"duplicate {kind} {noun}", lineno)
+        if kind == "ring":
+            stanzas[kind] = _parse_ring(rest, lineno)
+        elif kind == "ideal":
+            stanzas[kind] = parse_ideal_gens(rhs, context, lineno, column)
+        elif kind == "clutter":
+            stanzas[kind] = _parse_clutter(rhs, context, lineno, column)
         else:
-            if clutter is not None:
-                raise ParseError("duplicate clutter stanza", lineno)
-            clutter = _parse_clutter(rhs, context, lineno, column)
-    if pattern is not None and context is not None and pattern.context.n != context.n:
-        raise ParseError("sym stanza size disagrees with the ring declaration", sym_line)
-    return ProblemFile(context, ideal, clutter, pattern)
+            stanzas[kind], sym_line = _parse_sym(rhs, lineno, column), lineno
+    context, pattern = stanzas.get("ring"), stanzas.get("sym")
+    if pattern is not None and context is not None:
+        if pattern.context.n != context.n:
+            raise ParseError("sym stanza size disagrees with the ring declaration", sym_line)
+        pattern = type(pattern)(context, pattern.exps)  # into the declared ring
+    return ProblemFile(context, stanzas.get("ideal"), stanzas.get("clutter"), pattern)

@@ -6,9 +6,10 @@ its unique minimal generating set in a canonical order, and every operation
 (membership, colon by a monomial, intersection) is a pure function on those
 tuples.  The coefficient field is never represented.
 
-An ideal stores only its exponent tuples; `gens` builds the `Monomial`s on
-each read.  It also keeps its exponent floors (`max_exponents`) once they are
-first read, as it keeps its decomposition.  Library-built values skip
+A ring context owns its names and their one name -> index table.  An ideal
+stores only its exponent tuples; `gens` builds the `Monomial`s on each read.
+It also keeps its exponent floors (`max_exponents`) once they are first
+read, as it keeps its decomposition.  Library-built values skip
 validation through the trusted constructor beside their class.  All value
 classes inherit `_Frozen`, which gives them immutability, equality, hashing
 and the default repr; outside integers are checked and converted by `_ints`,
@@ -84,9 +85,10 @@ class RingContext(_Frozen):
     """Ambient polynomial ring: a number of variables plus display names.
 
     A name is a str matching [A-Za-z_][A-Za-z0-9_]*, so that every monomial
-    prints and parses back; generated names x1..xn are not checked."""
+    prints and parses back; generated names x1..xn are not checked.  Every
+    name the library reads resolves through `_index`, built once."""
 
-    __slots__ = ("names", "n")
+    __slots__ = ("names", "n", "_index")
 
     def __init__(self, names_or_size: Union[int, Iterable[str]]):
         if isinstance(names_or_size, int):
@@ -103,10 +105,12 @@ class RingContext(_Frozen):
                     raise ValueError(f"invalid variable name {name!r}")
         if not names:
             raise ValueError("a ring context needs at least one variable")
-        if len(set(names)) != len(names):
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
             raise ValueError("variable names must be pairwise distinct")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "n", len(names))
+        object.__setattr__(self, "_index", index)
 
     def _key(self):
         return self.names
@@ -116,8 +120,8 @@ class RingContext(_Frozen):
 
     def index_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown variable {name!r}") from None
 
     @property
@@ -352,9 +356,6 @@ class PrimeSupport(_Frozen):
     def __str__(self):
         names = self.context.names
         return "(" + ", ".join(names[i] for i in self.vars) + ")"
-
-    def __len__(self) -> int:
-        return len(self.vars)
 
     @property
     def is_full_support(self) -> bool:

@@ -29,6 +29,8 @@ clutter C = {t1,t2},{t2,t3}
 
 SYM = "sym S = n:3 exps:1,3,3\n"
 
+NAMED_SYM = "ring vars=a,b,c\n" + SYM
+
 BOREL = "ring n=2\nideal I = x1^2, x1*x2\n"
 
 NOT_BOREL = "ring n=2\nideal I = x2\n"
@@ -299,6 +301,37 @@ class TestSymgen:
         assert "v = x1^2*x2^2*x3^3" in out
         assert "VERIFIED" in out
 
+    def test_pattern_without_a_ring_keeps_its_x_names(self, problem, capsys):
+        args = ["symgen", problem(SYM), "--prime", "x1,x2", "--value-index", "1", "--b", "3"]
+        assert run(capsys, args) == (0, "I = (x1^3*x2^3*x3, x1^3*x2*x3^3, x1*x2^3*x3^3)\n"
+                                        "P = (x1, x2)\nv = x1^2*x2^2*x3^3\nVERIFIED\n", "")
+        code, out, _ = run(capsys, args + ["--format", "json"])
+        assert code == 0 and json.loads(out)["ring"] == {"n": 3, "names": ["x1", "x2", "x3"]}
+
+    @pytest.mark.parametrize("text", [NAMED_SYM, SYM + "ring vars=a,b,c\n"],
+                             ids=["ring-first", "sym-first"])
+    def test_pattern_in_a_named_ring_prints_its_names(self, problem, capsys, text):
+        path = problem(text)
+        assert run(capsys, ["symgen", path]) == (0, "I = (a^3*b^3*c, a^3*b*c^3, a*b^3*c^3)\n", "")
+        code, out, err = run(capsys, [
+            "symgen", path, "--prime", "a,b", "--value-index", "1", "--b", "3"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["P = (a, b)", "v = a^2*b^2*c^3", "VERIFIED"]
+
+    def test_pattern_in_a_named_ring_reports_its_names_in_json(self, problem, capsys):
+        code, out, _ = run(capsys, [
+            "symgen", problem(NAMED_SYM), "--prime", "a,b", "--value-index", "1", "--b", "3",
+            "--format", "json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["verified"] is True
+        assert doc["ring"] == {"n": 3, "names": ["a", "b", "c"]}
+        assert doc["witness"] == {"a": 2, "b": 2, "c": 3}
+
+    def test_pattern_in_a_named_ring_rejects_undeclared_names(self, problem, capsys):
+        code, out, err = run(capsys, [
+            "symgen", problem(NAMED_SYM), "--prime", "x1,x2", "--value-index", "1", "--b", "3"])
+        assert (code, out, err) == (1, "", "error: unknown variable 'x1'\n")
+
 
 # (command, problem text, extra arguments, exit code, JSON "verified", last
 # text line when the command has a verdict); a non-Borel ideal reports
@@ -389,6 +422,16 @@ class TestErrorPaths:
         code, out, err = run(capsys, [command, problem(text)] + extra)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("witness", SESSION, ["--prime", "9"], "prime index 9 out of range; there are 2 primes"),
+        ("witness", SESSION, ["--prime", "0", "--component", "9"],
+         "component index 9 out of range; there are 1 components for (x1, x2, x3, x4)"),
+        ("witness", SESSION, [], "witness requires --prime (or --list to see candidates)"),
+        ("symgen", SYM, ["--prime", "x1,x2"], "--prime needs --value-index for symgen"),
+    ], ids=["prime-index", "component-index", "witness-without-prime", "symgen-without-value"])
+    def test_selector_errors_exit_one(self, problem, capsys, command, text, extra, message):
+        assert run(capsys, [command, problem(text)] + extra) == (1, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["assprimes", "/nonexistent/problem.txt"])

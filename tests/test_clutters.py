@@ -109,6 +109,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Clutter(3, [{0, 7}])
 
+    def test_unknown_vertex_name_rejected(self):
+        with pytest.raises(ValueError, match="^unknown variable 'd'$"):
+            Clutter(["a", "b", "c"], [["a", "d"]])
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="^a clutter needs at least one vertex$"):
+            Clutter(0, [])
+
 
 class TestEdgeIdeal:
     def test_path(self):

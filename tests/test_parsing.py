@@ -215,6 +215,18 @@ class TestProblemFile:
         ("ring vars=a,b\nclutter C = {a,\u00e9}\n", 2, 16, "expected a vertex name"),
         ("ring vars=a,b,c\nclutter C = {a,b}, {b,c},\t{c, z}\n", 2, 31,
          "unknown variable 'z'"),
+        ("ring vars=a,b,c\nclutter C = {a,b},{b,c},\n", 2, 25, "expected '{'"),
+        ("ring vars=a,b\nclutter C =\n", 2, 1, "clutter declaration lists no edges"),
+        ("ring vars=a,b\nclutter C = \t # none\n", 2, 1, "clutter declaration lists no edges"),
+        ("sym S = n:3\n", 1, 1, "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
+        ("sym S = n:0 exps:1\n", 1, 1, "sym ring size must be positive"),
+        ("ring n=2\nring n=2\n", 2, 1, "duplicate ring declaration"),
+        ("ring n=2\nideal I = x1\n\nideal J = x2\n", 4, 1, "duplicate ideal stanza"),
+        ("ring n=2\nclutter C = {x1}\nclutter D = {x2}\n", 3, 1, "duplicate clutter stanza"),
+        ("sym S = n:2 exps:1\nring n=2\nsym T = n:2 exps:2\n", 3, 1, "duplicate sym stanza"),
+        ("ring n=2\nideal I\n", 2, 1, "ideal stanza needs '= ...'"),
+        ("ring n=2\nideal I = x1\nideal J\n", 3, 1, "ideal stanza needs '= ...'"),
+        ("clutter C = {x1}\n", 1, 1, "clutter stanza before any ring declaration"),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
@@ -222,16 +234,34 @@ class TestProblemFile:
             "ideal-unit-then-digit", "ideal-non-ascii-name", "ideal-tabs",
             "clutter-trailing-comma-in-edge", "clutter-empty-edge", "clutter-unclosed-edge",
             "clutter-missing-comma", "clutter-leading-comma-in-edge",
-            "clutter-non-ascii-vertex", "clutter-later-unknown-vertex"])
+            "clutter-non-ascii-vertex", "clutter-later-unknown-vertex",
+            "clutter-comma-after-the-last-edge", "clutter-blank", "clutter-blank-commented",
+            "sym-no-exps", "sym-size-zero", "duplicate-ring", "duplicate-ideal",
+            "duplicate-clutter", "duplicate-sym", "ideal-no-equals",
+            "duplicate-ideal-no-equals", "clutter-before-ring"])
     def test_error_positions_count_from_the_line_start(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)
         assert (info.value.line, info.value.column) == (line, column)
         assert str(info.value) == f"{message} (line {line}, column {column})"
 
-    def test_comma_after_the_last_edge_is_accepted(self):
+    def test_comma_after_the_last_edge_is_rejected(self):
+        # like `ring vars=a,b,` and `exps:1,3,`: an empty list entry is an error
         text = "ring vars=a,b,c\nclutter C = {a,b},{b,c}"
-        assert parse_problem_file(text + ",\n") == parse_problem_file(text + "\n")
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(text + ", \t\n")
+        assert str(info.value) == "expected '{' (line 2, column 25)"
+        assert parse_problem_file(text + " \t\n").clutter.edges == (
+            frozenset({0, 1}), frozenset({1, 2}))
+
+    @pytest.mark.parametrize("text", [
+        "ring vars=a,b,c\nsym S = n:3 exps:1,3,3\n",
+        "sym S = n:3 exps:1,3,3\nring vars=a,b,c\n",
+    ], ids=["ring-first", "sym-first"])
+    def test_sym_pattern_lives_in_the_declared_ring(self, text):
+        problem = parse_problem_file(text)
+        assert problem.pattern.context == problem.context
+        assert problem.pattern.exps == (1, 3, 3)
 
     def test_nested_clutter_edges_rejected(self):
         with pytest.raises(ParseError, match=r"^edges \{a\} and \{a,b\} are nested"):

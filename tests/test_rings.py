@@ -81,6 +81,22 @@ class TestRingContext:
         with pytest.raises(ValueError):
             ctx(2).index_of("y")
 
+    @pytest.mark.parametrize("name", ["y", ["x1"], None], ids=["str", "unhashable", "none"])
+    def test_unknown_name_message(self, name):
+        with pytest.raises(ValueError) as info:
+            ctx(2).index_of(name)
+        assert str(info.value) == f"unknown variable {name!r}"
+
+
+def test_zero_ideal_prints_as_zero():
+    assert str(MonomialIdeal(ctx(2), ())) == "(0)"
+
+
+def test_prime_support_index_out_of_range():
+    with pytest.raises(ValueError) as info:
+        PrimeSupport(RingContext(2), [5])
+    assert str(info.value) == "variable indices (5,) out of range for n=2"
+
 
 @pytest.mark.parametrize("build, message", [
     (lambda c: Monomial(c, ("a", 1)), "exponents must be non-negative integers"),

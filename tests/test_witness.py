@@ -405,6 +405,11 @@ class TestSymmetricWitness:
         with pytest.raises(ValueError):
             symmetric_witness(pattern, 1, (0,), (3,))
 
+    def test_too_few_b_values_rejected(self):
+        pattern = SymmetricPattern(ctx(3), (1, 2, 3))
+        with pytest.raises(ValueError, match="^need 2 complement exponents, got 1$"):
+            symmetric_witness(pattern, 0, (0,), (2,))
+
     def test_b_below_floor_rejected(self):
         pattern = SymmetricPattern(ctx(3), (1, 3, 3))
         with pytest.raises(ValueError):
