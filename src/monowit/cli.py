@@ -4,9 +4,10 @@ Deterministic, non-interactive driver: every command reads a problem file,
 delegates to the library, and reports on stdout.  Witnesses are always
 re-verified before VERIFIED is printed.  Exit codes: 0 success, 1 usage or
 input error or a reader that closed stdout early, 2 verification failure or
-an internal error.  Each command is one `COMMANDS` entry; `_run` loads its
-stanza, prints the verdict and picks the exit code for all of them.  Each
-handler imports the witness and Borel functions it calls, so a command
+an internal error.  Each command is one `COMMANDS` entry whose handler
+hands back the witnesses it names, not a verdict; `_run` loads its stanza,
+re-verifies every one of them, prints the verdict and picks the exit code.
+Each handler imports the witness and Borel functions it calls, so a command
 compiles only the modules it runs.
 """
 
@@ -123,8 +124,6 @@ def _assprimes(args, ideal):
 
 
 def _witness(args, ideal):
-    from .witness import WitnessSpec, verify_witness, witness_from_component
-
     decomposition = irreducible_decomposition(ideal)
     if args.list:
         lines = []
@@ -135,22 +134,20 @@ def _witness(args, ideal):
         return lines, _decomposition_fields(ideal, decomposition), None
     if args.prime is None:
         raise ValueError("witness requires --prime (or --list to see candidates)")
+    from .witness import WitnessSpec, witness_from_component
+
     prime, components = _resolve_prime(args.prime, ideal)
     component = _resolve_component(args, prime, components)
     offsets = _collect_offsets(args, ideal, prime)
     v = witness_from_component(ideal, WitnessSpec(prime, component, offsets))
     lines = [f"P = {prime}", f"Q = {component}", f"v = {v}"]
-    fields = dict(ideal=ideal, components=(component,), primes=(prime,), witness=v)
-    return lines, fields, verify_witness(ideal, prime, v)
+    return lines, dict(ideal=ideal, components=(component,)), (prime, (v,))
 
 
 def _verify(args, ideal):
-    from .witness import verify_witness
-
     prime, _ = _resolve_prime(args.prime, ideal)
     v = parse_monomial(args.monomial, ideal.context)
-    fields = dict(ideal=ideal, primes=(prime,), witness=v)
-    return [f"(I : {v}) = {ideal.colon(v)}"], fields, verify_witness(ideal, prime, v)
+    return [f"(I : {v}) = {ideal.colon(v)}"], dict(ideal=ideal), (prime, (v,))
 
 
 def _colon(args, ideal):
@@ -161,7 +158,6 @@ def _colon(args, ideal):
 
 def _borel(args, ideal):
     from .borel import borel_witness, is_borel_type
-    from .witness import verify_witness
 
     report = is_borel_type(ideal)
     if not report.is_borel_type:
@@ -180,33 +176,29 @@ def _borel(args, ideal):
     prime, components = _resolve_prime(args.prime, ideal)
     component = _resolve_component(args, prime, components)
     v = borel_witness(ideal, prime, component)
-    return lines + [f"v = {v}"], dict(fields, witness=v), verify_witness(ideal, prime, v)
+    return lines + [f"v = {v}"], fields, (prime, (v,))
 
 
 def _uniqueness(args, ideal):
-    from .witness import classify_uniqueness, verify_witness
+    from .witness import classify_uniqueness
 
     prime, _ = _resolve_prime(args.prime, ideal)
     result = classify_uniqueness(ideal, prime)
     lines = [f"unique: {'yes' if result.unique else 'no'}"]
     lines += [f"v{i + 1} = {w}" for i, w in enumerate(result.witnesses)]
-    fields = dict(ideal=ideal, primes=(prime,), witness=result.witnesses[0])
-    return lines, fields, all(verify_witness(ideal, prime, w) for w in result.witnesses)
+    return lines, dict(ideal=ideal), (prime, result.witnesses)
 
 
 def _clutter_base(args, clutter):
-    from .witness import verify_witness
-
     ideal = clutter.edge_ideal()
     prime, _ = _resolve_prime(args.prime, ideal)
     v = clutter.witness_base(prime)
     support = ", ".join(clutter.context.names[i] for i in v.support())
-    fields = dict(ideal=ideal, primes=(prime,), witness=v)
-    return [f"A = ({support})", f"v = {v}"], fields, verify_witness(ideal, prime, v)
+    return [f"A = ({support})", f"v = {v}"], dict(ideal=ideal), (prime, (v,))
 
 
 def _symgen(args, pattern):
-    from .witness import build_symmetric_ideal, symmetric_witness, verify_witness
+    from .witness import build_symmetric_ideal, symmetric_witness
 
     ideal = build_symmetric_ideal(pattern)
     lines = [f"I = {ideal}"]
@@ -220,13 +212,12 @@ def _symgen(args, pattern):
     except ValueError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)
-    fields = dict(ideal=ideal, primes=(prime,), witness=v)
-    return lines + [f"P = {prime}", f"v = {v}"], fields, verify_witness(ideal, prime, v)
+    return lines + [f"P = {prime}", f"v = {v}"], dict(ideal=ideal), (prime, (v,))
 
 
 class Command(NamedTuple):
-    """handler(args, stanza) -> (text lines, JSON fields, verdict); the verdict
-    is None when the command verified nothing."""
+    """handler(args, stanza) -> (text lines, JSON fields, checked); checked is
+    None or (prime, witnesses), which `_run` verifies against fields["ideal"]."""
 
     handler: object
     stanza: str  # the ProblemFile field the handler reads
@@ -284,9 +275,16 @@ def _run(args) -> int:
     if subject is None:
         name = {"pattern": "sym stanza"}.get(command.stanza, command.stanza)
         raise ValueError(f"the problem file declares no {name}")
-    lines, fields, verdict = command.handler(args, subject)
-    if verdict is not None:
+    lines, fields, checked = command.handler(args, subject)
+    verdict = None
+    if checked is not None:  # the one place a witness is verified, never trusted
+        from .witness import verify_witness
+
+        prime, witnesses = checked
+        verdict = all(verify_witness(fields["ideal"], prime, v) for v in witnesses)
         lines.append("VERIFIED" if verdict else "FAILED")
+        fields.setdefault("primes", (prime,))
+        fields["witness"] = witnesses[0]
     fields.setdefault("verified", verdict)
     if args.format == "json":
         import json  # here, so that text output does not pay for it at start-up

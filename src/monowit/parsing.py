@@ -14,6 +14,9 @@ Problem files hold one construct per stanza, after a ring declaration:
     clutter C = {t1,t2},{t2,t3}
     sym S = n:3 exps:1,3,3
 
+Between an ideal, clutter or sym keyword and its '=' stands exactly one
+name, matching var's pattern; anything else there is an error.
+
 A clutter stanza lists its edges over the ring's names; only spaces and
 tabs may surround its tokens, and nothing may follow the last edge:
 
@@ -245,6 +248,7 @@ def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
 
 
 _STANZA = re.compile(r"(ring|ideal|clutter|sym)\b\s*(.*)")
+_HEAD = re.compile(r"(?:%s[ \t]*)?" % _NAME.pattern)  # the one name before an '='
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -257,8 +261,9 @@ def parse_problem_file(text: str) -> ProblemFile:
         if not m:
             raise ParseError(f"unrecognized stanza {stripped.split()[0]!r}", lineno)
         kind, rest = m.group(1), m.group(2)
-        _, eq, rhs = rest.partition("=")
-        column = len(raw) - len(raw.lstrip()) + len(stripped) - len(rhs) + 1  # of rhs in raw
+        head, eq, rhs = rest.partition("=")
+        start = len(raw) - len(raw.lstrip()) + len(stripped) - len(rest) + 1  # of rest in raw
+        column = start + len(head) + len(eq)  # of rhs in raw
         context = stanzas.get("ring")
         if kind in ("ideal", "clutter"):
             if context is None:
@@ -268,6 +273,10 @@ def parse_problem_file(text: str) -> ProblemFile:
         if kind in stanzas:
             noun = "declaration" if kind == "ring" else "stanza"
             raise ParseError(f"duplicate {kind} {noun}", lineno)
+        if eq and kind != "ring":
+            end = _HEAD.match(head).end()  # of the name and the blanks after it
+            if not head or end < len(head):
+                raise ParseError(f"{kind} stanza needs one name before '='", lineno, start + end)
         if kind == "ring":
             stanzas[kind] = _parse_ring(rest, lineno)
         elif kind == "ideal":

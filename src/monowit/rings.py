@@ -12,8 +12,10 @@ It also keeps its exponent floors (`max_exponents`) once they are first
 read, as it keeps its decomposition.  Library-built values skip
 validation through the trusted constructor beside their class.  All value
 classes inherit `_Frozen`, which gives them immutability, equality, hashing
-and the default repr; outside integers are checked and converted by `_ints`,
-and `_by_index` refuses a mapping whose keys name one variable index twice.
+and the default repr, and lets them copy and pickle with their caches
+(an ideal travels with its decomposition); outside integers are checked and
+converted by `_ints`, and `_by_index` refuses a mapping whose keys name one
+variable index twice.
 """
 
 from __future__ import annotations
@@ -52,14 +54,28 @@ def _by_index(indices: tuple[int, ...], values) -> dict:
     return out
 
 
+def _rebuild(cls, slots: tuple):
+    """A `cls` whose slots hold `slots`, in `cls.__slots__` order: how
+    `_Frozen.__reduce__` copies and unpickles a value, with its caches."""
+    value = object.__new__(cls)
+    for name, slot in zip(cls.__slots__, slots):
+        object.__setattr__(value, name, slot)
+    return value
+
+
 class _Frozen:
     """Base of the value classes.  Each class states its identity in
     `_key()`: two values are equal exactly when they have the same type and
     equal keys, and a value hashes as its key.  Each constructor fills the
     slots through object.__setattr__, and every later assignment or deletion
-    raises."""
+    raises.  `copy`, `deepcopy` and `pickle` go through `__reduce__`, which
+    hands every slot to `_rebuild`, so no constructor runs again."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        cls = type(self)
+        return _rebuild, (cls, tuple(getattr(self, name) for name in cls.__slots__))
 
     def __eq__(self, other):
         if other is self:  # most comparisons are of a ring with itself

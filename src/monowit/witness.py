@@ -64,6 +64,9 @@ class WitnessSpec(_Frozen):
     # the offsets are a mapping, so a spec is not hashable
     __hash__ = None
 
+    def __reduce__(self):  # a MappingProxyType neither pickles nor deep-copies
+        return WitnessSpec, (self.prime, self.component, dict(self.offsets))
+
     def __repr__(self):
         return (f"WitnessSpec(prime={self.prime!r}, component={self.component!r}, "
                 f"offsets={dict(self.offsets)!r})")

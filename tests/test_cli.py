@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import monowit.cli
-from monowit import TheoremViolationError
+from monowit import TheoremViolationError, irreducible_decomposition, parse_monomial
 from monowit.cli import main
 from util import fresh_interpreter
 
@@ -377,6 +378,54 @@ def test_command_matrix(
             assert last == verdict_line
 
 
+def _text_witness(out):
+    """The first witness a text report names, as the JSON's exponent map."""
+    lines = (re.fullmatch(r"v1? = (.*)|\(I : (.*?)\) = .*", line) for line in out.splitlines())
+    text = next(m.group(1) or m.group(2) for m in lines if m)
+    if text == "1":
+        return {}
+    terms = (term.partition("^") for term in text.split("*"))
+    return {name: int(power or 1) for name, _, power in terms}
+
+
+WITNESS_ROWS = [case[:4] for case in MATRIX if case[5] is not None]
+
+
+@pytest.mark.parametrize("command, text, extra, exit_code", WITNESS_ROWS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(WITNESS_ROWS)])
+def test_text_and_json_report_the_same_checked_witness(
+    problem, capsys, command, text, extra, exit_code
+):
+    path = problem(text)
+    code, out, err = run(capsys, [command, path] + extra)
+    json_code, document, json_err = run(capsys, [command, path, "--format", "json"] + extra)
+    doc = json.loads(document)
+    assert code == json_code == exit_code and err == json_err == ""
+    assert (out.splitlines()[-1] == "VERIFIED") == (doc["verified"] is True)
+    assert doc["witness"] == _text_witness(out)
+
+
+@pytest.mark.parametrize("witnesses", [["1"], ["x2^6*x3^4*x4*x8^8", "1"]],
+                         ids=["non-witness", "witness-then-non-witness"])
+def test_run_verifies_every_witness_a_handler_names(problem, capsys, monkeypatch, witnesses):
+    # a handler hands back witnesses, never a verdict: one non-witness among
+    # them fails the command, and the JSON names the first of them
+    def handler(args, ideal):
+        prime = irreducible_decomposition(ideal).primes()[0]  # (x1, x2, x3, x4)
+        named = tuple(parse_monomial(w, ideal.context) for w in witnesses)
+        return [f"v = {named[0]}"], dict(ideal=ideal), (prime, named)
+
+    monkeypatch.setitem(monowit.cli.COMMANDS, "non-witness",
+                        monowit.cli.Command(handler, "ideal", "names a non-witness"))
+    path = problem(SESSION)
+    assert run(capsys, ["non-witness", path]) == (2, f"v = {witnesses[0]}\nFAILED\n", "")
+    code, out, err = run(capsys, ["non-witness", path, "--format", "json"])
+    doc = json.loads(out)
+    assert (code, err) == (2, "") and doc["verified"] is False
+    assert doc["associated_primes"] == [["x1", "x2", "x3", "x4"]]
+    assert doc["witness"] == _text_witness(f"v = {witnesses[0]}")
+
+
 class TestErrorPaths:
     def test_negative_max_offset_names_the_flag(self, problem, capsys):
         code, out, err = run(capsys, [
@@ -511,10 +560,12 @@ def test_import_leaves_out_the_witness_borel_and_clutter_modules():
 
 
 def test_decompose_loads_no_witness_borel_or_clutter_module(problem):
+    # nor does `witness --list`, which names no witness to verify
     path = problem(SESSION)
     probe = ("import contextlib, io, sys\n"
              "from monowit.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    code = main(['decompose', {path!r}])\n"
-             f"print(code, sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)))")
-    assert fresh_interpreter(probe) == "0 []\n"
+             f"for argv in [['decompose', {path!r}], ['witness', {path!r}, '--list']]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = main(argv)\n"
+             f"    print(code, sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)))")
+    assert fresh_interpreter(probe) == "0 []\n0 []\n"

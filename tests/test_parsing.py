@@ -227,6 +227,11 @@ class TestProblemFile:
         ("ring n=2\nideal I\n", 2, 1, "ideal stanza needs '= ...'"),
         ("ring n=2\nideal I = x1\nideal J\n", 3, 1, "ideal stanza needs '= ...'"),
         ("clutter C = {x1}\n", 1, 1, "clutter stanza before any ring declaration"),
+        ("ring n=2\nideal x1^2, = x2\n", 2, 9, "ideal stanza needs one name before '='"),
+        ("ring n=2\nideal = x2\n", 2, 7, "ideal stanza needs one name before '='"),
+        ("ring n=2\nideal I J = x1\n", 2, 9, "ideal stanza needs one name before '='"),
+        ("ring n=2\nclutter {x1} = {x2}\n", 2, 9, "clutter stanza needs one name before '='"),
+        ("ring n=2\nsym = n:2 exps:1\n", 2, 5, "sym stanza needs one name before '='"),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
@@ -238,7 +243,9 @@ class TestProblemFile:
             "clutter-comma-after-the-last-edge", "clutter-blank", "clutter-blank-commented",
             "sym-no-exps", "sym-size-zero", "duplicate-ring", "duplicate-ideal",
             "duplicate-clutter", "duplicate-sym", "ideal-no-equals",
-            "duplicate-ideal-no-equals", "clutter-before-ring"])
+            "duplicate-ideal-no-equals", "clutter-before-ring", "ideal-head-not-a-name",
+            "ideal-head-nameless", "ideal-head-two-names", "clutter-head-edge",
+            "sym-head-nameless"])
     def test_error_positions_count_from_the_line_start(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)

@@ -1,5 +1,9 @@
 """Value semantics of the small immutable records: equality, hashing,
-immutability, repr and the validation their constructors do."""
+immutability, repr, copying and pickling, and the validation their
+constructors do."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -217,6 +221,46 @@ def test_slots_cannot_be_deleted(obj, name):
         assert getattr(obj, name) is before
     else:
         assert getattr(obj, name) == before
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+@pytest.mark.parametrize("how", _COPIES)
+@pytest.mark.parametrize("k", range(9), ids=[type(o).__name__ for o in _value_objects()])
+def test_values_copy_and_pickle(k, how):
+    obj = _value_objects()[k]
+    again = _COPIES[how](obj)
+    assert type(again) is type(obj) and again == obj and repr(again) == repr(obj)
+    if not isinstance(obj, WitnessSpec):
+        assert hash(again) == hash(obj)
+    with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+        setattr(again, type(obj).__slots__[0], None)
+
+
+@pytest.mark.parametrize("how", _COPIES)
+def test_caches_travel_with_the_copy(how):
+    I = ideal(ctx(4), "x1^2*x2", "x2^3*x3", "x1*x4^2")
+    decomposition = irreducible_decomposition(I)
+    I.max_exponents()
+    clutter = Clutter(4, [{0, 1}, {1, 2}, {2, 3}])
+    clutter.maximal_stable_sets()  # stores the edge ideal and the covers
+    again = _COPIES[how](I)
+    assert again == I and again._max == I._max
+    assert again._decomposition == decomposition
+    assert irreducible_decomposition(again) is again._decomposition
+    assert again._decomposition.primes() == decomposition.primes()
+    with pytest.raises(AttributeError, match="^MonomialIdeal is immutable$"):
+        setattr(again, "_decomposition", None)
+    copied = _COPIES[how](clutter)
+    assert copied == clutter and copied._covers == clutter._covers
+    assert copied._ideal == clutter.edge_ideal()
+    assert copied._ideal._decomposition == clutter.edge_ideal()._decomposition
+    assert copied.maximal_stable_sets() == clutter.maximal_stable_sets()
 
 
 class TestSymmetricPattern:
