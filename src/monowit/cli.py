@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import __version__
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .parsing import parse_monomial, parse_problem_file
+from .parsing import _INT, parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport
 
 USAGE_ERROR = 1
@@ -47,19 +47,28 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
     }
 
 
+def _int(text: str) -> int:  # `int` alone also reads "1_0" and other scripts' digits
+    if not _INT.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _variables(selector: str, context) -> list[int]:
-    return [context.index_of(name.strip()) for name in selector.split(",")]
+    indices = [context.index_of(name.strip()) for name in selector.split(",")]
+    for i in indices:
+        if indices.count(i) > 1:
+            raise ValueError(f"--prime gives {context.names[i]} more than once")
+    return indices
 
 
 def _resolve_prime(selector: str, ideal: MonomialIdeal) -> tuple[PrimeSupport, tuple]:
     """The selected prime and its components; raises if it is not associated."""
     decomposition = irreducible_decomposition(ideal)
-    if selector.isdecimal():
+    if _INT.fullmatch(selector):
         primes = decomposition.primes()
         index = int(selector)
         if index >= len(primes):
-            raise ValueError(
-                f"prime index {index} out of range; there are {len(primes)} primes")
+            raise ValueError(f"prime index {index} out of range; there are {len(primes)} primes")
         prime = primes[index]
     else:
         prime = PrimeSupport(ideal.context, _variables(selector, ideal.context))
@@ -92,7 +101,7 @@ def _collect_offsets(args, ideal, prime) -> dict:
     names = ideal.context.names
     for item in args.offset or []:
         var, _, value = item.partition("=")
-        if not value or not value.isdecimal():
+        if not _INT.fullmatch(value):
             raise ValueError(f"--offset expects var=<non-negative int>, got {item!r}")
         index = ideal.context.index_of(var.strip())
         if index not in complement:
@@ -208,8 +217,8 @@ def _symgen(args, pattern):
         raise ValueError("--prime needs --value-index for symgen")
     variables = _variables(args.prime, pattern.context)
     try:
-        b_choices = [int(s) for s in args.b.split(",")] if args.b else []
-    except ValueError:
+        b_choices = [_int(s.strip()) for s in args.b.split(",")] if args.b else []
+    except argparse.ArgumentTypeError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)
     return lines + [f"P = {prime}", f"v = {v}"], dict(ideal=ideal), (prime, (v,))
@@ -232,11 +241,11 @@ COMMANDS = {
     "assprimes": Command(_assprimes, "ideal", "associated primes"),
     "witness": Command(_witness, "ideal", "construct and verify a witness", (
         ("--prime", dict(help="prime index or comma-separated variables")),
-        ("--component", dict(type=int, help="component index in canonical order")),
+        ("--component", dict(type=_int, help="component index in canonical order")),
         ("--offset", dict(action="append", metavar="var=k",
                           help="extra exponent on a non-prime variable (repeatable)")),
-        ("--seed", dict(type=int, help="seeded random offsets")),
-        ("--max-offset", dict(type=int, default=8,
+        ("--seed", dict(type=_int, help="seeded random offsets")),
+        ("--max-offset", dict(type=_int, default=8,
                               help="upper bound for seeded offsets")),
         ("--list", dict(action="store_true",
                         help="list primes and components, then exit")),
@@ -249,7 +258,7 @@ COMMANDS = {
         ("--v", dict(dest="monomial", required=True)),
     )),
     "borel": Command(_borel, "ideal", "Borel-type detection and witness", (
-        ("--prime", {}), ("--component", dict(type=int)),
+        ("--prime", {}), ("--component", dict(type=_int)),
     )),
     "uniqueness": Command(
         _uniqueness, "ideal", "witness uniqueness classification", (_PRIME_REQUIRED,)),
@@ -257,7 +266,7 @@ COMMANDS = {
         _clutter_base, "clutter", "witness from a stable set", (_PRIME_REQUIRED,)),
     "symgen": Command(_symgen, "pattern", "symmetric power-pattern ideal", (
         ("--prime", {}),
-        ("--value-index", dict(type=int,
+        ("--value-index", dict(type=_int,
                                help="0-based index among the distinct exponent values")),
         ("--b", dict(help="comma-separated complement exponents")),
     )),

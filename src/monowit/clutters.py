@@ -134,11 +134,10 @@ class Clutter(_Frozen):
         return tuple([frozenset(_bits(e)) for e in self._masks])
 
     def edge_ideal(self) -> MonomialIdeal:
-        """The squarefree ideal with one generator per edge, built once; the
-        edges are an antichain, so their products are already minimal."""
+        """The squarefree ideal with one generator per edge, built once."""
         if self._ideal is None:
             gens = (tuple([e >> v & 1 for v in range(self.n)]) for e in self._masks)
-            ideal = MonomialIdeal._from_exps(self.context, gens, minimal=True)
+            ideal = MonomialIdeal._from_exps(self.context, gens)
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 

@@ -131,10 +131,9 @@ class IrreducibleComponent(_Frozen):
         return _trusted_monomial(self.context, tuple(exps))
 
     def as_ideal(self) -> MonomialIdeal:
-        """Pure powers of distinct variables, so already an antichain."""
         n = self.context.n
         gens = (tuple([e if t == v else 0 for t in range(n)]) for v, e in self.pairs)
-        return MonomialIdeal._from_exps(self.context, gens, minimal=True)
+        return MonomialIdeal._from_exps(self.context, gens)
 
 
 class Decomposition(_Frozen):

@@ -153,7 +153,7 @@ def _parse_ring(rhs: str, line: int) -> RingContext:
     rhs = rhs.strip()
     if rhs.startswith("n="):
         digits = rhs[2:].strip()
-        if not digits.isdecimal() or int(digits) < 1:
+        if not _INT.fullmatch(digits) or int(digits) < 1:
             raise ParseError("ring size must be a positive integer", line)
         return RingContext(int(digits))
     if rhs.startswith("vars="):
@@ -231,7 +231,7 @@ def _raise_clutter_error(rhs: str, index: dict, line: int, column: int):
 def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
     from .witness import SymmetricPattern
 
-    m = re.fullmatch(r"\s*n:(\d+)\s+exps:([0-9,\s]+)", rhs)
+    m = re.fullmatch(r"\s*n:([0-9]+)\s+exps:([0-9,\s]+)", rhs)
     if not m:
         raise ParseError("sym declaration must be 'sym <name> = n:<k> exps:a,b,...'", line)
     n = int(m.group(1))

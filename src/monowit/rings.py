@@ -7,15 +7,14 @@ its unique minimal generating set in a canonical order, and every operation
 tuples.  The coefficient field is never represented.
 
 A ring context owns its names and their one name -> index table.  An ideal
-stores only its exponent tuples; `gens` builds the `Monomial`s on each read.
-It also keeps its exponent floors (`max_exponents`) once they are first
-read, as it keeps its decomposition.  Library-built values skip
-validation through the trusted constructor beside their class.  All value
-classes inherit `_Frozen`, which gives them immutability, equality, hashing
-and the default repr, and lets them copy and pickle with their caches
-(an ideal travels with its decomposition); outside integers are checked and
-converted by `_ints`, and `_by_index` refuses a mapping whose keys name one
-variable index twice.
+stores only its exponent tuples, minimized by `_minimize_exps` whichever
+constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
+its exponent floors (`max_exponents`) once first read, as it keeps its
+decomposition.  Library-built values skip validation through the trusted
+constructor beside their class.  All value classes inherit `_Frozen`, which
+gives them immutability, equality, hashing, the default repr, copying and
+pickling; outside integers are checked and converted by `_ints`, and
+`_by_index` refuses a mapping whose keys name one variable index twice.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _by_index(indices: tuple[int, ...], values) -> dict:
 
 def _rebuild(cls, slots: tuple):
     """A `cls` whose slots hold `slots`, in `cls.__slots__` order: how
-    `_Frozen.__reduce__` copies and unpickles a value, with its caches."""
+    `_Frozen.__reduce__` unpickles a value, with its caches."""
     value = object.__new__(cls)
     for name, slot in zip(cls.__slots__, slots):
         object.__setattr__(value, name, slot)
@@ -68,10 +67,15 @@ class _Frozen:
     `_key()`: two values are equal exactly when they have the same type and
     equal keys, and a value hashes as its key.  Each constructor fills the
     slots through object.__setattr__, and every later assignment or deletion
-    raises.  `copy`, `deepcopy` and `pickle` go through `__reduce__`, which
-    hands every slot to `_rebuild`, so no constructor runs again."""
+    raises, so `copy` and `deepcopy` return the value itself.  `pickle` goes
+    through `__reduce__`, which hands every slot to `_rebuild`."""
 
     __slots__ = ()
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     def __reduce__(self):
         cls = type(self)
@@ -206,23 +210,26 @@ def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
 
 
 def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Keep the divisibility-minimal exponent vectors, in descending lex order.
-
-    Scanning by total degree first means nothing seen later can divide an
-    earlier survivor, so one forward pass suffices.  A survivor can divide v
-    only if its support is inside v's, which a bitmask test settles first.
-    """
-    ordered = sorted(set(vectors), key=lambda v: (sum(v), v))
-    bits = [1 << i for i in range(len(ordered[0]))] if ordered else []
-    keep: list[tuple[int, tuple[int, ...]]] = []  # (support mask, vector)
+    """The divisibility-minimal vectors in descending lex order, for every
+    ideal.  Only a vector of lower degree can divide v, so a set of one
+    degree is an antichain once deduplicated, and otherwise v is compared
+    only with the survivors of lower degree, first by support mask."""
+    ordered = sorted(set(vectors), key=sum)
+    if not ordered or sum(ordered[0]) == sum(ordered[-1]):
+        return tuple(sorted(ordered, reverse=True))
+    bits = [1 << i for i in range(len(ordered[0]))]
+    keep = []  # (degree, support mask, vector) of each survivor, by ascending degree
     for v in ordered:
-        mask = sum(compress(bits, v))
-        for k_mask, k in keep:
+        degree, mask = sum(v), sum(compress(bits, v))
+        for k_degree, k_mask, k in keep:
+            if k_degree == degree:  # v's own degree: no survivor from here on divides it
+                keep.append((degree, mask, v))
+                break
             if not k_mask & ~mask and all(map(le, k, v)):
                 break
         else:
-            keep.append((mask, v))
-    return tuple(sorted((k for _, k in keep), reverse=True))
+            keep.append((degree, mask, v))
+    return tuple(sorted([k for _, _, k in keep], reverse=True))
 
 
 class MonomialIdeal(_Frozen):
@@ -243,19 +250,14 @@ class MonomialIdeal(_Frozen):
         gens = tuple(gens)
         for g in gens:
             if g.context is not context and g.context != context:
-                raise ContextMismatchError(
-                    f"generator {g!r} does not live in {context!r}"
-                )
+                raise ContextMismatchError(f"generator {g!r} does not live in {context!r}")
         self._set(context, _minimize_exps(g.exps for g in gens))
 
     @classmethod
-    def _from_exps(cls, context: RingContext, vectors, minimal=False) -> "MonomialIdeal":
-        """Trusted constructor for exponent tuples the library built itself:
-        nothing is validated, and with minimal=True (the caller guarantees an
-        antichain) the vectors are only deduplicated and sorted."""
+    def _from_exps(cls, context: RingContext, vectors) -> "MonomialIdeal":
+        """Trusted constructor: the tuples are minimized but not validated."""
         ideal = object.__new__(cls)
-        exps = sorted(set(vectors), reverse=True) if minimal else _minimize_exps(vectors)
-        ideal._set(context, tuple(exps))
+        ideal._set(context, _minimize_exps(vectors))
         return ideal
 
     def _set(self, context: RingContext, exps: tuple[tuple[int, ...], ...]):
@@ -309,10 +311,7 @@ class MonomialIdeal(_Frozen):
     def colon(self, v: Monomial) -> "MonomialIdeal":
         """The quotient (I : v) by a monomial."""
         _require_same_context(self, v)
-        return self._colon_exps(v.exps)
-
-    def _colon_exps(self, v: tuple[int, ...]) -> "MonomialIdeal":
-        quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v)])
+        quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v.exps)])
                      for g in self._exps)
         return MonomialIdeal._from_exps(self.context, quotients)
 
@@ -346,10 +345,8 @@ class MonomialIdeal(_Frozen):
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _require_same_context(self, other)
-        return MonomialIdeal._from_exps(
-            self.context,
-            (tuple(map(max, u, w)) for u in self._exps for w in other._exps),
-        )
+        lcms = (tuple(map(max, u, w)) for u in self._exps for w in other._exps)
+        return MonomialIdeal._from_exps(self.context, lcms)
 
 
 class PrimeSupport(_Frozen):
@@ -383,11 +380,8 @@ class PrimeSupport(_Frozen):
 
     def as_ideal(self) -> MonomialIdeal:
         n = self.context.n
-        return MonomialIdeal._from_exps(
-            self.context,
-            (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars),
-            minimal=True,
-        )
+        gens = (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars)
+        return MonomialIdeal._from_exps(self.context, gens)
 
 
 def _trusted_prime(context: RingContext, vs: tuple[int, ...]) -> PrimeSupport:

@@ -64,7 +64,7 @@ class WitnessSpec(_Frozen):
     # the offsets are a mapping, so a spec is not hashable
     __hash__ = None
 
-    def __reduce__(self):  # a MappingProxyType neither pickles nor deep-copies
+    def __reduce__(self):  # a MappingProxyType does not pickle
         return WitnessSpec, (self.prime, self.component, dict(self.offsets))
 
     def __repr__(self):
@@ -171,8 +171,7 @@ def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
                     placed[v] = value
                 grown.append(placed)
         partial = grown
-    # all of one degree and pairwise distinct, hence an antichain
-    return MonomialIdeal._from_exps(ctx, map(tuple, partial), minimal=True)
+    return MonomialIdeal._from_exps(ctx, map(tuple, partial))
 
 
 def symmetric_witness(

@@ -478,9 +478,30 @@ class TestErrorPaths:
          "component index 9 out of range; there are 1 components for (x1, x2, x3, x4)"),
         ("witness", SESSION, [], "witness requires --prime (or --list to see candidates)"),
         ("symgen", SYM, ["--prime", "x1,x2"], "--prime needs --value-index for symgen"),
-    ], ids=["prime-index", "component-index", "witness-without-prime", "symgen-without-value"])
+        # only ASCII digits are read as integers, as in problem files
+        ("witness", SESSION, ["--prime", "\uff10"], "unknown variable '\uff10'"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x8=\u0663"],
+         "--offset expects var=<non-negative int>, got 'x8=\u0663'"),
+        ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "1_0"],
+         "--b expects comma-separated integers, got '1_0'"),
+        ("uniqueness", SIX_VAR, ["--prime", "x1,x2,x1"], "--prime gives x1 more than once"),
+    ], ids=["prime-index", "component-index", "witness-without-prime", "symgen-without-value",
+            "fullwidth-prime-index", "arabic-indic-offset", "underscored-b",
+            "repeated-prime-name"])
     def test_selector_errors_exit_one(self, problem, capsys, command, text, extra, message):
         assert run(capsys, [command, problem(text)] + extra) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, text, extra", [
+        ("witness", SESSION, ["--prime", "0", "--component", "\u0660"]),
+        ("witness", SESSION, ["--prime", "0", "--seed", "1_0"]),
+        ("witness", SESSION, ["--prime", "0", "--seed", "1", "--max-offset", " 8"]),
+        ("symgen", SYM, ["--prime", "x1,x2", "--b", "3", "--value-index", "\u0661"]),
+    ], ids=["component", "seed", "max-offset", "value-index"])
+    def test_integer_flags_take_only_ascii_digits(self, problem, capsys, command, text, extra):
+        flag, value = extra[-2:]  # the last flag is the one with the bad integer
+        code, out, err = run(capsys, [command, problem(text)] + extra)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["assprimes", "/nonexistent/problem.txt"])

@@ -203,6 +203,9 @@ class TestProblemFile:
         ("sym S = n:2 exps:0,1\n", 1, 9, "exponents must be positive"),
         ("ring n=2\n sym S =  n:2 exps:1,0  # c\n", 2, 11, "exponents must be positive"),
         ("ring n=\u00b2\nideal I = x1\n", 1, 1, "ring size must be a positive integer"),
+        ("ring n=\uff13\nideal I = x1\n", 1, 1, "ring size must be a positive integer"),
+        ("sym S = n:\uff13 exps:1,2\n", 1, 1,
+         "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
         ("ring n=2\nideal I = x1^   \n", 2, 14, "expected an exponent"),
         ("ring n=2\nideal I = 12\n", 2, 12, "expected ','"),
         ("ring n=2\nideal I = x1*\u00e9\n", 2, 14, "expected a variable name"),
@@ -235,7 +238,8 @@ class TestProblemFile:
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
-            "ring-superscript-size", "ideal-caret-then-spaces",
+            "ring-superscript-size", "ring-fullwidth-size", "sym-fullwidth-size",
+            "ideal-caret-then-spaces",
             "ideal-unit-then-digit", "ideal-non-ascii-name", "ideal-tabs",
             "clutter-trailing-comma-in-edge", "clutter-empty-edge", "clutter-unclosed-edge",
             "clutter-missing-comma", "clutter-leading-comma-in-edge",

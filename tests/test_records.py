@@ -235,6 +235,7 @@ _COPIES = {
 def test_values_copy_and_pickle(k, how):
     obj = _value_objects()[k]
     again = _COPIES[how](obj)
+    assert (again is obj) == (how != "pickle")  # an immutable value is its own copy
     assert type(again) is type(obj) and again == obj and repr(again) == repr(obj)
     if not isinstance(obj, WitnessSpec):
         assert hash(again) == hash(obj)

@@ -1,5 +1,6 @@
 """Core monomial and ideal arithmetic, checked against definitional oracles."""
 
+import itertools
 import random
 from functools import reduce
 
@@ -18,7 +19,9 @@ from monowit import (
     SymmetricPattern,
     WitnessSpec,
     associated_primes,
+    build_symmetric_ideal,
     exchange_closure,
+    irreducible_decomposition,
     symmetric_witness,
 )
 from monowit.rings import _minimize_exps
@@ -26,7 +29,9 @@ from util import (
     box_bounds,
     box_corpus,
     box_exponents,
+    clutter_corpus,
     ctx,
+    graph_corpus,
     ideal,
     ideals,
     mono,
@@ -639,6 +644,44 @@ class TestTrustedPath:
             rng.shuffle(vectors)
             expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
             assert _minimize_exps(vectors) == expected
+        # large sets of one degree, and sets over many degrees with many
+        # survivors of each, on a few variables spread past bit 64
+        for _ in range(3):
+            n = rng.randint(65, 130)
+            pool = rng.sample(range(n), 8)
+            vectors = []
+            for _ in range(300):
+                v = [0] * n
+                for _ in range(4):
+                    v[rng.choice(pool)] += 1
+                vectors.append(tuple(v))
+            expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
+            assert expected == tuple(sorted(set(vectors), reverse=True))
+            assert _minimize_exps(vectors) == expected
+        for _ in range(3):
+            # on each pair of variables the (2k, K - k) form an antichain over
+            # the degrees K..2K, and so do their products over three pairs
+            n = rng.randint(65, 130)
+            pool = rng.sample(range(n), 6)
+            blocks = [[(2 * k, K - k) for k in range(K + 1)]
+                      for K in (rng.randint(2, 5) for _ in range(3))]
+            survivors = []
+            for parts in itertools.product(*blocks):
+                v = [0] * n
+                for (a, b), i, j in zip(parts, pool[::2], pool[1::2]):
+                    v[i], v[j] = a, b
+                survivors.append(tuple(v))
+            vectors = list(survivors)
+            for _ in range(100):  # multiples, which the survivors divide
+                v = list(rng.choice(survivors))
+                v[rng.randrange(n)] += 1
+                vectors.append(tuple(v))
+            rng.shuffle(vectors)
+            expected = tuple(sorted(oracle_minimal_subset(vectors), reverse=True))
+            assert expected == tuple(sorted(set(survivors), reverse=True))
+            assert _minimize_exps(vectors) == expected
+            degrees = [sum(v) for v in expected]
+            assert len(set(degrees)) > 4 and len(degrees) > 2 * len(set(degrees))
 
     @given(I=ideals(proper=False), data=st.data())
     def test_trusted_constructor_matches_public(self, I, data):
@@ -651,7 +694,33 @@ class TestTrustedPath:
         assert trusted.gens == public.gens
         assert [g.context for g in trusted.gens] == [c] * len(public.gens)
         antichain = [g.exps for g in reversed(public.gens)] * 2
-        assert MonomialIdeal._from_exps(c, antichain, minimal=True) == public
+        assert MonomialIdeal._from_exps(c, antichain) == public
+
+    def test_former_antichain_callers_match_public(self):
+        """Edge ideals, symmetric ideals and pure-power ideals, which once
+        skipped the minimization, equal the public constructor on the same
+        vectors and keep exactly the distinct vectors."""
+        built = []
+        for clutter in graph_corpus() + clutter_corpus():
+            n = clutter.n
+            vectors = [tuple(int(v in e) for v in range(n)) for e in clutter.edges]
+            built.append((clutter.edge_ideal(), vectors))
+        for n in range(1, 6):  # every pattern on up to five variables, exponents up to 3
+            for k in range(1, n + 1):
+                for exps in itertools.combinations_with_replacement((1, 2, 3), k):
+                    placements = set(itertools.permutations(exps + (0,) * (n - k)))
+                    pattern = SymmetricPattern(ctx(n), exps)
+                    built.append((build_symmetric_ideal(pattern), placements))
+        for I in tiny_corpus():
+            for q in irreducible_decomposition(I):
+                powers = [tuple(e if t == v else 0 for t in range(I.context.n))
+                          for v, e in q.pairs]
+                built.append((q.as_ideal(), powers))
+                built.append((q.prime().as_ideal(), [tuple(min(e, 1) for e in v) for v in powers]))
+        for J, vectors in built:
+            c = J.context
+            assert J == MonomialIdeal(c, [Monomial(c, v) for v in vectors])
+            assert J._exps == tuple(sorted(set(vectors), reverse=True))
 
     @given(I=ideals(max_n=3), data=st.data())
     def test_colon_intersect_membership_match_oracle(self, I, data):
