@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import __version__
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .parsing import _INT, parse_monomial, parse_problem_file
+from .parsing import _digits, _Line, parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport
 
 USAGE_ERROR = 1
@@ -47,14 +47,14 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
     }
 
 
-def _int(text: str) -> int:  # `int` alone also reads "1_0" and other scripts' digits
-    if not _INT.fullmatch(text.removeprefix("-")):
+def _int(text: str) -> int:  # `int` alone also reads "1_0", " 8" and other scripts' digits
+    if not _digits(text.removeprefix("-")):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
 
 
 def _variables(selector: str, context) -> list[int]:
-    indices = [context.index_of(name.strip()) for name in selector.split(",")]
+    indices = [context.index_of(name) for name in _Line(selector).comma_list(0)]
     for i in indices:
         if indices.count(i) > 1:
             raise ValueError(f"--prime gives {context.names[i]} more than once")
@@ -64,7 +64,7 @@ def _variables(selector: str, context) -> list[int]:
 def _resolve_prime(selector: str, ideal: MonomialIdeal) -> tuple[PrimeSupport, tuple]:
     """The selected prime and its components; raises if it is not associated."""
     decomposition = irreducible_decomposition(ideal)
-    if _INT.fullmatch(selector):
+    if _digits(selector):
         primes = decomposition.primes()
         index = int(selector)
         if index >= len(primes):
@@ -100,10 +100,13 @@ def _collect_offsets(args, ideal, prime) -> dict:
     offsets = {}
     names = ideal.context.names
     for item in args.offset or []:
-        var, _, value = item.partition("=")
-        if not _INT.fullmatch(value):
+        line = _Line(item)
+        end = len(line.tokens) - 1
+        eq = line.tokens.index("=") if "=" in line.tokens else end
+        value = line.span(eq + 1, end)  # one integer, right after the first '=', ends the item
+        if not (_digits(value) and item.endswith("=" + value)):
             raise ValueError(f"--offset expects var=<non-negative int>, got {item!r}")
-        index = ideal.context.index_of(var.strip())
+        index = ideal.context.index_of(line.span(0, eq))
         if index not in complement:
             raise ValueError(f"{names[index]} is a prime variable; offsets apply outside")
         if index in offsets:
@@ -217,7 +220,7 @@ def _symgen(args, pattern):
         raise ValueError("--prime needs --value-index for symgen")
     variables = _variables(args.prime, pattern.context)
     try:
-        b_choices = [_int(s.strip()) for s in args.b.split(",")] if args.b else []
+        b_choices = [_int(s) for s in _Line(args.b).comma_list(0)] if args.b else []
     except argparse.ArgumentTypeError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)

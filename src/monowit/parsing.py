@@ -1,27 +1,37 @@
 """Text formats: monomial expressions and line-oriented problem files.
 
-Monomial grammar (whitespace ignored, "1" is the unit monomial):
+Lexical rule, for problem files and command-line values alike: a line
+breaks at '\\n' only (one '\\r' before it is dropped), and a line is a
+sequence of tokens, each a name [A-Za-z_][A-Za-z0-9_]*, a decimal integer
+[0-9]+, or any other single character.  Blanks, spaces or tabs, may stand
+between tokens and are otherwise ignored.  Any other whitespace or control
+character is a token that no grammar below accepts, so it is an error on
+its own line.
+
+Monomial grammar ("1" is the unit monomial):
 
     monomial := '1' | term ('*' term)*
     term     := var ('^' posint)?
-    var      := declared ring name, [A-Za-z_][A-Za-z0-9_]*
+    var      := declared ring name
 
 Problem files hold one construct per stanza, after a ring declaration:
 
     ring n=8                  (names default to x1..xn)
-    ring vars=t1,t2,t3        (explicit names, each matching var's pattern)
+    ring vars=t1,t2,t3        (explicit names, each a name token)
     ideal I = x1^4, x2^7*x4
     clutter C = {t1,t2},{t2,t3}
     sym S = n:3 exps:1,3,3
 
 Between an ideal, clutter or sym keyword and its '=' stands exactly one
-name, matching var's pattern; anything else there is an error.
-
-A clutter stanza lists its edges over the ring's names; only spaces and
-tabs may surround its tokens, and nothing may follow the last edge:
+name; anything else there is an error.  Nothing may follow the last edge
+of a clutter:
 
     clutter := edge (',' edge)*
     edge    := '{' var (',' var)* '}'
+
+Where blanks matter they are as shown above: 'n=', 'vars=', 'n:', 'exps:'
+and the size after 'n:' are written without blanks, and a blank separates
+the size from 'exps'.
 
 The declared ring owns every name: monomials and clutter vertices resolve
 through its one name table, and a sym pattern is placed in that ring
@@ -41,88 +51,110 @@ if TYPE_CHECKING:  # imported where a stanza needs them, so an ideal file loads 
     from .clutters import Clutter
     from .witness import SymmetricPattern
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
+_TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|.)", re.S)
 
 
-class _Scanner:
+def _is_int(token: str) -> bool:  # tokens that start with an ASCII digit are [0-9]+
+    return "0" <= token[:1] <= "9"
+
+
+def _is_name(token: str) -> bool:
+    return token.isascii() and token.isidentifier()
+
+
+def _digits(text: str) -> bool:
+    """Whether text is one integer token, with no blank around it."""
+    return _is_int(text) and _TOKEN.findall(text) == [text]
+
+
+class _Line:
+    """The tokens of one line of text, ended by "", and where each one
+    stands in it.  Positions are found again by the token pattern only when
+    a token's column or text span is asked for, so reading costs one
+    `findall`."""
+
+    __slots__ = ("text", "tokens", "line", "column")
+
     def __init__(self, text: str, line: int = 1, column: int = 1):
-        self.text = text
-        self.pos = 0
-        self.line = line
-        self.base_column = column
+        self.text, self.line, self.column = text, line, column
+        self.tokens = _TOKEN.findall(text.rstrip(" \t"))
+        self.tokens.append("")
 
-    def error(self, message: str, at: Optional[int] = None) -> ParseError:
-        pos = self.pos if at is None else at
-        return ParseError(message, self.line, self.base_column + pos)
+    def _starts(self) -> list[int]:
+        # a token a reader has cut short to its tail ends where its match ends
+        return [m.end(1) - len(t) for m, t in zip(_TOKEN.finditer(self.text), self.tokens)]
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def error(self, message: str, k: int) -> ParseError:
+        """A ParseError at tokens[k], or at the end of the text for ""."""
+        at = self._starts()[k] if k < len(self.tokens) - 1 else len(self.text)
+        return ParseError(message, self.line, self.column + at)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def span(self, a: int, b: int) -> str:
+        """The text of tokens[a:b], without the blanks around it."""
+        if b - a < 2:
+            return self.tokens[a] if a < b else ""
+        starts = self._starts()
+        return self.text[starts[a]:starts[b - 1] + len(self.tokens[b - 1])]
 
-    def take(self, pattern: re.Pattern) -> Optional[str]:
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def expect_char(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.text)
+    def comma_list(self, start: int) -> list[str]:
+        """The entries of the comma list in tokens[start:], each as span()
+        gives it; no tokens at all make one empty entry."""
+        entries = []
+        for stop, token in enumerate(self.tokens[start:], start):
+            if token == "," or not token:
+                entries.append(self.span(start, stop))
+                start = stop + 1
+        return entries
 
 
-def _scan_monomial(scanner: _Scanner, context: RingContext) -> Monomial:
-    scanner.skip_ws()
-    if scanner.peek() == "1":
-        scanner.pos += 1
-        return context.one
+def _monomial(line: _Line, i: int, context: RingContext) -> tuple[Monomial, int]:
+    """The monomial starting at tokens[i], and the index after it."""
+    tokens, index = line.tokens, context._index
+    if tokens[i][:1] == "1":
+        if tokens[i] == "1":
+            return context.one, i + 1
+        tokens[i] = tokens[i][1:]  # "12" is the unit, then a stray "2"
+        return context.one, i
     exps = [0] * context.n
     while True:
-        scanner.skip_ws()
-        start = scanner.pos
-        name = scanner.take(_NAME)
-        if name is None:
-            raise scanner.error("expected a variable name")
-        try:
-            index = context.index_of(name)
-        except ValueError:
-            raise scanner.error(f"unknown variable {name!r}", at=start) from None
+        name = tokens[i]
+        k = index.get(name)
+        if k is None:
+            raise line.error(
+                f"unknown variable {name!r}" if _is_name(name) else "expected a variable name", i)
         power = 1
-        scanner.skip_ws()
-        if scanner.peek() == "^":
-            scanner.pos += 1
-            scanner.skip_ws()
-            digit_start = scanner.pos
-            digits = scanner.take(_INT)
-            if digits is None:
-                raise scanner.error("expected an exponent")
-            power = int(digits)
+        if tokens[i + 1] == "^":
+            i += 2
+            if not _is_int(tokens[i]):
+                raise line.error("expected an exponent", i)
+            power = int(tokens[i])
             if power < 1:
-                raise scanner.error("exponents must be positive", at=digit_start)
-        exps[index] += power
-        scanner.skip_ws()
-        if scanner.peek() != "*":
-            return Monomial(context, tuple(exps))
-        scanner.pos += 1
+                raise line.error("exponents must be positive", i)
+        exps[k] += power
+        if tokens[i + 1] != "*":
+            return Monomial(context, tuple(exps)), i + 1
+        i += 2
+
+
+def _ideal(line: _Line, i: int, context: RingContext) -> MonomialIdeal:
+    tokens, gens = line.tokens, []
+    while tokens[i]:
+        if gens:
+            if tokens[i] != ",":
+                raise line.error("expected ','", i)
+            i += 1
+        m, i = _monomial(line, i, context)
+        gens.append(m)
+    return MonomialIdeal(context, gens)
 
 
 def parse_monomial(
     text: str, context: RingContext, line: int = 1, column: int = 1
 ) -> Monomial:
-    scanner = _Scanner(text, line, column)
-    m = _scan_monomial(scanner, context)
-    scanner.skip_ws()
-    if not scanner.exhausted:
-        raise scanner.error(f"unexpected trailing input {scanner.peek()!r}")
+    source = _Line(text, line, column)
+    m, i = _monomial(source, 0, context)
+    if source.tokens[i]:
+        raise source.error(f"unexpected trailing input {source.tokens[i][0]!r}", i)
     return m
 
 
@@ -130,16 +162,7 @@ def parse_ideal_gens(
     text: str, context: RingContext, line: int = 1, column: int = 1
 ) -> MonomialIdeal:
     """Comma-separated generator list; an empty list is the zero ideal."""
-    if not text.strip():
-        return MonomialIdeal(context, ())
-    scanner = _Scanner(text, line, column)
-    gens = [_scan_monomial(scanner, context)]
-    while True:
-        scanner.skip_ws()
-        if scanner.exhausted:
-            return MonomialIdeal(context, gens)
-        scanner.expect_char(",")
-        gens.append(_scan_monomial(scanner, context))
+    return _ideal(_Line(text, line, column), 0, context)
 
 
 class ProblemFile(NamedTuple):
@@ -149,121 +172,98 @@ class ProblemFile(NamedTuple):
     pattern: Optional[SymmetricPattern]
 
 
-def _parse_ring(rhs: str, line: int) -> RingContext:
-    rhs = rhs.strip()
-    if rhs.startswith("n="):
-        digits = rhs[2:].strip()
-        if not _INT.fullmatch(digits) or int(digits) < 1:
-            raise ParseError("ring size must be a positive integer", line)
-        return RingContext(int(digits))
-    if rhs.startswith("vars="):
-        names = [s.strip() for s in rhs[5:].split(",")]
-        if names == [""]:
-            raise ParseError("ring declaration lists no variables", line)
-        if "" in names:
-            raise ParseError("ring declaration has an empty variable name", line)
-        try:  # the constructor checks the name grammar and distinctness
-            return RingContext(names)
-        except ValueError as exc:
-            raise ParseError(str(exc), line) from None
-    raise ParseError("ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'", line)
+def _ring(line: _Line) -> RingContext:
+    tokens, lineno = line.tokens, line.line
+    key = tokens[1]
+    if key not in ("n", "vars") or tokens[2] != "=" or not line.text.partition("=")[0].endswith(key):
+        raise ParseError("ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'", lineno)
+    if key == "n":
+        size = tokens[3]
+        if not _is_int(size) or tokens[4] or int(size) < 1:
+            raise ParseError("ring size must be a positive integer", lineno)
+        return RingContext(int(size))
+    names = line.comma_list(3)
+    if names == [""]:
+        raise ParseError("ring declaration lists no variables", lineno)
+    if "" in names:
+        raise ParseError("ring declaration has an empty variable name", lineno)
+    try:  # the constructor checks the name grammar and distinctness
+        return RingContext(names)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
-# Kept as strings: re compiles and caches the pattern on the first clutter
-# stanza, so importing this module for an ideal file compiles nothing more.
-_EDGE = r"\{[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*\}" % (_NAME.pattern, _NAME.pattern)
-_CLUTTER = r"[ \t]*%s(?:[ \t]*,[ \t]*%s)*[ \t]*" % (_EDGE, _EDGE)
-
-
-def _parse_clutter(rhs: str, context: RingContext, line: int, column: int) -> Clutter:
-    """One match of `_CLUTTER` checks the stanza's grammar, and then each
-    vertex costs a lookup in the ring's name table and a bit set.  A stanza
-    the pattern rejects, or one naming an unknown vertex, is walked token by
-    token to report the error."""
+def _clutter(line: _Line, i: int, context: RingContext) -> Clutter:
+    """Each vertex costs a lookup in the ring's name table and a bit set."""
     from .clutters import Clutter
 
-    index = context._index
-    if re.fullmatch(_CLUTTER, rhs) is None:
-        _raise_clutter_error(rhs, index, line, column)
-    masks = []
-    try:
-        for body in re.findall(r"\{([^}]*)\}", rhs):
-            mask = 0
-            for name in body.split(","):
-                mask |= 1 << index[name.strip(" \t")]
-            masks.append(mask)
-    except KeyError:
-        _raise_clutter_error(rhs, index, line, column)
+    tokens, index = line.tokens, context._index
+    if not tokens[i]:
+        raise ParseError("clutter declaration lists no edges", line.line)
+    first, masks = i, []
+    while True:
+        if tokens[i] != "{":
+            raise line.error("expected '{'", i)
+        mask = 0
+        while True:
+            i += 1
+            k = index.get(tokens[i])
+            if k is None:
+                name = tokens[i]
+                raise line.error(
+                    f"unknown variable {name!r}" if _is_name(name) else "expected a vertex name", i)
+            mask |= 1 << k
+            i += 1
+            if tokens[i] != ",":
+                break
+        if tokens[i] != "}":
+            raise line.error("expected ','", i)
+        masks.append(mask)
+        i += 1
+        if not tokens[i]:
+            break
+        if tokens[i] != ",":
+            raise line.error("expected ','", i)
+        i += 1
     try:
         return Clutter._from_masks(context, masks)
     except ValueError as exc:  # at the first '{'
-        raise ParseError(str(exc), line, column + len(rhs) - len(rhs.lstrip(" \t"))) from None
+        raise line.error(str(exc), first) from None
 
 
-def _raise_clutter_error(rhs: str, index: dict, line: int, column: int):
-    """Walk the stanza token by token and raise at the first token that does
-    not fit the grammar, or at the first vertex not in index.  A blank
-    stanza lists no edges, and a comma must be followed by an edge."""
-    scanner = _Scanner(rhs, line, column)
-    scanner.skip_ws()
-    if scanner.exhausted:
-        raise ParseError("clutter declaration lists no edges", line)
-    while True:
-        scanner.expect_char("{")
-        while True:
-            scanner.skip_ws()
-            start = scanner.pos
-            name = scanner.take(_NAME)
-            if name is None:
-                raise scanner.error("expected a vertex name")
-            if name not in index:
-                raise scanner.error(f"unknown variable {name!r}", at=start)
-            scanner.skip_ws()
-            if scanner.peek() == "}":
-                scanner.pos += 1
-                break
-            scanner.expect_char(",")
-        scanner.skip_ws()
-        scanner.expect_char(",")
-        scanner.skip_ws()
-
-
-def _parse_sym(rhs: str, line: int, column: int) -> SymmetricPattern:
+def _sym(line: _Line, i: int) -> SymmetricPattern:
     from .witness import SymmetricPattern
 
-    m = re.fullmatch(r"\s*n:([0-9]+)\s+exps:([0-9,\s]+)", rhs)
-    if not m:
-        raise ParseError("sym declaration must be 'sym <name> = n:<k> exps:a,b,...'", line)
-    n = int(m.group(1))
+    t = line.tokens[i:-1]
+    words = line.text.partition("=")[2].split()  # once the tokens pass, only blanks split
+    if not (len(t) > 5 and t[:2] == ["n", ":"] and _is_int(t[2]) and t[3:5] == ["exps", ":"]
+            and all(s == "," or _is_int(s) for s in t[5:])
+            and words[0] == "n:" + t[2] and words[1].startswith("exps:")):
+        raise ParseError("sym declaration must be 'sym <name> = n:<k> exps:a,b,...'", line.line)
+    n = int(t[2])
     if n < 1:
-        raise ParseError("sym ring size must be positive", line)
-    column += len(rhs) - len(rhs.lstrip())  # of 'n:'
-    entries = m.group(2).split(",")
-    if not all(s.strip() for s in entries):
-        raise ParseError("sym exps list has an empty entry", line, column)
-    try:
+        raise ParseError("sym ring size must be positive", line.line)
+    entries = line.comma_list(i + 5)
+    if "" in entries:
+        raise line.error("sym exps list has an empty entry", i)  # at 'n:'
+    try:  # an entry of two integers fails int()
         return SymmetricPattern(RingContext(n), tuple(map(int, entries)))
     except ValueError as exc:
-        raise ParseError(str(exc), line, column) from None
-
-
-_STANZA = re.compile(r"(ring|ideal|clutter|sym)\b\s*(.*)")
-_HEAD = re.compile(r"(?:%s[ \t]*)?" % _NAME.pattern)  # the one name before an '='
+        raise line.error(str(exc), i) from None
 
 
 def parse_problem_file(text: str) -> ProblemFile:
     stanzas = {}  # kind -> its parsed value; each kind appears at most once
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = _Line(raw.removesuffix("\r").partition("#")[0].rstrip(" \t"), lineno)
+        tokens = line.tokens
+        kind = tokens[0]
+        if not kind:
             continue
-        m = _STANZA.fullmatch(stripped)
-        if not m:
-            raise ParseError(f"unrecognized stanza {stripped.split()[0]!r}", lineno)
-        kind, rest = m.group(1), m.group(2)
-        head, eq, rhs = rest.partition("=")
-        start = len(raw) - len(raw.lstrip()) + len(stripped) - len(rest) + 1  # of rest in raw
-        column = start + len(head) + len(eq)  # of rhs in raw
+        if kind not in ("ring", "ideal", "clutter", "sym"):
+            word = line.text.lstrip(" \t").replace("\t", " ").partition(" ")[0]
+            raise ParseError(f"unrecognized stanza {word!r}", lineno)
+        eq = "=" in tokens
         context = stanzas.get("ring")
         if kind in ("ideal", "clutter"):
             if context is None:
@@ -273,18 +273,18 @@ def parse_problem_file(text: str) -> ProblemFile:
         if kind in stanzas:
             noun = "declaration" if kind == "ring" else "stanza"
             raise ParseError(f"duplicate {kind} {noun}", lineno)
-        if eq and kind != "ring":
-            end = _HEAD.match(head).end()  # of the name and the blanks after it
-            if not head or end < len(head):
-                raise ParseError(f"{kind} stanza needs one name before '='", lineno, start + end)
+        if eq and kind != "ring" and not (_is_name(tokens[1]) and tokens[2] == "="):
+            at = 2 if _is_name(tokens[1]) else 1
+            raise line.error(f"{kind} stanza needs one name before '='", at)
         if kind == "ring":
-            stanzas[kind] = _parse_ring(rest, lineno)
+            stanzas[kind] = _ring(line)
         elif kind == "ideal":
-            stanzas[kind] = parse_ideal_gens(rhs, context, lineno, column)
+            stanzas[kind] = _ideal(line, 3, context)
         elif kind == "clutter":
-            stanzas[kind] = _parse_clutter(rhs, context, lineno, column)
+            stanzas[kind] = _clutter(line, 3, context)
         else:
-            stanzas[kind], sym_line = _parse_sym(rhs, lineno, column), lineno
+            start = 3 if eq else len(tokens) - 1  # no '=', no pattern: an empty one fails
+            stanzas[kind], sym_line = _sym(line, start), lineno
     context, pattern = stanzas.get("ring"), stanzas.get("sym")
     if pattern is not None and context is not None:
         if pattern.context.n != context.n:

@@ -485,11 +485,43 @@ class TestErrorPaths:
         ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "1_0"],
          "--b expects comma-separated integers, got '1_0'"),
         ("uniqueness", SIX_VAR, ["--prime", "x1,x2,x1"], "--prime gives x1 more than once"),
+        # an index, an offset's value and a negative sign stand without blanks
+        ("witness", SESSION, ["--prime", " 0"], "unknown variable '0'"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5= 1"],
+         "--offset expects var=<non-negative int>, got 'x5= 1'"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5=1 "],
+         "--offset expects var=<non-negative int>, got 'x5=1 '"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5 x6=1"], "unknown variable 'x5 x6'"),
+        ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "- 3"],
+         "--b expects comma-separated integers, got '- 3'"),
     ], ids=["prime-index", "component-index", "witness-without-prime", "symgen-without-value",
             "fullwidth-prime-index", "arabic-indic-offset", "underscored-b",
-            "repeated-prime-name"])
+            "repeated-prime-name", "spaced-prime-index", "spaced-offset-value",
+            "offset-value-then-space", "two-offset-names", "spaced-negative-b"])
     def test_selector_errors_exit_one(self, problem, capsys, command, text, extra, message):
         assert run(capsys, [command, problem(text)] + extra) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("space", ["\u3000", "\u00a0"], ids=["ideographic", "no-break"])
+    @pytest.mark.parametrize("command, text, extra", [
+        ("decompose", "ring n=~3\nideal I = x1\n", []),
+        ("decompose", "ring vars=a,~b\nideal I = a\n", []),
+        ("decompose", "ring n=2\nideal~I = x1\n", []),
+        ("decompose", "ring n=2\nideal I = x1~*x2\n", []),
+        ("clutter-base", "ring n=2\nclutter C = {x1,~x2}\n", ["--prime", "x2"]),
+        ("symgen", "sym S = n:3~exps:1,2\n", []),
+        ("uniqueness", SIX_VAR, ["--prime", "x2,~x1"]),
+        ("witness", SESSION, ["--prime", "0", "--offset", "~x5=1"]),
+        ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "~3"]),
+    ], ids=["ring-size", "ring-names", "stanza-head", "ideal", "clutter", "sym", "prime",
+            "offset", "b"])
+    def test_only_spaces_and_tabs_are_blanks(self, problem, capsys, space, command, text, extra):
+        # str.strip() and the regex \s read these as blanks in some places only
+        argv = [command, problem(text.replace("~", space))] + [a.replace("~", space) for a in extra]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        code, _, _ = run(capsys, [command, problem(text.replace("~", " "))] + [
+            a.replace("~", " ") for a in extra])
+        assert code == 0
 
     @pytest.mark.parametrize("command, text, extra", [
         ("witness", SESSION, ["--prime", "0", "--component", "\u0660"]),

@@ -1,5 +1,7 @@
 """Monomial grammar, problem files, and print/parse round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -235,6 +237,16 @@ class TestProblemFile:
         ("ring n=2\nideal I J = x1\n", 2, 9, "ideal stanza needs one name before '='"),
         ("ring n=2\nclutter {x1} = {x2}\n", 2, 9, "clutter stanza needs one name before '='"),
         ("ring n=2\nsym = n:2 exps:1\n", 2, 5, "sym stanza needs one name before '='"),
+        # where a walk over tokens alone would drift: blanks that the grammar
+        # forbids, and a unit that a digit follows with no blank
+        ("ring n=2\nideal I = 10\n", 2, 12, "expected ','"),
+        ("sym S = n:3exps:1,2\n", 1, 1, "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
+        ("sym S = n: 3 exps:1,2\n", 1, 1,
+         "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
+        ("sym S = n:3 exps :1,2\n", 1, 1,
+         "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
+        ("ring n =2\n", 1, 1, "ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'"),
+        ("ring vars =a\n", 1, 1, "ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'"),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
@@ -249,7 +261,9 @@ class TestProblemFile:
             "duplicate-clutter", "duplicate-sym", "ideal-no-equals",
             "duplicate-ideal-no-equals", "clutter-before-ring", "ideal-head-not-a-name",
             "ideal-head-nameless", "ideal-head-two-names", "clutter-head-edge",
-            "sym-head-nameless"])
+            "sym-head-nameless", "ideal-unit-then-zero", "sym-exps-unspaced",
+            "sym-size-spaced", "sym-exps-key-spaced", "ring-size-key-spaced",
+            "ring-vars-key-spaced"])
     def test_error_positions_count_from_the_line_start(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)
@@ -277,6 +291,89 @@ class TestProblemFile:
     def test_nested_clutter_edges_rejected(self):
         with pytest.raises(ParseError, match=r"^edges \{a\} and \{a,b\} are nested"):
             parse_problem_file("ring vars=a,b\nclutter C = {a,b},{a}\n")
+
+
+class TestLineBreaks:
+    def test_a_form_feed_is_an_error_at_its_column(self):
+        # str.splitlines() broke the line here and reported a third line
+        with pytest.raises(ParseError) as info:
+            parse_problem_file("ring n=2\nideal I = x1\x0c, x2\n")
+        assert str(info.value) == "expected ',' (line 2, column 13)"
+
+    @pytest.mark.parametrize("char", ["\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                                      "\u2028", "\u2029", "\x00", "\x7f"])
+    def test_only_newline_ends_a_line(self, char):
+        with pytest.raises(ParseError) as info:
+            parse_problem_file(f"ring n=2\nideal I = x1{char}, x2\n")
+        assert (info.value.line, info.value.column) == (2, 13)
+
+    def test_one_carriage_return_before_a_newline_is_dropped(self):
+        crlf = "# demo\r\nring n=2\r\nideal I = x1, x2  # c\r\n\r\n"
+        assert parse_problem_file(crlf) == parse_problem_file(crlf.replace("\r", ""))
+        with pytest.raises(ParseError) as info:
+            parse_problem_file("ring n=2\nideal I = x1\r\r\n")
+        assert (info.value.line, info.value.column) == (2, 13)
+
+
+def joined(items, sep=","):
+    """The tokens of items with sep between them; an item is a token or a list of them."""
+    tokens = []
+    for k, item in enumerate(items):
+        tokens += ([sep] if k else []) + (item if isinstance(item, list) else [item])
+    return tokens
+
+
+@st.composite
+def padded_problem_files(draw):
+    """A valid problem file twice: with a blank only where two names or
+    integers would run together, and with random spaces and tabs added in
+    every gap between tokens.  'n=', 'vars=', 'n:<k>' and 'exps:' stay
+    whole, as the grammar asks."""
+    identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        names, ring = [f"x{i + 1}" for i in range(n)], ["ring", "n=", str(n)]
+    else:
+        names = draw(st.lists(identifiers, min_size=n, max_size=n, unique=True))
+        ring = ["ring", "vars=", *joined(names)]
+    kind = draw(st.sampled_from(["ideal", "clutter", "sym"]))
+    if kind == "ideal":
+        def term():
+            name = draw(st.sampled_from(names))
+            return [name, "^", str(draw(st.integers(1, 12)))] if draw(st.booleans()) else [name]
+
+        def generator():
+            if draw(st.booleans()):
+                return ["1"]
+            return joined([term() for _ in range(draw(st.integers(1, 4)))], "*")
+
+        body = joined([generator() for _ in range(draw(st.integers(0, 4)))])
+    elif kind == "clutter":
+        size = draw(st.integers(1, n))
+        edges = draw(st.lists(st.permutations(names), min_size=1, max_size=4))
+        body = joined([["{", *joined(e[:size]), "}"] for e in edges])
+    else:
+        exps = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=n)))
+        body = [f"n:{n}", "exps:", *joined([str(e) for e in exps])]
+    lines = [ring, [kind, draw(identifiers), "=", *body]]
+    blanks = st.from_regex(r"[ \t]*", fullmatch=True)
+
+    def text(pad):
+        out = ""
+        for tokens in lines:
+            for before, token in zip([""] + tokens, tokens):
+                out += pad(re.fullmatch(r"\w\w", before[-1:] + token[:1]) is not None) + token
+            out += pad(False) + "\n"
+        return out
+
+    return text(lambda needed: " " * needed), text(lambda needed: " " * needed + draw(blanks))
+
+
+class TestBlanks:
+    @given(case=padded_problem_files())
+    def test_blanks_between_tokens_change_nothing(self, case):
+        tight, padded = case
+        assert parse_problem_file(padded) == parse_problem_file(tight)
 
 
 @st.composite
