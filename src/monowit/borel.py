@@ -7,8 +7,12 @@ equivalently every generator u passes the exchange test: for j < i with x_i
 dividing u, u with x_i dropped lies in (I : x_j^inf).  One kernel,
 `_exchange_failure`, runs that test for both detectors: the prefix
 saturation is the intersection of the (I : x_j^inf) for j <= i, so it
-equals (I : x_i^inf) exactly when the test holds for that i.
-`exchange_closure` is a worklist that checks each generator's moves once.
+equals (I : x_i^inf) exactly when the test holds for that i.  The kernel
+reads the generators as masks on the level bits of the decomposition
+engine's `_level_table`, and one pass over them per generator and variable
+x_i decides every j < i at once.  `exchange_closure` is a worklist that
+checks each generator's moves once, one degree class at a time, against
+the finished generators of lower degree only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 from operator import le
 from typing import NamedTuple, Optional
 
-from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
+from .decompose import (IrreducibleComponent, _level_table, associated_primes,
+                        irreducible_decomposition)
 from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted_monomial
 
 
@@ -41,19 +46,42 @@ def _exchange_failure(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], i
     dropped outside (I : x_j^inf), or None when there is none.
 
     Generators are scanned in stored order, i descending and j ascending.
-    (I : x_j^inf) is generated by the generators with x_j dropped.
+    Each generator is one mask on the engine's level bits.  Let s be u with
+    x_i dropped: s uses only the generators' own exponents, so the bits
+    where a generator g exceeds s are exact, and g puts s in (I : x_j^inf)
+    exactly when they lie on x_j alone, or nowhere.  One pass over the
+    masks decides every j < i, and it stops once all of them are held.
     """
     _require_decomposable(ideal)
     n = ideal.context.n
-    saturations = [[g[:j] + (0,) + g[j + 1:] for g in ideal._exps] for j in range(n - 1)]
-    for u in ideal._exps:
+    gens = ideal._exps
+    levels, below, var_bits = _level_table(gens, n)
+    owner = [i for i, _ in levels]  # the variable of each bit
+    off = [~b for b in var_bits]
+    masks = []
+    for u in gens:
+        mask = 0
+        for i, e in enumerate(u):
+            if e:
+                mask |= below[i, e][1]
+        masks.append(mask)
+    for u, mask in zip(gens, masks):
         for i in range(n - 1, 0, -1):
-            if u[i] == 0:
+            if not u[i]:
                 continue
-            stripped = u[:i] + (0,) + u[i + 1:]
-            for j in range(i):
-                if not any(all(map(le, g, stripped)) for g in saturations[j]):
-                    return u, i, j
+            outside = ~mask | var_bits[i]  # the bits outside s
+            missing = (1 << i) - 1  # the j < i not yet held, one bit each
+            for g in masks:
+                excess = g & outside
+                if not excess:
+                    break  # g divides s: every j is held
+                j = owner[excess.bit_length() - 1]
+                if missing >> j & 1 and not excess & off[j]:
+                    missing ^= 1 << j
+                    if not missing:
+                        break
+            else:
+                return u, i, (missing & -missing).bit_length() - 1
     return None
 
 
@@ -107,26 +135,38 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Smallest ideal containing this one that is closed under moving one
     power of any variable to an earlier variable (hence of Borel type).
 
-    A worklist: each generator, seed or new, has its moves checked once,
-    against the generators so far.  That suffices because a move of a
-    multiple w*u is a multiple of u or of a move of u, and the ideal only
-    grows.
+    A worklist, one degree class at a time in ascending degree: each
+    generator, seed or new, has its moves checked once.  That suffices
+    because a move of a multiple w*u is a multiple of u or of a move of u,
+    and the ideal only grows.  A move keeps the degree, so every class
+    below is finished when a class starts, and a generator of the same
+    degree divides a candidate only by being equal to it: a candidate is
+    checked only against the finished generators of lower degree, and one
+    they divide is dropped, a seed included.
     """
     _require_decomposable(ideal)
-    gens = list(ideal._exps)
-    seen = set(gens)  # most moves land on a generator itself
-    for u in gens:  # the list grows as the loop runs
-        for i, e in enumerate(u):
-            if not e:
-                continue
-            for j in range(i):
-                moved = list(u)
-                moved[i] -= 1
-                moved[j] += 1
-                moved = tuple(moved)
-                if moved not in seen and not any(all(map(le, g, moved)) for g in gens):
-                    gens.append(moved)
-                    seen.add(moved)
-    if len(gens) == len(ideal._exps):
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for u in ideal._exps:
+        classes.setdefault(sum(u), []).append(u)
+    lower: list[tuple[int, ...]] = []  # the finished generators, of lower degree
+    grown = False
+    for degree in sorted(classes):
+        todo = [u for u in classes[degree] if not any(all(map(le, g, u)) for g in lower)]
+        seen = set(todo)  # most moves land on a generator of the class itself
+        for u in todo:  # the list grows as the loop runs
+            for i, e in enumerate(u):
+                if not e:
+                    continue
+                for j in range(i):
+                    moved = list(u)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    moved = tuple(moved)
+                    if moved not in seen and not any(all(map(le, g, moved)) for g in lower):
+                        todo.append(moved)
+                        seen.add(moved)
+                        grown = True
+        lower += todo
+    if not grown:
         return ideal
-    return MonomialIdeal._from_exps(ideal.context, gens)
+    return MonomialIdeal._from_exps(ideal.context, lower)

@@ -35,6 +35,14 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _edge_order(masks) -> tuple[int, ...]:
+    """The distinct masks sorted by their ascending vertex lists.  A mask's
+    binary digits reversed mark its vertices lowest first with '1's and end
+    in 'b0'; since '1' > 'b' > '0', the descending order of those strings
+    puts first the mask with the lower first differing vertex, or the prefix."""
+    return tuple(sorted(set(masks), key=lambda m: bin(m)[::-1], reverse=True))
+
+
 def _nested_pair(masks: tuple[int, ...]):
     """The first pair (i, j), i < j, of nested masks, or None.  Distinct
     masks of one size never nest, so a mask is tested only against the
@@ -104,7 +112,7 @@ class Clutter(_Frozen):
     def _set(self, context: RingContext, masks):
         """Sort the distinct masks into edge order (by their sorted vertex
         lists), check that they form an antichain, and fill the slots."""
-        masks = tuple(sorted(set(masks), key=_bits))
+        masks = _edge_order(masks)
         nested = _nested_pair(masks)
         if nested is not None:
             i, j = nested

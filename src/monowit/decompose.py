@@ -21,7 +21,10 @@ every level of x_i at or below its own, and a component sets one bit per
 variable of its support, so u lies in Q exactly when their masks meet.  The
 generators are filed by the bit of each of their levels, and g is private
 for bit b of t when g misses every other bit of t.  The surviving masks are
-decoded once, at the end.  The result is unique, so it does not depend on
+decoded once, at the end.  `_level_table` builds these bits, and the Borel
+exchange kernel (`borel._exchange_failure`) reads the same table: there g
+divides w exactly when mask(g) & ~mask(w) == 0, for tuples on the ideal's
+own levels.  The result is unique, so it does not depend on
 how the input was presented.  No state is kept between calls: each ideal
 keeps its own decomposition, which holds only its components, so reference
 counting frees it with the ideal.
@@ -33,9 +36,13 @@ from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_inde
                     _ints, _trusted_monomial, _trusted_prime)
 
 
-def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The irredundant components of the ideal generated by the exponent
-    tuples gens, as (support, exponents on the support) pairs."""
+def _level_table(gens, n: int):
+    """The ranked level bits of the exponent tuples gens: the sorted
+    (variable, exponent) levels, bit k for levels[k], so each variable's bits
+    are contiguous; a map from each level (i, e) to its bit and to the bits
+    of x_i up to it; and the bits of each variable.  A tuple whose nonzero
+    exponents are levels has as its mask the union of its up-to bits, and g
+    divides w exactly when mask(g) & ~mask(w) == 0."""
     levels = sorted({(i, e) for u in gens for i, e in enumerate(u) if e})
     below = {}  # (i, e) -> (the bit of that level, the bits of x_i up to it)
     var_bits = [0] * n
@@ -44,6 +51,13 @@ def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[i
         var_bits[i] |= bit
         below[i, e] = (bit, var_bits[i])
         bit <<= 1
+    return levels, below, var_bits
+
+
+def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The irredundant components of the ideal generated by the exponent
+    tuples gens, as (support, exponents on the support) pairs."""
+    levels, below, var_bits = _level_table(gens, n)
     components = [0]  # the zero ideal: no pure power, and no generator in it
     others: dict[int, list[int]] = {}  # a level bit -> the generators exactly at it
     for u in sorted(gens, key=sum):

@@ -2,6 +2,7 @@
 one-extra-variable witness."""
 
 import itertools
+import random
 from functools import reduce
 from math import comb
 
@@ -84,6 +85,20 @@ class TestDetection:
     @given(ideals(max_n=5))
     def test_certificate_matches_probe_oracle_on_random_ideals(self, I):
         assert certificate_exps(I) == oracle_exchange_certificate(I)
+
+    def test_certificates_on_exponents_near_a_million(self):
+        # the level bits keep only the order of the exponents, and an increasing
+        # map of each variable's exponents keeps every exchange-test outcome
+        def lift(e):
+            return e + 999_999 if e else 0
+
+        for I in borel_corpus() + witness_corpus():
+            lifted = MonomialIdeal._from_exps(I.context, (tuple(map(lift, u)) for u in I._exps))
+            expected = certificate_exps(I)
+            if expected is not None:
+                u, i, j = expected
+                expected = tuple(map(lift, u)), i, j
+            assert certificate_exps(lifted) == expected == oracle_exchange_certificate(lifted)
 
     def test_session_ideal_is_not_borel_type(self):
         assert not is_borel_type(session_ideal()).is_borel_type
@@ -221,7 +236,7 @@ class TestExchangeClosure:
     def test_matches_round_oracle_on_random_ideals(self, I):
         assert exchange_closure(I) == oracle_exchange_closure(I)
 
-    @pytest.mark.parametrize("n, d", [(1, 4), (2, 5), (3, 4), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("n, d", itertools.product(range(1, 7), repeat=2))
     def test_closure_of_last_variable_power_is_maximal_ideal_power(self, n, d):
         c = ctx(n)
         closed = exchange_closure(MonomialIdeal(c, [c.monomial_from_powers({n - 1: d})]))
@@ -229,6 +244,35 @@ class TestExchangeClosure:
                                   for vs in itertools.combinations_with_replacement(range(n), d)])
         assert closed == power
         assert len(closed) == comb(n + d - 1, d)
+
+    def test_a_seed_the_closure_makes_non_minimal(self):
+        # x2^2 moves to x1^2, which divides the seed generator x1^3
+        c = ctx(2)
+        seed = ideal(c, "x1^3", "x2^2")
+        closed = exchange_closure(seed)
+        assert closed == ideal(c, "x1^2", "x1*x2", "x2^2")
+        assert closed == oracle_exchange_closure(seed)
+
+    def test_matches_round_oracle_on_mixed_degree_seeds(self):
+        """Seeds of two or three generators of distinct degrees, whose closures
+        include some that gain a generator through a move below a seed's
+        degree, and some that make a seed generator non-minimal."""
+        rng = random.Random(2929)
+        gained_lower = made_non_minimal = 0
+        for _ in range(400):
+            c = ctx(rng.randint(2, 4))
+            gens = {tuple(rng.randint(0, 3) for _ in range(c.n)) for _ in range(rng.randint(2, 3))}
+            if len({sum(u) for u in gens}) < 2 or not all(map(any, gens)):
+                continue
+            seed = MonomialIdeal(c, map(c.monomial, gens))
+            closed = exchange_closure(seed)
+            assert closed == oracle_exchange_closure(seed)
+            assert certificate_exps(seed) == oracle_exchange_certificate(seed)
+            assert certificate_exps(closed) is None
+            top = max(map(sum, seed._exps))
+            gained_lower += any(sum(g) < top for g in set(closed._exps) - set(seed._exps))
+            made_non_minimal += not set(seed._exps) <= set(closed._exps)
+        assert gained_lower > 50 and made_non_minimal > 50
 
     def test_known_closure(self):
         c = ctx(2)

@@ -15,6 +15,7 @@ from monowit import (
     associated_primes,
     verify_witness,
 )
+from monowit.clutters import _bits, _edge_order
 from util import (
     clutter_corpus,
     ctx,
@@ -100,6 +101,16 @@ class TestConstruction:
             with pytest.raises(ValueError) as info:
                 Clutter(n, edges)
             assert str(info.value).startswith(f"edges {names[0]} and {names[1]} are nested")
+
+    def test_edge_order_sorts_by_vertex_lists(self):
+        # nested and prefix-sharing masks included, as the antichain check
+        # runs on the sorted masks
+        rng = random.Random(1113)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 10))]
+            masks += [m & ~(1 << (m.bit_length() - 1)) or m for m in masks[:3]]  # prefixes
+            assert _edge_order(masks) == tuple(sorted(set(masks), key=_bits))
 
     def test_empty_edge_rejected(self):
         with pytest.raises(ValueError):

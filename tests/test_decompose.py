@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import time
+from operator import le
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from monowit import (
     verify_witness,
     witness_from_component,
 )
-from monowit.decompose import _irreducible_components
+from monowit.decompose import _irreducible_components, _level_table
 from util import (
     box_bounds,
     box_exponents,
@@ -435,6 +436,31 @@ class TestOrderType:
         twin = best_time(lambda: _irreducible_components(small._exps, n))
         lifted = best_time(lambda: _irreducible_components(large._exps, n))
         assert lifted < 10 * twin + 0.01
+
+
+class TestLevelTable:
+    """The ranked level bits that the engine and the Borel exchange kernel
+    both read."""
+
+    def test_masks_decide_divisibility(self):
+        # g and w are drawn from the ideal's own levels, zero included, so
+        # their masks are exact whatever the exponents are
+        rng = random.Random(1357)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.choice((0, 1, 2, 3, 7, 999_999, 1_000_000)) for _ in range(n))
+                    for _ in range(rng.randint(1, 6))]
+            levels, below, var_bits = _level_table(gens, n)
+            assert levels == sorted(below) and len(levels) == sum(b.bit_count() for b in var_bits)
+            assert sum(var_bits) == (1 << len(levels)) - 1  # disjoint and covering every bit
+            own = [[0] + [e for v, e in levels if v == i] for i in range(n)]
+
+            def mask(u):
+                return sum(below[i, e][1] for i, e in enumerate(u) if e)  # disjoint bits
+
+            for _ in range(30):
+                g, w = (tuple(map(rng.choice, own)) for _ in range(2))
+                assert (mask(g) & ~mask(w) == 0) == all(map(le, g, w)), (gens, g, w)
 
 
 class TestCoverIdeal:
