@@ -8,11 +8,11 @@ dividing u, u with x_i dropped lies in (I : x_j^inf).  One kernel,
 `_exchange_failure`, runs that test for both detectors: the prefix
 saturation is the intersection of the (I : x_j^inf) for j <= i, so it
 equals (I : x_i^inf) exactly when the test holds for that i.  The kernel
-reads the generators as masks on the level bits of the decomposition
-engine's `_level_table`, and one pass over them per generator and variable
-x_i decides every j < i at once.  `exchange_closure` is a worklist that
-checks each generator's moves once, one degree class at a time, against
-the finished generators of lower degree only.
+reads the generators' masks from the ideal's level table, which the
+decomposition engine reads too; one pass over them per generator and
+variable x_i decides every j < i at once.  `exchange_closure` is a
+worklist checking each generator's moves once, one degree class at a
+time, against the finished generators of lower degree only.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 from operator import le
 from typing import NamedTuple, Optional
 
-from .decompose import (IrreducibleComponent, _level_table, associated_primes,
-                        irreducible_decomposition)
+from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
 from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted_monomial
 
 
@@ -46,7 +45,7 @@ def _exchange_failure(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], i
     dropped outside (I : x_j^inf), or None when there is none.
 
     Generators are scanned in stored order, i descending and j ascending.
-    Each generator is one mask on the engine's level bits.  Let s be u with
+    Each generator is its mask in the ideal's level table.  Let s be u with
     x_i dropped: s uses only the generators' own exponents, so the bits
     where a generator g exceeds s are exact, and g puts s in (I : x_j^inf)
     exactly when they lie on x_j alone, or nowhere.  One pass over the
@@ -55,16 +54,9 @@ def _exchange_failure(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], i
     _require_decomposable(ideal)
     n = ideal.context.n
     gens = ideal._exps
-    levels, below, var_bits = _level_table(gens, n)
+    levels, var_bits, masks, _ = ideal._levels()
     owner = [i for i, _ in levels]  # the variable of each bit
     off = [~b for b in var_bits]
-    masks = []
-    for u in gens:
-        mask = 0
-        for i, e in enumerate(u):
-            if e:
-                mask |= below[i, e][1]
-        masks.append(mask)
     for u, mask in zip(gens, masks):
         for i in range(n - 1, 0, -1):
             if not u[i]:
@@ -138,8 +130,8 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     A worklist, one degree class at a time in ascending degree: each
     generator, seed or new, has its moves checked once.  That suffices
     because a move of a multiple w*u is a multiple of u or of a move of u,
-    and the ideal only grows.  A move keeps the degree, so every class
-    below is finished when a class starts, and a generator of the same
+    and the ideal only grows.  A move keeps the degree, so every class of
+    lower degree is finished when a class starts, and a generator of the same
     degree divides a candidate only by being equal to it: a candidate is
     checked only against the finished generators of lower degree, and one
     they divide is dropped, a seed included.

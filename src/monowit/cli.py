@@ -29,7 +29,8 @@ USAGE_ERROR = 1
 VERIFY_ERROR = 2
 
 
-def _json_document(ideal, components=None, primes=None, witness=None, verified=None):
+def _json_document(ideal, components=None, primes=None, witness=None, verified=None,
+                   certificate=None):
     names = ideal.context.names
 
     def exponents(m: Monomial) -> dict:
@@ -44,6 +45,9 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
             [names[i] for i in p.vars] for p in primes],
         "witness": None if witness is None else exponents(witness),
         "verified": verified,
+        "certificate": None if certificate is None else {
+            "u": exponents(certificate[0]), "i": names[certificate[1]],
+            "j": names[certificate[2]]},
     }
 
 
@@ -179,8 +183,8 @@ def _borel(args, ideal):
         names = ideal.context.names
         lines = ["Borel type: no",
                  f"certificate: u = {u}, i = {names[i]}, j = {names[j]}"]
-        # a negative detection shows as "verified": false, yet exits 0
-        return lines, dict(ideal=ideal, verified=False), None
+        # a negative detection shows as "verified": false with its certificate, yet exits 0
+        return lines, dict(ideal=ideal, verified=False, certificate=report.certificate), None
     lines = ["Borel type: yes"] + [f"P_{i} = {p}" for i, p in enumerate(report.primes)]
     fields = dict(ideal=ideal, primes=report.primes)
     if args.prime is None:

@@ -12,61 +12,42 @@ loses a generator just when j has a private one.  This is the monomial form
 of the critical-edge test of minimal-transversal enumeration (Murakami and
 Uno, Discrete Appl. Math. 2014), and x_i is skipped, since u is private there.
 
-Each monomial is one int on ranked level bits: the polarization of Herzog
-and Hibi (Monomial Ideals, 2011, section 1.6) on the levels that occur, so
-it keeps only the order of the exponents.  x_i gets one bit per distinct
-nonzero exponent of x_i among the generators, in increasing order, so a mask
-has at most n * |G| bits however large the exponents are.  A generator sets
-every level of x_i at or below its own, and a component sets one bit per
-variable of its support, so u lies in Q exactly when their masks meet.  The
+Each monomial is one int on ranked level bits, read from the ideal's own
+level table (`rings._level_table`, the polarization of Herzog and Hibi,
+Monomial Ideals, 2011, section 1.6): x_i gets one bit per distinct nonzero
+exponent of x_i among the generators, in increasing order, so a mask has at
+most n * |G| bits however large the exponents are.  A generator sets every
+level of x_i at or below its own, and a component sets one bit per variable
+of its support, so u lies in Q exactly when their masks meet.  The
 generators are filed by the bit of each of their levels, and g is private
 for bit b of t when g misses every other bit of t.  The surviving masks are
-decoded once, at the end.  `_level_table` builds these bits, and the Borel
-exchange kernel (`borel._exchange_failure`) reads the same table: there g
-divides w exactly when mask(g) & ~mask(w) == 0, for tuples on the ideal's
-own levels.  The result is unique, so it does not depend on
-how the input was presented.  No state is kept between calls: each ideal
-keeps its own decomposition, which holds only its components, so reference
-counting frees it with the ideal.
+decoded once, at the end.  The ideal builds its table once, and the Borel
+exchange kernel and the witness floors read the same one.  The result is
+unique, so it does not depend on how the input was presented.  No state is
+kept between calls: each ideal keeps its own decomposition, which holds
+only its components, so reference counting frees it with the ideal.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import itemgetter
 
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
                     _ints, _trusted_monomial, _trusted_prime)
 
 
-def _level_table(gens, n: int):
-    """The ranked level bits of the exponent tuples gens: the sorted
-    (variable, exponent) levels, bit k for levels[k], so each variable's bits
-    are contiguous; a map from each level (i, e) to its bit and to the bits
-    of x_i up to it; and the bits of each variable.  A tuple whose nonzero
-    exponents are levels has as its mask the union of its up-to bits, and g
-    divides w exactly when mask(g) & ~mask(w) == 0."""
-    levels = sorted({(i, e) for u in gens for i, e in enumerate(u) if e})
-    below = {}  # (i, e) -> (the bit of that level, the bits of x_i up to it)
-    var_bits = [0] * n
-    bit = 1
-    for i, e in levels:
-        var_bits[i] |= bit
-        below[i, e] = (bit, var_bits[i])
-        bit <<= 1
-    return levels, below, var_bits
-
-
-def _irreducible_components(gens, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The irredundant components of the ideal generated by the exponent
-    tuples gens, as (support, exponents on the support) pairs."""
-    levels, below, var_bits = _level_table(gens, n)
+def _irreducible_components(gens, table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The irredundant components of the ideal generated by the tuples gens,
+    from their `_level_table`, as (support, exponents on the support) pairs."""
+    levels, var_bits, masks, _ = table
     components = [0]  # the zero ideal: no pure power, and no generator in it
     others: dict[int, list[int]] = {}  # a level bit -> the generators exactly at it
-    for u in sorted(gens, key=sum):
-        mask, heads = 0, []
-        for i, e in enumerate(u):
-            if e:
-                b, up_to = below[i, e]
-                mask |= up_to
-                heads.append((b, ~var_bits[i]))
+    for _, u, mask in sorted(zip(map(sum, gens), gens, masks), key=itemgetter(0)):
+        heads = []  # (the bit of u's level of x_i, every bit off x_i), per x_i dividing u
+        for bits in compress(var_bits, u):
+            up_to = mask & bits  # x_i's bits up to u's level: the top one is that level's
+            heads.append((up_to & ~(up_to >> 1), ~bits))
         for b, _ in heads:
             others.setdefault(b, []).append(mask)
         survivors, fresh = [], []
@@ -213,7 +194,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
     components = []
-    for support, exps in sorted(_irreducible_components(ideal._exps, context.n)):
+    for support, exps in sorted(_irreducible_components(ideal._exps, ideal._levels())):
         c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
         object.__setattr__(c, "context", context)
         object.__setattr__(c, "pairs", tuple(zip(support, exps)))

@@ -9,12 +9,13 @@ tuples.  The coefficient field is never represented.
 A ring context owns its names and their one name -> index table.  An ideal
 stores only its exponent tuples, minimized by `_minimize_exps` whichever
 constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
-its exponent floors (`max_exponents`) once first read, as it keeps its
-decomposition.  Library-built values skip validation through the trusted
-constructor beside their class.  All value classes inherit `_Frozen`, which
-gives them immutability, equality, hashing, the default repr, copying and
-pickling; outside integers are checked and converted by `_ints`, and
-`_by_index` refuses a mapping whose keys name one variable index twice.
+its level table (`_level_table`) once first read, as it keeps its
+decomposition; the decomposition engine, the Borel exchange kernel and the
+witness floors (`max_exponents`) all read it.  Library-built values skip
+validation through the trusted constructor beside their class.  All value
+classes inherit `_Frozen`: immutability, equality, hashing, the default
+repr, copying and pickling.  `_ints` checks and converts outside integers,
+and `_by_index` refuses a mapping whose keys name one index twice.
 """
 
 from __future__ import annotations
@@ -232,6 +233,30 @@ def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...],
     return tuple(sorted([k for _, _, k in keep], reverse=True))
 
 
+def _level_table(gens, n: int):
+    """The ranked level bits of the exponent tuples gens, which keep only the
+    order of the exponents: the sorted (variable, exponent) levels, bit k for
+    levels[k], so each variable's bits are contiguous; each variable's bits;
+    each tuple's mask, in the order given, with every level of x_i at or
+    below its own; and the floors, each variable's largest exponent.  g
+    divides w exactly when mask(g) & ~mask(w) == 0, on these levels."""
+    levels, var_bits, floors, columns = [], [], [], []
+    bit = 1
+    for i, column in enumerate(zip(*gens) if gens else [()] * n):
+        up_to = {0: 0}  # an exponent of x_i -> the bits of x_i up to its level
+        bits = floor = 0  # the loop leaves floor at x_i's largest exponent
+        for floor in sorted(set(column) - {0}):
+            levels.append((i, floor))
+            bits |= bit
+            up_to[floor] = bits
+            bit <<= 1
+        var_bits.append(bits)
+        floors.append(floor)
+        columns.append(map(up_to.__getitem__, column))
+    masks = tuple(map(sum, zip(*columns)))  # the variables' bits are disjoint
+    return tuple(levels), tuple(var_bits), masks, tuple(floors)
+
+
 class MonomialIdeal(_Frozen):
     """A monomial ideal, held as the exponent tuples of its minimal
     generators in descending lex order.
@@ -240,11 +265,11 @@ class MonomialIdeal(_Frozen):
     equality of the stored tuples.  `gens` builds the generators as
     `Monomial`s on each read.  The zero ideal has no generators; the unit
     ideal is generated by 1.  `_decomposition` is filled by
-    `decompose.irreducible_decomposition` on first use, and `_max` by
-    `max_exponents`: the ideal keeps both, and they are freed with it.
+    `decompose.irreducible_decomposition` on first use, and `_table` by
+    `_levels`: the ideal keeps both, and they are freed with it.
     """
 
-    __slots__ = ("context", "_exps", "_decomposition", "_max")
+    __slots__ = ("context", "_exps", "_decomposition", "_table")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -264,7 +289,7 @@ class MonomialIdeal(_Frozen):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_decomposition", None)
-        object.__setattr__(self, "_max", None)
+        object.__setattr__(self, "_table", None)
 
     def _key(self):
         return self.context, self._exps
@@ -299,14 +324,16 @@ class MonomialIdeal(_Frozen):
     def _contains_exps(self, v: tuple[int, ...]) -> bool:
         return any(all(map(le, g, v)) for g in self._exps)
 
+    def _levels(self):
+        """The `_level_table` of the generators, built on first use and kept."""
+        if self._table is None:  # races store equal tables
+            object.__setattr__(self, "_table", _level_table(self._exps, self.context.n))
+        return self._table
+
     def max_exponents(self) -> tuple[int, ...]:
-        """Componentwise max over the generators (all zeros for the zero
-        ideal): the exponent floors of the witnesses, computed on first use
-        and kept on the ideal."""
-        if self._max is None:
-            floors = tuple(map(max, zip(*self._exps))) if self._exps else (0,) * self.context.n
-            object.__setattr__(self, "_max", floors)  # races store equal tuples
-        return self._max
+        """Componentwise max over the generators, all zeros for the zero and
+        the unit ideal: the witnesses' exponent floors, from the level table."""
+        return self._levels()[3]
 
     def colon(self, v: Monomial) -> "MonomialIdeal":
         """The quotient (I : v) by a monomial."""

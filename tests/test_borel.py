@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import monowit.rings as rings
 from monowit import (
     IrreducibleComponent,
     MonomialIdeal,
@@ -203,6 +204,31 @@ class TestDetectionEquivalence:
                 else:
                     with pytest.raises(ValueError, match="is not of Borel type"):
                         borel_witness(J, P, Q)
+
+
+class TestOneLevelTable:
+    """Each ideal builds its level table once: both detectors, the
+    decomposition engine and the witness floors read the same one."""
+
+    @pytest.mark.parametrize("gens, close", [(("x3^3",), True), (("x1*x3^2", "x2^2"), True),
+                                             (("x1*x3^2", "x2^2"), False)])
+    def test_one_build_per_ideal(self, monkeypatch, gens, close):
+        calls = []
+        build = rings._level_table
+
+        def counted(exps, n):
+            calls.append(exps)
+            return build(exps, n)
+
+        monkeypatch.setattr(rings, "_level_table", counted)
+        I = ideal(ctx(3), *gens)
+        J = exchange_closure(I) if close else I
+        assert is_borel_type(J).is_borel_type is close
+        assert is_borel_type_by_saturation(J) is close
+        floors = J.max_exponents()
+        assert floors == tuple(map(max, zip(*(g.exps for g in J.gens))))
+        irreducible_decomposition(J)
+        assert calls == [J._exps] and J._table[3] is floors
 
 
 class TestExchangeClosure:

@@ -36,7 +36,8 @@ BOREL = "ring n=2\nideal I = x1^2, x1*x2\n"
 
 NOT_BOREL = "ring n=2\nideal I = x2\n"
 
-SCHEMA = {"ring", "ideal", "components", "associated_primes", "witness", "verified"}
+SCHEMA = {"ring", "ideal", "components", "associated_primes", "witness", "verified",
+          "certificate"}
 
 
 @pytest.fixture
@@ -87,13 +88,11 @@ class TestDecompose:
         code, out, _ = run(capsys, ["decompose", problem(SESSION), "--format", "json"])
         assert code == 0
         doc = json.loads(out)
-        assert set(doc) == {
-            "ring", "ideal", "components", "associated_primes", "witness", "verified",
-        }
+        assert set(doc) == SCHEMA
         assert doc["ring"]["n"] == 8
         assert {"x1": 1, "x2": 7, "x3": 5, "x4": 2} in doc["components"]
         assert ["x1", "x2", "x3", "x4"] in doc["associated_primes"]
-        assert doc["witness"] is None and doc["verified"] is None
+        assert doc["witness"] is None and doc["verified"] is None and doc["certificate"] is None
 
 
 class TestWitness:
@@ -236,6 +235,13 @@ class TestBorel:
         assert "Borel type: no" in out
         assert "certificate: u = x2, i = x2, j = x1" in out
 
+    def test_negative_certificate_in_json(self, problem, capsys):
+        text = "ring n=2\nideal I = x2\n"
+        code, out, _ = run(capsys, ["borel", problem(text), "--format", "json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["verified"] is False
+        assert doc["certificate"] == {"u": {"x2": 1}, "i": "x2", "j": "x1"}
+
     def test_witness_request_on_non_borel_ideal(self, problem, capsys):
         text = "ring n=2\nideal I = x2\n"
         code, _, err = run(capsys, ["borel", problem(text), "--prime", "x2"])
@@ -370,6 +376,8 @@ def test_command_matrix(
         doc = json.loads(out)
         assert set(doc) == SCHEMA
         assert doc["verified"] is verified
+        # only a negative Borel detection has a certificate
+        assert (doc["certificate"] is None) == (command != "borel" or verified is not False)
     else:
         last = out.splitlines()[-1]
         if verdict_line is None:

@@ -28,7 +28,8 @@ from monowit import (
     verify_witness,
     witness_from_component,
 )
-from monowit.decompose import _irreducible_components, _level_table
+from monowit.decompose import _irreducible_components
+from monowit.rings import _level_table
 from util import (
     box_bounds,
     box_exponents,
@@ -322,7 +323,7 @@ def assert_matches_oracles(I, rng):
     shuffled = list(gens)
     rng.shuffle(shuffled)
     for order in (gens, gens[::-1], shuffled):
-        found = sorted(_irreducible_components(order, n))
+        found = sorted(_irreducible_components(order, _level_table(order, n)))
         assert found == sorted(tuple_components(order, n))
         assert [tuple(zip(support, exps)) for support, exps in found] == expected
 
@@ -433,34 +434,39 @@ class TestOrderType:
         # the same order of time as the small twin: a mask with a bit per
         # value up to a million would take seconds, not microseconds
         n = small.context.n
-        twin = best_time(lambda: _irreducible_components(small._exps, n))
-        lifted = best_time(lambda: _irreducible_components(large._exps, n))
+
+        def engine(J):  # the table is built inside the timed call, as the engine's input
+            return lambda: _irreducible_components(J._exps, _level_table(J._exps, n))
+
+        twin = best_time(engine(small))
+        lifted = best_time(engine(large))
         assert lifted < 10 * twin + 0.01
 
 
 class TestLevelTable:
-    """The ranked level bits that the engine and the Borel exchange kernel
-    both read."""
+    """The ranked level bits that the engine, the Borel exchange kernel and
+    the witness floors all read."""
 
     def test_masks_decide_divisibility(self):
         # g and w are drawn from the ideal's own levels, zero included, so
-        # their masks are exact whatever the exponents are
+        # passing them among the vectors adds no level and their masks are exact
         rng = random.Random(1357)
         for _ in range(300):
             n = rng.randint(1, 6)
             gens = [tuple(rng.choice((0, 1, 2, 3, 7, 999_999, 1_000_000)) for _ in range(n))
                     for _ in range(rng.randint(1, 6))]
-            levels, below, var_bits = _level_table(gens, n)
-            assert levels == sorted(below) and len(levels) == sum(b.bit_count() for b in var_bits)
+            levels, var_bits, masks, floors = _level_table(gens, n)
+            assert list(levels) == sorted({(i, e) for u in gens for i, e in enumerate(u) if e})
+            assert len(levels) == sum(b.bit_count() for b in var_bits)
             assert sum(var_bits) == (1 << len(levels)) - 1  # disjoint and covering every bit
+            assert floors == tuple(map(max, zip(*gens))) and len(masks) == len(gens)
             own = [[0] + [e for v, e in levels if v == i] for i in range(n)]
-
-            def mask(u):
-                return sum(below[i, e][1] for i, e in enumerate(u) if e)  # disjoint bits
-
             for _ in range(30):
                 g, w = (tuple(map(rng.choice, own)) for _ in range(2))
-                assert (mask(g) & ~mask(w) == 0) == all(map(le, g, w)), (gens, g, w)
+                table = _level_table(gens + [g, w], n)
+                assert table[:2] == (levels, var_bits) and table[2][:-2] == masks
+                mask_g, mask_w = table[2][-2:]
+                assert (mask_g & ~mask_w == 0) == all(map(le, g, w)), (gens, g, w)
 
 
 class TestCoverIdeal:

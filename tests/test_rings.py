@@ -589,10 +589,16 @@ class TestZeroAndUnitBehavior:
         assert MonomialIdeal(c, ()).max_exponents() == (0, 0, 0)
         assert MonomialIdeal(c, [c.one]).max_exponents() == (0, 0, 0)
 
-    @given(I=ideals(proper=False))
+    @given(I=st.one_of(
+        ideals(proper=False),
+        st.integers(1, 4).map(lambda n: MonomialIdeal(ctx(n), ())),
+        st.integers(1, 4).map(lambda n: MonomialIdeal(ctx(n), [ctx(n).one]))))
     def test_max_exponents_read_once(self, I):
+        """The componentwise max from the level table, all zeros for the
+        zero and the unit ideal, the same tuple on every read."""
         floors = I.max_exponents()
-        assert floors == tuple(map(max, zip(*(g.exps for g in I.gens))))
+        assert floors == tuple(max((u[i] for u in I._exps), default=0)
+                               for i in range(I.context.n))
         assert I.max_exponents() is floors
 
 
