@@ -22,10 +22,11 @@ of its support, so u lies in Q exactly when their masks meet.  The
 generators are filed by the bit of each of their levels, and g is private
 for bit b of t when g misses every other bit of t.  The surviving masks are
 decoded once, at the end.  The ideal builds its table once, and the Borel
-exchange kernel and the witness floors read the same one.  The result is
-unique, so it does not depend on how the input was presented.  No state is
-kept between calls: each ideal keeps its own decomposition, which holds
-only its components, so reference counting frees it with the ideal.
+exchange kernel, the witness floors and the colon test read the same one.
+The result is unique, so it does not depend on how the input was presented.
+No state is kept between calls: each ideal keeps its own decomposition,
+which holds only its components, so reference counting frees it with the
+ideal.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ A ring context owns its names and their one name -> index table.  An ideal
 stores only its exponent tuples, minimized by `_minimize_exps` whichever
 constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
 its level table (`_level_table`) once first read, as it keeps its
-decomposition; the decomposition engine, the Borel exchange kernel and the
-witness floors (`max_exponents`) all read it.  Library-built values skip
+decomposition; the decomposition engine, the Borel exchange kernel, the
+witness floors (`max_exponents`) and the colon test behind every witness
+verification (`_colon_is_prime`) all read it.  Library-built values skip
 validation through the trusted constructor beside their class.  All value
 classes inherit `_Frozen`: immutability, equality, hashing, the default
 repr, copying and pickling.  `_ints` checks and converts outside integers,
@@ -343,32 +344,40 @@ class MonomialIdeal(_Frozen):
         return MonomialIdeal._from_exps(self.context, quotients)
 
     def _colon_is_prime(self, v: tuple[int, ...], prime_vars: tuple[int, ...]) -> bool:
-        """Whether (I : x^v) equals the prime P on prime_vars, in one pass
-        over the generators and without building the colon.
+        """Whether (I : x^v) equals the prime P on prime_vars, on the level
+        table: one pass over its levels, then one AND per generator mask,
+        without building the colon.
 
         (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
-        exactly where g exceeds v.  So it lies in P exactly when (a) every g
-        exceeds v on some variable of P.  Given (a), x_i is in it exactly when
-        (b) some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1.
+        exactly where g exceeds v.  The levels (i, e) with v_i < e <= g_i
+        are the bits of over = mask(g) & ~below, below being the levels at or
+        under v.  So the colon lies in P exactly when (a) every over meets
+        the bits of P's variables.  Given (a), x_i is in it exactly when (b)
+        some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1:
+        its over is the single bit of the level (i, v_i + 1).
         """
-        mask = 0
+        levels, var_bits, masks, _ = self._levels()
+        inside = target = 0
         for i in prime_vars:
-            mask |= 1 << i
+            inside |= var_bits[i]
+            target |= 1 << i
+        below = 0
+        step = {}  # the bit of a level (i, v_i + 1) -> 1 << i; (a) rules out i outside P
+        bit = 1
+        for i, e in levels:
+            if e <= v[i]:
+                below |= bit
+            elif e == v[i] + 1:
+                step[bit] = 1 << i
+            bit <<= 1
+        above = ~below
         reached = 0  # the variables of P that (b) has shown lie in the colon
-        for g in self._exps:
-            over = 0  # where g exceeds v
-            bit = 1
-            last = 0  # the excess at the last such variable
-            for a, b in zip(g, v):
-                if a > b:
-                    over |= bit
-                    last = a - b
-                bit <<= 1
-            if not over & mask:
+        for g in masks:
+            over = g & above
+            if not over & inside:
                 return False
-            if last == 1 and not over & (over - 1):
-                reached |= over
-        return reached == mask
+            reached |= step.get(over, 0)
+        return reached == target
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _require_same_context(self, other)

@@ -89,10 +89,13 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
 
 
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
-    """Whether (I : v) equals the prime, by `MonomialIdeal._colon_is_prime`.
+    """Whether (I : v) equals the prime, by `MonomialIdeal._colon_is_prime`
+    on the ideal's level masks: one AND per generator, and the colon is
+    never built.
 
     A monomial from another ring than I raises ContextMismatchError; a prime
-    from another ring is never equal to the colon, so the answer is False.
+    from another ring is never equal to the colon, so the answer is False
+    before the level table is read.
     """
     _require_same_context(ideal, v)
     return ((prime.context is ideal.context or prime.context == ideal.context)

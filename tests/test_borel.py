@@ -15,13 +15,18 @@ from monowit import (
     IrreducibleComponent,
     MonomialIdeal,
     PrimeSupport,
+    SymmetricPattern,
+    WitnessSpec,
     associated_primes,
     borel_witness,
+    build_symmetric_ideal,
     exchange_closure,
     irreducible_decomposition,
     is_borel_type,
     is_borel_type_by_saturation,
+    symmetric_witness,
     verify_witness,
+    witness_from_component,
 )
 from util import (
     borel_closure_seeds,
@@ -208,11 +213,12 @@ class TestDetectionEquivalence:
 
 class TestOneLevelTable:
     """Each ideal builds its level table once: both detectors, the
-    decomposition engine and the witness floors read the same one."""
+    decomposition engine, the witness floors and the colon test read the
+    same one."""
 
-    @pytest.mark.parametrize("gens, close", [(("x3^3",), True), (("x1*x3^2", "x2^2"), True),
-                                             (("x1*x3^2", "x2^2"), False)])
-    def test_one_build_per_ideal(self, monkeypatch, gens, close):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The generators of every level table built while the test runs."""
         calls = []
         build = rings._level_table
 
@@ -221,14 +227,32 @@ class TestOneLevelTable:
             return build(exps, n)
 
         monkeypatch.setattr(rings, "_level_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("gens, close", [(("x3^3",), True), (("x1*x3^2", "x2^2"), True),
+                                             (("x1*x3^2", "x2^2"), False)])
+    def test_one_build_per_ideal(self, builds, gens, close):
         I = ideal(ctx(3), *gens)
         J = exchange_closure(I) if close else I
         assert is_borel_type(J).is_borel_type is close
         assert is_borel_type_by_saturation(J) is close
         floors = J.max_exponents()
         assert floors == tuple(map(max, zip(*(g.exps for g in J.gens))))
-        irreducible_decomposition(J)
-        assert calls == [J._exps] and J._table[3] is floors
+        d = irreducible_decomposition(J)
+        for P in d.primes():  # the colon test reads the same table
+            Q = d.components_for(P)[0]
+            v = borel_witness(J, P, Q) if close else witness_from_component(J, WitnessSpec(P, Q))
+            assert verify_witness(J, P, v)
+        assert builds == [J._exps] and J._table[3] is floors
+
+    def test_one_build_per_verified_symmetric_ideal(self, builds):
+        """A symmetric ideal that is verified but never decomposed builds its
+        table for the first verification alone."""
+        pattern = SymmetricPattern(ctx(4), (1, 2, 2))
+        S = build_symmetric_ideal(pattern)
+        P, v = symmetric_witness(pattern, 0, [0, 1], [2, 2])
+        assert [verify_witness(S, P, v) for _ in range(3)] == [True] * 3
+        assert builds == [S._exps] and S._decomposition is None
 
 
 class TestExchangeClosure:

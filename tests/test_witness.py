@@ -43,6 +43,7 @@ from util import (
     squarefree_witness,
     times_variable,
     tiny_corpus,
+    tuple_colon_is_prime,
     witness_corpus,
 )
 
@@ -111,6 +112,31 @@ class TestWitnessFromComponent:
             )
 
 
+def level_neighbours(I, v):
+    """v moved on one variable at a time: by one either way, strictly
+    between two levels of that variable, and above its top level (to 1 and
+    3 on a variable no generator uses)."""
+    levels = I._levels()[0]
+    for i in range(len(v)):
+        exps = [0] + [e for j, e in levels if j == i]
+        values = {v[i] - 1, v[i] + 1, exps[-1] + 1, exps[-1] + 3}
+        values.update(low + 1 for low, high in zip(exps, exps[1:]) if high - low > 1)
+        for e in sorted(values - {v[i]}):
+            if e >= 0:
+                yield v[:i] + (e,) + v[i + 1:]
+
+
+def assert_colon_tests_agree(I, P, exps):
+    """The level kernel, the tuple scan and verify_witness all give the
+    verdict of the colon built as an ideal."""
+    v = Monomial(I.context, exps)
+    expected = oracle_verify_witness(I, P, v)
+    assert I._colon_is_prime(exps, P.vars) == expected, (I, P, v)
+    assert tuple_colon_is_prime(I, exps, P.vars) == expected, (I, P, v)
+    assert verify_witness(I, P, v) == expected, (I, P, v)
+    return expected
+
+
 class TestVerifyWitness:
     def test_six_var_witnesses(self):
         I = six_var_ideal()
@@ -143,7 +169,8 @@ class TestVerifyWitness:
 
     def test_exhaustive_sweep_matches_the_colon_oracle(self):
         """Every box point and every prime, on the zero and unit ideals of
-        each ring with n <= 3 and on the n <= 3 corpus."""
+        each ring with n <= 3 and on the n <= 3 corpus; the level kernel and
+        the tuple scan agree with it too."""
         cases = []
         for n in (1, 2, 3):
             c = ctx(n)
@@ -153,11 +180,8 @@ class TestVerifyWitness:
         for I in cases:
             primes = every_prime(I.context)
             for exps in box_exponents(box_bounds(I, slack=2)):
-                v = Monomial(I.context, exps)
                 for P in primes:
-                    expected = oracle_verify_witness(I, P, v)
-                    assert verify_witness(I, P, v) == expected, (I, P, v)
-                    outcomes.add(expected)
+                    outcomes.add(assert_colon_tests_agree(I, P, exps))
         assert outcomes == {True, False}
 
     def test_prime_from_another_ring_is_false(self):
@@ -174,6 +198,44 @@ class TestVerifyWitness:
             verify_witness(I, PrimeSupport(ctx(3), [0, 2]), ctx(4).one)
         with pytest.raises(ContextMismatchError):
             verify_witness(I, PrimeSupport(ctx(3), [0, 2]), RingContext(["a", "b", "c"]).one)
+
+
+class TestLevelKernel:
+    """`_colon_is_prime` on the level masks against the tuple scan it
+    replaced and against the colon itself."""
+
+    @given(I=st.one_of(ideals(proper=False, max_exp=4), st.sampled_from(witness_corpus())))
+    def test_agrees_with_the_tuple_scan_and_the_colon(self, I):
+        # the same generators with one more variable, which none of them uses
+        n = I.context.n
+        J = MonomialIdeal._from_exps(ctx(n + 1), (g + (0,) for g in I._exps))
+        outside = PrimeSupport(J.context, [n])  # never associated
+        candidates = [(0,) * (n + 1), J.max_exponents()]
+        primes = {outside, PrimeSupport(J.context, range(n + 1))}
+        if not J.is_unit:
+            for q in irreducible_decomposition(J).components:
+                P = q.prime()
+                v = witness_from_component(J, WitnessSpec(P, q)).exps
+                assert assert_colon_tests_agree(J, P, v)
+                for w in level_neighbours(J, v):
+                    assert_colon_tests_agree(J, P, w)
+                    assert_colon_tests_agree(J, PrimeSupport(J.context, P.vars + (n,)), w)
+                candidates.append(v)
+                primes.add(P)
+        for v in candidates:
+            for P in primes:
+                assert_colon_tests_agree(J, P, v)
+
+    def test_exponents_near_a_million(self):
+        I = ideal(ctx(4), "x1^1000002*x2^1000000", "x2^1000001*x3^1000001",
+                  "x3^1000000*x4^1000002", "x1^1000000*x4^1000001", "x1^1000001*x3^1000002")
+        outcomes = []
+        for q in irreducible_decomposition(I).components:
+            v = witness_from_component(I, WitnessSpec(q.prime(), q)).exps
+            for w in (v, *level_neighbours(I, v)):
+                for P in every_prime(I.context):
+                    outcomes.append(assert_colon_tests_agree(I, P, w))
+        assert outcomes.count(True) >= 7 and False in outcomes
 
 
 class TestComponentFromWitness:

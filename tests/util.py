@@ -147,6 +147,26 @@ def oracle_verify_witness(ideal_, prime, v) -> bool:
     return ideal_.colon(v) == prime.as_ideal()
 
 
+def tuple_colon_is_prime(ideal_, v, prime_vars) -> bool:
+    """`MonomialIdeal._colon_is_prime` as a scan of every exponent of every
+    generator tuple: (a) every g exceeds v on some variable of P, and (b)
+    each x_i of P has a g that exceeds v on x_i alone, and by exactly 1."""
+    mask = sum(1 << i for i in prime_vars)
+    reached = 0
+    for g in ideal_._exps:
+        over = 0  # where g exceeds v
+        last = 0  # the excess at the last such variable
+        for i, (a, b) in enumerate(zip(g, v)):
+            if a > b:
+                over |= 1 << i
+                last = a - b
+        if not over & mask:
+            return False
+        if last == 1 and not over & (over - 1):
+            reached |= over
+    return reached == mask
+
+
 def squarefree_witness(ideal_, prime, v) -> bool:
     """The shape of a witness for a squarefree ideal: it verifies, and no
     variable of the prime divides it."""
