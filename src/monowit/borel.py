@@ -8,10 +8,11 @@ dividing u, u with x_i dropped lies in (I : x_j^inf).  One kernel,
 `_exchange_failure`, runs that test for both detectors: the prefix
 saturation is the intersection of the (I : x_j^inf) for j <= i, so it
 equals (I : x_i^inf) exactly when the test holds for that i.  The kernel
-reads the generators' masks from the ideal's level table, which the
-decomposition engine reads too; one pass over them per generator and
-variable x_i decides every j < i at once.  `exchange_closure` is a
-worklist checking each generator's moves once, one degree class at a
+reads only the ideal's level table, which the decomposition engine reads
+too, and names a failing generator by its index, so `is_borel_type` looks
+up the certificate's u in the stored tuples; one pass over the masks per
+generator and variable x_i decides every j < i at once.  `exchange_closure`
+is a worklist checking each generator's moves once, one degree class at a
 time, against the finished generators of lower degree only.
 """
 
@@ -40,40 +41,35 @@ def _require_decomposable(ideal: MonomialIdeal):
         raise ValueError("the unit ideal is not classified")
 
 
-def _exchange_failure(ideal: MonomialIdeal) -> Optional[tuple[tuple[int, ...], int, int]]:
-    """The first generator u, i and j < i with x_i dividing u and u with x_i
-    dropped outside (I : x_j^inf), or None when there is none.
+def _exchange_failure(table) -> Optional[tuple[int, int, int]]:
+    """The first (k, i, j) in an ideal's `_level_table`, or None: x_i divides
+    its generator u of index k, j < i, and u with x_i dropped is outside (I : x_j^inf).
 
     Generators are scanned in stored order, i descending and j ascending.
-    Each generator is its mask in the ideal's level table.  Let s be u with
-    x_i dropped: s uses only the generators' own exponents, so the bits
-    where a generator g exceeds s are exact, and g puts s in (I : x_j^inf)
-    exactly when they lie on x_j alone, or nowhere.  One pass over the
+    Let s be u with x_i dropped: s uses only the generators' own exponents,
+    so the bits where a generator g exceeds s are exact, and g puts s in
+    (I : x_j^inf) exactly when they lie on x_j alone.  They are never empty,
+    since no minimal generator divides u with x_i dropped.  One pass over the
     masks decides every j < i, and it stops once all of them are held.
     """
-    _require_decomposable(ideal)
-    n = ideal.context.n
-    gens = ideal._exps
-    levels, var_bits, masks, _ = ideal._levels()
+    levels, var_bits, masks, _ = table
     owner = [i for i, _ in levels]  # the variable of each bit
     off = [~b for b in var_bits]
-    for u, mask in zip(gens, masks):
-        for i in range(n - 1, 0, -1):
-            if not u[i]:
+    for k, mask in enumerate(masks):
+        for i in range(len(var_bits) - 1, 0, -1):
+            if not mask & var_bits[i]:
                 continue
             outside = ~mask | var_bits[i]  # the bits outside s
             missing = (1 << i) - 1  # the j < i not yet held, one bit each
             for g in masks:
                 excess = g & outside
-                if not excess:
-                    break  # g divides s: every j is held
                 j = owner[excess.bit_length() - 1]
                 if missing >> j & 1 and not excess & off[j]:
                     missing ^= 1 << j
                     if not missing:
                         break
             else:
-                return u, i, (missing & -missing).bit_length() - 1
+                return k, i, (missing & -missing).bit_length() - 1
     return None
 
 
@@ -83,10 +79,12 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
     Checking generators suffices: any u in the ideal is a monomial multiple
     of a generator, and the multiple carries over to the exchanged monomial.
     """
-    failure = _exchange_failure(ideal)
+    _require_decomposable(ideal)
+    failure = _exchange_failure(ideal._levels())
     if failure is not None:
-        u, i, j = failure
-        return BorelReport(False, certificate=(_trusted_monomial(ideal.context, u), i, j))
+        k, i, j = failure
+        u = _trusted_monomial(ideal.context, ideal._exps[k])
+        return BorelReport(False, certificate=(u, i, j))
     return BorelReport(True, primes=associated_primes(ideal))
 
 
@@ -97,7 +95,8 @@ def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     j <= i, so the two agree exactly when (I : x_i^inf) lies in every
     (I : x_j^inf) with j < i: the exchange kernel's condition.
     """
-    return _exchange_failure(ideal) is None
+    _require_decomposable(ideal)
+    return _exchange_failure(ideal._levels()) is None
 
 
 def borel_witness(

@@ -1,6 +1,7 @@
 """Irredundant irreducible decomposition and associated primes.
 
-The decomposition is built one generator at a time, in ascending degree.
+The decomposition is built one generator at a time, in ascending bit count
+of its level mask (below), which is the total degree on a squarefree ideal.
 Monomial ideals form a distributive lattice, so if I is the intersection of
 the components Q, then I + (u) is the intersection of the ideals Q + (u).  A
 component containing u survives; any other Q yields a candidate
@@ -21,8 +22,9 @@ level of x_i at or below its own, and a component sets one bit per variable
 of its support, so u lies in Q exactly when their masks meet.  The
 generators are filed by the bit of each of their levels, and g is private
 for bit b of t when g misses every other bit of t.  The surviving masks are
-decoded once, at the end.  The ideal builds its table once, and the Borel
-exchange kernel, the witness floors and the colon test read the same one.
+decoded once, at the end.  The engine reads that table alone: the variables
+of u are those whose bits its mask meets.  The ideal builds it once, and the
+Borel exchange kernel, the witness floors and the colon test read it too.
 The result is unique, so it does not depend on how the input was presented.
 No state is kept between calls: each ideal keeps its own decomposition,
 which holds only its components, so reference counting frees it with the
@@ -31,24 +33,22 @@ ideal.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
-
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
                     _ints, _trusted_monomial, _trusted_prime)
 
 
-def _irreducible_components(gens, table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The irredundant components of the ideal generated by the tuples gens,
-    from their `_level_table`, as (support, exponents on the support) pairs."""
+def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The irredundant components of the ideal whose minimal generators have
+    this `_level_table`, as (support, exponents on the support) pairs."""
     levels, var_bits, masks, _ = table
     components = [0]  # the zero ideal: no pure power, and no generator in it
     others: dict[int, list[int]] = {}  # a level bit -> the generators exactly at it
-    for _, u, mask in sorted(zip(map(sum, gens), gens, masks), key=itemgetter(0)):
+    for mask in sorted(masks, key=int.bit_count):
         heads = []  # (the bit of u's level of x_i, every bit off x_i), per x_i dividing u
-        for bits in compress(var_bits, u):
+        for bits in var_bits:
             up_to = mask & bits  # x_i's bits up to u's level: the top one is that level's
-            heads.append((up_to & ~(up_to >> 1), ~bits))
+            if up_to:
+                heads.append((up_to & ~(up_to >> 1), ~bits))
         for b, _ in heads:
             others.setdefault(b, []).append(mask)
         survivors, fresh = [], []
@@ -195,7 +195,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         raise ValueError("the unit ideal has no irreducible decomposition")
     context = ideal.context
     components = []
-    for support, exps in sorted(_irreducible_components(ideal._exps, ideal._levels())):
+    for support, exps in sorted(_irreducible_components(ideal._levels())):
         c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
         object.__setattr__(c, "context", context)
         object.__setattr__(c, "pairs", tuple(zip(support, exps)))

@@ -4,7 +4,7 @@ import gc
 import random
 import re
 import time
-from operator import le
+from operator import add, le
 
 import pytest
 from hypothesis import given
@@ -323,7 +323,7 @@ def assert_matches_oracles(I, rng):
     shuffled = list(gens)
     rng.shuffle(shuffled)
     for order in (gens, gens[::-1], shuffled):
-        found = sorted(_irreducible_components(order, _level_table(order, n)))
+        found = sorted(_irreducible_components(_level_table(order, n)))
         assert found == sorted(tuple_components(order, n))
         assert [tuple(zip(support, exps)) for support, exps in found] == expected
 
@@ -385,6 +385,57 @@ class TestCycles:
         assert_certified(I, d)
 
 
+def cycle_powers(n, top):
+    """The powers 1..top of the n-cycle's edge ideal, each built from the
+    products of the last one with the edges, through the public constructor."""
+    c = ctx(n)
+    edges = [Monomial(c, tuple(int(j in (i, (i + 1) % n)) for j in range(n))) for i in range(n)]
+    powers = [MonomialIdeal(c, edges)]
+    while len(powers) < top:
+        powers.append(MonomialIdeal(c, [Monomial(c, tuple(map(add, u.exps, e.exps)))
+                                        for u in powers[-1].gens for e in edges]))
+    return powers
+
+
+class TestCyclePowers:
+    """Ass(I^t) for the edge ideal I of a cycle, where theorems fix the
+    answer.  x_i's levels in I^t are 1..t, so each generator's mask has as
+    many bits as its degree, 2t."""
+
+    @staticmethod
+    def primes(power):
+        return {p.vars for p in associated_primes(power)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_odd_cycles_gain_the_maximal_ideal_at_power_k_plus_one(self, k):
+        # Chen, Morey and Sung, Rocky Mountain J. Math. 2002
+        n = 2 * k + 1
+        everything = tuple(range(n))
+        for t, power in enumerate(cycle_powers(n, k + 2), start=1):
+            assert (everything in self.primes(power)) == (t >= k + 1), t
+            if t == k + 1:  # x1*...*xn, one degree short of I^t
+                v = Monomial(power.context, (1,) * n)
+                assert verify_witness(power, PrimeSupport(power.context, everything), v)
+
+    @pytest.mark.parametrize("n, top", [(4, 4), (6, 4), (8, 3)])
+    def test_even_cycles_keep_their_primes(self, n, top):
+        # bipartite graphs are normally torsion-free: Simis, Vasconcelos and
+        # Villarreal, J. Algebra 1994
+        powers = cycle_powers(n, top)
+        assert all(self.primes(power) == self.primes(powers[0]) for power in powers)
+
+    @pytest.mark.parametrize("n, top", [(3, 3), (4, 4), (5, 4), (6, 4), (7, 5), (8, 3)])
+    def test_primes_persist(self, n, top):
+        # Martinez-Bernal, Morey and Villarreal, Collect. Math. 2012
+        primes = [self.primes(power) for power in cycle_powers(n, top)]
+        assert all(a <= b for a, b in zip(primes, primes[1:]))
+
+    @pytest.mark.parametrize("n, t", [(5, 3), (6, 2), (7, 2)])
+    def test_powers_match_the_split_recursion(self, n, t):
+        power = cycle_powers(n, t)[-1]
+        assert [q.pairs for q in irreducible_decomposition(power)] == split_components(power._exps)
+
+
 def lift_ideal(I, lift):
     """I with each nonzero exponent e of x_i replaced by lift(i, e)."""
     c = I.context
@@ -436,7 +487,7 @@ class TestOrderType:
         n = small.context.n
 
         def engine(J):  # the table is built inside the timed call, as the engine's input
-            return lambda: _irreducible_components(J._exps, _level_table(J._exps, n))
+            return lambda: _irreducible_components(_level_table(J._exps, n))
 
         twin = best_time(engine(small))
         lifted = best_time(engine(large))
@@ -467,6 +518,31 @@ class TestLevelTable:
                 assert table[:2] == (levels, var_bits) and table[2][:-2] == masks
                 mask_g, mask_w = table[2][-2:]
                 assert (mask_g & ~mask_w == 0) == all(map(le, g, w)), (gens, g, w)
+
+    def test_masks_localized_at_a_prime_give_its_components(self):
+        """Setting the variables outside P to 1 is mask & P's bits, and the
+        engine run on the subset-minimal localized masks, with the parent's
+        levels, returns the components of support P, and none when P is not
+        associated (Miller and Sturmfels, Combinatorial Commutative Algebra,
+        ch. 5)."""
+        pairs = empty = 0
+        for I in witness_corpus()[:200]:
+            levels, var_bits, masks, floors = I._levels()
+            d = irreducible_decomposition(I)
+            associated = {p.vars for p in d.primes()}
+            for P in every_prime(I.context):
+                bits = sum(var_bits[i] for i in P.vars)
+                local = {m & bits for m in masks}
+                minimal = tuple(m for m in local if not any(g != m and not g & ~m for g in local))
+                found = sorted((support, exps) for support, exps
+                               in _irreducible_components((levels, var_bits, minimal, floors))
+                               if support == P.vars)
+                expected = [] if P.vars not in associated else [
+                    (q.support(), tuple(e for _, e in q.pairs)) for q in d.components_for(P)]
+                assert found == expected, (I, P)
+                pairs += 1
+                empty += not expected
+        assert 0 < empty < pairs
 
 
 class TestCoverIdeal:
@@ -565,6 +641,38 @@ class TestDualRoute:
         for I in (session_ideal(), six_var_ideal()):
             d = irreducible_decomposition(I)
             assert {q.pairs for q in d.components} == dual_intersection_components(I)
+
+    def test_alexander_dual_round_trip(self):
+        """For a the floors of I, each component m^b gives the generator
+        x^(a+1-b) of the Alexander dual J, with 0 where b has no power; J's
+        components, read the same way, give back I's generators (Miller and
+        Sturmfels, ch. 5).  Exponents 1 to 3 leave gaps in the levels, so a
+        mask's bit count and its degree can order the generators differently."""
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(8, 10)
+            c = ctx(n)
+            gens = []
+            while len(MonomialIdeal(c, gens)) < 3 * n:
+                exps = [0] * n
+                for v in rng.sample(range(n), rng.randint(2, 4)):
+                    exps[v] = rng.randint(1, 3)
+                gens.append(Monomial(c, tuple(exps)))
+            I = MonomialIdeal(c, gens)
+            a = I.max_exponents()
+
+            def dual(J):
+                vectors = []
+                for q in irreducible_decomposition(J):
+                    exps = [0] * n
+                    for v, b in q.pairs:
+                        exps[v] = a[v] + 1 - b
+                    vectors.append(Monomial(c, tuple(exps)))
+                return MonomialIdeal(c, vectors)
+
+            J = dual(I)
+            assert len(J) == len(irreducible_decomposition(I))
+            assert dual(J) == I
 
 
 class TestColonCharacterization:
