@@ -9,14 +9,26 @@ hands back the witnesses it names, not a verdict; `_run` loads its stanza,
 re-verifies every one of them, prints the verdict and picks the exit code.
 Each handler imports the witness and Borel functions it calls, so a command
 compiles only the modules it runs.
+
+Each `COMMANDS` entry also declares its options, once, as `Option` rows, and
+one small reader, `_read_argv`, reads argv from that table and prints help
+from it; start-up loads neither argparse nor gettext.  The reader takes what
+argparse took before it: `--flag value` and `--flag=value`, unique prefixes
+(`--comp 0`; an exact flag wins), options before the file, `--` before the
+file, repeated `--offset` kept in order (any other repeated option keeps its
+last value), and a value that starts with `-` only when it reads as a
+negative number or holds a space.  A usage error prints a usage line and
+`<prog>: error: <message>` on stderr, with argparse's prog and message, and
+exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
+import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
@@ -53,7 +65,7 @@ def _json_document(ideal, components=None, primes=None, witness=None, verified=N
 
 def _int(text: str) -> int:  # `int` alone also reads "1_0", " 8" and other scripts' digits
     if not _digits(text.removeprefix("-")):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -162,12 +174,12 @@ def _witness(args, ideal):
 
 def _verify(args, ideal):
     prime, _ = _resolve_prime(args.prime, ideal)
-    v = parse_monomial(args.monomial, ideal.context)
+    v = parse_monomial(args.v, ideal.context)
     return [f"(I : {v}) = {ideal.colon(v)}"], dict(ideal=ideal), (prime, (v,))
 
 
 def _colon(args, ideal):
-    v = parse_monomial(args.monomial, ideal.context)
+    v = parse_monomial(args.v, ideal.context)
     quotient = ideal.colon(v)
     return [f"(I : {v}) = {quotient}"], dict(ideal=quotient, witness=v), None
 
@@ -225,10 +237,32 @@ def _symgen(args, pattern):
     variables = _variables(args.prime, pattern.context)
     try:
         b_choices = [_int(s) for s in _Line(args.b).comma_list(0)] if args.b else []
-    except argparse.ArgumentTypeError:
+    except ValueError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)
     return lines + [f"P = {prime}", f"v = {v}"], dict(ideal=ideal), (prime, (v,))
+
+
+class Option(NamedTuple):
+    """One flag of a command.  kind is "str", "int" (read by `_int`), "flag"
+    (no value; True when given), "append" (repeatable, kept in order) or the
+    tuple of the values it accepts; the value lands on args.<flag name>."""
+
+    flag: str
+    kind: object = "str"
+    help: str = ""
+    default: object = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def metavar(self) -> str:
+        if isinstance(self.kind, tuple):
+            return "{" + ",".join(self.kind) + "}"
+        return self.dest.upper()
 
 
 class Command(NamedTuple):
@@ -238,44 +272,42 @@ class Command(NamedTuple):
     handler: object
     stanza: str  # the ProblemFile field the handler reads
     help: str
-    options: tuple = ()  # (flag, add_argument keywords) pairs
+    options: tuple = ()  # Option rows, besides the --format every command takes
 
 
-_PRIME_REQUIRED = ("--prime", dict(required=True))
+_FORMAT = Option("--format", ("text", "json"), "output format", default="text")
+_PRIME = Option("--prime", help="prime index or comma-separated variables")
+_PRIME_REQUIRED = _PRIME._replace(required=True)
+_COMPONENT = Option("--component", "int", "component index in canonical order")
 
 COMMANDS = {
     "decompose": Command(_decompose, "ideal", "irredundant irreducible decomposition"),
     "assprimes": Command(_assprimes, "ideal", "associated primes"),
     "witness": Command(_witness, "ideal", "construct and verify a witness", (
-        ("--prime", dict(help="prime index or comma-separated variables")),
-        ("--component", dict(type=_int, help="component index in canonical order")),
-        ("--offset", dict(action="append", metavar="var=k",
-                          help="extra exponent on a non-prime variable (repeatable)")),
-        ("--seed", dict(type=_int, help="seeded random offsets")),
-        ("--max-offset", dict(type=_int, default=8,
-                              help="upper bound for seeded offsets")),
-        ("--list", dict(action="store_true",
-                        help="list primes and components, then exit")),
+        _PRIME,
+        _COMPONENT,
+        Option("--offset", "append", "extra exponent var=k on a non-prime variable (repeatable)"),
+        Option("--seed", "int", "seeded random offsets"),
+        Option("--max-offset", "int", "upper bound for seeded offsets", default=8),
+        Option("--list", "flag", "list primes and components, then exit"),
     )),
     "verify": Command(_verify, "ideal", "check a candidate witness", (
-        _PRIME_REQUIRED,
-        ("--v", dict(dest="monomial", required=True, help="candidate monomial")),
+        _PRIME_REQUIRED, Option("--v", help="candidate monomial", required=True),
     )),
     "colon": Command(_colon, "ideal", "colon of the ideal by a monomial", (
-        ("--v", dict(dest="monomial", required=True)),
+        Option("--v", help="monomial to take the colon by", required=True),
     )),
     "borel": Command(_borel, "ideal", "Borel-type detection and witness", (
-        ("--prime", {}), ("--component", dict(type=_int)),
+        _PRIME, _COMPONENT,
     )),
     "uniqueness": Command(
         _uniqueness, "ideal", "witness uniqueness classification", (_PRIME_REQUIRED,)),
     "clutter-base": Command(
         _clutter_base, "clutter", "witness from a stable set", (_PRIME_REQUIRED,)),
     "symgen": Command(_symgen, "pattern", "symmetric power-pattern ideal", (
-        ("--prime", {}),
-        ("--value-index", dict(type=_int,
-                               help="0-based index among the distinct exponent values")),
-        ("--b", dict(help="comma-separated complement exponents")),
+        Option("--prime", help="comma-separated prime variables"),
+        Option("--value-index", "int", "0-based index among the distinct exponent values"),
+        Option("--b", help="comma-separated complement exponents"),
     )),
 }
 
@@ -311,27 +343,178 @@ def _run(args) -> int:
     return VERIFY_ERROR if verdict is False else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="monowit", description="Monomial ideal decompositions and colon witnesses.")
-    parser.add_argument("--version", action="version", version=f"monowit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("file", help="problem file")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        for flag, options in command.options:
-            p.add_argument(flag, **options)
-    return parser
+class _Stop(Exception):
+    """The reader is done: help or version printed (0), or a usage error (1)."""
+
+
+def _fail(name: str, message: str):
+    """A usage error of command `name` ("" before the command is known)."""
+    prog = f"monowit {name}" if name else "monowit"
+    print(_usage(name), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise _Stop(USAGE_ERROR)
+
+
+def _usage(name: str = "") -> str:
+    if not name:
+        return "usage: monowit [-h] [--version] <command> <file> [options]"
+    required = (f"{o.flag} {o.metavar}" for o in COMMANDS[name].options if o.required)
+    return " ".join(["usage: monowit", name, "[-h]", "<file>", *required, "[options]"])
+
+
+def _help(name: str = "") -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if name:
+        title = COMMANDS[name].help
+        sections = {"arguments": [("<file>", "problem file")], "options": options}
+        for o in (_FORMAT, *COMMANDS[name].options):
+            text = o.help + ("" if o.default is None else f" (default: {o.default})")
+            options.append((o.flag if o.kind == "flag" else f"{o.flag} {o.metavar}", text))
+    else:
+        title = "Monomial ideal decompositions and colon witnesses."
+        sections = {"commands": [(n, c.help) for n, c in COMMANDS.items()], "options": options}
+        options.append(("--version", "show the program's version and exit"))
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [_usage(name), "", title]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:", *(f"  {left:<{width}}{text}" for left, text in rows)]
+    return "\n".join(lines)
+
+
+def _classify(arg: str, flags, name: str):
+    """How argparse read one argument against the option strings `flags`:
+    None for a value, else (flag, text after '=' or glued to a short flag,
+    or None); an unknown flag is (None, None)."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    head, eq, explicit = arg.partition("=")
+    if eq and head in flags:
+        return head, explicit
+    if arg[1] == "-":  # a unique prefix of a long flag; the part after '=' is its value
+        matches = [(f, explicit if eq else None) for f in flags if f.startswith(head)]
+    else:  # a short flag with its value glued on, as -hh
+        matches = [(f, arg[2:]) for f in flags if f == arg[:2]]
+    if len(matches) > 1:
+        _fail(name, f"ambiguous option: {arg} could match " + ", ".join(f for f, _ in matches))
+    if matches:
+        return matches[0]
+    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _classify_all(argv, flags, name: str) -> list:
+    """_classify of each argument; "--" marks itself, and all after it are values."""
+    kinds = []
+    for arg in argv:
+        if arg == "--":
+            return kinds + ["--"] + [None] * (len(argv) - len(kinds) - 1)
+        kinds.append(_classify(arg, flags, name))
+    return kinds
+
+
+def _switch(flag: str, explicit, name: str) -> None:
+    """Rejects a value given to a flag that takes none.  Letters glued to -h
+    are more short flags, so -hh is -h twice."""
+    if flag == "-h" and explicit:
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        flag = "-h/--help" if flag in ("-h", "--help") else flag
+        _fail(name, f"argument {flag}: ignored explicit argument {explicit!r}")
+
+
+def _read_argv(argv: list) -> SimpleNamespace:
+    """The parsed command line; raises _Stop after help, --version or a usage error."""
+    kinds = _classify_all(argv, ("-h", "--help", "--version"), "")
+    extras, i = [], 0
+    while i < len(argv) and kinds[i] is not None and kinds[i] != "--":
+        flag, explicit = kinds[i]
+        if flag is None:
+            extras.append(argv[i])
+        else:
+            _switch(flag, explicit, "")
+            print(f"monowit {__version__}" if flag == "--version" else _help())
+            raise _Stop(0)
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _fail("", "the following arguments are required: command")
+    name = argv[i]  # "--" itself when one stands before the command
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail("", f"argument command: invalid choice: {name!r} (choose from {choices})")
+    args = _read_command(name, argv[i + 1:], extras)
+    if extras:
+        _fail("", "unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def _read_command(name: str, argv: list, extras: list) -> SimpleNamespace:
+    """The file and options of one command; unread arguments go to `extras`."""
+    options = {o.flag: o for o in (_FORMAT, *COMMANDS[name].options)}
+    kinds = _classify_all(argv, ("-h", "--help", *options), name)
+    values = {o.dest: False if o.kind == "flag" else o.default for o in options.values()}
+    file, i = None, 0
+    while i < len(argv):
+        kind = kinds[i]
+        if kind == "--":  # the file may follow; all else after it is unread
+            if file is None and i + 1 < len(argv):
+                file, i = argv[i + 1], i + 2
+            extras += argv[i:]
+            break
+        if kind is None:
+            if file is None:
+                file = argv[i]
+                if kinds[i + 1:i + 2] == ["--"]:  # a "--" right after the file is dropped
+                    i += 1
+            else:
+                extras.append(argv[i])
+        elif kind[0] is None:
+            extras.append(argv[i])
+        else:
+            flag, explicit = kind
+            option = options.get(flag)
+            if option is None or option.kind == "flag":
+                _switch(flag, explicit, name)
+                if option is None:
+                    print(_help(name))
+                    raise _Stop(0)
+                values[option.dest] = True
+            else:
+                if explicit is None:
+                    if kinds[i + 1:i + 2] != [None]:
+                        _fail(name, f"argument {flag}: expected one argument")
+                    i += 1
+                    explicit = argv[i]
+                value = _value(option, explicit, name)
+                if option.kind == "append":
+                    value = [*(values[option.dest] or ()), value]
+                values[option.dest] = value
+        i += 1
+    missing = ["file"] * (file is None)
+    missing += [o.flag for o in options.values() if o.required and values[o.dest] is None]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=name, file=file, **values)
+
+
+def _value(option: Option, text: str, name: str):
+    if option.kind == "int":
+        try:
+            return _int(text)
+        except ValueError as exc:
+            _fail(name, f"argument {option.flag}: {exc}")
+    if isinstance(option.kind, tuple) and text not in option.kind:
+        choices = ", ".join(map(repr, option.kind))
+        _fail(name, f"argument {option.flag}: invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; this tool reserves 2 for failed checks
-        return 0 if exc.code == 0 else USAGE_ERROR
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        return stop.args[0]
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit

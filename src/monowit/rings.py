@@ -3,8 +3,8 @@
 Everything is combinatorics on exponent vectors: a monomial is a tuple of
 non-negative integers over a fixed ambient ring context, a monomial ideal is
 its unique minimal generating set in a canonical order, and every operation
-(membership, colon by a monomial, intersection) is a pure function on those
-tuples.  The coefficient field is never represented.
+(membership, colon by a monomial) is a pure function on those tuples.  The
+coefficient field is never represented.
 
 A ring context owns its names and their one name -> index table.  An ideal
 stores only its exponent tuples, minimized by `_minimize_exps` whichever
@@ -149,9 +149,6 @@ class RingContext(_Frozen):
     @property
     def one(self) -> "Monomial":
         return Monomial(self, (0,) * self.n)
-
-    def variable(self, i: int) -> "Monomial":
-        return self.monomial_from_powers({i: 1})
 
     def monomial(self, exps: Iterable[int]) -> "Monomial":
         return Monomial(self, tuple(exps))
@@ -379,10 +376,6 @@ class MonomialIdeal(_Frozen):
             reached |= step.get(over, 0)
         return reached == target
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        _require_same_context(self, other)
-        lcms = (tuple(map(max, u, w)) for u in self._exps for w in other._exps)
-        return MonomialIdeal._from_exps(self.context, lcms)
 
 
 class PrimeSupport(_Frozen):

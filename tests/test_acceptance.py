@@ -27,13 +27,14 @@ from monowit import (
 from util import (
     borel_corpus,
     box_bounds,
-    box_exponents,
     box_corpus,
+    box_exponents,
     clutter_corpus,
     ctx,
     drop_one_intersections,
     graph_corpus,
     ideal,
+    intersect,
     mono,
     oracle_member,
     session_ideal,
@@ -63,7 +64,7 @@ def criterion(number, name):
 def intersect_all(ideals_):
     result = None
     for j in ideals_:
-        result = j if result is None else result.intersect(j)
+        result = j if result is None else intersect(result, j)
     return result
 
 
@@ -175,7 +176,7 @@ def test_criterion_5_brute_force_equivalence():
     ]
     assert pairs
     for I, J in pairs:
-        met = I.intersect(J)
+        met = intersect(I, J)
         bounds = tuple(
             max(a, b) + 1 for a, b in zip(I.max_exponents(), J.max_exponents())
         )

@@ -34,6 +34,7 @@ from util import (
     ctx,
     ideal,
     ideals,
+    intersect,
     mono,
     monomials,
     oracle_exchange_certificate,
@@ -41,6 +42,7 @@ from util import (
     oracle_is_borel_type_by_saturation,
     oracle_saturate,
     session_ideal,
+    variable,
     witness_corpus,
 )
 
@@ -144,8 +146,8 @@ class TestSaturate:
                 continue
             c = I.context
             for i in range(c.n):
-                single = MonomialIdeal(c, [c.variable(i)])
-                prefix = MonomialIdeal(c, [c.variable(t) for t in range(i + 1)])
+                single = MonomialIdeal(c, [variable(c, i)])
+                prefix = MonomialIdeal(c, [variable(c, t) for t in range(i + 1)])
                 assert oracle_saturate(I, single) == oracle_saturate(I, prefix)
 
     @given(data=st.data())
@@ -158,7 +160,7 @@ class TestSaturate:
         c = I.context
         parts = [MonomialIdeal(c, [c.monomial(0 if d else e for e, d in zip(u.exps, g.exps))
                                    for u in I]) for g in J]
-        assert oracle_saturate(I, J) == reduce(MonomialIdeal.intersect, parts)
+        assert oracle_saturate(I, J) == reduce(intersect, parts)
 
     def test_zero_ideal_saturates_to_zero(self):
         c = ctx(2)

@@ -1,17 +1,21 @@
 """End-to-end CLI behavior: output text, JSON schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import monowit.cli
 from monowit import TheoremViolationError, irreducible_decomposition, parse_monomial
-from monowit.cli import main
-from util import fresh_interpreter
+from monowit.cli import COMMANDS, _FORMAT, _read_argv, _Stop, main
+from util import argparse_oracle, fresh_interpreter
 
 SESSION = """\
 ring n=8
@@ -605,10 +609,11 @@ class TestErrorPaths:
 
 
 def test_import_leaves_out_heavy_stdlib_modules():
-    # the CLI pays for every import on every call; these three are only
-    # needed by record generation (dataclasses, inspect) or JSON output
-    probe = ("import sys, monowit.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    # the CLI pays for every import on every call; dataclasses and inspect are
+    # only needed by record generation, json by JSON output, and argparse and
+    # gettext by nothing
+    probe = ("import sys, monowit.cli; print(sorted({'argparse', 'dataclasses', 'gettext', "
+             "'inspect', 'json'} & set(sys.modules)))")
     assert fresh_interpreter(probe) == "[]\n"
 
 
@@ -621,12 +626,206 @@ def test_import_leaves_out_the_witness_borel_and_clutter_modules():
 
 
 def test_decompose_loads_no_witness_borel_or_clutter_module(problem):
-    # nor does `witness --list`, which names no witness to verify
+    # nor does `witness --list`, which names no witness to verify; a witness
+    # loads its own module, and no command loads argparse or gettext
     path = problem(SESSION)
     probe = ("import contextlib, io, sys\n"
              "from monowit.cli import main\n"
-             f"for argv in [['decompose', {path!r}], ['witness', {path!r}, '--list']]:\n"
+             f"for argv in [['decompose', {path!r}], ['witness', {path!r}, '--list'],\n"
+             f"             ['witness', {path!r}, '--prime', '0', '--component', '0']]:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = main(argv)\n"
-             f"    print(code, sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)))")
-    assert fresh_interpreter(probe) == "0 []\n0 []\n"
+             f"    print(code, sorted({UNUSED_BY_DECOMPOSE} & set(sys.modules)),\n"
+             "          sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert fresh_interpreter(probe) == "0 [] []\n0 [] []\n0 ['monowit.witness'] []\n"
+
+
+class TestHelp:
+    def test_top_level_help_names_every_command_with_its_help(self, capsys):
+        assert main(["-h"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: monowit ")
+        for name, command in COMMANDS.items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(command.help)}$", out, re.M)
+        assert main(["--help"]) == 0 and capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help_names_every_flag(self, capsys, name):
+        assert main([name, "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(f"usage: monowit {name} ")
+        for option in (_FORMAT, *COMMANDS[name].options):
+            assert option.help
+            assert re.search(rf"^  {option.flag}( \S+)? +{re.escape(option.help)}", out, re.M)
+
+
+# argv parity: the argv reader against the argparse parser it replaced.  Where
+# argparse accepted a line, both give the same values; where it rejected one,
+# both exit 1 with the same last line on stderr.
+
+def oracle_reads(parser, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after help
+            return 0 if exc.code == 0 else 1, err.getvalue().splitlines()[-1:]
+
+
+def reader_reads(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(_read_argv(list(argv)))
+        except _Stop as stop:
+            code = stop.args[0]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == code  # main stops where the reader does
+    return code, err.getvalue().splitlines()[-1:]
+
+
+def parity_mismatches(lines):
+    parser = argparse_oracle()
+    return [(argv, expected, got) for argv in lines
+            if (expected := oracle_reads(parser, argv)) != (got := reader_reads(argv))]
+
+
+def shortest_prefix(flag, flags):
+    return next(flag[:k] for k in range(3, len(flag) + 1)
+                if sum(f.startswith(flag[:k]) for f in flags) == 1)
+
+
+def option_forms():
+    """Each option of each command as `--flag value`, `--flag=value`, a unique
+    prefix with its value apart and joined, and before the file; with the
+    command's other required options, so that every line is accepted."""
+    samples = {"str": "x1,x2", "int": "3", "append": "x5=1"}
+    for name, command in COMMANDS.items():
+        options = (_FORMAT, *command.options)
+        flags = ["--help", *(o.flag for o in options)]
+        for option in options:
+            rest = [part for o in command.options if o.required and o is not option
+                    for part in (o.flag, samples[o.kind])]
+            value = "json" if option is _FORMAT else samples.get(option.kind)
+            prefix = shortest_prefix(option.flag, flags)
+            if value is None:  # a flag takes no value
+                forms = [[option.flag], [prefix]]
+            else:
+                forms = [[option.flag, value], [f"{option.flag}={value}"],
+                         [prefix, value], [f"{prefix}={value}"]]
+            for form in forms:
+                yield [name, "p.txt", *form, *rest]
+                yield [name, *form, "p.txt", *rest]
+
+
+def benchmark_lines(workdir):
+    """The 20 command lines of the benchmark's cli mix, after `python -m monowit.cli`."""
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import ops
+    finally:
+        sys.path.remove(bench)
+    cli = ops.Cli(611, str(workdir), bench)
+    return [cli.argv(item)[3:] for item in cli.mix]
+
+
+# (argv, the last stderr line argparse printed)
+REJECTED = [
+    ([], "monowit: error: the following arguments are required: command"),
+    (["bogus", "p.txt"], "monowit: error: argument command: invalid choice: 'bogus' (choose "
+     "from 'decompose', 'assprimes', 'witness', 'verify', 'colon', 'borel', 'uniqueness', "
+     "'clutter-base', 'symgen')"),
+    (["verify", "p.txt"], "monowit verify: error: the following arguments are required: "
+     "--prime, --v"),
+    (["decompose"], "monowit decompose: error: the following arguments are required: file"),
+    (["decompose", "p.txt", "extra"], "monowit: error: unrecognized arguments: extra"),
+    (["decompose", "p.txt", "--bogus"], "monowit: error: unrecognized arguments: --bogus"),
+    (["decompose", "p.txt", "--version"], "monowit: error: unrecognized arguments: --version"),
+    (["witness", "p.txt", "--prime"],
+     "monowit witness: error: argument --prime: expected one argument"),
+    (["witness", "p.txt", "--list=1"],
+     "monowit witness: error: argument --list: ignored explicit argument '1'"),
+    (["decompose", "p.txt", "--format", "xml"], "monowit decompose: error: argument --format: "
+     "invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["witness", "p.txt", "--prime", "0", "--component", "\u0660"],
+     "monowit witness: error: argument --component: invalid int value: '\u0660'"),
+    (["witness", "p.txt", "--prime", "0", "--seed", "1_0"],
+     "monowit witness: error: argument --seed: invalid int value: '1_0'"),
+    (["witness", "p.txt", "--prime", "0", "--seed", "1", "--max-offset", " 8"],
+     "monowit witness: error: argument --max-offset: invalid int value: ' 8'"),
+    (["symgen", "p.txt", "--prime", "x1,x2", "--b", "3", "--value-index", "\u0661"],
+     "monowit symgen: error: argument --value-index: invalid int value: '\u0661'"),
+    (["witness", "p.txt", "--component", "x"],
+     "monowit witness: error: argument --component: invalid int value: 'x'"),
+    (["witness", "p.txt", "--max-offset", "-1.5"],
+     "monowit witness: error: argument --max-offset: invalid int value: '-1.5'"),
+    (["witness", "p.txt", "--prime", "-x"],
+     "monowit witness: error: argument --prime: expected one argument"),
+    # argparse read every argument against the top-level flags first
+    (["witness", "p.txt", "--=1"],
+     "monowit: error: ambiguous option: --=1 could match --help, --version"),
+]
+
+ACCEPTED = [
+    ["decompose", "--", "p.txt"],
+    ["decompose", "--format", "json", "--", "p.txt"],
+    ["decompose", "p.txt", "--"],
+    ["decompose", "--", "--format"],
+    ["witness", "--prime", "0", "p.txt", "--comp", "0"],
+    ["witness", "p.txt", "--offset", "x5=1", "--offset=x6=2", "--off", "x7=3"],
+    ["witness", "p.txt", "--prime", "0", "--prime", "1", "--format", "json", "--format", "text"],
+    ["witness", "p.txt", "--prime", "0", "--seed", "1", "--max-offset", "-1"],
+    ["witness", "p.txt", "--m", "3", "--list", "--list"],
+    ["symgen", "p.txt", "--prime", "x1,x2", "--value-index", "1", "--b", "- 3"],
+    ["symgen", "p.txt", "--b", "-3", "--v", "-2"],
+    ["verify", "p.txt", "--prime", "", "--v", "x1 x2"],
+]
+
+
+class TestArgvParity:
+    def test_matrix_rows(self):
+        lines = [[command, "p.txt", "--format", fmt, *extra]
+                 for command, _, extra, *_ in MATRIX for fmt in ("text", "json")]
+        assert parity_mismatches(lines) == []
+        assert all(isinstance(reader_reads(argv), dict) for argv in lines)
+
+    def test_benchmark_cli_mix(self, tmp_path):
+        lines = benchmark_lines(tmp_path)
+        assert len(lines) == 20
+        assert parity_mismatches(lines) == []
+        assert all(isinstance(reader_reads(argv), dict) for argv in lines)
+
+    def test_every_option_in_every_form(self):
+        lines = list(option_forms())
+        assert parity_mismatches(lines) == []
+        assert all(isinstance(reader_reads(argv), dict) for argv in lines)
+
+    def test_accepted_forms(self):
+        assert parity_mismatches(ACCEPTED) == []
+        offsets = reader_reads(ACCEPTED[5])["offset"]
+        assert offsets == ["x5=1", "x6=2", "x7=3"]
+
+    @pytest.mark.parametrize("argv, last_line", REJECTED,
+                             ids=[" ".join(argv) or "empty" for argv, _ in REJECTED])
+    def test_rejections(self, argv, last_line):
+        assert oracle_reads(argparse_oracle(), argv) == (1, [last_line])
+        assert reader_reads(argv) == (1, [last_line])
+
+    def test_random_lines(self):
+        # the tokens mix commands, files, flags, prefixes, values, "--" and
+        # help in every order.  "--flag=--" is left out: argparse stored an
+        # empty list for it, and the reader takes "--" as the value
+        tokens = ["decompose", "witness", "verify", "symgen", "p.txt", "--", "-", "", "-h",
+                  "--he", "-hh", "-hx", "-hhx", "-h=x", "-h=", "--help=1", "--version", "--v",
+                  "--format", "--f=json", "json", "xml", "--prime", "--p", "--pr=x1", "0",
+                  "--component", "--c=1", "x", "-1", "-1.5", "- 3", "--offset", "--off=x5=1",
+                  "--seed", "--m", "--list", "--li=1", "--b", "--val", "--=x", "--bogus", "-x",
+                  "a b", "--v=x1", "1_0"]
+        rng = random.Random(20261020)
+        lines = [[rng.choice(tokens) for _ in range(rng.randint(0, 6))] for _ in range(1500)]
+        for argv in lines[:1000]:
+            if argv:
+                argv[0] = rng.choice(list(COMMANDS))
+        assert parity_mismatches(lines) == []
+

@@ -27,6 +27,7 @@ from util import (
     oracle_good_stable_sets,
     oracle_maximal_stable_sets,
     search_good_stable_sets,
+    variable,
     vertex_mask,
 )
 
@@ -272,7 +273,7 @@ class TestWitnessBase:
         for s in (3, 4, 5):
             k = complete_graph(s)
             cover = PrimeSupport(k.context, range(s - 1))
-            assert k.witness_base(cover) == k.context.variable(s - 1)
+            assert k.witness_base(cover) == variable(k.context, s - 1)
 
     def test_not_associated_rejected(self):
         with pytest.raises(ValueError):

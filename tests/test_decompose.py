@@ -40,6 +40,7 @@ from util import (
     graph_corpus,
     ideal,
     ideals,
+    intersect,
     oracle_radical,
     pairwise_components,
     session_ideal,
@@ -56,7 +57,7 @@ def intersect_all(components):
     result = None
     for q in components:
         j = q.as_ideal()
-        result = j if result is None else result.intersect(j)
+        result = j if result is None else intersect(result, j)
     return result
 
 

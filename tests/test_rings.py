@@ -34,6 +34,7 @@ from util import (
     graph_corpus,
     ideal,
     ideals,
+    intersect,
     mono,
     monomials,
     oracle_colon_by_ideal,
@@ -43,6 +44,7 @@ from util import (
     session_ideal,
     six_var_ideal,
     tiny_corpus,
+    variable,
 )
 
 
@@ -244,7 +246,7 @@ class TestContextMismatchEverywhere:
 
     def test_intersect(self):
         with pytest.raises(ContextMismatchError):
-            ideal(ctx(2), "x1").intersect(ideal(ctx(3), "x1"))
+            intersect(ideal(ctx(2), "x1"), ideal(ctx(3), "x1"))
 
     def test_colon(self):
         with pytest.raises(ContextMismatchError):
@@ -266,7 +268,7 @@ class TestLcmGcd:
 
     def test_lcm(self):
         c = ctx(2)
-        assert ideal(c, "x1^2*x2").intersect(ideal(c, "x2^3")) == ideal(c, "x1^2*x2^3")
+        assert intersect(ideal(c, "x1^2*x2"), ideal(c, "x2^3")) == ideal(c, "x1^2*x2^3")
 
     def test_gcd(self):
         c = ctx(2)  # gcd(x1^2*x2, x2^3) = x2
@@ -275,14 +277,14 @@ class TestLcmGcd:
     def test_unit_is_lcm_identity(self):
         c = ctx(4)
         u = ideal(c, "x2^5*x4")
-        assert u.intersect(MonomialIdeal(c, [c.one])) == u
+        assert intersect(u, MonomialIdeal(c, [c.one])) == u
 
     @given(data=st.data())
     def test_lcm_gcd_degree_identity(self, data):
         c = ctx(3)
         u = data.draw(monomials(c))
         w = data.draw(monomials(c))
-        (lcm,) = MonomialIdeal(c, [u]).intersect(MonomialIdeal(c, [w]))
+        (lcm,) = intersect(MonomialIdeal(c, [u]), MonomialIdeal(c, [w]))
         (u_over_gcd,) = MonomialIdeal(c, [u]).colon(w)
         # deg lcm + deg gcd = deg u + deg w
         assert sum(lcm.exps) == sum(w.exps) + sum(u_over_gcd.exps)
@@ -315,7 +317,7 @@ class TestMinimize:
         for k, I in enumerate(corpus):
             c = I.context
             J = next(J for J in corpus[k + 1:] + corpus[:k] if J.context == c)
-            derived += [I, I.intersect(J), I.colon(c.variable(0)), oracle_colon_by_ideal(I, J),
+            derived += [I, intersect(I, J), I.colon(variable(c, 0)), oracle_colon_by_ideal(I, J),
                         exchange_closure(I)]
         for I in derived:
             gens = I.gens
@@ -471,26 +473,26 @@ class TestColonByIdeal:
 class TestIntersect:
     def test_idempotent(self):
         I = session_ideal()
-        assert I.intersect(I) == I
+        assert intersect(I, I) == I
 
     def test_coprime_variables(self):
         c = ctx(2)
-        assert ideal(c, "x1").intersect(ideal(c, "x2")) == ideal(c, "x1*x2")
+        assert intersect(ideal(c, "x1"), ideal(c, "x2")) == ideal(c, "x1*x2")
 
     def test_commutative_and_associative(self):
         c = ctx(3)
         A = ideal(c, "x1^2", "x2*x3")
         B = ideal(c, "x2^2")
         C = ideal(c, "x1*x3^2", "x3^3")
-        assert A.intersect(B) == B.intersect(A)
-        assert A.intersect(B).intersect(C) == A.intersect(B.intersect(C))
+        assert intersect(A, B) == intersect(B, A)
+        assert intersect(intersect(A, B), C) == intersect(A, intersect(B, C))
 
     def test_box_oracle(self):
         pairs = list(zip(box_corpus()[:20], box_corpus()[20:40]))
         for I, J in pairs:
             if I.context != J.context:
                 continue
-            met = I.intersect(J)
+            met = intersect(I, J)
             bounds = tuple(
                 max(a, b) + 1 for a, b in zip(I.max_exponents(), J.max_exponents())
             )
@@ -505,7 +507,7 @@ class TestRadical:
 
     @staticmethod
     def radical(I):
-        return reduce(MonomialIdeal.intersect, (p.as_ideal() for p in associated_primes(I)))
+        return reduce(intersect, (p.as_ideal() for p in associated_primes(I)))
 
     def test_pure_power_component(self):
         c = ctx(8)
@@ -567,7 +569,7 @@ class TestZeroAndUnitBehavior:
         c = ctx(2)
         zero = MonomialIdeal(c, ())
         assert zero.colon(mono(c, "x1")) == zero
-        assert zero.intersect(ideal(c, "x1")) == zero
+        assert intersect(zero, ideal(c, "x1")) == zero
         assert mono(c, "x1") not in zero
         assert contains(ideal(c, "x1"), zero)
 
@@ -575,7 +577,7 @@ class TestZeroAndUnitBehavior:
         c = ctx(2)
         unit = MonomialIdeal(c, [c.one])
         assert unit.colon(mono(c, "x1^3")) == unit
-        assert unit.intersect(ideal(c, "x2")) == ideal(c, "x2")
+        assert intersect(unit, ideal(c, "x2")) == ideal(c, "x2")
         assert mono(c, "x1*x2") in unit
         assert contains(unit, ideal(c, "x1"))
 
@@ -733,7 +735,7 @@ class TestTrustedPath:
         c = I.context
         v = data.draw(monomials(c))
         J = MonomialIdeal(c, data.draw(st.lists(monomials(c), min_size=1, max_size=3)))
-        quotient, met = I.colon(v), I.intersect(J)
+        quotient, met = I.colon(v), intersect(I, J)
         bounds = tuple(
             max(a, b) + 1 for a, b in zip(I.max_exponents(), J.max_exponents())
         )
@@ -748,7 +750,7 @@ class TestTrustedPath:
         c = ctx(5)
         for vs in ([0], [1, 3], [0, 2, 3, 4], range(5)):
             p = PrimeSupport(c, vs)
-            assert p.as_ideal() == MonomialIdeal(c, [c.variable(i) for i in p.vars])
+            assert p.as_ideal() == MonomialIdeal(c, [variable(c, i) for i in p.vars])
             q = IrreducibleComponent(c, {v: v + 2 for v in p.vars})
             assert q.as_ideal() == MonomialIdeal(
                 c, [c.monomial_from_powers({v: e}) for v, e in q.pairs]

@@ -35,6 +35,7 @@ from util import (
     every_prime,
     ideal,
     ideals,
+    intersect,
     mono,
     oracle_symmetric_gens,
     oracle_verify_witness,
@@ -436,7 +437,7 @@ class TestSymmetricIdeals:
                     q = MonomialIdeal(
                         c, [c.monomial_from_powers({v: value}) for v in vs]
                     )
-                    met = q if met is None else met.intersect(q)
+                    met = q if met is None else intersect(met, q)
                     expected_primes.add(vs)
             assert met == I
             assert {p.vars for p in associated_primes(I)} == expected_primes

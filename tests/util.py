@@ -26,7 +26,7 @@ from monowit import (
     verify_witness,
 )
 from monowit.borel import _require_decomposable
-from monowit.rings import _minimize_exps
+from monowit.rings import _minimize_exps, _require_same_context
 
 _CONTEXTS: dict[int, RingContext] = {}
 
@@ -49,12 +49,69 @@ def fresh_interpreter(probe: str) -> str:
     return result.stdout
 
 
+def argparse_oracle():
+    """The CLI's former argparse parser, with its option table restated: the
+    reference `monowit.cli`'s argv reader must match on every line.  Its
+    integer flags read through `cli._int`, with the messages they had."""
+    import argparse
+
+    from monowit.cli import _int
+
+    def integer(text):
+        try:
+            return _int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    prime_required = ("--prime", dict(required=True))
+    commands = {
+        "decompose": (), "assprimes": (),
+        "witness": (
+            ("--prime", {}),
+            ("--component", dict(type=integer)),
+            ("--offset", dict(action="append")),
+            ("--seed", dict(type=integer)),
+            ("--max-offset", dict(type=integer, default=8)),
+            ("--list", dict(action="store_true")),
+        ),
+        "verify": (prime_required, ("--v", dict(required=True))),
+        "colon": (("--v", dict(required=True)),),
+        "borel": (("--prime", {}), ("--component", dict(type=integer))),
+        "uniqueness": (prime_required,),
+        "clutter-base": (prime_required,),
+        "symgen": (("--prime", {}), ("--value-index", dict(type=integer)), ("--b", {})),
+    }
+    parser = argparse.ArgumentParser(
+        prog="monowit", description="Monomial ideal decompositions and colon witnesses.")
+    parser.add_argument("--version", action="version", version=f"monowit {monowit.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, options in commands.items():
+        p = sub.add_parser(name)
+        p.add_argument("file", help="problem file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
 def mono(context: RingContext, text: str) -> Monomial:
     return parse_monomial(text, context)
 
 
 def ideal(context: RingContext, *gens: str) -> MonomialIdeal:
     return parse_ideal_gens(", ".join(gens), context)
+
+
+def variable(context: RingContext, i: int) -> Monomial:
+    """The variable x_i as a monomial."""
+    return context.monomial_from_powers({i: 1})
+
+
+def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I & J, generated by the lcms of a generator of I and one of J."""
+    _require_same_context(I, J)
+    lcms = (tuple(map(max, u, w)) for u in I._exps for w in J._exps)
+    return MonomialIdeal._from_exps(I.context, lcms)
 
 
 def times_variable(m: Monomial, i: int) -> Monomial:
@@ -115,7 +172,7 @@ def oracle_radical(ideal_) -> MonomialIdeal:
 def oracle_colon_by_ideal(ideal_, by) -> MonomialIdeal:
     """(I : J) for a nonzero J: the intersection of the (I : v) over the
     generators v of J."""
-    return reduce(MonomialIdeal.intersect, (ideal_.colon(v) for v in by))
+    return reduce(intersect, (ideal_.colon(v) for v in by))
 
 
 def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
@@ -126,9 +183,9 @@ def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
     prefix = [None] * (n + 1)
     suffix = [None] * (n + 1)
     for i in range(n):
-        prefix[i + 1] = ideals_[i] if prefix[i] is None else prefix[i].intersect(ideals_[i])
+        prefix[i + 1] = ideals_[i] if prefix[i] is None else intersect(prefix[i], ideals_[i])
     for i in range(n - 1, -1, -1):
-        suffix[i] = ideals_[i] if suffix[i + 1] is None else ideals_[i].intersect(suffix[i + 1])
+        suffix[i] = ideals_[i] if suffix[i + 1] is None else intersect(ideals_[i], suffix[i + 1])
     out = []
     for i in range(n):
         left, right = prefix[i], suffix[i + 1]
@@ -137,7 +194,7 @@ def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
         elif right is None:
             out.append(left)
         else:
-            out.append(left.intersect(right))
+            out.append(intersect(left, right))
     return out
 
 
@@ -351,8 +408,8 @@ def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     _require_decomposable(ideal)
     ctx = ideal.context
     for i in range(ctx.n):
-        single = MonomialIdeal(ctx, [ctx.variable(i)])
-        prefix = MonomialIdeal(ctx, [ctx.variable(t) for t in range(i + 1)])
+        single = MonomialIdeal(ctx, [variable(ctx, i)])
+        prefix = MonomialIdeal(ctx, [variable(ctx, t) for t in range(i + 1)])
         if oracle_saturate(ideal, single) != oracle_saturate(ideal, prefix):
             return False
     return True
@@ -497,7 +554,7 @@ def ideals(draw, max_n=4, max_exp=3, max_gens=5, proper=True):
     if proper and (result.is_unit or result.is_zero):
         gens = [g for g in gens if any(g.exps)]
         if not gens:
-            gens = [context.variable(draw(st.integers(0, n - 1)))]
+            gens = [variable(context, draw(st.integers(0, n - 1)))]
         result = MonomialIdeal(context, gens)
     return result
 
