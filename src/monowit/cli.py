@@ -12,12 +12,13 @@ compiles only the modules it runs.
 
 Each `COMMANDS` entry also declares its options, once, as `Option` rows, and
 one small reader, `_read_argv`, reads argv from that table and prints help
-from it; start-up loads neither argparse nor gettext.  The reader takes what
-argparse took before it: `--flag value` and `--flag=value`, unique prefixes
-(`--comp 0`; an exact flag wins), options before the file, `--` before the
-file, repeated `--offset` kept in order (any other repeated option keeps its
-last value), and a value that starts with `-` only when it reads as a
-negative number or holds a space.  A usage error prints a usage line and
+from it; start-up loads neither argparse nor gettext.  The reader takes the
+forms the argparse parser it replaced took (the one of CPython 3.11):
+`--flag value` and `--flag=value`, unique prefixes (`--comp 0`; an exact flag
+wins), options before the file, `--` before the file, repeated `--offset`
+kept in order (any other repeated option keeps its last value), and a value
+that starts with `-` only when it is a negative integer or holds a space.
+Any other form is a usage error.  A usage error prints a usage line and
 `<prog>: error: <message>` on stderr, with argparse's prog and message, and
 exits 1.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import os
 import random
-import re
 import sys
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -380,66 +380,45 @@ def _help(name: str = "") -> str:
     return "\n".join(lines)
 
 
-def _classify(arg: str, flags, name: str):
-    """How argparse read one argument against the option strings `flags`:
-    None for a value, else (flag, text after '=' or glued to a short flag,
-    or None); an unknown flag is (None, None)."""
+def _match(arg: str, flags):
+    """What `arg` is among the option strings `flags`: None for a value, else
+    (flag, the text after its '=' or None); an unknown or ambiguous flag is
+    (None, None)."""
     if not arg.startswith("-") or arg == "-":
         return None
-    if arg in flags:
-        return arg, None
     head, eq, explicit = arg.partition("=")
-    if eq and head in flags:
-        return head, explicit
-    if arg[1] == "-":  # a unique prefix of a long flag; the part after '=' is its value
-        matches = [(f, explicit if eq else None) for f in flags if f.startswith(head)]
-    else:  # a short flag with its value glued on, as -hh
-        matches = [(f, arg[2:]) for f in flags if f == arg[:2]]
-    if len(matches) > 1:
-        _fail(name, f"ambiguous option: {arg} could match " + ", ".join(f for f, _ in matches))
-    if matches:
-        return matches[0]
-    if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg:
+    matches = [f for f in flags if f == head] or [  # else a unique prefix of a long flag
+        f for f in flags if len(head) > 2 and head.startswith("--") and f.startswith(head)]
+    if len(matches) == 1:
+        return matches[0], explicit if eq else None
+    if _digits(arg[1:]) or " " in arg:  # a negative integer, or a value with a blank
         return None
     return None, None
 
 
-def _classify_all(argv, flags, name: str) -> list:
-    """_classify of each argument; "--" marks itself, and all after it are values."""
-    kinds = []
-    for arg in argv:
-        if arg == "--":
-            return kinds + ["--"] + [None] * (len(argv) - len(kinds) - 1)
-        kinds.append(_classify(arg, flags, name))
-    return kinds
-
-
 def _switch(flag: str, explicit, name: str) -> None:
-    """Rejects a value given to a flag that takes none.  Letters glued to -h
-    are more short flags, so -hh is -h twice."""
-    if flag == "-h" and explicit:
-        explicit = explicit.lstrip("h") or None
+    """Rejects a value given to a flag that takes none."""
     if explicit is not None:
-        flag = "-h/--help" if flag in ("-h", "--help") else flag
         _fail(name, f"argument {flag}: ignored explicit argument {explicit!r}")
 
 
 def _read_argv(argv: list) -> SimpleNamespace:
     """The parsed command line; raises _Stop after help, --version or a usage error."""
-    kinds = _classify_all(argv, ("-h", "--help", "--version"), "")
-    extras, i = [], 0
-    while i < len(argv) and kinds[i] is not None and kinds[i] != "--":
-        flag, explicit = kinds[i]
+    extras = []
+    for i, arg in enumerate(argv):  # the top-level flags, up to the command
+        kind = _match(arg, ("-h", "--help", "--version"))
+        if kind is None:
+            break
+        flag, explicit = kind
         if flag is None:
-            extras.append(argv[i])
-        else:
-            _switch(flag, explicit, "")
-            print(f"monowit {__version__}" if flag == "--version" else _help())
-            raise _Stop(0)
-        i += 1
-    if argv[i:] in ([], ["--"]):
+            extras.append(arg)
+            continue
+        _switch(flag, explicit, "")
+        print(f"monowit {__version__}" if flag == "--version" else _help())
+        raise _Stop(0)
+    else:
         _fail("", "the following arguments are required: command")
-    name = argv[i]  # "--" itself when one stands before the command
+    name = argv[i]
     if name not in COMMANDS:
         choices = ", ".join(map(repr, COMMANDS))
         _fail("", f"argument command: invalid choice: {name!r} (choose from {choices})")
@@ -452,45 +431,41 @@ def _read_argv(argv: list) -> SimpleNamespace:
 def _read_command(name: str, argv: list, extras: list) -> SimpleNamespace:
     """The file and options of one command; unread arguments go to `extras`."""
     options = {o.flag: o for o in (_FORMAT, *COMMANDS[name].options)}
-    kinds = _classify_all(argv, ("-h", "--help", *options), name)
+    flags = ("-h", "--help", *options)
     values = {o.dest: False if o.kind == "flag" else o.default for o in options.values()}
-    file, i = None, 0
+    file, dashes, i = None, False, 0
     while i < len(argv):
-        kind = kinds[i]
-        if kind == "--":  # the file may follow; all else after it is unread
-            if file is None and i + 1 < len(argv):
-                file, i = argv[i + 1], i + 2
-            extras += argv[i:]
-            break
+        arg = argv[i]
+        i += 1
+        if arg == "--" and not dashes:  # every argument after it is a value
+            dashes = True
+            continue
+        kind = None if dashes else _match(arg, flags)
         if kind is None:
             if file is None:
-                file = argv[i]
-                if kinds[i + 1:i + 2] == ["--"]:  # a "--" right after the file is dropped
-                    i += 1
+                file = arg
             else:
-                extras.append(argv[i])
-        elif kind[0] is None:
-            extras.append(argv[i])
+                extras.append(arg)
+            continue
+        flag, explicit = kind
+        option = options.get(flag)
+        if flag is None:
+            extras.append(arg)
+        elif option is None or option.kind == "flag":  # -h, --help or a switch
+            _switch(flag, explicit, name)
+            if option is None:
+                print(_help(name))
+                raise _Stop(0)
+            values[option.dest] = True
         else:
-            flag, explicit = kind
-            option = options.get(flag)
-            if option is None or option.kind == "flag":
-                _switch(flag, explicit, name)
-                if option is None:
-                    print(_help(name))
-                    raise _Stop(0)
-                values[option.dest] = True
-            else:
-                if explicit is None:
-                    if kinds[i + 1:i + 2] != [None]:
-                        _fail(name, f"argument {flag}: expected one argument")
-                    i += 1
-                    explicit = argv[i]
-                value = _value(option, explicit, name)
-                if option.kind == "append":
-                    value = [*(values[option.dest] or ()), value]
-                values[option.dest] = value
-        i += 1
+            if explicit is None:
+                if i == len(argv) or _match(argv[i], flags) is not None:
+                    _fail(name, f"argument {flag}: expected one argument")
+                explicit, i = argv[i], i + 1
+            value = _value(option, explicit, name)
+            if option.kind == "append":
+                value = [*(values[option.dest] or ()), value]
+            values[option.dest] = value
     missing = ["file"] * (file is None)
     missing += [o.flag for o in options.values() if o.required and values[o.dest] is None]
     if missing:
