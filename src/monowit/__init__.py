@@ -24,10 +24,10 @@ _EXPORTS = {
                   "irreducible_decomposition"),
     "errors": ("ContextMismatchError", "ParseError", "TheoremViolationError"),
     "parsing": ("ProblemFile", "parse_ideal_gens", "parse_monomial", "parse_problem_file"),
-    "rings": ("Monomial", "MonomialIdeal", "PrimeSupport", "RingContext"),
+    "rings": ("Monomial", "MonomialIdeal", "PrimeSupport", "RingContext", "verify_witness"),
     "witness": ("SymmetricPattern", "UniquenessResult", "WitnessSpec",
                 "build_symmetric_ideal", "classify_uniqueness", "component_from_witness",
-                "symmetric_witness", "verify_witness", "witness_from_component"),
+                "symmetric_witness", "witness_from_component"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "cli"}

@@ -35,7 +35,7 @@ from . import __version__
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .parsing import _digits, _Line, parse_monomial, parse_problem_file
-from .rings import Monomial, MonomialIdeal, PrimeSupport
+from .rings import Monomial, MonomialIdeal, PrimeSupport, verify_witness
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
@@ -326,8 +326,6 @@ def _run(args) -> int:
     lines, fields, checked = command.handler(args, subject)
     verdict = None
     if checked is not None:  # the one place a witness is verified, never trusted
-        from .witness import verify_witness
-
         prime, witnesses = checked
         verdict = all(verify_witness(fields["ideal"], prime, v) for v in witnesses)
         lines.append("VERIFIED" if verdict else "FAILED")

@@ -214,11 +214,11 @@ class Clutter(_Frozen):
         return tuple(map(frozenset, sorted(out)))
 
     def _colon_is_cover(self, p: int) -> bool:
-        """`MonomialIdeal._colon_is_prime` for t_A, A = V \\ P, on the edge
-        masks: an edge e exceeds t_A on e & P alone, and by 1 there.  It
-        stays on these masks: an edge mask is already the over set of the
-        general test, which would first pass over the edge ideal's levels to
-        find it, about four times the cost on cycle edge ideals."""
+        """`verify_witness` for t_A, A = V \\ P, on the edge masks: an edge e
+        exceeds t_A on e & P alone, and by 1 there.  It stays on these masks:
+        an edge mask is already the over set of the general test, which would
+        first pass over the edge ideal's levels to find it, about four times
+        the cost on cycle edge ideals."""
         reached = 0
         for e in self._masks:
             over = e & p

@@ -45,7 +45,7 @@ import re
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ParseError
-from .rings import Monomial, MonomialIdeal, RingContext
+from .rings import Monomial, MonomialIdeal, RingContext, _trusted_monomial
 
 if TYPE_CHECKING:  # imported where a stanza needs them, so an ideal file loads neither
     from .clutters import Clutter
@@ -107,14 +107,14 @@ class _Line:
         return entries
 
 
-def _monomial(line: _Line, i: int, context: RingContext) -> tuple[Monomial, int]:
-    """The monomial starting at tokens[i], and the index after it."""
+def _monomial(line: _Line, i: int, context: RingContext) -> tuple[tuple[int, ...], int]:
+    """The exponents of the monomial starting at tokens[i], and the index after it."""
     tokens, index = line.tokens, context._index
     if tokens[i][:1] == "1":
         if tokens[i] == "1":
-            return context.one, i + 1
+            return (0,) * context.n, i + 1
         tokens[i] = tokens[i][1:]  # "12" is the unit, then a stray "2"
-        return context.one, i
+        return (0,) * context.n, i
     exps = [0] * context.n
     while True:
         name = tokens[i]
@@ -132,7 +132,7 @@ def _monomial(line: _Line, i: int, context: RingContext) -> tuple[Monomial, int]
                 raise line.error("exponents must be positive", i)
         exps[k] += power
         if tokens[i + 1] != "*":
-            return Monomial(context, tuple(exps)), i + 1
+            return tuple(exps), i + 1
         i += 2
 
 
@@ -143,19 +143,19 @@ def _ideal(line: _Line, i: int, context: RingContext) -> MonomialIdeal:
             if tokens[i] != ",":
                 raise line.error("expected ','", i)
             i += 1
-        m, i = _monomial(line, i, context)
-        gens.append(m)
-    return MonomialIdeal(context, gens)
+        exps, i = _monomial(line, i, context)
+        gens.append(exps)
+    return MonomialIdeal._from_exps(context, gens)
 
 
 def parse_monomial(
     text: str, context: RingContext, line: int = 1, column: int = 1
 ) -> Monomial:
     source = _Line(text, line, column)
-    m, i = _monomial(source, 0, context)
+    exps, i = _monomial(source, 0, context)
     if source.tokens[i]:
         raise source.error(f"unexpected trailing input {source.tokens[i][0]!r}", i)
-    return m
+    return _trusted_monomial(context, exps)
 
 
 def parse_ideal_gens(

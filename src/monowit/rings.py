@@ -11,8 +11,8 @@ stores only its exponent tuples, minimized by `_minimize_exps` whichever
 constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
 its level table (`_level_table`) once first read, as it keeps its
 decomposition; the decomposition engine, the Borel exchange kernel, the
-witness floors (`max_exponents`) and the colon test behind every witness
-verification (`_colon_is_prime`) all read it.  Library-built values skip
+witness floors (`max_exponents`) and `verify_witness`, the colon test behind
+every witness verification, all read it.  Library-built values skip
 validation through the trusted constructor beside their class.  All value
 classes inherit `_Frozen`: immutability, equality, hashing, the default
 repr, copying and pickling.  `_ints` checks and converts outside integers,
@@ -154,9 +154,13 @@ class RingContext(_Frozen):
         return Monomial(self, tuple(exps))
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
+        try:
+            values = powers.values()
+        except AttributeError:
+            raise ValueError("powers must be a mapping from variable index to exponent") from None
         exps = [0] * self.n
         indices = _ints(powers, "variable index {} out of range", high=self.n)
-        for i, e in _by_index(indices, powers.values()).items():
+        for i, e in _by_index(indices, values).items():
             exps[i] = e
         return Monomial(self, tuple(exps))
 
@@ -340,42 +344,50 @@ class MonomialIdeal(_Frozen):
                      for g in self._exps)
         return MonomialIdeal._from_exps(self.context, quotients)
 
-    def _colon_is_prime(self, v: tuple[int, ...], prime_vars: tuple[int, ...]) -> bool:
-        """Whether (I : x^v) equals the prime P on prime_vars, on the level
-        table: one pass over its levels, then one AND per generator mask,
-        without building the colon.
 
-        (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
-        exactly where g exceeds v.  The levels (i, e) with v_i < e <= g_i
-        are the bits of over = mask(g) & ~below, below being the levels at or
-        under v.  So the colon lies in P exactly when (a) every over meets
-        the bits of P's variables.  Given (a), x_i is in it exactly when (b)
-        some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1:
-        its over is the single bit of the level (i, v_i + 1).
-        """
-        levels, var_bits, masks, _ = self._levels()
-        inside = target = 0
-        for i in prime_vars:
-            inside |= var_bits[i]
-            target |= 1 << i
-        below = 0
-        step = {}  # the bit of a level (i, v_i + 1) -> 1 << i; (a) rules out i outside P
-        bit = 1
-        for i, e in levels:
-            if e <= v[i]:
-                below |= bit
-            elif e == v[i] + 1:
-                step[bit] = 1 << i
-            bit <<= 1
-        above = ~below
-        reached = 0  # the variables of P that (b) has shown lie in the colon
-        for g in masks:
-            over = g & above
-            if not over & inside:
-                return False
-            reached |= step.get(over, 0)
-        return reached == target
+def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
+    """Whether (I : v) equals the prime P, on the ideal's level table: one
+    pass over its levels, then one AND per generator mask, without building
+    the colon.
 
+    A monomial from another ring than I raises ContextMismatchError; a prime
+    from another ring is never equal to the colon, so the answer is False
+    before the level table is read.
+
+    (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
+    exactly where g exceeds v.  The levels (i, e) with v_i < e <= g_i
+    are the bits of over = mask(g) & ~below, below being the levels at or
+    under v.  So the colon lies in P exactly when (a) every over meets
+    the bits of P's variables.  Given (a), x_i is in it exactly when (b)
+    some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1:
+    its over is the single bit of the level (i, v_i + 1).
+    """
+    _require_same_context(ideal, v)
+    if prime.context is not ideal.context and prime.context != ideal.context:
+        return False
+    levels, var_bits, masks, _ = ideal._levels()
+    exps = v.exps
+    inside = target = 0
+    for i in prime.vars:
+        inside |= var_bits[i]
+        target |= 1 << i
+    below = 0
+    step = {}  # the bit of a level (i, v_i + 1) -> 1 << i; (a) rules out i outside P
+    bit = 1
+    for i, e in levels:
+        if e <= exps[i]:
+            below |= bit
+        elif e == exps[i] + 1:
+            step[bit] = 1 << i
+        bit <<= 1
+    above = ~below
+    reached = 0  # the variables of P that (b) has shown lie in the colon
+    for g in masks:
+        over = g & above
+        if not over & inside:
+            return False
+        reached |= step.get(over, 0)
+    return reached == target
 
 
 class PrimeSupport(_Frozen):

@@ -3,9 +3,10 @@
 Given a component Q = <x_{i_1}^{a_1}, ..., x_{i_k}^{a_k}> of the irredundant
 irreducible decomposition with radical P, the monomial carrying a_j - 1 on
 each x_{i_j} and at least max{nu_j(u) : u in G(I)} on every other variable
-always satisfies P = (I : v).  This module builds such witnesses, checks
-arbitrary candidates, inverts a verified witness back to its component, and
-classifies when the witness is unique.
+always satisfies P = (I : v).  This module builds such witnesses, inverts
+a verified witness back to its component, and classifies when the witness
+is unique.  Candidates are checked by `rings.verify_witness`, which this
+module re-exports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _require_same_context)
+                    _ints, _require_same_context, _trusted_monomial, verify_witness)
 
 
 class WitnessSpec(_Frozen):
@@ -86,20 +87,6 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
     offsets = spec.offsets  # WitnessSpec keeps them off the prime, which the rule overwrites
     return spec.component._witness(
         [f + offsets.get(v, 0) for v, f in enumerate(ideal.max_exponents())])
-
-
-def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
-    """Whether (I : v) equals the prime, by `MonomialIdeal._colon_is_prime`
-    on the ideal's level masks: one AND per generator, and the colon is
-    never built.
-
-    A monomial from another ring than I raises ContextMismatchError; a prime
-    from another ring is never equal to the colon, so the answer is False
-    before the level table is read.
-    """
-    _require_same_context(ideal, v)
-    return ((prime.context is ideal.context or prime.context == ideal.context)
-            and ideal._colon_is_prime(v.exps, prime.vars))
 
 
 def component_from_witness(
@@ -202,7 +189,6 @@ def symmetric_witness(
             f"prime must use {expected} variables for this value, got {len(prime.vars)}"
         )
     tail_floors = pattern.exps[first_pos + 1 :]
-    complement = prime.complement()
     b_choices = _ints(b_choices, "complement exponent {} is not an integer", low=None)
     if len(b_choices) != len(tail_floors):
         raise ValueError(
@@ -211,14 +197,16 @@ def symmetric_witness(
     for b, floor in zip(b_choices, tail_floors):
         if b < floor:
             raise ValueError(f"complement exponent {b} below its floor {floor}")
-    powers = {i: value - 1 for i in prime.vars}
-    powers.update(zip(complement, b_choices))
-    return prime, ctx.monomial_from_powers(powers)
+    exps = [value - 1] * ctx.n  # the prime's exponents; each complement variable has a b
+    for i, b in zip(prime.complement(), b_choices):
+        exps[i] = b
+    return prime, _trusted_monomial(ctx, tuple(exps))
 
 
 class UniquenessResult(NamedTuple):
-    """Outcome of the uniqueness classification, carrying verified witnesses:
-    one canonical witness when unique, two distinct ones otherwise."""
+    """Outcome of the uniqueness classification: one canonical witness when
+    unique, two distinct ones otherwise.  Both are built by Theorem 3.1 and
+    not checked here; `verify_witness` checks them, as the CLI does."""
 
     unique: bool
     witnesses: tuple[Monomial, ...]

@@ -639,6 +639,25 @@ def test_decompose_loads_no_witness_borel_or_clutter_module(problem):
     assert fresh_interpreter(probe) == "0 [] []\n0 [] []\n0 ['monowit.witness'] []\n"
 
 
+def test_verdicts_that_build_no_witness_load_no_witness_module(tmp_path):
+    # every verdict comes from rings.verify_witness, which the CLI imports with
+    # it, so verify, clutter-base and borel print VERIFIED without monowit.witness
+    runs = []
+    for name, text, extra in [("verify", SIX_VAR, ["--prime", "x1,x2", "--v", "x3^5*x4^4"]),
+                              ("clutter-base", PATH_GRAPH, ["--prime", "t2"]),
+                              ("borel", BOREL, ["--prime", "0", "--component", "0"])]:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        runs.append([name, str(path), *extra])
+    probe = ("import contextlib, io, sys\n"
+             "from monowit.cli import main\n"
+             f"for argv in {runs!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "        code = main(argv)\n"
+             "    print(code, out.getvalue().split()[-1], 'monowit.witness' in sys.modules)")
+    assert fresh_interpreter(probe) == "0 VERIFIED False\n" * 3
+
+
 class TestHelp:
     def test_top_level_help_names_every_command_with_its_help(self, capsys):
         assert main(["-h"]) == 0

@@ -346,7 +346,7 @@ class TestColonOnMasks:
             for r in range(1, clutter.n + 1):
                 for vars_ in itertools.combinations(range(clutter.n), r):
                     t_a = vertex_product(clutter, set(range(clutter.n)) - set(vars_))
-                    expected = I._colon_is_prime(t_a.exps, vars_)
+                    expected = verify_witness(I, PrimeSupport(clutter.context, vars_), t_a)
                     assert clutter._colon_is_cover(sum(1 << v for v in vars_)) == expected
                     outcomes.add(expected)
         assert outcomes == {True, False}

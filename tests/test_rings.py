@@ -192,6 +192,8 @@ def test_one_index_given_twice(build):
     (lambda c: IrreducibleComponent(c, {0.5: 1}), "variable index 0.5 out of range"),
     (lambda c: IrreducibleComponent(c, {2: 1}), "variable index 2 out of range"),
     (lambda c: c.monomial_from_powers({"a": 1}), "variable index a out of range"),
+    (lambda c: c.monomial_from_powers([0, 1]),
+     "powers must be a mapping from variable index to exponent"),
     (lambda c: c.monomial_from_powers({1.0: 1}), "variable index 1.0 out of range"),
     (lambda c: c.monomial_from_powers({-1: 1}), "variable index -1 out of range"),
     (lambda c: Clutter(c.n, [[0.5, 1]]), "unknown vertex 0.5"),
@@ -209,7 +211,7 @@ def test_one_index_given_twice(build):
 ], ids=[
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
     "component-str", "component-mixed", "component-float", "component-too-large",
-    "powers-str", "powers-integral-float", "powers-negative", "clutter-float",
+    "powers-str", "powers-list", "powers-integral-float", "powers-negative", "clutter-float",
     "prime-list", "component-tuple", "offsets-tuple", "component-pairs-list",
     "offsets-pairs-list",
 ])

@@ -128,11 +128,10 @@ def level_neighbours(I, v):
 
 
 def assert_colon_tests_agree(I, P, exps):
-    """The level kernel, the tuple scan and verify_witness all give the
+    """verify_witness on the level masks and the tuple scan both give the
     verdict of the colon built as an ideal."""
     v = Monomial(I.context, exps)
     expected = oracle_verify_witness(I, P, v)
-    assert I._colon_is_prime(exps, P.vars) == expected, (I, P, v)
     assert tuple_colon_is_prime(I, exps, P.vars) == expected, (I, P, v)
     assert verify_witness(I, P, v) == expected, (I, P, v)
     return expected
@@ -170,8 +169,8 @@ class TestVerifyWitness:
 
     def test_exhaustive_sweep_matches_the_colon_oracle(self):
         """Every box point and every prime, on the zero and unit ideals of
-        each ring with n <= 3 and on the n <= 3 corpus; the level kernel and
-        the tuple scan agree with it too."""
+        each ring with n <= 3 and on the n <= 3 corpus; the tuple scan agrees
+        with it too."""
         cases = []
         for n in (1, 2, 3):
             c = ctx(n)
@@ -202,7 +201,7 @@ class TestVerifyWitness:
 
 
 class TestLevelKernel:
-    """`_colon_is_prime` on the level masks against the tuple scan it
+    """`verify_witness` on the level masks against the tuple scan it
     replaced and against the colon itself."""
 
     @given(I=st.one_of(ideals(proper=False, max_exp=4), st.sampled_from(witness_corpus())))

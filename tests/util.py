@@ -205,8 +205,8 @@ def oracle_verify_witness(ideal_, prime, v) -> bool:
 
 
 def tuple_colon_is_prime(ideal_, v, prime_vars) -> bool:
-    """`MonomialIdeal._colon_is_prime` as a scan of every exponent of every
-    generator tuple: (a) every g exceeds v on some variable of P, and (b)
+    """`verify_witness` as a scan of every exponent of every generator tuple
+    against the tuple v: (a) every g exceeds v on some variable of P, and (b)
     each x_i of P has a g that exceeds v on x_i alone, and by exactly 1."""
     mask = sum(1 << i for i in prime_vars)
     reached = 0
