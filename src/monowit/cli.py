@@ -28,13 +28,14 @@ from __future__ import annotations
 import os
 import random
 import sys
+from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .parsing import _digits, _Line, parse_monomial, parse_problem_file
+from .parsing import _digits, _entries, parse_monomial, parse_problem_file
 from .rings import Monomial, MonomialIdeal, PrimeSupport, verify_witness
 
 USAGE_ERROR = 1
@@ -70,9 +71,10 @@ def _int(text: str) -> int:  # `int` alone also reads "1_0", " 8" and other scri
 
 
 def _variables(selector: str, context) -> list[int]:
-    indices = [context.index_of(name) for name in _Line(selector).comma_list(0)]
+    indices = [context.index_of(name) for name in _entries(selector)]
+    counts = Counter(indices)
     for i in indices:
-        if indices.count(i) > 1:
+        if counts[i] > 1:
             raise ValueError(f"--prime gives {context.names[i]} more than once")
     return indices
 
@@ -116,13 +118,10 @@ def _collect_offsets(args, ideal, prime) -> dict:
     offsets = {}
     names = ideal.context.names
     for item in args.offset or []:
-        line = _Line(item)
-        end = len(line.tokens) - 1
-        eq = line.tokens.index("=") if "=" in line.tokens else end
-        value = line.span(eq + 1, end)  # one integer, right after the first '=', ends the item
-        if not (_digits(value) and item.endswith("=" + value)):
+        name, _, value = item.partition("=")  # one integer, with no blank, ends the item
+        if not _digits(value):
             raise ValueError(f"--offset expects var=<non-negative int>, got {item!r}")
-        index = ideal.context.index_of(line.span(0, eq))
+        index = ideal.context.index_of(name.strip(" \t"))
         if index not in complement:
             raise ValueError(f"{names[index]} is a prime variable; offsets apply outside")
         if index in offsets:
@@ -236,7 +235,7 @@ def _symgen(args, pattern):
         raise ValueError("--prime needs --value-index for symgen")
     variables = _variables(args.prime, pattern.context)
     try:
-        b_choices = [_int(s) for s in _Line(args.b).comma_list(0)] if args.b else []
+        b_choices = [_int(s) for s in _entries(args.b)] if args.b else []
     except ValueError:
         raise ValueError(f"--b expects comma-separated integers, got {args.b!r}") from None
     prime, v = symmetric_witness(pattern, args.value_index, variables, b_choices)

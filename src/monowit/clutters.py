@@ -92,6 +92,8 @@ class Clutter(_Frozen):
             context = RingContext(vertices)
         masks = []
         for edge in edges:
+            if isinstance(edge, str):  # a vertex name, not one vertex per character
+                raise ValueError(f"an edge is a collection of vertices, not the string {edge!r}")
             indices = [context.index_of(v) if isinstance(v, str) else v for v in edge]
             members = frozenset(_ints(indices, "unknown vertex {}", low=None))
             if not members:

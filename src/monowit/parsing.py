@@ -6,7 +6,10 @@ sequence of tokens, each a name [A-Za-z_][A-Za-z0-9_]*, a decimal integer
 [0-9]+, or any other single character.  Blanks, spaces or tabs, may stand
 between tokens and are otherwise ignored.  Any other whitespace or control
 character is a token that no grammar below accepts, so it is an error on
-its own line.
+its own line.  A ',' is always a token of its own, so a comma list (ring
+names, sym exponents, the CLI's --prime and --b) is split at each ','
+and an --offset item at its first '=', and each part, with the blanks
+around it dropped, is then read by the same token rule.
 
 Monomial grammar ("1" is the unit monomial):
 
@@ -70,13 +73,14 @@ def _digits(text: str) -> bool:
 class _Line:
     """The tokens of one line of text, ended by "", and where each one
     stands in it.  Positions are found again by the token pattern only when
-    a token's column or text span is asked for, so reading costs one
-    `findall`."""
+    a token's column is asked for, so reading costs one `findall`.  Comma
+    lists are not walked here: `_entries` splits their text at ',', and
+    each entry is read by the token rule where it is used."""
 
-    __slots__ = ("text", "tokens", "line", "column")
+    __slots__ = ("text", "tokens", "line")
 
-    def __init__(self, text: str, line: int = 1, column: int = 1):
-        self.text, self.line, self.column = text, line, column
+    def __init__(self, text: str, line: int = 1):
+        self.text, self.line = text, line
         self.tokens = _TOKEN.findall(text.rstrip(" \t"))
         self.tokens.append("")
 
@@ -87,24 +91,13 @@ class _Line:
     def error(self, message: str, k: int) -> ParseError:
         """A ParseError at tokens[k], or at the end of the text for ""."""
         at = self._starts()[k] if k < len(self.tokens) - 1 else len(self.text)
-        return ParseError(message, self.line, self.column + at)
+        return ParseError(message, self.line, at + 1)
 
-    def span(self, a: int, b: int) -> str:
-        """The text of tokens[a:b], without the blanks around it."""
-        if b - a < 2:
-            return self.tokens[a] if a < b else ""
-        starts = self._starts()
-        return self.text[starts[a]:starts[b - 1] + len(self.tokens[b - 1])]
 
-    def comma_list(self, start: int) -> list[str]:
-        """The entries of the comma list in tokens[start:], each as span()
-        gives it; no tokens at all make one empty entry."""
-        entries = []
-        for stop, token in enumerate(self.tokens[start:], start):
-            if token == "," or not token:
-                entries.append(self.span(start, stop))
-                start = stop + 1
-        return entries
+def _entries(text: str) -> list[str]:
+    """The entries of a comma list, without the blanks around each; a ','
+    is always a token of its own, so no token spans two entries."""
+    return [entry.strip(" \t") for entry in text.split(",")]
 
 
 def _monomial(line: _Line, i: int, context: RingContext) -> tuple[tuple[int, ...], int]:
@@ -148,21 +141,17 @@ def _ideal(line: _Line, i: int, context: RingContext) -> MonomialIdeal:
     return MonomialIdeal._from_exps(context, gens)
 
 
-def parse_monomial(
-    text: str, context: RingContext, line: int = 1, column: int = 1
-) -> Monomial:
-    source = _Line(text, line, column)
+def parse_monomial(text: str, context: RingContext) -> Monomial:
+    source = _Line(text)
     exps, i = _monomial(source, 0, context)
     if source.tokens[i]:
         raise source.error(f"unexpected trailing input {source.tokens[i][0]!r}", i)
     return _trusted_monomial(context, exps)
 
 
-def parse_ideal_gens(
-    text: str, context: RingContext, line: int = 1, column: int = 1
-) -> MonomialIdeal:
+def parse_ideal_gens(text: str, context: RingContext) -> MonomialIdeal:
     """Comma-separated generator list; an empty list is the zero ideal."""
-    return _ideal(_Line(text, line, column), 0, context)
+    return _ideal(_Line(text), 0, context)
 
 
 class ProblemFile(NamedTuple):
@@ -182,7 +171,7 @@ def _ring(line: _Line) -> RingContext:
         if not _is_int(size) or tokens[4] or int(size) < 1:
             raise ParseError("ring size must be a positive integer", lineno)
         return RingContext(int(size))
-    names = line.comma_list(3)
+    names = _entries(line.text.partition("=")[2])
     if names == [""]:
         raise ParseError("ring declaration lists no variables", lineno)
     if "" in names:
@@ -235,7 +224,8 @@ def _sym(line: _Line, i: int) -> SymmetricPattern:
     from .witness import SymmetricPattern
 
     t = line.tokens[i:-1]
-    words = line.text.partition("=")[2].split()  # once the tokens pass, only blanks split
+    rest = line.text.partition("=")[2]
+    words = rest.split()  # once the tokens pass, only blanks split
     if not (len(t) > 5 and t[:2] == ["n", ":"] and _is_int(t[2]) and t[3:5] == ["exps", ":"]
             and all(s == "," or _is_int(s) for s in t[5:])
             and words[0] == "n:" + t[2] and words[1].startswith("exps:")):
@@ -243,7 +233,7 @@ def _sym(line: _Line, i: int) -> SymmetricPattern:
     n = int(t[2])
     if n < 1:
         raise ParseError("sym ring size must be positive", line.line)
-    entries = line.comma_list(i + 5)
+    entries = _entries(rest.partition("exps:")[2])
     if "" in entries:
         raise line.error("sym exps list has an empty entry", i)  # at 'n:'
     try:  # an entry of two integers fails int()

@@ -117,6 +117,8 @@ class RingContext(_Frozen):
             names = tuple(f"x{i + 1}" for i in range(names_or_size))
         else:
             try:
+                if isinstance(names_or_size, str):  # not one name per character
+                    raise TypeError
                 names = tuple(names_or_size)
             except TypeError:
                 raise ValueError(

@@ -505,10 +505,20 @@ class TestErrorPaths:
         ("witness", SESSION, ["--prime", "0", "--offset", "x5 x6=1"], "unknown variable 'x5 x6'"),
         ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "- 3"],
          "--b expects comma-separated integers, got '- 3'"),
+        # the first name, in order, that repeats
+        ("uniqueness", SIX_VAR, ["--prime", "x1,x2,x2,x1"], "--prime gives x1 more than once"),
+        # an --offset item splits at its first '='
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5==1"],
+         "--offset expects var=<non-negative int>, got 'x5==1'"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "=1"], "unknown variable ''"),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5=1=2"],
+         "--offset expects var=<non-negative int>, got 'x5=1=2'"),
     ], ids=["prime-index", "component-index", "witness-without-prime", "symgen-without-value",
             "fullwidth-prime-index", "arabic-indic-offset", "underscored-b",
             "repeated-prime-name", "spaced-prime-index", "spaced-offset-value",
-            "offset-value-then-space", "two-offset-names", "spaced-negative-b"])
+            "offset-value-then-space", "two-offset-names", "spaced-negative-b",
+            "prime-names-repeat-in-order", "offset-two-equals", "offset-without-name",
+            "offset-two-values"])
     def test_selector_errors_exit_one(self, problem, capsys, command, text, extra, message):
         assert run(capsys, [command, problem(text)] + extra) == (1, "", f"error: {message}\n")
 
@@ -523,8 +533,12 @@ class TestErrorPaths:
         ("uniqueness", SIX_VAR, ["--prime", "x2,~x1"]),
         ("witness", SESSION, ["--prime", "0", "--offset", "~x5=1"]),
         ("symgen", SYM, ["--prime", "x1,x2", "--value-index", "1", "--b", "~3"]),
+        ("decompose", "ring vars=~a~,~b\nideal I = a\n", []),
+        ("verify", "ring n=3\nideal I = x1^2, x1*x2, x3^2\n",
+         ["--prime", "~x1~,~x3~", "--v", "x2*x3"]),
+        ("witness", SESSION, ["--prime", "0", "--offset", "x5~=1"]),
     ], ids=["ring-size", "ring-names", "stanza-head", "ideal", "clutter", "sym", "prime",
-            "offset", "b"])
+            "offset", "b", "ring-names-padded", "prime-padded", "offset-name-padded"])
     def test_only_spaces_and_tabs_are_blanks(self, problem, capsys, space, command, text, extra):
         # str.strip() and the regex \s read these as blanks in some places only
         argv = [command, problem(text.replace("~", space))] + [a.replace("~", space) for a in extra]

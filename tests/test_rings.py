@@ -71,8 +71,9 @@ class TestRingContext:
         ((b"x",), "invalid variable name b'x'"),
         (2.0, "a ring context needs a size or variable names, not 2.0"),
         (None, "a ring context needs a size or variable names, not None"),
+        ("xy", "a ring context needs a size or variable names, not 'xy'"),
     ], ids=["ints", "empty-name", "space", "leading-digit", "non-ascii", "bytes",
-            "float-size", "none"])
+            "float-size", "none", "one-string"])
     def test_rejects_names_that_cannot_print_or_parse(self, arg, message):
         with pytest.raises(ValueError) as info:
             RingContext(arg)
@@ -197,6 +198,8 @@ def test_one_index_given_twice(build):
     (lambda c: c.monomial_from_powers({1.0: 1}), "variable index 1.0 out of range"),
     (lambda c: c.monomial_from_powers({-1: 1}), "variable index -1 out of range"),
     (lambda c: Clutter(c.n, [[0.5, 1]]), "unknown vertex 0.5"),
+    (lambda c: Clutter(["a", "b", "ab"], ["ab"]),
+     "an edge is a collection of vertices, not the string 'ab'"),
     # unhashable or non-integer indices are checked before a set, dict or mask is built
     (lambda c: PrimeSupport(c, [[0]]), "variable indices must be integers"),
     (lambda c: IrreducibleComponent(c, {(0,): 1}), "variable index (0,) out of range"),
@@ -212,6 +215,7 @@ def test_one_index_given_twice(build):
     "prime-float", "prime-integral-float", "prime-str", "prime-mixed", "prime-none",
     "component-str", "component-mixed", "component-float", "component-too-large",
     "powers-str", "powers-list", "powers-integral-float", "powers-negative", "clutter-float",
+    "clutter-string-edge",
     "prime-list", "component-tuple", "offsets-tuple", "component-pairs-list",
     "offsets-pairs-list",
 ])
