@@ -11,9 +11,10 @@ Each handler imports the witness and Borel functions it calls, so a command
 compiles only the modules it runs.
 
 Each `COMMANDS` entry also declares its options, once, as `Option` rows, and
-one small reader, `_read_argv`, reads argv from that table and prints help
-from it; start-up loads neither argparse nor gettext.  The reader takes the
-forms the argparse parser it replaced took (the one of CPython 3.11):
+one small reader, `_read_argv`, reads argv from that table in one loop and
+prints help from it; start-up loads neither argparse nor gettext.  Before
+the command only `-h`, `--help` and `--version` are flags.  The reader takes
+the forms the argparse parser it replaced took (the one of CPython 3.11):
 `--flag value` and `--flag=value`, unique prefixes (`--comp 0`; an exact flag
 wins), options before the file, `--` before the file, repeated `--offset`
 kept in order (any other repeated option keeps its last value), and a value
@@ -393,51 +394,28 @@ def _match(arg: str, flags):
     return None, None
 
 
-def _switch(flag: str, explicit, name: str) -> None:
-    """Rejects a value given to a flag that takes none."""
-    if explicit is not None:
-        _fail(name, f"argument {flag}: ignored explicit argument {explicit!r}")
-
-
 def _read_argv(argv: list) -> SimpleNamespace:
-    """The parsed command line; raises _Stop after help, --version or a usage error."""
-    extras = []
-    for i, arg in enumerate(argv):  # the top-level flags, up to the command
-        kind = _match(arg, ("-h", "--help", "--version"))
-        if kind is None:
-            break
-        flag, explicit = kind
-        if flag is None:
-            extras.append(arg)
-            continue
-        _switch(flag, explicit, "")
-        print(f"monowit {__version__}" if flag == "--version" else _help())
-        raise _Stop(0)
-    else:
-        _fail("", "the following arguments are required: command")
-    name = argv[i]
-    if name not in COMMANDS:
-        choices = ", ".join(map(repr, COMMANDS))
-        _fail("", f"argument command: invalid choice: {name!r} (choose from {choices})")
-    args = _read_command(name, argv[i + 1:], extras)
-    if extras:
-        _fail("", "unrecognized arguments: " + " ".join(extras))
-    return args
-
-
-def _read_command(name: str, argv: list, extras: list) -> SimpleNamespace:
-    """The file and options of one command; unread arguments go to `extras`."""
-    options = {o.flag: o for o in (_FORMAT, *COMMANDS[name].options)}
-    flags = ("-h", "--help", *options)
-    values = {o.dest: False if o.kind == "flag" else o.default for o in options.values()}
-    file, dashes, i = None, False, 0
+    """The parsed command line; raises _Stop after help, --version or a usage error.
+    The first value is the command, which swaps its options in for the
+    top-level flags; the next value is the file, and later ones are extras."""
+    name, flags, options, values = "", ("-h", "--help", "--version"), {}, {}
+    file, dashes, extras, i = None, False, [], 0
     while i < len(argv):
         arg = argv[i]
         i += 1
-        if arg == "--" and not dashes:  # every argument after it is a value
+        if arg == "--" and name and not dashes:  # every argument after it is a value
             dashes = True
             continue
         kind = None if dashes else _match(arg, flags)
+        if kind is None and not name:  # the first value names the command
+            if arg not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _fail("", f"argument command: invalid choice: {arg!r} (choose from {choices})")
+            name = arg
+            options = {o.flag: o for o in (_FORMAT, *COMMANDS[name].options)}
+            flags = ("-h", "--help", *options)
+            values = {o.dest: False if o.kind == "flag" else o.default for o in options.values()}
+            continue
         if kind is None:
             if file is None:
                 file = arg
@@ -448,10 +426,12 @@ def _read_command(name: str, argv: list, extras: list) -> SimpleNamespace:
         option = options.get(flag)
         if flag is None:
             extras.append(arg)
-        elif option is None or option.kind == "flag":  # -h, --help or a switch
-            _switch(flag, explicit, name)
+        elif option is None or option.kind == "flag":  # -h, --help, --version or a switch
+            if explicit is not None:
+                shown = "-h/--help" if flag in ("-h", "--help") else flag
+                _fail(name, f"argument {shown}: ignored explicit argument {explicit!r}")
             if option is None:
-                print(_help(name))
+                print(f"monowit {__version__}" if flag == "--version" else _help(name))
                 raise _Stop(0)
             values[option.dest] = True
         else:
@@ -463,10 +443,14 @@ def _read_command(name: str, argv: list, extras: list) -> SimpleNamespace:
             if option.kind == "append":
                 value = [*(values[option.dest] or ()), value]
             values[option.dest] = value
+    if not name:
+        _fail("", "the following arguments are required: command")
     missing = ["file"] * (file is None)
     missing += [o.flag for o in options.values() if o.required and values[o.dest] is None]
     if missing:
         _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail("", "unrecognized arguments: " + " ".join(extras))
     return SimpleNamespace(command=name, file=file, **values)
 
 

@@ -233,10 +233,17 @@ def _sym(line: _Line, i: int) -> SymmetricPattern:
     n = int(t[2])
     if n < 1:
         raise ParseError("sym ring size must be positive", line.line)
-    entries = _entries(rest.partition("exps:")[2])
+    tail = rest.partition("exps:")[2]
+    entries = _entries(tail)
     if "" in entries:
         raise line.error("sym exps list has an empty entry", i)  # at 'n:'
-    try:  # an entry of two integers fails int()
+    at = len(line.text) - len(tail)  # where the current entry's text starts
+    for raw, entry in zip(tail.split(","), entries):
+        if not _digits(entry):  # two integers with a blank between
+            at += len(raw) - len(raw.lstrip(" \t"))
+            raise ParseError(f"invalid exponent {entry!r}", line.line, at + 1)
+        at += len(raw) + 1
+    try:
         return SymmetricPattern(RingContext(n), tuple(map(int, entries)))
     except ValueError as exc:
         raise line.error(str(exc), i) from None

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -855,8 +856,45 @@ REJECTED = [
      "monowit witness: error: argument --component: invalid int value: 'x'"),
     (["witness", "p.txt", "--prime", "-x"],
      "monowit witness: error: argument --prime: expected one argument"),
+    (["--help=1"], "monowit: error: argument -h/--help: ignored explicit argument '1'"),
+    (["-h=1"], "monowit: error: argument -h/--help: ignored explicit argument '1'"),
+    (["decompose", "p.txt", "--help=1"],
+     "monowit decompose: error: argument -h/--help: ignored explicit argument '1'"),
+    (["--bogus", "decompose", "p.txt"], "monowit: error: unrecognized arguments: --bogus"),
+    (["-x", "witness", "p.txt", "--prime", "0"], "monowit: error: unrecognized arguments: -x"),
+    (["--bogus", "decompose"],  # a missing file is reported before an unknown flag
+     "monowit decompose: error: the following arguments are required: file"),
 ]
 REJECTED_IDS = [" ".join(argv) or "empty" for argv, _ in REJECTED]
+
+
+def combined_forms(seed, count):
+    """Lines with a command's required options and up to three more, in
+    random order, each written as its full flag or shortest unique prefix,
+    with '=' or a separate value; the file stands among the options or
+    after a final '--'."""
+    rng = random.Random(seed)
+    samples = {"str": ["x1,x2", "-1", "-3", "- 3"], "append": ["x5=1", "- 3"],
+               "int": ["3", "-1", "-3"], "flag": [None]}
+    for _ in range(count):
+        name = rng.choice(list(COMMANDS))
+        options = (_FORMAT, *COMMANDS[name].options)
+        flags = ["--help", *(o.flag for o in options)]
+        chosen = [o for o in options if o.required] + rng.choices(options, k=rng.randint(0, 3))
+        rng.shuffle(chosen)
+        parts = []
+        for option in chosen:
+            flag = rng.choice([option.flag, shortest_prefix(option.flag, flags)])
+            value = rng.choice(option.kind if option is _FORMAT else samples[option.kind])
+            if value is None:
+                parts.append([flag])
+            else:
+                parts.append(rng.choice([[flag, value], [f"{flag}={value}"]]))
+        if rng.random() < 0.5:
+            parts.insert(rng.randint(0, len(parts)), ["p.txt"])
+        else:
+            parts.append(["--", "p.txt"])
+        yield [name, *(arg for part in parts for arg in part)]
 
 
 class TestArgvParity:
@@ -878,6 +916,14 @@ class TestArgvParity:
     @pytest.mark.parametrize("argv, last_line", REJECTED, ids=REJECTED_IDS)
     def test_argparse_rejected_with_the_recorded_line(self, argv, last_line):
         assert oracle_reads(argparse_oracle(), argv) == (1, [last_line])
+
+    @ORACLE
+    def test_combined_option_forms_read_as_argparse_reads(self):
+        parser = argparse_oracle()
+        lines = list(combined_forms(3611, 2000))
+        read = [(argv, reader_reads(argv)) for argv in lines]
+        assert all(isinstance(values, dict) for _, values in read)  # every line is accepted
+        assert read == [(argv, oracle_reads(parser, argv)) for argv in lines]
 
     def test_benchmark_lines_are_its_cli_mix(self, tmp_path):
         # the benchmark's cli workload builds its command lines in perfbench/ops.py;

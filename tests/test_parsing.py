@@ -244,7 +244,8 @@ class TestProblemFile:
          "sym declaration must be 'sym <name> = n:<k> exps:a,b,...'"),
         ("ring n =2\n", 1, 1, "ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'"),
         ("ring vars =a\n", 1, 1, "ring declaration must be 'ring n=<k>' or 'ring vars=a,b,...'"),
-        ("sym S = n:3 exps: 1 , 2\t3\n", 1, 9, "invalid literal for int() with base 10: '2\\t3'"),
+        ("sym S = n:3 exps: 1 , 2\t3\n", 1, 23, "invalid exponent '2\\t3'"),
+        ("sym S = n:3 exps:1,2 3\n", 1, 20, "invalid exponent '2 3'"),
     ], ids=["ideal-name", "ideal-exponent", "ideal-indented", "clutter-vertex",
             "clutter-syntax", "sym-after-ring", "sym-before-ring", "clutter-nested",
             "clutter-nested-indented", "sym-exponent", "sym-exponent-indented",
@@ -261,7 +262,8 @@ class TestProblemFile:
             "ideal-head-nameless", "ideal-head-two-names", "clutter-head-edge",
             "sym-head-nameless", "ideal-unit-then-zero", "sym-exps-unspaced",
             "sym-size-spaced", "sym-exps-key-spaced", "ring-size-key-spaced",
-            "ring-vars-key-spaced", "sym-tab-inside-padded-entry"])
+            "ring-vars-key-spaced", "sym-tab-inside-padded-entry",
+            "sym-two-integer-entry"])
     def test_error_positions_count_from_the_line_start(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_problem_file(text)
@@ -290,7 +292,7 @@ class TestProblemFile:
         ("ring vars=" + ",".join(["a b"] * 4000) + "\n",
          "invalid variable name 'a b' (line 1, column 1)"),
         ("sym S = n:5 exps:" + ",".join(["1 2"] * 4000) + "\n",
-         "invalid literal for int() with base 10: '1 2' (line 1, column 9)"),
+         "invalid exponent '1 2' (line 1, column 18)"),
     ], ids=["ring-names", "sym-exps"])
     def test_long_comma_lists_fail_fast(self, text, message):
         # the cost of an entry of two tokens must not grow with the line
