@@ -16,9 +16,10 @@ prints help from it; start-up loads neither argparse nor gettext.  Before
 the command only `-h`, `--help` and `--version` are flags.  The reader takes
 the forms the argparse parser it replaced took (the one of CPython 3.11):
 `--flag value` and `--flag=value`, unique prefixes (`--comp 0`; an exact flag
-wins), options before the file, `--` before the file, repeated `--offset`
-kept in order (any other repeated option keeps its last value), and a value
-that starts with `-` only when it is a negative integer or holds a space.
+wins), options before the file, `--` before the file or right after it
+(elsewhere it is an unrecognized argument), repeated `--offset` kept in
+order (any other repeated option keeps its last value), and a value that
+starts with `-` only when it is a negative integer or holds a space.
 Any other form is a usage error.  A usage error prints a usage line and
 `<prog>: error: <message>` on stderr, with argparse's prog and message, and
 exits 1.
@@ -399,14 +400,20 @@ def _read_argv(argv: list) -> SimpleNamespace:
     The first value is the command, which swaps its options in for the
     top-level flags; the next value is the file, and later ones are extras."""
     name, flags, options, values = "", ("-h", "--help", "--version"), {}, {}
-    file, dashes, extras, i = None, False, [], 0
+    file, file_at, dashes, extras, i = None, None, False, [], 0
     while i < len(argv):
         arg = argv[i]
         i += 1
         if arg == "--" and name and not dashes:  # every argument after it is a value
             dashes = True
+            # argparse drops it only as part of the file: before the file, or
+            # right after it; otherwise it is an unrecognized argument
+            if file is not None and file_at != i - 2:
+                extras.append(arg)
             continue
-        kind = None if dashes else _match(arg, flags)
+        # before the command, a "--" with more after it is the value argparse
+        # took for the command, so it is an invalid choice
+        kind = None if dashes or arg == "--" and i < len(argv) else _match(arg, flags)
         if kind is None and not name:  # the first value names the command
             if arg not in COMMANDS:
                 choices = ", ".join(map(repr, COMMANDS))
@@ -418,7 +425,7 @@ def _read_argv(argv: list) -> SimpleNamespace:
             continue
         if kind is None:
             if file is None:
-                file = arg
+                file, file_at = arg, i - 1
             else:
                 extras.append(arg)
             continue

@@ -26,6 +26,9 @@ decoded once, at the end.  The engine reads that table alone: the variables
 of u are those whose bits its mask meets.  The ideal builds it once, and the
 Borel exchange kernel, the witness floors and the colon test read it too.
 The result is unique, so it does not depend on how the input was presented.
+An ideal built from a symmetric pattern skips the engine and the table: its
+decomposition is the pattern's closed form (`SymmetricPattern._components`),
+which the tests check against the engine.
 No state is kept between calls: each ideal keeps its own decomposition,
 which holds only its components, so reference counting frees it with the
 ideal.
@@ -186,16 +189,21 @@ class Decomposition(_Frozen):
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero
-    ideal, computed on first use and kept on the ideal."""
+    ideal, computed on first use and kept on the ideal: from the closed form
+    of its pattern for a symmetric ideal, by the engine otherwise."""
     if ideal._decomposition is not None:
         return ideal._decomposition
     if ideal.is_zero:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    context = ideal.context
+    context, pattern = ideal.context, ideal._pattern
+    if pattern is not None:
+        pairs = pattern._components()
+    else:
+        pairs = _irreducible_components(ideal._levels())
     components = []
-    for support, exps in sorted(_irreducible_components(ideal._levels())):
+    for support, exps in sorted(pairs):
         c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
         object.__setattr__(c, "context", context)
         object.__setattr__(c, "pairs", tuple(zip(support, exps)))

@@ -38,8 +38,9 @@ the size from 'exps'.
 
 The declared ring owns every name: monomials and clutter vertices resolve
 through its one name table, and a sym pattern is placed in that ring
-whichever stanza comes first (a file with no ring gives the pattern the
-ring x1..xn of its own size).  Blank lines and '#' comments are skipped.
+whichever stanza comes first: after the ring it is built there, and before
+it in a ring x1..xn of its own size, moved into the ring once it is read (a
+file with no ring keeps that one).  Blank lines and '#' comments are skipped.
 """
 
 from __future__ import annotations
@@ -220,7 +221,9 @@ def _clutter(line: _Line, i: int, context: RingContext) -> Clutter:
         raise line.error(str(exc), first) from None
 
 
-def _sym(line: _Line, i: int) -> SymmetricPattern:
+def _sym(line: _Line, i: int, context: Optional[RingContext]) -> SymmetricPattern:
+    """The pattern, in the declared ring when one of its size came before,
+    and otherwise in a ring x1..xn of its own, which the file's end checks."""
     from .witness import SymmetricPattern
 
     t = line.tokens[i:-1]
@@ -243,8 +246,10 @@ def _sym(line: _Line, i: int) -> SymmetricPattern:
             at += len(raw) - len(raw.lstrip(" \t"))
             raise ParseError(f"invalid exponent {entry!r}", line.line, at + 1)
         at += len(raw) + 1
+    if context is None or context.n != n:
+        context = RingContext(n)
     try:
-        return SymmetricPattern(RingContext(n), tuple(map(int, entries)))
+        return SymmetricPattern(context, tuple(map(int, entries)))
     except ValueError as exc:
         raise line.error(str(exc), i) from None
 
@@ -281,9 +286,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             stanzas[kind] = _clutter(line, 3, context)
         else:
             start = 3 if eq else len(tokens) - 1  # no '=', no pattern: an empty one fails
-            stanzas[kind], sym_line = _sym(line, start), lineno
+            stanzas[kind], sym_line = _sym(line, start, context), lineno
     context, pattern = stanzas.get("ring"), stanzas.get("sym")
-    if pattern is not None and context is not None:
+    if pattern is not None and context is not None and pattern.context is not context:
         if pattern.context.n != context.n:
             raise ParseError("sym stanza size disagrees with the ring declaration", sym_line)
         pattern = type(pattern)(context, pattern.exps)  # into the declared ring

@@ -12,7 +12,11 @@ constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
 its level table (`_level_table`) once first read, as it keeps its
 decomposition; the decomposition engine, the Borel exchange kernel, the
 witness floors (`max_exponents`) and `verify_witness`, the colon test behind
-every witness verification, all read it.  Library-built values skip
+every witness verification, all read it.  The one exception is an ideal
+that `witness.build_symmetric_ideal` built: it keeps its pattern, and
+`verify_witness` answers it from the pattern with two exact membership
+tests instead.  Nothing is VERIFIED except through one of those two tests,
+the mask test or the pattern test.  Library-built values skip
 validation through the trusted constructor beside their class.  All value
 classes inherit `_Frozen`: immutability, equality, hashing, the default
 repr, copying and pickling.  `_ints` checks and converts outside integers,
@@ -271,9 +275,12 @@ class MonomialIdeal(_Frozen):
     ideal is generated by 1.  `_decomposition` is filled by
     `decompose.irreducible_decomposition` on first use, and `_table` by
     `_levels`: the ideal keeps both, and they are freed with it.
+    `_pattern` is the `SymmetricPattern` an ideal was built from, set only
+    by `witness.build_symmetric_ideal` and None otherwise.  None of the
+    three is part of the ideal's identity, and pickling keeps all three.
     """
 
-    __slots__ = ("context", "_exps", "_decomposition", "_table")
+    __slots__ = ("context", "_exps", "_decomposition", "_table", "_pattern")
 
     def __init__(self, context: RingContext, gens: Iterable[Monomial]):
         gens = tuple(gens)
@@ -294,6 +301,7 @@ class MonomialIdeal(_Frozen):
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_decomposition", None)
         object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_pattern", None)
 
     def _key(self):
         return self.context, self._exps
@@ -354,7 +362,9 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
 
     A monomial from another ring than I raises ContextMismatchError; a prime
     from another ring is never equal to the colon, so the answer is False
-    before the level table is read.
+    before the level table is read.  An ideal built from a symmetric pattern
+    is answered from the pattern alone (`SymmetricPattern._colon_is_prime`),
+    without the level table or the masks; the mask test below is its oracle.
 
     (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
     exactly where g exceeds v.  The levels (i, e) with v_i < e <= g_i
@@ -367,6 +377,8 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
     _require_same_context(ideal, v)
     if prime.context is not ideal.context and prime.context != ideal.context:
         return False
+    if ideal._pattern is not None:
+        return ideal._pattern._colon_is_prime(prime.vars, v.exps)
     levels, var_bits, masks, _ = ideal._levels()
     exps = v.exps
     inside = target = 0

@@ -7,11 +7,19 @@ always satisfies P = (I : v).  This module builds such witnesses, inverts
 a verified witness back to its component, and classifies when the witness
 is unique.  Candidates are checked by `rings.verify_witness`, which this
 module re-exports.
+
+A symmetric ideal, one that `build_symmetric_ideal` built, keeps its
+`SymmetricPattern`, and is answered from it: `verify_witness` decides
+(I : v) = P by two threshold-matching membership tests, and
+`irreducible_decomposition` returns the pattern's closed form.  Every other
+ideal keeps the mask test and the engine, which are the oracles of both in
+the tests.  Nothing is VERIFIED except through one of the two exact tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import le
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -144,6 +152,47 @@ class SymmetricPattern(_Frozen):
         """0-based position of the first occurrence of each distinct value."""
         return tuple(self.exps.index(e) for e in self.distinct_values())
 
+    def _contains(self, w) -> bool:
+        """Whether x^w lies in the pattern's ideal.  Some placement of the
+        exponents lies at or below w exactly when, both sorted largest
+        first, each exponent is at or below its partner among w's: a
+        threshold matching, as a larger exponent fits only where a smaller
+        one does."""
+        return all(map(le, reversed(self.exps), sorted(w, reverse=True)))
+
+    def _colon_is_prime(self, prime_vars: tuple[int, ...], v: tuple[int, ...]) -> bool:
+        """Whether (I : x^v) is the prime on prime_vars, for the pattern's
+        ideal I, from two membership tests: (a) no monomial off the prime
+        times x^v lies in I, that is, v with every other variable raised to
+        the top exponent does not; (b) x^v * x_i lies in I for each x_i of
+        the prime.  `rings.verify_witness` answers a symmetric ideal here."""
+        raised = [self.exps[-1]] * self.context.n
+        for i in prime_vars:
+            raised[i] = v[i]
+        if self._contains(raised):
+            return False
+        w = list(v)
+        for i in prime_vars:
+            w[i] += 1
+            if not self._contains(w):
+                return False
+            w[i] -= 1
+        return True
+
+    def _components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The irredundant irreducible decomposition of the pattern's ideal,
+        as (support, exponents) pairs: for each break b, with value e_b, one
+        component (x_i^{e_b} : i in S) for each set S of n - k + b + 1
+        variables, and no other.  Each holds I: a placement puts at least
+        b + 1 of its exponents on S, and the largest of those is at least
+        e_b.  That there are no others, and none is redundant, the tests
+        check against the engine.  `decompose` reads a symmetric ideal's
+        decomposition from here."""
+        n, k, exps = self.context.n, self.k, self.exps
+        return [(support, (exps[b],) * len(support))
+                for b in self.breaks()
+                for support in itertools.combinations(range(n), n - k + b + 1)]
+
 
 def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
     """Generators: every assignment of the exponent multiset to distinct
@@ -161,7 +210,9 @@ def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
                     placed[v] = value
                 grown.append(placed)
         partial = grown
-    return MonomialIdeal._from_exps(ctx, map(tuple, partial))
+    ideal = MonomialIdeal._from_exps(ctx, map(tuple, partial))
+    object.__setattr__(ideal, "_pattern", pattern)  # colon tests and decomposition read it
+    return ideal
 
 
 def symmetric_witness(

@@ -247,14 +247,19 @@ class TestOneLevelTable:
             assert verify_witness(J, P, v)
         assert builds == [J._exps] and J._table[3] is floors
 
-    def test_one_build_per_verified_symmetric_ideal(self, builds):
-        """A symmetric ideal that is verified but never decomposed builds its
-        table for the first verification alone."""
+    def test_symmetric_ideal_builds_no_table_and_its_generators_one(self, builds):
+        """A symmetric ideal is verified and decomposed from its pattern, with
+        no table; the same generators without it, verified but never
+        decomposed, build their table for the first verification alone."""
         pattern = SymmetricPattern(ctx(4), (1, 2, 2))
         S = build_symmetric_ideal(pattern)
         P, v = symmetric_witness(pattern, 0, [0, 1], [2, 2])
         assert [verify_witness(S, P, v) for _ in range(3)] == [True] * 3
-        assert builds == [S._exps] and S._decomposition is None
+        assert P in irreducible_decomposition(S).primes()
+        assert builds == [] and S._table is None
+        plain = MonomialIdeal._from_exps(S.context, S._exps)
+        assert [verify_witness(plain, P, v) for _ in range(3)] == [True] * 3
+        assert builds == [plain._exps] and plain._decomposition is None
 
 
 class TestExchangeClosure:

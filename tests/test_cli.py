@@ -798,6 +798,8 @@ def option_forms():
 
 ACCEPTED = [
     (["decompose", "--", "p.txt"], parsed("decompose")),
+    (["decompose", "p.txt", "--"], parsed("decompose")),
+    (["decompose", "--format", "json", "p.txt", "--"], parsed("decompose", format="json")),
     (["decompose", "--format", "json", "--", "p.txt"], parsed("decompose", format="json")),
     (["decompose", "--", "--format"], parsed("decompose", file="--format")),
     (["witness", "--prime", "0", "p.txt", "--comp", "0"],
@@ -864,6 +866,15 @@ REJECTED = [
     (["-x", "witness", "p.txt", "--prime", "0"], "monowit: error: unrecognized arguments: -x"),
     (["--bogus", "decompose"],  # a missing file is reported before an unknown flag
      "monowit decompose: error: the following arguments are required: file"),
+    # a "--" is dropped only before the file or right after it
+    (["decompose", "p.txt", "--format=json", "--"], "monowit: error: unrecognized arguments: --"),
+    (["borel", "p.txt", "--component=-1", "--", "--format=text"],
+     "monowit: error: unrecognized arguments: -- --format=text"),
+    # before the command, a "--" followed by anything is taken as the command
+    (["--", "decompose", "p.txt"], "monowit: error: argument command: invalid choice: '--' "
+     "(choose from 'decompose', 'assprimes', 'witness', 'verify', 'colon', 'borel', "
+     "'uniqueness', 'clutter-base', 'symgen')"),
+    (["--bogus", "--"], "monowit: error: the following arguments are required: command"),
 ]
 REJECTED_IDS = [" ".join(argv) or "empty" for argv, _ in REJECTED]
 

@@ -12,6 +12,7 @@ from monowit import (
     MonomialIdeal,
     ParseError,
     RingContext,
+    SymmetricPattern,
     parse_ideal_gens,
     parse_monomial,
     parse_problem_file,
@@ -287,6 +288,22 @@ class TestProblemFile:
         problem = parse_problem_file(text)
         assert problem.pattern.context == problem.context
         assert problem.pattern.exps == (1, 3, 3)
+
+    @pytest.mark.parametrize("text, rings", [
+        ("ring n=3\nsym S = n:3 exps:1,3,3\n", [3]),
+        ("ring vars=a,b,c\n\nsym S = n:3 exps:1,3,3\n", [["a", "b", "c"]]),
+        ("sym S = n:3 exps:1,3,3\nring n=3\n", [3, 3]),
+    ], ids=["ring-n-first", "ring-vars-first", "sym-first"])
+    def test_sym_after_its_ring_is_built_in_it(self, monkeypatch, text, rings):
+        import monowit.parsing
+
+        built = []
+        monkeypatch.setattr(monowit.parsing, "RingContext",
+                            lambda arg: built.append(arg) or RingContext(arg))
+        problem = parse_problem_file(text)
+        assert built == rings
+        assert problem.pattern.context is problem.context
+        assert problem.pattern == SymmetricPattern(problem.context, (1, 3, 3))
 
     @pytest.mark.parametrize("text, message", [
         ("ring vars=" + ",".join(["a b"] * 4000) + "\n",

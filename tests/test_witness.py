@@ -1,7 +1,9 @@
 """Witness construction, verification, inversion, and uniqueness."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import hypothesis.strategies as st
@@ -489,6 +491,149 @@ class TestSymmetricWitness:
         prime, v = symmetric_witness(pattern, 1, (0, 1, 2, 3), ())
         assert verify_witness(I, prime, v)
         assert v == mono(c, "x1^4*x2^4*x3^4*x4^4")
+
+
+def symmetric_patterns(n, top):
+    """Every sorted exponent list on n variables with entries 1..top."""
+    for k in range(1, n + 1):
+        yield from itertools.combinations_with_replacement(range(1, top + 1), k)
+
+
+def symmetric_and_plain(n, exps):
+    """The symmetric ideal of the pattern, which keeps it, and the same
+    generators built without it, which take the mask test and the engine."""
+    c = ctx(n)
+    I = build_symmetric_ideal(SymmetricPattern(c, exps))
+    return I, MonomialIdeal._from_exps(c, I._exps)
+
+
+class TestSymmetricIdealFromItsPattern:
+    """A symmetric ideal answers colon tests and its decomposition from its
+    pattern; the same generators without it are the oracle."""
+
+    def test_only_the_builder_keeps_the_pattern(self):
+        c = ctx(3)
+        pattern = SymmetricPattern(c, (1, 3, 3))
+        I, plain = symmetric_and_plain(3, (1, 3, 3))
+        public = MonomialIdeal(c, I.gens)
+        assert I._pattern == pattern
+        assert plain._pattern is None and public._pattern is None
+        assert I.colon(mono(c, "x1"))._pattern is None
+
+    @pytest.mark.parametrize("n, exps", [(3, (1, 3, 3)), (4, (1, 2, 2)), (5, (1, 1, 2, 3))])
+    def test_equals_and_hashes_like_the_public_constructor(self, n, exps):
+        I, plain = symmetric_and_plain(n, exps)
+        public = MonomialIdeal(I.context, I.gens)
+        assert I == public == plain and public == I
+        assert hash(I) == hash(public) == hash(plain)
+        assert len({I, public, plain}) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_the_mask_test_on_every_box_point(self, n):
+        # every pattern with entries up to 3, every prime, every v <= max + 1
+        primes = every_prime(ctx(n))
+        for exps in symmetric_patterns(n, 3):
+            I, plain = symmetric_and_plain(n, exps)
+            for v in itertools.product(range(exps[-1] + 2), repeat=n):
+                m = Monomial(I.context, v)
+                for P in primes:
+                    assert verify_witness(I, P, m) == verify_witness(plain, P, m), (exps, P, v)
+            assert I._table is None  # the pattern test reads no level table
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_the_tuple_scan_on_every_box_point(self, n):
+        primes = [P.vars for P in every_prime(ctx(n))]
+        for exps in symmetric_patterns(n, 2):
+            I, _ = symmetric_and_plain(n, exps)
+            for v in itertools.product(range(exps[-1] + 2), repeat=n):
+                m = Monomial(I.context, v)
+                for vs in primes:
+                    P = PrimeSupport(I.context, vs)
+                    assert verify_witness(I, P, m) == tuple_colon_is_prime(I, v, vs), (exps, vs, v)
+
+    @pytest.mark.parametrize("n, count", [(5, 4000), (6, 3000)])
+    def test_agrees_with_both_oracles_on_seeded_samples(self, n, count):
+        # half the points anywhere in the box, half a step or none away from a
+        # canonical witness: e_b - 1 on the prime of a break b, the top off it
+        rng = random.Random(8000 + n)
+        primes = every_prime(ctx(n))
+        cases = {}
+        verified = 0
+        for _ in range(count):
+            exps = tuple(sorted(rng.choices(range(1, 5), k=rng.randint(1, n))))
+            if exps not in cases:
+                cases[exps] = symmetric_and_plain(n, exps)
+            I, plain = cases[exps]
+            if rng.random() < 0.5:
+                P = rng.choice(primes)
+                v = tuple(rng.randint(0, exps[-1] + 1) for _ in range(n))
+            else:
+                b = rng.choice(I._pattern.breaks())
+                P = PrimeSupport(I.context, rng.sample(range(n), n - len(exps) + b + 1))
+                v = tuple(max(0, (exps[b] - 1 if i in P.vars else exps[-1])
+                              + rng.choice((-1, 0, 0, 0, 1))) for i in range(n))
+            verdict = verify_witness(I, P, Monomial(I.context, v))
+            assert verdict == verify_witness(plain, P, Monomial(I.context, v)), (exps, P, v)
+            assert verdict == tuple_colon_is_prime(plain, v, P.vars), (exps, P, v)
+            verified += verdict
+        assert verified > count // 20  # the samples reach true verdicts too
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_form_is_the_engine_decomposition(self, n):
+        for exps in symmetric_patterns(n, 4 if n <= 5 else 3):
+            I, plain = symmetric_and_plain(n, exps)
+            assert irreducible_decomposition(I) == irreducible_decomposition(plain), exps
+            assert I._table is None  # the closed form builds no level table
+
+    @pytest.mark.parametrize("exps", [(1,), (2, 2), (1, 2, 3), (1, 1, 2, 3), (1, 2, 2, 3),
+                                      (2, 3, 3, 3, 3), (2, 2, 2, 3, 3, 3, 3),
+                                      (1, 1, 1, 1, 1, 2, 2, 2), (1,) * 8])
+    def test_closed_form_on_eight_variables(self, exps):
+        I, plain = symmetric_and_plain(8, exps)
+        assert irreducible_decomposition(I) == irreducible_decomposition(plain)
+
+    def test_closed_form_counts(self):
+        # one component per break b and set of n - k + b + 1 variables
+        I, _ = symmetric_and_plain(10, (1, 1, 2, 3, 4))
+        d = irreducible_decomposition(I)
+        assert len(I) == 15120
+        assert len(d) == math.comb(10, 6) + math.comb(10, 8) + math.comb(10, 9) + 1 == 266
+        assert all(len(d.components_for(P)) == 1 for P in d.primes())
+
+    def test_every_canonical_witness_verifies_and_its_neighbours_agree(self):
+        I, plain = symmetric_and_plain(6, (1, 2, 2, 4))
+        d = irreducible_decomposition(I)
+        floors = list(I.max_exponents())
+        for q in d:
+            v = q._witness(floors.copy())
+            assert verify_witness(I, q.prime(), v) and verify_witness(plain, q.prime(), v)
+            for i, sign in itertools.product(range(6), (-1, 1)):
+                exps = list(v.exps)
+                exps[i] = max(0, exps[i] + sign)
+                w = Monomial(I.context, exps)
+                assert verify_witness(I, q.prime(), w) == verify_witness(plain, q.prime(), w)
+
+    def test_rings_are_checked_as_for_any_ideal(self):
+        I, _ = symmetric_and_plain(3, (1, 3, 3))
+        other = ctx(4)
+        with pytest.raises(ContextMismatchError):
+            verify_witness(I, PrimeSupport(I.context, [0]), mono(other, "x1"))
+        assert not verify_witness(I, PrimeSupport(other, [0]), mono(I.context, "x2^3*x3^3"))
+        assert verify_witness(I, PrimeSupport(I.context, [0]), mono(I.context, "x2^3*x3^3"))
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_keep_the_pattern_and_every_verdict(self, how):
+        copies = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                  "copy": copy.copy, "deepcopy": copy.deepcopy}
+        I, plain = symmetric_and_plain(4, (1, 2, 2))
+        again = copies[how](I)
+        assert again._pattern == I._pattern is not None
+        assert again == I and hash(again) == hash(I)
+        for v in itertools.product(range(4), repeat=4):
+            m = Monomial(I.context, v)
+            for P in every_prime(I.context):
+                assert verify_witness(again, P, m) == verify_witness(plain, P, m)
+        assert irreducible_decomposition(again) == irreducible_decomposition(plain)
 
 
 class TestClassifyUniqueness:
