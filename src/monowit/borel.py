@@ -13,7 +13,8 @@ too, and names a failing generator by its index, so `is_borel_type` looks
 up the certificate's u in the stored tuples; one pass over the masks per
 generator and variable x_i decides every j < i at once.  `exchange_closure`
 is a worklist checking each generator's moves once, one degree class at a
-time, against the finished generators of lower degree only.
+time, against the finished generators of lower degree only.  The detectors
+and the closure do not classify the zero or the unit ideal (`_require_proper`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import le
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted_monomial
+from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted
 
 
 class BorelReport(NamedTuple):
@@ -32,13 +33,6 @@ class BorelReport(NamedTuple):
     is_borel_type: bool
     certificate: Optional[tuple[Monomial, int, int]] = None
     primes: Optional[tuple[PrimeSupport, ...]] = None
-
-
-def _require_decomposable(ideal: MonomialIdeal):
-    if ideal.is_zero:
-        raise ValueError("the zero ideal is not classified")
-    if ideal.is_unit:
-        raise ValueError("the unit ideal is not classified")
 
 
 def _exchange_failure(table) -> Optional[tuple[int, int, int]]:
@@ -79,11 +73,11 @@ def is_borel_type(ideal: MonomialIdeal) -> BorelReport:
     Checking generators suffices: any u in the ideal is a monomial multiple
     of a generator, and the multiple carries over to the exchanged monomial.
     """
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     failure = _exchange_failure(ideal._levels())
     if failure is not None:
         k, i, j = failure
-        u = _trusted_monomial(ideal.context, ideal._exps[k])
+        u = _trusted(Monomial, ideal.context, ideal._exps[k])
         return BorelReport(False, certificate=(u, i, j))
     return BorelReport(True, primes=associated_primes(ideal))
 
@@ -95,7 +89,7 @@ def is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     j <= i, so the two agree exactly when (I : x_i^inf) lies in every
     (I : x_j^inf) with j < i: the exchange kernel's condition.
     """
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     return _exchange_failure(ideal._levels()) is None
 
 
@@ -135,7 +129,7 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     checked only against the finished generators of lower degree, and one
     they divide is dropped, a seed included.
     """
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     classes: dict[int, list[tuple[int, ...]]] = {}
     for u in ideal._exps:
         classes.setdefault(sum(u), []).append(u)

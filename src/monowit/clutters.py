@@ -16,8 +16,7 @@ from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints
-from .rings import _trusted_monomial
+from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints, _trusted
 
 _GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
@@ -243,7 +242,7 @@ class Clutter(_Frozen):
         irreducible_decomposition(self.edge_ideal()).components_for(prime)
         p = sum(1 << v for v in prime.vars)
         a = ((1 << self.n) - 1) & ~p
-        t_a = _trusted_monomial(self.context, tuple([a >> v & 1 for v in range(self.n)]))
+        t_a = _trusted(Monomial, self.context, tuple([a >> v & 1 for v in range(self.n)]))
         if not self._colon_is_cover(p):
             raise TheoremViolationError(f"(I : {t_a}) failed to equal {prime}")
         return t_a

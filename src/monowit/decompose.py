@@ -28,16 +28,16 @@ Borel exchange kernel, the witness floors and the colon test read it too.
 The result is unique, so it does not depend on how the input was presented.
 An ideal built from a symmetric pattern skips the engine and the table: its
 decomposition is the pattern's closed form (`SymmetricPattern._components`),
-which the tests check against the engine.
+which the tests check against the engine.  The zero and the unit ideal have
+none (`MonomialIdeal._require_proper`).
 No state is kept between calls: each ideal keeps its own decomposition,
-which holds only its components, so reference counting frees it with the
-ideal.
+which holds only its components, so reference counting frees it with the ideal.
 """
 
 from __future__ import annotations
 
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _trusted_monomial, _trusted_prime)
+                    _ints, _trusted, _values)
 
 
 def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -95,10 +95,7 @@ class IrreducibleComponent(_Frozen):
     __slots__ = ("context", "pairs", "_support")
 
     def __init__(self, context: RingContext, powers):
-        try:
-            values = powers.values()
-        except AttributeError:
-            raise ValueError("powers must be a mapping from variable index to exponent") from None
+        values = _values(powers, "powers must be a mapping from variable index to exponent")
         if not powers:
             raise ValueError("an irreducible component needs at least one variable")
         variables = _ints(powers, "variable index {} out of range", high=context.n)
@@ -106,7 +103,8 @@ class IrreducibleComponent(_Frozen):
         pairs = tuple(sorted(_by_index(variables, exps).items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_support", _trusted_prime(context, tuple(v for v, _ in pairs)))
+        object.__setattr__(self, "_support",
+                           _trusted(PrimeSupport, context, tuple(v for v, _ in pairs)))
 
     def _key(self):
         return self.context, self.pairs
@@ -127,7 +125,7 @@ class IrreducibleComponent(_Frozen):
         this component, and a_j - 1 is written into it on each x_j inside."""
         for v, a in self.pairs:
             exps[v] = a - 1
-        return _trusted_monomial(self.context, tuple(exps))
+        return _trusted(Monomial, self.context, tuple(exps))
 
     def as_ideal(self) -> MonomialIdeal:
         n = self.context.n
@@ -193,10 +191,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     of its pattern for a symmetric ideal, by the engine otherwise."""
     if ideal._decomposition is not None:
         return ideal._decomposition
-    if ideal.is_zero:
-        raise ValueError("the zero ideal has no irreducible decomposition")
-    if ideal.is_unit:
-        raise ValueError("the unit ideal has no irreducible decomposition")
+    ideal._require_proper("has no irreducible decomposition")
     context, pattern = ideal.context, ideal._pattern
     if pattern is not None:
         pairs = pattern._components()
@@ -207,7 +202,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
         c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
         object.__setattr__(c, "context", context)
         object.__setattr__(c, "pairs", tuple(zip(support, exps)))
-        object.__setattr__(c, "_support", _trusted_prime(context, support))
+        object.__setattr__(c, "_support", _trusted(PrimeSupport, context, support))
         components.append(c)
     decomposition = Decomposition(components)
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones

@@ -49,7 +49,7 @@ import re
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ParseError
-from .rings import Monomial, MonomialIdeal, RingContext, _trusted_monomial
+from .rings import Monomial, MonomialIdeal, RingContext, _is_name, _trusted
 
 if TYPE_CHECKING:  # imported where a stanza needs them, so an ideal file loads neither
     from .clutters import Clutter
@@ -60,10 +60,6 @@ _TOKEN = re.compile(r"[ \t]*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|.)", re.S)
 
 def _is_int(token: str) -> bool:  # tokens that start with an ASCII digit are [0-9]+
     return "0" <= token[:1] <= "9"
-
-
-def _is_name(token: str) -> bool:
-    return token.isascii() and token.isidentifier()
 
 
 def _digits(text: str) -> bool:
@@ -147,7 +143,7 @@ def parse_monomial(text: str, context: RingContext) -> Monomial:
     exps, i = _monomial(source, 0, context)
     if source.tokens[i]:
         raise source.error(f"unexpected trailing input {source.tokens[i][0]!r}", i)
-    return _trusted_monomial(context, exps)
+    return _trusted(Monomial, context, exps)
 
 
 def parse_ideal_gens(text: str, context: RingContext) -> MonomialIdeal:
@@ -291,5 +287,5 @@ def parse_problem_file(text: str) -> ProblemFile:
     if pattern is not None and context is not None and pattern.context is not context:
         if pattern.context.n != context.n:
             raise ParseError("sym stanza size disagrees with the ring declaration", sym_line)
-        pattern = type(pattern)(context, pattern.exps)  # into the declared ring
+        pattern = _trusted(type(pattern), context, pattern.exps)  # into the declared ring
     return ProblemFile(context, stanzas.get("ideal"), stanzas.get("clutter"), pattern)

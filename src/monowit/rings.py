@@ -13,14 +13,18 @@ its level table (`_level_table`) once first read, as it keeps its
 decomposition; the decomposition engine, the Borel exchange kernel, the
 witness floors (`max_exponents`) and `verify_witness`, the colon test behind
 every witness verification, all read it.  The one exception is an ideal
-that `witness.build_symmetric_ideal` built: it keeps its pattern, and
-`verify_witness` answers it from the pattern with two exact membership
-tests instead.  Nothing is VERIFIED except through one of those two tests,
-the mask test or the pattern test.  Library-built values skip
-validation through the trusted constructor beside their class.  All value
-classes inherit `_Frozen`: immutability, equality, hashing, the default
-repr, copying and pickling.  `_ints` checks and converts outside integers,
-and `_by_index` refuses a mapping whose keys name one index twice.
+that `witness.build_symmetric_ideal` built: it keeps its pattern, which
+gives its floors and answers `verify_witness` by two exact membership
+tests instead.  Nothing is VERIFIED except through the mask test or the
+pattern test.  All value classes inherit `_Frozen`: immutability,
+equality, hashing, the default repr, copying and pickling.
+
+Four rules are stated here once, for every module: `_trusted` builds a
+value the library has already checked, `MonomialIdeal._require_proper`
+refuses the zero and the unit ideal, `_values` reads an index-keyed
+mapping, and `_is_name` says what a variable name is.  `_ints` checks and
+converts outside integers, and `_by_index` refuses a mapping whose keys
+name one index twice.
 """
 
 from __future__ import annotations
@@ -49,6 +53,19 @@ def _ints(values, message: str, low: Optional[int] = 0,
     return tuple(out)
 
 
+def _values(mapping, message: str):
+    """mapping.values(); anything that is not a mapping raises ValueError(message)."""
+    try:
+        return mapping.values()
+    except AttributeError:
+        raise ValueError(message) from None
+
+
+def _is_name(token) -> bool:
+    """Whether token is a variable name: a str matching [A-Za-z_][A-Za-z0-9_]*."""
+    return isinstance(token, str) and token.isascii() and token.isidentifier()
+
+
 def _by_index(indices: tuple[int, ...], values) -> dict:
     """dict(zip(indices, values)) for keys already read by `_ints`.  Keys
     that are distinct to their mapping can still name one index, which raises."""
@@ -57,6 +74,15 @@ def _by_index(indices: tuple[int, ...], values) -> dict:
         twice = next(i for i in indices if indices.count(i) > 1)
         raise ValueError(f"variable index {twice} is given more than once")
     return out
+
+
+def _trusted(cls, context, value, new=object.__new__, put=object.__setattr__):
+    """A Monomial, PrimeSupport or SymmetricPattern (cls) on a value already
+    checked, without its constructor; new and put are bound once, for `gens`."""
+    made = new(cls)
+    put(made, "context", context)
+    put(made, cls.__slots__[1], value)
+    return made
 
 
 def _rebuild(cls, slots: tuple):
@@ -110,8 +136,8 @@ class _Frozen:
 class RingContext(_Frozen):
     """Ambient polynomial ring: a number of variables plus display names.
 
-    A name is a str matching [A-Za-z_][A-Za-z0-9_]*, so that every monomial
-    prints and parses back; generated names x1..xn are not checked.  Every
+    A name is a str that `_is_name` accepts, so that every monomial prints
+    and parses back; generated names x1..xn are not checked.  Every
     name the library reads resolves through `_index`, built once."""
 
     __slots__ = ("names", "n", "_index")
@@ -129,7 +155,7 @@ class RingContext(_Frozen):
                     f"a ring context needs a size or variable names, not {names_or_size!r}"
                 ) from None
             for name in names:
-                if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+                if not _is_name(name):
                     raise ValueError(f"invalid variable name {name!r}")
         if not names:
             raise ValueError("a ring context needs at least one variable")
@@ -160,10 +186,7 @@ class RingContext(_Frozen):
         return Monomial(self, tuple(exps))
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
-        try:
-            values = powers.values()
-        except AttributeError:
-            raise ValueError("powers must be a mapping from variable index to exponent") from None
+        values = _values(powers, "powers must be a mapping from variable index to exponent")
         exps = [0] * self.n
         indices = _ints(powers, "variable index {} out of range", high=self.n)
         for i, e in _by_index(indices, values).items():
@@ -208,14 +231,6 @@ class Monomial(_Frozen):
     def support(self) -> tuple[int, ...]:
         """Indices of the variables dividing this monomial."""
         return tuple(i for i, e in enumerate(self.exps) if e)
-
-
-def _trusted_monomial(context: RingContext, exps: tuple[int, ...]) -> Monomial:
-    """A Monomial on a tuple of non-negative ints of the ring's length."""
-    m = object.__new__(Monomial)
-    object.__setattr__(m, "context", context)
-    object.__setattr__(m, "exps", exps)
-    return m
 
 
 def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -313,7 +328,7 @@ class MonomialIdeal(_Frozen):
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
-        return tuple(_trusted_monomial(self.context, v) for v in self._exps)
+        return tuple(_trusted(Monomial, self.context, v) for v in self._exps)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
@@ -328,6 +343,13 @@ class MonomialIdeal(_Frozen):
     @property
     def is_unit(self) -> bool:
         return len(self._exps) == 1 and not any(self._exps[0])
+
+    def _require_proper(self, outcome: str):
+        """Raise ValueError("the zero|unit ideal <outcome>") on those two ideals."""
+        if not self._exps:
+            raise ValueError(f"the zero ideal {outcome}")
+        if self.is_unit:
+            raise ValueError(f"the unit ideal {outcome}")
 
     def __contains__(self, m: Monomial) -> bool:
         _require_same_context(self, m)
@@ -344,7 +366,10 @@ class MonomialIdeal(_Frozen):
 
     def max_exponents(self) -> tuple[int, ...]:
         """Componentwise max over the generators, all zeros for the zero and
-        the unit ideal: the witnesses' exponent floors, from the level table."""
+        the unit ideal: the witnesses' exponent floors, from the level table,
+        or from the pattern, whose top exponent every variable takes."""
+        if self._pattern is not None:
+            return (self._pattern.exps[-1],) * self.context.n
         return self._levels()[3]
 
     def colon(self, v: Monomial) -> "MonomialIdeal":
@@ -437,11 +462,3 @@ class PrimeSupport(_Frozen):
         n = self.context.n
         gens = (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars)
         return MonomialIdeal._from_exps(self.context, gens)
-
-
-def _trusted_prime(context: RingContext, vs: tuple[int, ...]) -> PrimeSupport:
-    """A PrimeSupport on indices already sorted, distinct and in range."""
-    prime = object.__new__(PrimeSupport)
-    object.__setattr__(prime, "context", context)
-    object.__setattr__(prime, "vars", vs)
-    return prime

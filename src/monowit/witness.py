@@ -10,10 +10,11 @@ module re-exports.
 
 A symmetric ideal, one that `build_symmetric_ideal` built, keeps its
 `SymmetricPattern`, and is answered from it: `verify_witness` decides
-(I : v) = P by two threshold-matching membership tests, and
-`irreducible_decomposition` returns the pattern's closed form.  Every other
-ideal keeps the mask test and the engine, which are the oracles of both in
-the tests.  Nothing is VERIFIED except through one of the two exact tests.
+(I : v) = P by two threshold-matching membership tests,
+`irreducible_decomposition` returns the pattern's closed form, and the
+floors are its top exponent on every variable.  Every other ideal keeps
+the mask test, the engine and the level table's floors, the oracles of
+all three in the tests.  Nothing is VERIFIED except through one of the two exact tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _require_same_context, _trusted_monomial, verify_witness)
+                    _ints, _require_same_context, _trusted, _values, verify_witness)
 
 
 class WitnessSpec(_Frozen):
@@ -44,10 +45,7 @@ class WitnessSpec(_Frozen):
         offsets: Optional[Mapping[int, int]] = None,
     ):
         offsets = {} if offsets is None else offsets
-        try:
-            values = offsets.values()
-        except AttributeError:
-            raise ValueError("offsets must be a mapping from variable index to offset") from None
+        values = _values(offsets, "offsets must be a mapping from variable index to offset")
         message = "offset variables and offsets must be integers"
         offsets = _by_index(_ints(offsets, message, low=None), _ints(values, message, low=None))
         _require_same_context(prime, component)
@@ -251,7 +249,7 @@ def symmetric_witness(
     exps = [value - 1] * ctx.n  # the prime's exponents; each complement variable has a b
     for i, b in zip(prime.complement(), b_choices):
         exps[i] = b
-    return prime, _trusted_monomial(ctx, tuple(exps))
+    return prime, _trusted(Monomial, ctx, tuple(exps))
 
 
 class UniquenessResult(NamedTuple):

@@ -113,10 +113,11 @@ class TestDetection:
 
     def test_zero_and_unit_rejected(self):
         c = ctx(2)
-        with pytest.raises(ValueError):
-            is_borel_type(MonomialIdeal(c, ()))
-        with pytest.raises(ValueError):
-            is_borel_type_by_saturation(MonomialIdeal(c, [c.one]))
+        for name, I in [("zero", MonomialIdeal(c, ())), ("unit", MonomialIdeal(c, [c.one]))]:
+            for operation in (is_borel_type, is_borel_type_by_saturation, exchange_closure):
+                with pytest.raises(ValueError) as raised:
+                    operation(I)
+                assert str(raised.value) == f"the {name} ideal is not classified"
 
     def test_single_variable_ring_is_trivially_borel(self):
         c = ctx(1)

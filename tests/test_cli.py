@@ -469,6 +469,18 @@ class TestErrorPaths:
         assert (code, err) == (0, "") and out.endswith("VERIFIED\n")
         assert run(capsys, args) == (code, out, err)
 
+    @pytest.mark.parametrize("command, outcome", [
+        ("decompose", "has no irreducible decomposition"),
+        ("assprimes", "has no irreducible decomposition"),
+        ("borel", "is not classified"),
+    ])
+    @pytest.mark.parametrize("name, gens", [("unit", " 1"), ("zero", "")])
+    def test_zero_and_unit_ideals_name_the_guard(self, problem, capsys, command, outcome,
+                                                name, gens):
+        code, out, err = run(capsys, [command, problem(f"ring n=2\nideal I ={gens}\n")])
+        assert (code, out) == (1, "")
+        assert err == f"error: the {name} ideal {outcome}\n"
+
     @pytest.mark.parametrize("command, text, extra, message", [
         ("decompose", "ring n=\u00b2\nideal I = x1\n", [],
          "ring size must be a positive integer (line 1, column 1)"),

@@ -118,10 +118,11 @@ class TestBasics:
 
     def test_zero_and_unit_rejected(self):
         c = ctx(2)
-        with pytest.raises(ValueError):
-            irreducible_decomposition(MonomialIdeal(c, ()))
-        with pytest.raises(ValueError):
-            irreducible_decomposition(MonomialIdeal(c, [c.one]))
+        for name, I in [("zero", MonomialIdeal(c, ())), ("unit", MonomialIdeal(c, [c.one]))]:
+            for operation in (irreducible_decomposition, associated_primes):
+                with pytest.raises(ValueError) as raised:
+                    operation(I)
+                assert str(raised.value) == f"the {name} ideal has no irreducible decomposition"
 
     def test_not_associated_raises(self):
         d = irreducible_decomposition(session_ideal())

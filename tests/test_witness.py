@@ -582,8 +582,14 @@ class TestSymmetricIdealFromItsPattern:
     def test_closed_form_is_the_engine_decomposition(self, n):
         for exps in symmetric_patterns(n, 4 if n <= 5 else 3):
             I, plain = symmetric_and_plain(n, exps)
-            assert irreducible_decomposition(I) == irreducible_decomposition(plain), exps
-            assert I._table is None  # the closed form builds no level table
+            d = irreducible_decomposition(I)
+            assert d == irreducible_decomposition(plain), exps
+            # the floors come from the pattern: the top exponent on every variable
+            assert I.max_exponents() == plain.max_exponents() == (exps[-1],) * n, exps
+            for P in d.primes():
+                classify_uniqueness(I, P)
+                witness_from_component(I, WitnessSpec(P, d.components_for(P)[0]))
+            assert I._table is None  # neither the closed form nor the floors build a table
 
     @pytest.mark.parametrize("exps", [(1,), (2, 2), (1, 2, 3), (1, 1, 2, 3), (1, 2, 2, 3),
                                       (2, 3, 3, 3, 3), (2, 2, 2, 3, 3, 3, 3),

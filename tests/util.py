@@ -25,7 +25,6 @@ from monowit import (
     parse_monomial,
     verify_witness,
 )
-from monowit.borel import _require_decomposable
 from monowit.rings import _minimize_exps, _require_same_context
 
 _CONTEXTS: dict[int, RingContext] = {}
@@ -405,7 +404,7 @@ def oracle_saturate(ideal: MonomialIdeal, by: MonomialIdeal) -> MonomialIdeal:
 def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
     """Borel type by definition, saturating by each whole prefix
     <x_1..x_i> from scratch."""
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     ctx = ideal.context
     for i in range(ctx.n):
         single = MonomialIdeal(ctx, [variable(ctx, i)])
@@ -418,7 +417,7 @@ def oracle_is_borel_type_by_saturation(ideal: MonomialIdeal) -> bool:
 def oracle_exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """The exchange closure in rounds: every round tries every move of every
     generator, adds the missing ones and minimizes, until a round adds none."""
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     current = ideal
     while True:
         missing = []
@@ -442,7 +441,7 @@ def oracle_exchange_certificate(ideal: MonomialIdeal):
     u with x_i dropped times x_j to the largest x_j-exponent among the
     generators must lie in the ideal.  None when the ideal is of Borel type.
     Generators in stored order, i descending, j ascending."""
-    _require_decomposable(ideal)
+    ideal._require_proper("is not classified")
     floors = ideal.max_exponents()
     for u in ideal._exps:
         for i in range(ideal.context.n - 1, 0, -1):
