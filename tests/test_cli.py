@@ -220,6 +220,78 @@ class TestColon:
         assert code == 0
         assert out == "(I : x2^6*x3^4*x4*x5^5*x6^5*x7^2*x8^13) = (x1, x2, x3, x4)\n"
 
+    # a quotient with generators of degrees 1, 4 and 9, in the canonical order
+    def test_mixed_degree_quotient_in_text(self, problem, capsys):
+        code, out, err = run(capsys, ["colon", problem(SESSION), "--v", "x2^6*x3^4*x4"])
+        assert (code, err) == (0, "")
+        assert out == "(I : x2^6*x3^4*x4) = (x1^4, x1*x8^8, x2, x3, x4)\n"
+
+    def test_mixed_degree_quotient_in_json(self, problem, capsys):
+        code, out, err = run(capsys, [
+            "colon", problem(SESSION), "--v", "x2^6*x3^4*x4", "--format", "json",
+        ])
+        assert (code, err) == (0, "")
+        assert out == """\
+{
+  "associated_primes": null,
+  "certificate": null,
+  "components": null,
+  "ideal": [
+    {
+      "x1": 4
+    },
+    {
+      "x1": 1,
+      "x8": 8
+    },
+    {
+      "x2": 1
+    },
+    {
+      "x3": 1
+    },
+    {
+      "x4": 1
+    }
+  ],
+  "ring": {
+    "n": 8,
+    "names": [
+      "x1",
+      "x2",
+      "x3",
+      "x4",
+      "x5",
+      "x6",
+      "x7",
+      "x8"
+    ]
+  },
+  "verified": null,
+  "witness": {
+    "x2": 6,
+    "x3": 4,
+    "x4": 1
+  }
+}
+"""
+
+    def test_colon_by_a_member_is_the_unit_ideal(self, problem, capsys):
+        path = problem(SESSION)
+        assert run(capsys, ["colon", path, "--v", "x1^4*x5"]) == (
+            0, "(I : x1^4*x5) = (1)\n", "")
+        code, out, _ = run(capsys, ["colon", path, "--v", "x1^4*x5", "--format", "json"])
+        assert code == 0 and json.loads(out)["ideal"] == [{}]
+
+    def test_verify_prints_the_colon(self, problem, capsys):
+        path = problem(SESSION)
+        assert run(capsys, [
+            "verify", path, "--prime", "x1,x2,x3,x4", "--v", "x2^6*x3^4*x4*x5^5*x6^5*x7^2*x8^13",
+        ]) == (0, "(I : x2^6*x3^4*x4*x5^5*x6^5*x7^2*x8^13) = (x1, x2, x3, x4)\nVERIFIED\n", "")
+        assert run(capsys, [
+            "verify", path, "--prime", "x1,x2,x3,x4", "--v", "x2^6*x3^4*x4",
+        ]) == (2, "(I : x2^6*x3^4*x4) = (x1^4, x1*x8^8, x2, x3, x4)\nFAILED\n", "")
+
 
 class TestBorel:
     def test_positive_with_witness(self, problem, capsys):

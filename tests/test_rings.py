@@ -1,6 +1,7 @@
 """Core monomial and ideal arithmetic, checked against definitional oracles."""
 
 import itertools
+import pickle
 import random
 from functools import reduce
 
@@ -44,7 +45,9 @@ from util import (
     session_ideal,
     six_var_ideal,
     tiny_corpus,
+    tuple_colon,
     variable,
+    witness_corpus,
 )
 
 
@@ -443,6 +446,110 @@ class TestColonByMonomial:
                     assert (Monomial(I.context, m_exps) in quotient) == oracle_member(
                         I, lifted
                     )
+
+
+class TestColonOnLevelMasks:
+    """`MonomialIdeal.colon` reads the level table: each quotient is decoded
+    from its over, and the overs are minimized by subset tests.  It must
+    give the very ideal of `tuple_colon`, which divides exponent tuples."""
+
+    @staticmethod
+    def same(I, v):
+        quotient, reference = I.colon(v), tuple_colon(I, v)
+        assert quotient == reference
+        assert quotient._exps == reference._exps
+        assert str(quotient) == str(reference)
+        return quotient
+
+    def test_witness_corpus(self):
+        rng = random.Random(3901)
+        for I in witness_corpus():
+            floors = I.max_exponents()
+            draws = [floors, tuple(e // 2 for e in floors)]
+            draws += [tuple(rng.randint(0, e + 1) for e in floors) for _ in range(5)]
+            for v_exps in draws:
+                self.same(I, Monomial(I.context, v_exps))
+
+    def test_graph_corpus_edge_ideals_by_every_squarefree_monomial(self):
+        for clutter in graph_corpus():
+            I = clutter.edge_ideal()
+            for v_exps in itertools.product((0, 1), repeat=I.context.n):
+                self.same(I, Monomial(I.context, v_exps))
+
+    def test_box_corpus_by_every_monomial_in_the_box(self):
+        for I in box_corpus():
+            for v_exps in box_exponents(box_bounds(I)):
+                self.same(I, Monomial(I.context, v_exps))
+
+    @given(I=ideals(max_n=5, max_exp=4, max_gens=8, proper=False), data=st.data())
+    def test_hypothesis_ideals(self, I, data):
+        self.same(I, data.draw(monomials(I.context, max_exp=5)))
+
+    def test_zero_and_unit_ideals(self):
+        c = ctx(3)
+        for I in (MonomialIdeal(c, ()), MonomialIdeal(c, [c.one])):
+            for v in (c.one, mono(c, "x2"), mono(c, "x1^3*x3")):
+                assert self.same(I, v) == I
+
+    def test_by_one_member_and_unused_variable(self):
+        c = ctx(4)
+        I = ideal(c, "x1^3*x2", "x2^2", "x1*x3^4")
+        assert self.same(I, c.one) == I
+        for member in ("x2^2", "x1^4*x2^3", "x1*x3^4*x4^9"):
+            assert self.same(I, mono(c, member)).is_unit
+        # x4 divides no generator, so dividing by it leaves I
+        assert self.same(I, mono(c, "x4^7")) == I
+        assert self.same(I, mono(c, "x2*x4")) == ideal(c, "x1^3", "x2", "x1*x3^4")
+        # v above every generator's exponent on x1
+        assert self.same(I, mono(c, "x1^5")) == ideal(c, "x2", "x3^4")
+
+    def test_exponents_near_a_million(self):
+        c = ctx(4)
+        I = ideal(c, "x1^1000002*x2^1000000", "x2^1000001*x3^1000001",
+                  "x3^1000000*x4^1000002", "x1^1000000*x4^1000001", "x1^1000001*x3^1000002")
+        for v_exps in itertools.product((0, 999999, 1000000, 1000001, 1000003), repeat=4):
+            self.same(I, Monomial(c, v_exps))
+
+    def test_symmetric_ideal_builds_and_keeps_its_table(self):
+        c = ctx(4)
+        I = build_symmetric_ideal(SymmetricPattern(c, (1, 2, 2)))
+        assert I._pattern is not None and I._table is None
+        plain = MonomialIdeal(c, I.gens)
+        for v_exps in box_exponents((3, 3, 3, 3)):
+            v = Monomial(c, v_exps)
+            assert self.same(I, v) == plain.colon(v)
+        assert I._table == plain._levels()
+
+    def test_table_is_built_once_and_kept(self):
+        c = ctx(3)
+        I = ideal(c, "x1^2*x2", "x2^3", "x1*x3^2")
+        assert I._table is None
+        quotient = I.colon(mono(c, "x1*x2"))
+        assert I._table is not None
+        table = I._table
+        assert quotient == tuple_colon(I, mono(c, "x1*x2")) == ideal(c, "x1", "x2^2", "x3^2")
+        I.colon(mono(c, "x3"))
+        assert I._table is table
+
+    def test_ideal_restored_from_a_pickle(self):
+        c = ctx(3)
+        fresh = ideal(c, "x1^2*x2", "x2^3", "x1*x3^2")
+        built = ideal(c, "x1^2*x2", "x2^3", "x1*x3^2")
+        built._levels()
+        for I in (fresh, built):
+            restored = pickle.loads(pickle.dumps(I))
+            assert (restored._table is None) == (I._table is None)
+            for v_exps in box_exponents((3, 4, 3)):
+                self.same(restored, Monomial(c, v_exps))
+
+    def test_foreign_monomial_raises(self):
+        I = ideal(ctx(2), "x1^2", "x2")
+        for foreign in (ctx(3).one, RingContext(["a", "b"]).one):
+            with pytest.raises(ContextMismatchError):
+                I.colon(foreign)
+            with pytest.raises(ContextMismatchError):
+                tuple_colon(I, foreign)
+        assert I._table is None
 
 
 class TestColonByIdeal:

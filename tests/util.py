@@ -168,10 +168,20 @@ def oracle_radical(ideal_) -> MonomialIdeal:
     return MonomialIdeal(c, [Monomial(c, [min(e, 1) for e in g.exps]) for g in ideal_.gens])
 
 
+def tuple_colon(ideal_, v) -> MonomialIdeal:
+    """(I : v) on exponent tuples: every g / gcd(g, v), minimized by the
+    ideal's own constructor.  The reference for the level-mask colon
+    `MonomialIdeal.colon`; a monomial from another ring raises."""
+    _require_same_context(ideal_, v)
+    quotients = (tuple([d if d > 0 else 0 for d in map(operator.sub, g, v.exps)])
+                 for g in ideal_._exps)
+    return MonomialIdeal._from_exps(ideal_.context, quotients)
+
+
 def oracle_colon_by_ideal(ideal_, by) -> MonomialIdeal:
     """(I : J) for a nonzero J: the intersection of the (I : v) over the
     generators v of J."""
-    return reduce(intersect, (ideal_.colon(v) for v in by))
+    return reduce(intersect, (tuple_colon(ideal_, v) for v in by))
 
 
 def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
@@ -198,9 +208,9 @@ def drop_one_intersections(ideals_) -> list[MonomialIdeal]:
 
 
 def oracle_verify_witness(ideal_, prime, v) -> bool:
-    """(I : v) == P by building the colon and the prime as ideals: the
-    reference for the one-pass check in verify_witness."""
-    return ideal_.colon(v) == prime.as_ideal()
+    """(I : v) == P by building the colon on tuples and the prime as ideals:
+    the reference for the one-pass check in verify_witness."""
+    return tuple_colon(ideal_, v) == prime.as_ideal()
 
 
 def tuple_colon_is_prime(ideal_, v, prime_vars) -> bool:
