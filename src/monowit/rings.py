@@ -11,18 +11,13 @@ stores only its exponent tuples, minimized by `_minimize_exps` whichever
 constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
 its level table (`_level_table`) once first read, as it keeps its
 decomposition; the decomposition engine, the Borel exchange kernel, the
-witness floors (`max_exponents`), `MonomialIdeal.colon` and
-`verify_witness`, the colon test behind every witness verification, all
-read it.  Both colons cut the levels at v: the over of a generator g, its
-levels above v, fixes g / gcd(g, v), and one quotient divides another
-exactly when its over is a subset of the other's, so the colon keeps the
-subset-minimal overs and decodes only those.  The one exception is an ideal
+witness floors (`max_exponents`) and `verify_witness`, the colon test behind
+every witness verification, all read it.  The one exception is an ideal
 that `witness.build_symmetric_ideal` built: it keeps its pattern, which
 gives its floors and answers `verify_witness` by two exact membership
-tests instead; only its colon builds the table.  Nothing is VERIFIED
-except through the mask test or the pattern test.  All value classes
-inherit `_Frozen`: immutability, equality, hashing, the default repr,
-copying and pickling.
+tests instead.  Nothing is VERIFIED except through the mask test or the
+pattern test.  All value classes inherit `_Frozen`: immutability,
+equality, hashing, the default repr, copying and pickling.
 
 Four rules are stated here once, for every module: `_trusted` builds a
 value the library has already checked, `MonomialIdeal._require_proper`
@@ -35,7 +30,7 @@ name one index twice.
 from __future__ import annotations
 
 from itertools import compress
-from operator import index, le
+from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ContextMismatchError
@@ -378,46 +373,13 @@ class MonomialIdeal(_Frozen):
         return self._levels()[3]
 
     def colon(self, v: Monomial) -> "MonomialIdeal":
-        """The quotient (I : v) by a monomial, on the level table.
-
-        (I : x^v) is generated by the g / gcd(g, x^v).  As in
-        `verify_witness`, below holds the levels at or under v, and the
-        over of g, mask(g) & ~below, holds the levels (i, e) with
-        v_i < e <= g_i.  So the over fixes the quotient: its exponent on
-        x_i is e - v_i for the top level (i, e) of the over, and 0 where
-        the over has no level of x_i.  And g / gcd(g, x^v) divides
-        h / gcd(h, x^v) exactly when over(g) is a subset of over(h).  So
-        the distinct overs are kept when subset-minimal, in ascending bit
-        count (a proper subset has fewer bits), and only those are decoded
-        and handed to `_from_exps` for the canonical order.  An empty over,
-        for v in I, leaves the unit ideal.  A symmetric ideal builds its
-        level table here, and keeps it.
-        """
+        """The quotient (I : v) by a monomial: the unit ideal when v lies in
+        I, found by one membership test before any quotient is built."""
         _require_same_context(self, v)
-        levels, var_bits, masks, _ = self._levels()
-        exps = v.exps
-        below = 0
-        bit = 1
-        for i, e in levels:
-            if e <= exps[i]:
-                below |= bit
-            bit <<= 1
-        above = ~below
-        kept = []  # the subset-minimal overs
-        for over in sorted({g & above for g in masks}, key=int.bit_count):
-            for k in kept:
-                if not k & ~over:
-                    break
-            else:
-                kept.append(over)
-        quotients = []
-        for over in kept:
-            q = [0] * len(exps)
-            for i, bits in enumerate(var_bits):
-                top = (over & bits).bit_length()
-                if top:
-                    q[i] = levels[top - 1][1] - exps[i]
-            quotients.append(tuple(q))
+        if self._contains_exps(v.exps):
+            return MonomialIdeal._from_exps(self.context, [(0,) * self.context.n])
+        quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v.exps)])
+                     for g in self._exps)
         return MonomialIdeal._from_exps(self.context, quotients)
 
 
@@ -451,10 +413,6 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
     for i in prime.vars:
         inside |= var_bits[i]
         target |= 1 << i
-    # The pass of `MonomialIdeal.colon` plus the step map, kept apart: one
-    # helper that cut the levels at v for both made a verify slower, 1.95
-    # against 1.82 us per call (best of 45 timings over the witnesses and
-    # decoys of 400 `ideals` benchmark items; 2 vCPUs, Python 3.11).
     below = 0
     step = {}  # the bit of a level (i, v_i + 1) -> 1 << i; (a) rules out i outside P
     bit = 1

@@ -170,8 +170,8 @@ def oracle_radical(ideal_) -> MonomialIdeal:
 
 def tuple_colon(ideal_, v) -> MonomialIdeal:
     """(I : v) on exponent tuples: every g / gcd(g, v), minimized by the
-    ideal's own constructor.  The reference for the level-mask colon
-    `MonomialIdeal.colon`; a monomial from another ring raises."""
+    ideal's own constructor, with no membership shortcut.  The reference
+    for `MonomialIdeal.colon`; a monomial from another ring raises."""
     _require_same_context(ideal_, v)
     quotients = (tuple([d if d > 0 else 0 for d in map(operator.sub, g, v.exps)])
                  for g in ideal_._exps)
