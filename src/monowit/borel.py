@@ -127,7 +127,8 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     lower degree is finished when a class starts, and a generator of the same
     degree divides a candidate only by being equal to it: a candidate is
     checked only against the finished generators of lower degree, and one
-    they divide is dropped, a seed included.
+    they divide is dropped, a seed included.  The generators kept are
+    therefore distinct and pairwise non-dividing, and are only sorted.
     """
     ideal._require_proper("is not classified")
     classes: dict[int, list[tuple[int, ...]]] = {}
@@ -154,4 +155,4 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
         lower += todo
     if not grown:
         return ideal
-    return MonomialIdeal._from_exps(ideal.context, lower)
+    return MonomialIdeal._from_antichain(ideal.context, lower)

@@ -37,8 +37,9 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _edge_order(masks) -> tuple[int, ...]:
     """The distinct masks sorted by their ascending vertex lists.  A mask's
     binary digits reversed mark its vertices lowest first with '1's and end
-    in 'b0'; since '1' > 'b' > '0', the descending order of those strings
-    puts first the mask with the lower first differing vertex, or the prefix."""
+    in 'b0'; since 'b' > '1' > '0', the descending order of those strings
+    puts first the mask with the lower first differing vertex, or the
+    prefix, whose 'b' meets a '1' or a '0' of the longer list."""
     return tuple(sorted(set(masks), key=lambda m: bin(m)[::-1], reverse=True))
 
 
@@ -143,10 +144,12 @@ class Clutter(_Frozen):
         return tuple([frozenset(_bits(e)) for e in self._masks])
 
     def edge_ideal(self) -> MonomialIdeal:
-        """The squarefree ideal with one generator per edge, built once."""
+        """The squarefree ideal with one generator per edge, built once.  The
+        edges are distinct and pairwise non-nested, so the generators are
+        only sorted."""
         if self._ideal is None:
             gens = (tuple([e >> v & 1 for v in range(self.n)]) for e in self._masks)
-            ideal = MonomialIdeal._from_exps(self.context, gens)
+            ideal = MonomialIdeal._from_antichain(self.context, gens)
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 

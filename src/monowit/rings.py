@@ -7,24 +7,29 @@ its unique minimal generating set in a canonical order, and every operation
 coefficient field is never represented.
 
 A ring context owns its names and their one name -> index table.  An ideal
-stores only its exponent tuples, minimized by `_minimize_exps` whichever
-constructor built it; `gens` builds the `Monomial`s on each read.  It keeps
-its level table (`_level_table`) once first read, as it keeps its
-decomposition; the decomposition engine, the Borel exchange kernel, the
-witness floors (`max_exponents`) and `verify_witness`, the colon test behind
-every witness verification, all read it.  The one exception is an ideal
-that `witness.build_symmetric_ideal` built: it keeps its pattern, which
-gives its floors and answers `verify_witness` by two exact membership
-tests instead.  Nothing is VERIFIED except through the mask test or the
-pattern test.  All value classes inherit `_Frozen`: immutability,
-equality, hashing, the default repr, copying and pickling.
+stores only its exponent tuples.  The public constructor, the parser and
+`colon`'s quotients minimize them by `_minimize_exps`; an ideal whose
+generators are distinct and pairwise non-dividing by construction (the
+symmetric ideals, exchange closures, clutter edge ideals, a prime's or a
+component's own ideal and the unit ideal) is only sorted, by
+`MonomialIdeal._from_antichain`.  `gens` builds the `Monomial`s on each
+read.  An ideal keeps its level table (`_level_table`) once first read, as
+it keeps its decomposition; the decomposition engine, the Borel exchange
+kernel, the witness floors (`max_exponents`) and `verify_witness`, the
+colon test behind every witness verification, all read it.  The one
+exception is an ideal that `witness.build_symmetric_ideal` built: it keeps
+its pattern, which gives its floors and answers `verify_witness` by two
+exact membership tests instead.  Nothing is VERIFIED except through the
+mask test or the pattern test.  All value classes inherit `_Frozen`: immutability,
+equality, hashing, the default repr, copying and pickling, and the slot
+setters (`_setters`) that trusted values are filled through.
 
 Four rules are stated here once, for every module: `_trusted` builds a
-value the library has already checked, `MonomialIdeal._require_proper`
-refuses the zero and the unit ideal, `_values` reads an index-keyed
-mapping, and `_is_name` says what a variable name is.  `_ints` checks and
-converts outside integers, and `_by_index` refuses a mapping whose keys
-name one index twice.
+value the library has already checked, through its class's slot setters,
+`MonomialIdeal._require_proper` refuses the zero and the unit ideal,
+`_values` reads an index-keyed mapping, and `_is_name` says what a variable
+name is.  `_ints` checks and converts outside integers, and `_by_index`
+refuses a mapping whose keys name one index twice.
 """
 
 from __future__ import annotations
@@ -76,12 +81,14 @@ def _by_index(indices: tuple[int, ...], values) -> dict:
     return out
 
 
-def _trusted(cls, context, value, new=object.__new__, put=object.__setattr__):
+def _trusted(cls, context, value, new=object.__new__):
     """A Monomial, PrimeSupport or SymmetricPattern (cls) on a value already
-    checked, without its constructor; new and put are bound once, for `gens`."""
+    checked, without its constructor: its two slots are filled through the
+    class's `_setters`, with no check and no lookup by name."""
     made = new(cls)
-    put(made, "context", context)
-    put(made, cls.__slots__[1], value)
+    put_context, put_value = cls._setters
+    put_context(made, context)
+    put_value(made, value)
     return made
 
 
@@ -89,20 +96,30 @@ def _rebuild(cls, slots: tuple):
     """A `cls` whose slots hold `slots`, in `cls.__slots__` order: how
     `_Frozen.__reduce__` unpickles a value, with its caches."""
     value = object.__new__(cls)
-    for name, slot in zip(cls.__slots__, slots):
-        object.__setattr__(value, name, slot)
+    for put, slot in zip(cls._setters, slots):
+        put(value, slot)
     return value
 
 
 class _Frozen:
     """Base of the value classes.  Each class states its identity in
     `_key()`: two values are equal exactly when they have the same type and
-    equal keys, and a value hashes as its key.  Each constructor fills the
-    slots through object.__setattr__, and every later assignment or deletion
-    raises, so `copy` and `deepcopy` return the value itself.  `pickle` goes
-    through `__reduce__`, which hands every slot to `_rebuild`."""
+    equal keys, and a value hashes as its key.  A public constructor, and a
+    cache stored on first use, writes a slot by name through
+    object.__setattr__.  `_trusted`, `_rebuild`, the trusted ideal
+    constructors, `gens` and `decompose.irreducible_decomposition` fill the
+    values they build through `_setters` instead: each slot descriptor's
+    `__set__` in `__slots__` order, bound once per class by
+    `__init_subclass__` and looked up through the class, so a subclass
+    without its own `__slots__` gets its base's.  Every later assignment or
+    deletion raises, so `copy` and `deepcopy` return the value itself.
+    `pickle` goes through `__reduce__`, which hands every slot to `_rebuild`."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __copy__(self, memo=None):
         return self
@@ -284,7 +301,8 @@ class MonomialIdeal(_Frozen):
     """A monomial ideal, held as the exponent tuples of its minimal
     generators in descending lex order.
 
-    The constructor minimizes and sorts, so equality of ideals is structural
+    The constructor minimizes and sorts, and `_from_antichain` sorts tuples
+    that are minimal by construction, so equality of ideals is structural
     equality of the stored tuples.  `gens` builds the generators as
     `Monomial`s on each read.  The zero ideal has no generators; the unit
     ideal is generated by 1.  `_decomposition` is filled by
@@ -311,12 +329,22 @@ class MonomialIdeal(_Frozen):
         ideal._set(context, _minimize_exps(vectors))
         return ideal
 
+    @classmethod
+    def _from_antichain(cls, context: RingContext, vectors) -> "MonomialIdeal":
+        """Trusted constructor for tuples that are distinct and pairwise
+        non-dividing by construction: they are only sorted.  Each caller is
+        checked against `_from_exps` in the tests."""
+        ideal = object.__new__(cls)
+        ideal._set(context, tuple(sorted(vectors, reverse=True)))
+        return ideal
+
     def _set(self, context: RingContext, exps: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_exps", exps)
-        object.__setattr__(self, "_decomposition", None)
-        object.__setattr__(self, "_table", None)
-        object.__setattr__(self, "_pattern", None)
+        put_context, put_exps, put_decomposition, put_table, put_pattern = self._setters
+        put_context(self, context)
+        put_exps(self, exps)
+        put_decomposition(self, None)
+        put_table(self, None)
+        put_pattern(self, None)
 
     def _key(self):
         return self.context, self._exps
@@ -328,7 +356,14 @@ class MonomialIdeal(_Frozen):
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
-        return tuple(_trusted(Monomial, self.context, v) for v in self._exps)
+        new, context, out = object.__new__, self.context, []
+        put_context, put_exps = Monomial._setters
+        for v in self._exps:
+            m = new(Monomial)
+            put_context(m, context)
+            put_exps(m, v)
+            out.append(m)
+        return tuple(out)
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
@@ -377,7 +412,7 @@ class MonomialIdeal(_Frozen):
         I, found by one membership test before any quotient is built."""
         _require_same_context(self, v)
         if self._contains_exps(v.exps):
-            return MonomialIdeal._from_exps(self.context, [(0,) * self.context.n])
+            return MonomialIdeal._from_antichain(self.context, [(0,) * self.context.n])
         quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v.exps)])
                      for g in self._exps)
         return MonomialIdeal._from_exps(self.context, quotients)
@@ -464,4 +499,4 @@ class PrimeSupport(_Frozen):
     def as_ideal(self) -> MonomialIdeal:
         n = self.context.n
         gens = (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars)
-        return MonomialIdeal._from_exps(self.context, gens)
+        return MonomialIdeal._from_antichain(self.context, gens)

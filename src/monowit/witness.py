@@ -208,7 +208,7 @@ def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
                     placed[v] = value
                 grown.append(placed)
         partial = grown
-    ideal = MonomialIdeal._from_exps(ctx, map(tuple, partial))
+    ideal = MonomialIdeal._from_antichain(ctx, map(tuple, partial))  # one degree, distinct
     object.__setattr__(ideal, "_pattern", pattern)  # colon tests and decomposition read it
     return ideal
 

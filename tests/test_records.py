@@ -20,13 +20,15 @@ from monowit import (
     SymmetricPattern,
     UniquenessResult,
     WitnessSpec,
+    build_symmetric_ideal,
+    exchange_closure,
     irreducible_decomposition,
     is_borel_type,
     parse_problem_file,
     verify_witness,
     witness_from_component,
 )
-from monowit.rings import MonomialIdeal, _Frozen
+from monowit.rings import MonomialIdeal, _Frozen, _trusted
 from util import ctx, ideal, mono
 
 
@@ -230,17 +232,73 @@ _COPIES = {
 }
 
 
+def _cached_ideals():
+    """Ideals whose caches the library filled through the slot setters: a
+    decomposed ideal (its decomposition and level table), a symmetric ideal
+    (its pattern and the pattern's decomposition) and an exchange closure
+    (decomposed, with its level table)."""
+    decomposed = ideal(ctx(4), "x1^2*x2", "x2^3*x3", "x1*x4^2", "x3^2")
+    symmetric = build_symmetric_ideal(SymmetricPattern(ctx(4), (1, 2, 2)))
+    closure = exchange_closure(ideal(ctx(3), "x2*x3^2", "x1^3"))
+    for I in (decomposed, symmetric, closure):
+        irreducible_decomposition(I)
+        I.max_exponents()
+    return [decomposed, symmetric, closure]
+
+
+def _copied_objects():
+    return _value_objects() + _cached_ideals()
+
+
+_COPIED_IDS = [type(o).__name__ for o in _value_objects()] + [
+    "MonomialIdeal-decomposed", "MonomialIdeal-symmetric", "MonomialIdeal-closure"]
+
+
 @pytest.mark.parametrize("how", _COPIES)
-@pytest.mark.parametrize("k", range(9), ids=[type(o).__name__ for o in _value_objects()])
+@pytest.mark.parametrize("k", range(len(_COPIED_IDS)), ids=_COPIED_IDS)
 def test_values_copy_and_pickle(k, how):
-    obj = _value_objects()[k]
+    obj = _copied_objects()[k]
     again = _COPIES[how](obj)
     assert (again is obj) == (how != "pickle")  # an immutable value is its own copy
     assert type(again) is type(obj) and again == obj and repr(again) == repr(obj)
     if not isinstance(obj, WitnessSpec):
         assert hash(again) == hash(obj)
+    for name in type(obj).__slots__:  # the caches too
+        assert getattr(again, name) == getattr(obj, name)
+    if isinstance(obj, MonomialIdeal) and obj._decomposition is not None:
+        d = again._decomposition
+        assert irreducible_decomposition(again) is d and d.primes() == obj._decomposition.primes()
+        assert list(d._by_support.items()) == list(obj._decomposition._by_support.items())
+        # each support's components still share the one prime of its run
+        assert all(c.prime() is cs[0].prime() for cs in d._by_support.values() for c in cs)
+        assert all(cs[0].prime() is p for cs, p in zip(d._by_support.values(), d.primes()))
+        assert (again._pattern is None) == (obj._pattern is None)
     with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
         setattr(again, type(obj).__slots__[0], None)
+
+
+class _PlainSubclass(PrimeSupport):
+    """A value subclass without its own `__slots__`."""
+
+
+@pytest.mark.parametrize("k", range(9), ids=[type(o).__name__ for o in _value_objects()])
+def test_setters_are_the_slot_descriptors_in_order(k):
+    cls = type(_value_objects()[k])
+    assert len(cls._setters) == len(cls.__slots__)
+    for put, name in zip(cls._setters, cls.__slots__):
+        assert put.__self__ is cls.__dict__[name]  # the class's own descriptor
+
+
+def test_subclass_without_slots_fills_through_its_base():
+    c = ctx(3)
+    assert _PlainSubclass._setters == PrimeSupport._setters
+    made = _trusted(_PlainSubclass, c, (0, 2))
+    assert type(made) is _PlainSubclass and made.vars == (0, 2) and made.context is c
+    assert made != PrimeSupport(c, [0, 2])  # another type
+    again = pickle.loads(pickle.dumps(made))
+    assert type(again) is _PlainSubclass and again == made
+    with pytest.raises(AttributeError, match="^_PlainSubclass is immutable$"):
+        setattr(made, "vars", (1,))
 
 
 @pytest.mark.parametrize("how", _COPIES)

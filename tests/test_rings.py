@@ -1,13 +1,16 @@
 """Core monomial and ideal arithmetic, checked against definitional oracles."""
 
+import ast
 import itertools
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import monowit
 from monowit import (
     Clutter,
     ContextMismatchError,
@@ -26,6 +29,7 @@ from monowit import (
 )
 from monowit.rings import _minimize_exps
 from util import (
+    borel_closure_seeds,
     box_bounds,
     box_corpus,
     box_exponents,
@@ -792,9 +796,9 @@ class TestTrustedPath:
         assert MonomialIdeal._from_exps(c, antichain) == public
 
     def test_former_antichain_callers_match_public(self):
-        """Edge ideals, symmetric ideals and pure-power ideals, which once
-        skipped the minimization, equal the public constructor on the same
-        vectors and keep exactly the distinct vectors."""
+        """Edge ideals, symmetric ideals and pure-power ideals, which skip
+        the minimization (`TestAntichainSites`), equal the public constructor
+        on the same vectors and keep exactly the distinct vectors."""
         built = []
         for clutter in graph_corpus() + clutter_corpus():
             n = clutter.n
@@ -842,3 +846,100 @@ class TestTrustedPath:
             assert q.as_ideal() == MonomialIdeal(
                 c, [c.monomial_from_powers({v: e}) for v, e in q.pairs]
             )
+
+
+# The callers of `MonomialIdeal._from_antichain`, which only sorts: each
+# builds vectors that are distinct and pairwise non-dividing by construction.
+# For each, the ideals it builds from the corpora below; every one must equal
+# `_from_exps` of the same vectors, which minimizes them.
+def _symmetric_ideals():
+    """Every pattern on up to six variables with exponents up to 4."""
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for exps in itertools.combinations_with_replacement(range(1, 5), k):
+                yield build_symmetric_ideal(SymmetricPattern(ctx(n), exps))
+
+
+def _edge_ideals():
+    return (clutter.edge_ideal() for clutter in graph_corpus() + clutter_corpus())
+
+
+def _proper_ideals():
+    yield from witness_corpus()
+    yield from _edge_ideals()
+
+
+def _prime_ideals(ideals_):
+    return (p.as_ideal() for I in ideals_ for p in associated_primes(I))
+
+
+def _component_ideals(ideals_):
+    return (q.as_ideal() for I in ideals_ for q in irreducible_decomposition(I))
+
+
+def _colons(ideals_):
+    """Colons by each generator, which give the unit ideal, and by each
+    variable, which mostly do not: every ideal the colon returns is checked,
+    whichever of its two constructors built it."""
+    for I in ideals_:
+        c = I.context
+        yield from (I.colon(g) for g in I.gens)
+        for i in range(c.n):
+            yield I.colon(c.monomial(tuple(int(t == i) for t in range(c.n))))
+
+
+ANTICHAIN_SITES = {
+    "witness.build_symmetric_ideal": _symmetric_ideals,
+    "borel.exchange_closure": lambda: map(exchange_closure, borel_closure_seeds()),
+    "clutters.Clutter.edge_ideal": _edge_ideals,
+    "rings.PrimeSupport.as_ideal": lambda: _prime_ideals(_proper_ideals()),
+    "decompose.IrreducibleComponent.as_ideal": lambda: _component_ideals(_proper_ideals()),
+    "rings.MonomialIdeal.colon": lambda: _colons(_proper_ideals()),
+}
+
+
+def _is_sorted_antichain(J):
+    """Whether J's stored tuples are what `_from_exps` makes of them."""
+    return J == MonomialIdeal._from_exps(J.context, J._exps)
+
+
+class TestAntichainSites:
+    @pytest.mark.parametrize("site", ANTICHAIN_SITES)
+    def test_site_matches_minimization(self, site):
+        built = list(ANTICHAIN_SITES[site]())
+        assert built
+        for J in built:
+            assert _is_sorted_antichain(J), (site, J)
+        if site == "rings.MonomialIdeal.colon":  # both constructors ran
+            assert {J.is_unit for J in built} == {True, False}
+
+    @given(I=ideals())
+    def test_sites_match_minimization_on_random_ideals(self, I):
+        built = [exchange_closure(I), *_prime_ideals([I]), *_component_ideals([I]),
+                 *_colons([I])]
+        for J in built:
+            assert _is_sorted_antichain(J)
+
+    def test_callers_are_the_listed_sites(self):
+        """Every call of `_from_antichain` in the library is in a function
+        that `ANTICHAIN_SITES` checks, and every listed site still calls it."""
+        assert _antichain_callers() == set(ANTICHAIN_SITES)
+
+
+def _antichain_callers() -> set:
+    """module.Class.function of each call of `_from_antichain` in monowit."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "_from_antichain"):
+                callers.add(".".join(scope))
+            visit(child, inner)
+
+    for path in sorted(Path(monowit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    return callers
