@@ -36,9 +36,6 @@ which holds only its components, so reference counting frees it with the ideal.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
                     _ints, _trusted, _values)
 
@@ -195,41 +192,21 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     if ideal._decomposition is not None:
         return ideal._decomposition
     ideal._require_proper("has no irreducible decomposition")
-    pattern = ideal._pattern
+    context, pattern = ideal.context, ideal._pattern
     if pattern is not None:
         pairs = pattern._components()
     else:
         pairs = _irreducible_components(ideal._levels())
-    decomposition = _trusted_decomposition(ideal.context, pairs)
-    object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
-    return decomposition
-
-
-def _trusted_decomposition(context: RingContext, pairs) -> Decomposition:
-    """The `Decomposition` of the components (support, exponents) that the
-    engine or a pattern found (sorted supports, exponents >= 1), filled
-    through the slot setters.  Sorted, the components of one support form a
-    run, in the order the public constructor groups them, so one pass gives
-    each run its one shared prime and its index entry."""
-    new = object.__new__
     put_context, put_pairs, put_support = IrreducibleComponent._setters
-    components, by_support, primes = [], {}, []
-    for support, run in groupby(sorted(pairs), key=itemgetter(0)):
-        prime = _trusted(PrimeSupport, context, support)
-        start = len(components)
-        for _, exps in run:
-            c = new(IrreducibleComponent)
-            put_context(c, context)
-            put_pairs(c, tuple(zip(support, exps)))
-            put_support(c, prime)
-            components.append(c)
-        by_support[support] = tuple(components[start:])
-        primes.append(prime)
-    decomposition = new(Decomposition)
-    put_components, put_by_support, put_primes = Decomposition._setters
-    put_components(decomposition, tuple(components))
-    put_by_support(decomposition, by_support)
-    put_primes(decomposition, tuple(primes))
+    components = []
+    for support, exps in sorted(pairs):
+        c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
+        put_context(c, context)
+        put_pairs(c, tuple(zip(support, exps)))
+        put_support(c, _trusted(PrimeSupport, context, support))
+        components.append(c)
+    decomposition = Decomposition(components)
+    object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 
 

@@ -251,8 +251,10 @@ class Monomial(_Frozen):
 
 
 def _minimize_exps(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The divisibility-minimal vectors in descending lex order, for every
-    ideal.  Only a vector of lower degree can divide v, so a set of one
+    """The divisibility-minimal vectors in descending lex order, for the
+    public constructor, the parser and `colon`'s quotients; an ideal built
+    by `MonomialIdeal._from_antichain` is only sorted and never comes here.
+    Only a vector of lower degree can divide v, so a set of one
     degree is an antichain once deduplicated, and otherwise v is compared
     only with the survivors of lower degree, first by support mask."""
     ordered = sorted(set(vectors), key=sum)

@@ -18,14 +18,11 @@ from monowit import (
     MonomialIdeal,
     PrimeSupport,
     RingContext,
-    SymmetricPattern,
     WitnessSpec,
     associated_primes,
     borel_witness,
-    build_symmetric_ideal,
     classify_uniqueness,
     component_from_witness,
-    exchange_closure,
     irreducible_decomposition,
     parse_ideal_gens,
     verify_witness,
@@ -34,7 +31,6 @@ from monowit import (
 from monowit.decompose import _irreducible_components
 from monowit.rings import _level_table
 from util import (
-    borel_closure_seeds,
     box_bounds,
     box_exponents,
     clutter_corpus,
@@ -248,23 +244,6 @@ def near_components(d):
 class TestIndexedLookups:
     """primes(), components_for and component membership read an index the
     constructor builds; each must agree with a plain scan of components."""
-
-    def test_one_pass_index_matches_the_constructor(self):
-        """`irreducible_decomposition` builds its index in its sorted pass,
-        with one prime per support; the public constructor regroups the same
-        components into the same index."""
-        ideals_ = [*witness_corpus(), *(g.edge_ideal() for g in graph_corpus() + clutter_corpus())]
-        ideals_ += [build_symmetric_ideal(SymmetricPattern(ctx(n), exps))
-                    for n, exps in [(3, (1,)), (4, (1, 2, 2)), (5, (1, 1, 3)), (5, (2, 3, 3, 4))]]
-        ideals_ += [exchange_closure(I) for I in borel_closure_seeds()]
-        for I in ideals_:
-            d = irreducible_decomposition(I)
-            regrouped = Decomposition(d.components)
-            assert d.components == regrouped.components
-            assert list(d._by_support.items()) == list(regrouped._by_support.items())
-            assert d._primes == regrouped._primes
-            for cs, p in zip(d._by_support.values(), d._primes):
-                assert all(c.prime() is p for c in cs)
 
     def test_primes_match_a_scan(self):
         for d in corpus_decompositions():

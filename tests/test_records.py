@@ -269,9 +269,6 @@ def test_values_copy_and_pickle(k, how):
         d = again._decomposition
         assert irreducible_decomposition(again) is d and d.primes() == obj._decomposition.primes()
         assert list(d._by_support.items()) == list(obj._decomposition._by_support.items())
-        # each support's components still share the one prime of its run
-        assert all(c.prime() is cs[0].prime() for cs in d._by_support.values() for c in cs)
-        assert all(cs[0].prime() is p for cs, p in zip(d._by_support.values(), d.primes()))
         assert (again._pattern is None) == (obj._pattern is None)
     with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
         setattr(again, type(obj).__slots__[0], None)
