@@ -16,7 +16,8 @@ from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints, _trusted
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
+                    _squarefree_table, _trusted)
 
 _GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
@@ -146,10 +147,13 @@ class Clutter(_Frozen):
     def edge_ideal(self) -> MonomialIdeal:
         """The squarefree ideal with one generator per edge, built once.  The
         edges are distinct and pairwise non-nested, so the generators are
-        only sorted."""
+        only sorted.  Its level table is built here, from the edge masks
+        (`rings._squarefree_table`), rather than from the generators on
+        first read: on an antichain, edge order is the generators' order."""
         if self._ideal is None:
             gens = (tuple([e >> v & 1 for v in range(self.n)]) for e in self._masks)
             ideal = MonomialIdeal._from_antichain(self.context, gens)
+            object.__setattr__(ideal, "_table", _squarefree_table(self._masks, self.n))
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 
@@ -178,39 +182,73 @@ class Clutter(_Frozen):
 
         Each lies in T = V \\ P for its cover P and has N(b) inside P: a vertex
         v of P is in N(b) when some edge meets P in v alone and has its rest
-        inside b.  The good b, those with N(b) = P, form an up-set in T, and b
-        cannot drop a vertex u when, for some v, every such rest inside b
-        contains u; one pass over the rests, grouped by v, finds all of them,
-        and stops once no vertex is left that b could drop.
+        inside b.  One pass over the edge masks files, per vertex v, the
+        other ends of its 2-vertex edges as one mask and the rests e - v of
+        its other edges as a list; v's group for P is that mask inside T and
+        the listed rests that miss P.  The good b, those with N(b) = P, form
+        an up-set in T, and b cannot drop a vertex u when, for some v, every
+        rest of v's group inside b contains u: u is then critical for v, as
+        in minimal-transversal search (Murakami and Uno, Discrete Appl. Math.
+        2014).  In a group of other ends alone, that happens when b holds
+        exactly one of them; a group with wider rests ANDs every rest inside
+        b, its other ends as one-vertex rests.  The pass over the groups stops
+        once no vertex is left that b could drop.
         A search from T drops the other vertices in increasing order and
         visits good sets only.  A vertex b cannot drop stays so in every
         subset of b, so it is never tried again below b.  An edgeless clutter
         on n vertices has 2^n good sets, so past 2^16 sets, as many as 16
         vertices can have, the search raises ValueError.
         """
-        full = (1 << self.n) - 1
+        n = self.n
+        pairs = [0] * n  # vertex v -> the other ends of its 2-vertex edges
+        wide = [[] for _ in range(n)]  # vertex v -> the rests e - v of its other edges
+        for e in self._masks:
+            if e.bit_count() == 2:
+                low = e & -e
+                high = e ^ low
+                pairs[low.bit_length() - 1] |= high
+                pairs[high.bit_length() - 1] |= low
+            else:
+                for v in _bits(e):
+                    wide[v].append(e ^ 1 << v)
+        full = (1 << n) - 1
         out = []
         for p in self._cover_masks():
-            rests = {}  # vertex bit of P -> rests of the edges meeting P there alone
-            for e in self._masks:
-                if not (over := e & p) & (over - 1):
-                    rests.setdefault(over, []).append(e & ~p)
             t = full & ~p
-            stack = [(_bits(t), t, t)]  # (members, good set, vertices it may still drop)
+            members, ends, groups = [], [], []  # T; the groups of other ends alone; the rest
+            for v in range(n):
+                if not p >> v & 1:
+                    members.append(v)
+                    continue
+                if wide[v] and (rests := [r for r in wide[v] if not r & p]):
+                    rests += [1 << u for u in _bits(pairs[v] & t)]
+                    groups.append(rests)
+                else:
+                    ends.append(pairs[v] & t)
+            stack = [(tuple(members), t, t)]  # (members, good set, vertices it may still drop)
             while stack:
                 members, b, droppable = stack.pop()
                 out.append(members)
                 if len(out) > _GOOD_SET_CAP:
                     raise ValueError(f"more than {_GOOD_SET_CAP} good stable sets")
-                outside = ~b
-                for group in rests.values():
+                for s in ends:
                     if not droppable:
                         break
-                    kept = b  # the vertices every rest of this group inside b holds
-                    for rest in group:
-                        if not rest & outside:
-                            kept &= rest
-                    droppable &= ~kept
+                    x = s & b  # not empty, since v lies in N(b)
+                    if not x & (x - 1):
+                        droppable &= ~x
+                if groups:
+                    outside = ~b
+                    for rests in groups:
+                        if not droppable:
+                            break
+                        kept = b  # the vertices every rest of this group inside b holds
+                        for rest in rests:
+                            if not rest & outside:
+                                kept &= rest
+                        droppable &= ~kept
+                if not droppable:
+                    continue
                 for i, u in enumerate(members):
                     if droppable >> u & 1:
                         droppable ^= 1 << u

@@ -14,7 +14,9 @@ symmetric ideals, exchange closures, clutter edge ideals, a prime's or a
 component's own ideal and the unit ideal) is only sorted, by
 `MonomialIdeal._from_antichain`.  `gens` builds the `Monomial`s on each
 read.  An ideal keeps its level table (`_level_table`) once first read, as
-it keeps its decomposition; the decomposition engine, the Borel exchange
+it keeps its decomposition, except a clutter's edge ideal, which is built
+with its table in place, by `_squarefree_table` from the edge masks rather
+than from its tuples.  The decomposition engine, the Borel exchange
 kernel, the witness floors (`max_exponents`) and `verify_witness`, the
 colon test behind every witness verification, all read it.  The one
 exception is an ideal that `witness.build_symmetric_ideal` built: it keeps
@@ -299,6 +301,40 @@ def _level_table(gens, n: int):
     return tuple(levels), tuple(var_bits), masks, tuple(floors)
 
 
+def _squarefree_table(masks, n: int):
+    """The `_level_table` of squarefree generators given as variable masks
+    (bit i for x_i), in the order given, without building it from tuples: a
+    level (i, 1) for each variable some mask holds, each mask squeezed past
+    the variables none holds, and 0/1 floors.  When the masks hold every
+    variable, each is its own level mask."""
+    used = 0
+    for m in masks:
+        used |= m
+    levels, var_bits, floors = [], [], []
+    bit = 1
+    for i in range(n):
+        if used >> i & 1:
+            levels.append((i, 1))
+            var_bits.append(bit)
+            floors.append(1)
+            bit <<= 1
+        else:
+            var_bits.append(0)
+            floors.append(0)
+    if used & (used + 1):  # a variable below the top one is held by no mask
+        level = {1 << i: b for i, b in enumerate(var_bits) if b}  # x_i's bit -> its level's
+        squeezed = []
+        for m in masks:
+            out = 0
+            while m:
+                low = m & -m
+                out |= level[low]
+                m ^= low
+            squeezed.append(out)
+        masks = squeezed
+    return tuple(levels), tuple(var_bits), tuple(masks), tuple(floors)
+
+
 class MonomialIdeal(_Frozen):
     """A monomial ideal, held as the exponent tuples of its minimal
     generators in descending lex order.
@@ -309,7 +345,8 @@ class MonomialIdeal(_Frozen):
     `Monomial`s on each read.  The zero ideal has no generators; the unit
     ideal is generated by 1.  `_decomposition` is filled by
     `decompose.irreducible_decomposition` on first use, and `_table` by
-    `_levels`: the ideal keeps both, and they are freed with it.
+    `_levels` (by `Clutter.edge_ideal` on an edge ideal, as it builds it):
+    the ideal keeps both, and they are freed with it.
     `_pattern` is the `SymmetricPattern` an ideal was built from, set only
     by `witness.build_symmetric_ideal` and None otherwise.  None of the
     three is part of the ideal's identity, and pickling keeps all three.

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import monowit.rings as rings
 from monowit import (
     Clutter,
     MonomialIdeal,
     PrimeSupport,
     TheoremViolationError,
     associated_primes,
+    is_borel_type,
     verify_witness,
 )
 from monowit.clutters import _bits, _edge_order
+from monowit.rings import _level_table
 from util import (
     clutter_corpus,
     ctx,
@@ -26,6 +29,7 @@ from util import (
     neighbor_set,
     oracle_good_stable_sets,
     oracle_maximal_stable_sets,
+    per_cover_good_stable_sets,
     search_good_stable_sets,
     variable,
     vertex_mask,
@@ -46,6 +50,11 @@ def square():
 
 def cycle(n):
     return Clutter(n, [{i, (i + 1) % n} for i in range(n)])
+
+
+def triples(n):
+    """The clutter of the n cyclic triples {i, i+1, i+2}."""
+    return Clutter(n, [{i, (i + 1) % n, (i + 2) % n} for i in range(n)])
 
 
 def complete_graph(n):
@@ -205,7 +214,10 @@ class TestStableFamilies:
         assert len(cycle(30).maximal_stable_sets()) == 4610  # a Perrin number
         k17 = complete_graph(17)
         assert k17.good_stable_sets() == tuple(frozenset({v}) for v in range(17))
-        assert len(Clutter(16, []).good_stable_sets()) == 1 << 16
+        empty = Clutter(16, [])
+        good = empty.good_stable_sets()
+        assert len(good) == 1 << 16
+        assert good == per_cover_good_stable_sets(empty) == search_good_stable_sets(empty)
         with pytest.raises(ValueError, match="^more than 65536 good stable sets$"):
             Clutter(17, []).good_stable_sets()
 
@@ -230,12 +242,14 @@ class TestStableFamiliesAgainstBruteForce:
                    Clutter(3, [{0}, {1}, {2}]), Clutter(1, [{0}]))
         for clutter in graph_corpus() + clutter_corpus() + special:
             assert clutter.maximal_stable_sets() == oracle_maximal_stable_sets(clutter)
-            assert clutter.good_stable_sets() == oracle_good_stable_sets(clutter)
+            good = clutter.good_stable_sets()
+            assert good == oracle_good_stable_sets(clutter) == per_cover_good_stable_sets(clutter)
 
     def test_wide_clutters_against_search(self):
-        """Cycles C10-C20, and random graphs and clutters on 10-15 vertices,
-        against the search over every stable set."""
-        wide = [cycle(n) for n in range(10, 21)]
+        """Cycles C10-C22, the cyclic triples on 16-22 vertices, and random
+        graphs and clutters on 10-15 vertices, against the search over every
+        stable set and the per-cover search."""
+        wide = [cycle(n) for n in range(10, 23)] + [triples(n) for n in range(16, 23)]
         rng = random.Random(2468)
         for k in range(16):
             n = rng.randint(10, 15)
@@ -249,7 +263,8 @@ class TestStableFamiliesAgainstBruteForce:
                           if rng.random() < 0.25 and {u, v} not in edges]
             wide.append(Clutter(n, edges))
         for c in wide:
-            assert c.good_stable_sets() == search_good_stable_sets(c)
+            good = c.good_stable_sets()
+            assert good == search_good_stable_sets(c) == per_cover_good_stable_sets(c)
 
     def test_edgeless_clutter(self):
         empty = Clutter(3, [])
@@ -353,21 +368,90 @@ class TestColonOnMasks:
 
 
 @st.composite
-def small_clutters(draw):
-    """Clutters on at most 9 vertices with edges of size 2-3; vertices on no
-    edge are allowed."""
+def small_clutters(draw, min_size=2, max_size=3):
+    """Clutters on at most 9 vertices with edges of min_size to max_size
+    vertices; vertices on no edge are allowed."""
     n = draw(st.integers(2, 9))
-    raw = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=2, max_size=3),
+    raw = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=min_size,
+                                      max_size=max_size),
                         min_size=1, max_size=12))
     return Clutter(n, {e for e in raw if not any(f < e for f in raw)})
 
 
 class TestStableFamiliesOnRandomClutters:
-    @given(clutter=small_clutters())
+    @given(clutter=small_clutters(1, 4))
     def test_against_search_and_oracle(self, clutter):
         good = clutter.good_stable_sets()
         assert good == search_good_stable_sets(clutter) == oracle_good_stable_sets(clutter)
+        assert good == per_cover_good_stable_sets(clutter)
         assert clutter.maximal_stable_sets() == oracle_maximal_stable_sets(clutter)
+
+
+class TestEdgeIdealTable:
+    """The edge ideal's level table, built from the edge masks, against the
+    table built from the generators."""
+
+    @staticmethod
+    def random_clutters(count=300, seed=8642):
+        """Clutters on 1-12 vertices with edges of 1-4 vertices, most of them
+        with vertices on no edge."""
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            n = rng.randint(1, 12)
+            raw = {frozenset(rng.sample(range(n), rng.randint(1, min(4, n))))
+                   for _ in range(rng.randint(0, n + 2))}
+            out.append(Clutter(n, [e for e in raw if not any(f < e for f in raw)]))
+        return out
+
+    def clutters(self):
+        return list(graph_corpus() + clutter_corpus()) + self.random_clutters()
+
+    def test_equals_the_table_from_the_generators(self):
+        isolated = 0
+        for clutter in self.clutters():
+            I = clutter.edge_ideal()
+            assert I._table == _level_table(I._exps, clutter.n)
+            covered = 0
+            for e in clutter._masks:
+                covered |= e
+            isolated += covered != (1 << clutter.n) - 1
+        assert isolated > 100
+
+    def test_general_builder_never_runs(self, monkeypatch):
+        calls = []
+        build = rings._level_table
+
+        def counted(exps, n):
+            calls.append(exps)
+            return build(exps, n)
+
+        monkeypatch.setattr(rings, "_level_table", counted)
+        for shared in graph_corpus()[:10] + clutter_corpus()[:10]:
+            clutter = Clutter(shared.n, shared.edges)  # no edge ideal built yet
+            I = clutter.edge_ideal()
+            I.max_exponents()
+            is_borel_type(I)
+            clutter.good_stable_sets()
+            for p in associated_primes(I):
+                assert verify_witness(I, p, clutter.witness_base(p))
+        assert calls == []
+
+    def test_borel_report_as_for_an_equal_ideal(self):
+        """The Borel kernel reads the masks in stored order, so an equal
+        report, certificate included, pins the order of the table's masks."""
+        outcomes = set()
+        for clutter in self.clutters():
+            I = clutter.edge_ideal()
+            if I.is_zero:  # an edgeless clutter's, which is not classified
+                continue
+            c = clutter.context
+            J = MonomialIdeal(c, [c.monomial_from_powers(dict.fromkeys(e, 1))
+                                  for e in clutter.edges])
+            assert J == I and J._table is None
+            assert is_borel_type(I) == is_borel_type(J)
+            outcomes.add(is_borel_type(I).is_borel_type)
+        assert outcomes == {True, False}
 
 
 class TestBitmaskPredicates:

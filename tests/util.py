@@ -536,6 +536,37 @@ def search_good_stable_sets(clutter):
     return tuple(sorted(out, key=sorted))
 
 
+def per_cover_good_stable_sets(clutter):
+    """Good stable sets by the search inside each cover's complement T, with
+    every cover P rescanning the edges: the edges that meet P in one vertex
+    v are grouped by v and kept as their rests outside P, and a good set b
+    cannot drop a vertex that every rest of some group inside b holds.  The
+    reference for the search on per-vertex rests."""
+    full = (1 << clutter.n) - 1
+    out = []
+    for p in clutter._cover_masks():
+        rests = {}  # vertex bit of P -> rests of the edges meeting P there alone
+        for e in clutter._masks:
+            if not (over := e & p) & (over - 1):
+                rests.setdefault(over, []).append(e & ~p)
+        t = full & ~p
+        stack = [(t, t)]  # (good set, vertices it may still drop)
+        while stack:
+            b, droppable = stack.pop()
+            out.append(frozenset(v for v in range(clutter.n) if b >> v & 1))
+            for group in rests.values():
+                kept = b  # the vertices every rest of this group inside b holds
+                for rest in group:
+                    if not rest & ~b:
+                        kept &= rest
+                droppable &= ~kept
+            for u in range(clutter.n):
+                if droppable >> u & 1:
+                    droppable ^= 1 << u
+                    stack.append((b ^ 1 << u, droppable))
+    return tuple(sorted(out, key=sorted))
+
+
 def _all_subsets(n):
     for r in range(n + 1):
         for combo in itertools.combinations(range(n), r):
