@@ -6,8 +6,11 @@ covers are exactly the supports of the associated primes of the edge ideal,
 and for the prime on a cover P the product of the complementary vertices is
 already a witness: (I : t_A) = <P> for A = V \\ P.  Both stable-set
 families, the maximal and the good stable sets, are read from those covers,
-the edge ideal's component supports.  A clutter is stored only as its edge
-masks; `edges` builds the frozensets on each read.
+the edge ideal's component supports.  `witness_base` certifies t_A with
+the colon kernel that `verify_witness` runs, `rings._colon_reaches`, on
+the edge masks themselves.  A clutter is stored only as its edge masks;
+`edges` builds the frozensets on each read, and the 0/1 exponent tuples of
+the edge ideal and of t_A are filled from a mask's set bits (`_zero_one`).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _ints,
-                    _squarefree_table, _trusted)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _colon_reaches,
+                    _Frozen, _ints, _squarefree_table, _trusted)
 
 _GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
@@ -33,6 +36,17 @@ def _bits(mask: int) -> tuple[int, ...]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return tuple(out)
+
+
+def _zero_one(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 exponent tuple of length n with a 1 at each set bit of mask,
+    filled from those bits alone."""
+    row = bytearray(n)
+    while mask:
+        low = mask & -mask
+        row[low.bit_length() - 1] = 1
+        mask ^= low
+    return tuple(row)
 
 
 def _edge_order(masks) -> tuple[int, ...]:
@@ -151,9 +165,10 @@ class Clutter(_Frozen):
         (`rings._squarefree_table`), rather than from the generators on
         first read: on an antichain, edge order is the generators' order."""
         if self._ideal is None:
-            gens = (tuple([e >> v & 1 for v in range(self.n)]) for e in self._masks)
+            n = self.n
+            gens = (_zero_one(e, n) for e in self._masks)
             ideal = MonomialIdeal._from_antichain(self.context, gens)
-            object.__setattr__(ideal, "_table", _squarefree_table(self._masks, self.n))
+            object.__setattr__(ideal, "_table", _squarefree_table(self._masks, n))
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 
@@ -255,21 +270,6 @@ class Clutter(_Frozen):
                         stack.append((members[:i] + members[i + 1:], b ^ 1 << u, droppable))
         return tuple(map(frozenset, sorted(out)))
 
-    def _colon_is_cover(self, p: int) -> bool:
-        """`verify_witness` for t_A, A = V \\ P, on the edge masks: an edge e
-        exceeds t_A on e & P alone, and by 1 there.  It stays on these masks:
-        an edge mask is already the over set of the general test, which would
-        first pass over the edge ideal's levels to find it, about four times
-        the cost on cycle edge ideals."""
-        reached = 0
-        for e in self._masks:
-            over = e & p
-            if not over:
-                return False
-            if not over & (over - 1):
-                reached |= over
-        return reached == p
-
     def witness_base(self, prime: PrimeSupport) -> Monomial:
         """The witness t_A for the prime on a minimal vertex cover, with
         A the complementary vertex set.
@@ -277,13 +277,14 @@ class Clutter(_Frozen):
         The edge ideal's decomposition checks that the prime is associated,
         which covers its ring.  The complement of a minimal cover is a maximal
         stable set whose neighbor set is exactly the cover, so t_A alone
-        realizes the colon; one pass of the colon test over the edge masks
-        certifies it, and a failure is an internal error.
+        realizes the colon.  The colon kernel `rings._colon_reaches` certifies
+        it on the edge masks, with the cover as above, inside and need, and a
+        failure is an internal error.
         """
         irreducible_decomposition(self.edge_ideal()).components_for(prime)
         p = sum(1 << v for v in prime.vars)
         a = ((1 << self.n) - 1) & ~p
-        t_a = _trusted(Monomial, self.context, tuple([a >> v & 1 for v in range(self.n)]))
-        if not self._colon_is_cover(p):
+        t_a = _trusted(Monomial, self.context, _zero_one(a, self.n))
+        if not _colon_reaches(self._masks, p, p, p):
             raise TheoremViolationError(f"(I : {t_a}) failed to equal {prime}")
         return t_a

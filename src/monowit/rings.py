@@ -17,12 +17,15 @@ read.  An ideal keeps its level table (`_level_table`) once first read, as
 it keeps its decomposition, except a clutter's edge ideal, which is built
 with its table in place, by `_squarefree_table` from the edge masks rather
 than from its tuples.  The decomposition engine, the Borel exchange
-kernel, the witness floors (`max_exponents`) and `verify_witness`, the
-colon test behind every witness verification, all read it.  The one
+kernel, the witness floors (`max_exponents`) and `verify_witness`, behind
+every witness verification, all read it.  `verify_witness` decides the
+colon by `_colon_reaches`, the one colon kernel, which
+`Clutter.witness_base` runs on edge masks too; its docstring says why
+the test is exact.  The one
 exception is an ideal that `witness.build_symmetric_ideal` built: it keeps
 its pattern, which gives its floors and answers `verify_witness` by two
 exact membership tests instead.  Nothing is VERIFIED except through the
-mask test or the pattern test.  All value classes inherit `_Frozen`: immutability,
+colon kernel or the pattern test.  All value classes inherit `_Frozen`: immutability,
 equality, hashing, the default repr, copying and pickling, and the slot
 setters (`_setters`) that trusted values are filled through.
 
@@ -457,24 +460,52 @@ class MonomialIdeal(_Frozen):
         return MonomialIdeal._from_exps(self.context, quotients)
 
 
+def _colon_reaches(masks, above, inside, need) -> bool:
+    """The one colon test, (I : v) = P, on bit masks: every `g & above`
+    meets inside, and the single bits among them OR to exactly need.
+
+    (I : v) is generated by the g / gcd(g, v), which are nonzero exactly
+    where g exceeds v.  With masks the generators' level masks, above the
+    levels over v and inside the levels of P's variables, over = g & above
+    is where g exceeds v, so the colon lies in P exactly when (a) every over
+    meets inside.  Given (a), x_j is in the colon exactly when (b) some g
+    exceeds v on x_j alone and by 1: its over is the single level
+    (j, v_j + 1), the step level of x_j.  need holds the step levels of P's
+    variables, and the caller has checked that each has one, since (b)
+    fails for a variable without it.  A single-bit over that meets inside
+    is the first level above v_j of some x_j of P, which is then its step
+    level, so the single bits OR to need exactly when (b) holds for every
+    x_j.  `verify_witness` calls it on the level table.
+    `Clutter.witness_base` calls it on the edge masks, with above, inside
+    and need all the cover P: an edge exceeds the squarefree t_A,
+    A = V \\ P, on its vertices in P, each by 1, and each vertex is its own
+    step level.
+    """
+    hits = 0
+    for g in masks:
+        over = g & above
+        if not over & inside:
+            return False
+        if not over & (over - 1):
+            hits |= over
+    return hits == need
+
+
 def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bool:
     """Whether (I : v) equals the prime P, on the ideal's level table: one
-    pass over its levels, then one AND per generator mask, without building
-    the colon.
+    pass over its levels, then `_colon_reaches` over the generator masks,
+    without building the colon.
 
     A monomial from another ring than I raises ContextMismatchError; a prime
     from another ring is never equal to the colon, so the answer is False
     before the level table is read.  An ideal built from a symmetric pattern
     is answered from the pattern alone (`SymmetricPattern._colon_is_prime`),
-    without the level table or the masks; the mask test below is its oracle.
+    without the level table or the masks; the colon kernel is its oracle.
 
-    (I : x^v) is generated by the g / gcd(g, x^v), which are nonzero
-    exactly where g exceeds v.  The levels (i, e) with v_i < e <= g_i
-    are the bits of over = mask(g) & ~below, below being the levels at or
-    under v.  So the colon lies in P exactly when (a) every over meets
-    the bits of P's variables.  Given (a), x_i is in it exactly when (b)
-    some g divides x_i * x^v, that is, exceeds v on x_i alone and by 1:
-    its over is the single bit of the level (i, v_i + 1).
+    The pass marks the levels at or below v and the step levels (i, v_i + 1).
+    No generator exceeds v by exactly 1 on a variable of P without a step
+    level, so that variable fails (b) and the answer is False before the
+    masks are read.
     """
     _require_same_context(ideal, v)
     if prime.context is not ideal.context and prime.context != ideal.context:
@@ -483,27 +514,21 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
         return ideal._pattern._colon_is_prime(prime.vars, v.exps)
     levels, var_bits, masks, _ = ideal._levels()
     exps = v.exps
-    inside = target = 0
-    for i in prime.vars:
-        inside |= var_bits[i]
-        target |= 1 << i
-    below = 0
-    step = {}  # the bit of a level (i, v_i + 1) -> 1 << i; (a) rules out i outside P
+    below = steps = 0
     bit = 1
     for i, e in levels:
         if e <= exps[i]:
             below |= bit
         elif e == exps[i] + 1:
-            step[bit] = 1 << i
+            steps |= bit
         bit <<= 1
-    above = ~below
-    reached = 0  # the variables of P that (b) has shown lie in the colon
-    for g in masks:
-        over = g & above
-        if not over & inside:
-            return False
-        reached |= step.get(over, 0)
-    return reached == target
+    inside = 0
+    for i in prime.vars:
+        inside |= var_bits[i]
+    need = steps & inside  # at most one step level per variable
+    if need.bit_count() < len(prime.vars):
+        return False
+    return _colon_reaches(masks, ~below, inside, need)
 
 
 class PrimeSupport(_Frozen):

@@ -29,8 +29,11 @@ from util import (
     neighbor_set,
     oracle_good_stable_sets,
     oracle_maximal_stable_sets,
+    oracle_verify_witness,
     per_cover_good_stable_sets,
     search_good_stable_sets,
+    step_map_colon_is_prime,
+    tuple_colon_is_prime,
     variable,
     vertex_mask,
 )
@@ -352,17 +355,26 @@ class TestWitnessBase:
 
 
 class TestColonOnMasks:
-    """The colon test on edge masks against the ring's colon test."""
+    """The colon kernel on edge masks, as `witness_base` calls it, against
+    `verify_witness` on the edge ideal's level table and the colon itself."""
 
     def test_every_vertex_subset(self):
+        clutters = graph_corpus() + clutter_corpus()
+        # a vertex on no edge has no level: the edge masks and the level masks differ
+        assert any(len(set().union(*c.edges)) < c.n for c in clutters)
         outcomes = set()
-        for clutter in graph_corpus() + clutter_corpus():
+        for clutter in clutters:
             I = clutter.edge_ideal()
             for r in range(1, clutter.n + 1):
                 for vars_ in itertools.combinations(range(clutter.n), r):
+                    P = PrimeSupport(clutter.context, vars_)
                     t_a = vertex_product(clutter, set(range(clutter.n)) - set(vars_))
-                    expected = verify_witness(I, PrimeSupport(clutter.context, vars_), t_a)
-                    assert clutter._colon_is_cover(sum(1 << v for v in vars_)) == expected
+                    expected = oracle_verify_witness(I, P, t_a)
+                    assert tuple_colon_is_prime(I, t_a.exps, vars_) == expected
+                    assert step_map_colon_is_prime(I, P, t_a) == expected
+                    assert verify_witness(I, P, t_a) == expected
+                    p = vertex_mask(vars_)
+                    assert rings._colon_reaches(clutter._masks, p, p, p) == expected
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -501,8 +513,10 @@ class TestWitnessBaseChecksRun:
     """The colon check of witness_base fires when its premise is broken."""
 
     def test_wrong_colon(self, monkeypatch):
+        import monowit.clutters
+
         p = path3()
-        monkeypatch.setattr(Clutter, "_colon_is_cover", lambda self, prime_mask: False)
+        monkeypatch.setattr(monowit.clutters, "_colon_reaches", lambda *masks: False)
         with pytest.raises(TheoremViolationError, match="failed to equal"):
             p.witness_base(PrimeSupport(p.context, [1]))
 

@@ -30,6 +30,7 @@ from monowit import (
     witness_from_component,
 )
 from monowit.decompose import Decomposition
+from monowit.rings import _colon_reaches
 from util import (
     box_bounds,
     box_exponents,
@@ -44,6 +45,7 @@ from util import (
     session_ideal,
     six_var_ideal,
     squarefree_witness,
+    step_map_colon_is_prime,
     times_variable,
     tiny_corpus,
     tuple_colon_is_prime,
@@ -130,11 +132,12 @@ def level_neighbours(I, v):
 
 
 def assert_colon_tests_agree(I, P, exps):
-    """verify_witness on the level masks and the tuple scan both give the
-    verdict of the colon built as an ideal."""
+    """verify_witness on the level masks, the step-map test it replaced and
+    the tuple scan all give the verdict of the colon built as an ideal."""
     v = Monomial(I.context, exps)
     expected = oracle_verify_witness(I, P, v)
     assert tuple_colon_is_prime(I, exps, P.vars) == expected, (I, P, v)
+    assert step_map_colon_is_prime(I, P, v) == expected, (I, P, v)
     assert verify_witness(I, P, v) == expected, (I, P, v)
     return expected
 
@@ -203,8 +206,26 @@ class TestVerifyWitness:
 
 
 class TestLevelKernel:
-    """`verify_witness` on the level masks against the tuple scan it
-    replaced and against the colon itself."""
+    """`verify_witness` on the level masks, through `rings._colon_reaches`,
+    against the step-map test and the tuple scan it replaced and against the
+    colon itself."""
+
+    @pytest.mark.parametrize("gens, prime, exps, below, need", [
+        # x1's first level above v_1 = 1 is 3, not 2: x2*x3's over is the
+        # single step level of x2, so the hits are all of need
+        (("x1^3*x2", "x2*x3"), (0, 1), (1, 0, 1), 0b100, 0b010),
+        # x3 is in P and in no generator, so it has no level at all
+        (("x1", "x2"), (0, 1, 2), (0, 0, 0), 0b000, 0b011),
+    ])
+    def test_a_prime_variable_without_a_step_level(self, gens, prime, exps, below, need):
+        """The bit-count guard decides these: the kernel alone reaches need,
+        yet the colon is not P."""
+        I = ideal(ctx(3), *gens)
+        P = PrimeSupport(I.context, prime)
+        _, var_bits, masks, _ = I._levels()
+        inside = sum(var_bits[i] for i in prime)
+        assert _colon_reaches(masks, ~below, inside, need)
+        assert not assert_colon_tests_agree(I, P, exps)
 
     @given(I=st.one_of(ideals(proper=False, max_exp=4), st.sampled_from(witness_corpus())))
     def test_agrees_with_the_tuple_scan_and_the_colon(self, I):

@@ -233,6 +233,37 @@ def tuple_colon_is_prime(ideal_, v, prime_vars) -> bool:
     return reached == mask
 
 
+def step_map_colon_is_prime(ideal_, prime, v) -> bool:
+    """`verify_witness` as it was before the colon kernel, for an ideal
+    without a pattern: a map from each step level (i, v_i + 1) to x_i's
+    bit, read by one lookup per generator's over set, and the variables of
+    P it reaches compared with P.  The reference for `rings._colon_reaches`."""
+    _require_same_context(ideal_, v)
+    levels, var_bits, masks, _ = ideal_._levels()
+    exps = v.exps
+    inside = target = 0
+    for i in prime.vars:
+        inside |= var_bits[i]
+        target |= 1 << i
+    below = 0
+    step = {}  # the bit of a level (i, v_i + 1) -> 1 << i
+    bit = 1
+    for i, e in levels:
+        if e <= exps[i]:
+            below |= bit
+        elif e == exps[i] + 1:
+            step[bit] = 1 << i
+        bit <<= 1
+    above = ~below
+    reached = 0
+    for g in masks:
+        over = g & above
+        if not over & inside:
+            return False
+        reached |= step.get(over, 0)
+    return reached == target
+
+
 def squarefree_witness(ideal_, prime, v) -> bool:
     """The shape of a witness for a squarefree ideal: it verifies, and no
     variable of the prime divides it."""
