@@ -19,11 +19,10 @@ and the closure do not classify the zero or the unit ideal (`_require_proper`).
 
 from __future__ import annotations
 
-from operator import le
 from typing import NamedTuple, Optional
 
 from .decompose import IrreducibleComponent, associated_primes, irreducible_decomposition
-from .rings import Monomial, MonomialIdeal, PrimeSupport, _trusted
+from .rings import Monomial, MonomialIdeal, PrimeSupport, _member, _trusted
 
 
 class BorelReport(NamedTuple):
@@ -137,7 +136,7 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     lower: list[tuple[int, ...]] = []  # the finished generators, of lower degree
     grown = False
     for degree in sorted(classes):
-        todo = [u for u in classes[degree] if not any(all(map(le, g, u)) for g in lower)]
+        todo = [u for u in classes[degree] if not _member(lower, u)]
         seen = set(todo)  # most moves land on a generator of the class itself
         for u in todo:  # the list grows as the loop runs
             for i, e in enumerate(u):
@@ -148,7 +147,7 @@ def exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
                     moved[i] -= 1
                     moved[j] += 1
                     moved = tuple(moved)
-                    if moved not in seen and not any(all(map(le, g, moved)) for g in lower):
+                    if moved not in seen and not _member(lower, moved):
                         todo.append(moved)
                         seen.add(moved)
                         grown = True

@@ -9,8 +9,9 @@ families, the maximal and the good stable sets, are read from those covers,
 the edge ideal's component supports.  `witness_base` certifies t_A with
 the colon kernel that `verify_witness` runs, `rings._colon_reaches`, on
 the edge masks themselves.  A clutter is stored only as its edge masks;
-`edges` builds the frozensets on each read, and the 0/1 exponent tuples of
-the edge ideal and of t_A are filled from a mask's set bits (`_zero_one`).
+`edges` builds the frozensets on each read from `rings._bits`, and the 0/1
+exponent tuples of the edge ideal and of t_A are filled from a mask's set
+bits (`_zero_one`).
 """
 
 from __future__ import annotations
@@ -19,23 +20,14 @@ from typing import Iterable, Union
 
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _colon_reaches,
-                    _Frozen, _ints, _squarefree_table, _trusted)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _bits,
+                    _colon_reaches, _Frozen, _ints, _squarefree_table, _trusted)
 
 _GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
 
 def _braced(names, mask: int) -> str:
     return "{" + ",".join(names[v] for v in _bits(mask)) + "}"
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, in ascending order."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
 
 
 def _zero_one(mask: int, n: int) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ which holds only its components, so reference counting frees it with the ideal.
 from __future__ import annotations
 
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _trusted, _values)
+                    _ints, _row, _trusted, _values)
 
 
 def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -128,8 +128,7 @@ class IrreducibleComponent(_Frozen):
         return _trusted(Monomial, self.context, tuple(exps))
 
     def as_ideal(self) -> MonomialIdeal:
-        n = self.context.n
-        gens = (tuple([e if t == v else 0 for t in range(n)]) for v, e in self.pairs)
+        gens = (_row(self.context.n, (pair,)) for pair in self.pairs)
         return MonomialIdeal._from_antichain(self.context, gens)
 
 

@@ -9,7 +9,8 @@ character is a token that no grammar below accepts, so it is an error on
 its own line.  A ',' is always a token of its own, so a comma list (ring
 names, sym exponents, the CLI's --prime and --b) is split at each ','
 and an --offset item at its first '=', and each part, with the blanks
-around it dropped, is then read by the same token rule.
+around it dropped, is then read by the same token rule; an --offset
+value, from its '=' to the end, is not stripped and may hold no blank.
 
 Monomial grammar ("1" is the unit monomial):
 

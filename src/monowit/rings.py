@@ -34,7 +34,10 @@ value the library has already checked, through its class's slot setters,
 `MonomialIdeal._require_proper` refuses the zero and the unit ideal,
 `_values` reads an index-keyed mapping, and `_is_name` says what a variable
 name is.  `_ints` checks and converts outside integers, and `_by_index`
-refuses a mapping whose keys name one index twice.
+refuses a mapping whose keys name one index twice.  Three operations are
+written once here too: `_bits` lists a mask's set bits, `_row` fills an
+exponent tuple from (variable, exponent) pairs, and `_member` asks whether
+some generator tuple divides a tuple; only the hottest loops walk inline.
 """
 
 from __future__ import annotations
@@ -84,6 +87,28 @@ def _by_index(indices: tuple[int, ...], values) -> dict:
         twice = next(i for i in indices if indices.count(i) > 1)
         raise ValueError(f"variable index {twice} is given more than once")
     return out
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in ascending order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def _row(n: int, pairs) -> tuple[int, ...]:
+    """The length-n exponent tuple with e at i for each (i, e) of pairs, 0 elsewhere."""
+    row = [0] * n
+    for i, e in pairs:
+        row[i] = e
+    return tuple(row)
+
+
+def _member(gens, v) -> bool:
+    """Whether some exponent tuple of gens divides the tuple v."""
+    return any(all(map(le, g, v)) for g in gens)
 
 
 def _trusted(cls, context, value, new=object.__new__):
@@ -209,11 +234,8 @@ class RingContext(_Frozen):
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
         values = _values(powers, "powers must be a mapping from variable index to exponent")
-        exps = [0] * self.n
         indices = _ints(powers, "variable index {} out of range", high=self.n)
-        for i, e in _by_index(indices, values).items():
-            exps[i] = e
-        return Monomial(self, tuple(exps))
+        return Monomial(self, _row(self.n, _by_index(indices, values).items()))
 
 
 def _require_same_context(a, b):
@@ -313,28 +335,13 @@ def _squarefree_table(masks, n: int):
     used = 0
     for m in masks:
         used |= m
-    levels, var_bits, floors = [], [], []
-    bit = 1
-    for i in range(n):
-        if used >> i & 1:
-            levels.append((i, 1))
-            var_bits.append(bit)
-            floors.append(1)
-            bit <<= 1
-        else:
-            var_bits.append(0)
-            floors.append(0)
+    levels, var_bits, floors = [], [0] * n, [0] * n
+    for i in _bits(used):
+        var_bits[i] = 1 << len(levels)
+        floors[i] = 1
+        levels.append((i, 1))
     if used & (used + 1):  # a variable below the top one is held by no mask
-        level = {1 << i: b for i, b in enumerate(var_bits) if b}  # x_i's bit -> its level's
-        squeezed = []
-        for m in masks:
-            out = 0
-            while m:
-                low = m & -m
-                out |= level[low]
-                m ^= low
-            squeezed.append(out)
-        masks = squeezed
+        masks = [sum([var_bits[i] for i in _bits(m)]) for m in masks]
     return tuple(levels), tuple(var_bits), tuple(masks), tuple(floors)
 
 
@@ -430,10 +437,7 @@ class MonomialIdeal(_Frozen):
 
     def __contains__(self, m: Monomial) -> bool:
         _require_same_context(self, m)
-        return self._contains_exps(m.exps)
-
-    def _contains_exps(self, v: tuple[int, ...]) -> bool:
-        return any(all(map(le, g, v)) for g in self._exps)
+        return _member(self._exps, m.exps)
 
     def _levels(self):
         """The `_level_table` of the generators, built on first use and kept."""
@@ -453,7 +457,7 @@ class MonomialIdeal(_Frozen):
         """The quotient (I : v) by a monomial: the unit ideal when v lies in
         I, found by one membership test before any quotient is built."""
         _require_same_context(self, v)
-        if self._contains_exps(v.exps):
+        if _member(self._exps, v.exps):
             return MonomialIdeal._from_antichain(self.context, [(0,) * self.context.n])
         quotients = (tuple([d if d > 0 else 0 for d in map(sub, g, v.exps)])
                      for g in self._exps)
@@ -561,6 +565,5 @@ class PrimeSupport(_Frozen):
         return tuple(i for i in range(self.context.n) if i not in inside)
 
     def as_ideal(self) -> MonomialIdeal:
-        n = self.context.n
-        gens = (tuple([1 if t == i else 0 for t in range(n)]) for i in self.vars)
+        gens = (_row(self.context.n, ((i, 1),)) for i in self.vars)
         return MonomialIdeal._from_antichain(self.context, gens)

@@ -17,8 +17,8 @@ from monowit import (
     is_borel_type,
     verify_witness,
 )
-from monowit.clutters import _bits, _edge_order
-from monowit.rings import _level_table
+from monowit.clutters import _edge_order
+from monowit.rings import _bits, _level_table
 from util import (
     clutter_corpus,
     ctx,

@@ -27,7 +27,7 @@ from monowit import (
     irreducible_decomposition,
     symmetric_witness,
 )
-from monowit.rings import _minimize_exps
+from monowit.rings import _member, _minimize_exps
 from util import (
     borel_closure_seeds,
     box_bounds,
@@ -834,18 +834,26 @@ class TestTrustedPath:
             m = Monomial(c, exps)
             lifted = tuple(a + b for a, b in zip(exps, v.exps))
             assert (m in I) == oracle_member(I, exps)
+            assert _member(I._exps, lifted) == oracle_member(I, lifted)
             assert (m in quotient) == oracle_member(I, lifted)
             assert (m in met) == (oracle_member(I, exps) and oracle_member(J, exps))
 
     def test_variable_ideals_match_public(self):
+        """A prime's and a component's `as_ideal` equal the public
+        constructor's ideal of their pure powers, each row written out in full."""
+        def public(c, pairs):
+            return MonomialIdeal(c, [c.monomial(e if t == v else 0 for t in range(c.n))
+                                     for v, e in pairs])
+
         c = ctx(5)
-        for vs in ([0], [1, 3], [0, 2, 3, 4], range(5)):
-            p = PrimeSupport(c, vs)
-            assert p.as_ideal() == MonomialIdeal(c, [variable(c, i) for i in p.vars])
-            q = IrreducibleComponent(c, {v: v + 2 for v in p.vars})
-            assert q.as_ideal() == MonomialIdeal(
-                c, [c.monomial_from_powers({v: e}) for v, e in q.pairs]
-            )
+        cases = [IrreducibleComponent(c, {v: v + 2 for v in vs})
+                 for vs in ([0], [1, 3], [0, 2, 3, 4], range(5))]
+        cases += [q for I in witness_corpus() for q in irreducible_decomposition(I)]
+        cases.append(IrreducibleComponent(ctx(1000), dict.fromkeys(range(1000), 2)))
+        for q in cases:
+            p = q.prime()
+            assert p.as_ideal() == public(p.context, [(v, 1) for v in p.vars])
+            assert q.as_ideal() == public(q.context, q.pairs)
 
 
 # The callers of `MonomialIdeal._from_antichain`, which only sorts: each

@@ -470,7 +470,7 @@ def oracle_exchange_closure(ideal: MonomialIdeal) -> MonomialIdeal:
                     moved = list(u)
                     moved[i] -= 1
                     moved[j] += 1
-                    if not current._contains_exps(moved):
+                    if not oracle_member(current, moved):
                         missing.append(tuple(moved))
         if not missing:
             return current
@@ -493,7 +493,7 @@ def oracle_exchange_certificate(ideal: MonomialIdeal):
             for j in range(i):
                 probe = stripped.copy()
                 probe[j] += floors[j]
-                if not ideal._contains_exps(probe):
+                if not oracle_member(ideal, probe):
                     return u, i, j
     return None
 
