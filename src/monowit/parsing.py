@@ -100,7 +100,7 @@ def _entries(text: str) -> list[str]:
 
 def _monomial(line: _Line, i: int, context: RingContext) -> tuple[tuple[int, ...], int]:
     """The exponents of the monomial starting at tokens[i], and the index after it."""
-    tokens, index = line.tokens, context._index
+    tokens, index = line.tokens, context._table()
     if tokens[i][:1] == "1":
         if tokens[i] == "1":
             return (0,) * context.n, i + 1
@@ -184,7 +184,7 @@ def _clutter(line: _Line, i: int, context: RingContext) -> Clutter:
     """Each vertex costs a lookup in the ring's name table and a bit set."""
     from .clutters import Clutter
 
-    tokens, index = line.tokens, context._index
+    tokens, index = line.tokens, context._table()
     if not tokens[i]:
         raise ParseError("clutter declaration lists no edges", line.line)
     first, masks = i, []

@@ -6,8 +6,10 @@ its unique minimal generating set in a canonical order, and every operation
 (membership, colon by a monomial) is a pure function on those tuples.  The
 coefficient field is never represented.
 
-A ring context owns its names and their one name -> index table.  An ideal
-stores only its exponent tuples.  The public constructor, the parser and
+A ring context owns its names and their one name -> index table; a ring
+given only its size builds both on first read, so a ring that nothing
+prints or parses names in costs no more than its size.  An ideal stores
+only its exponent tuples.  The public constructor, the parser and
 `colon`'s quotients minimize them by `_minimize_exps`; an ideal whose
 generators are distinct and pairwise non-dividing by construction (the
 symmetric ideals, exchange closures, clutter edge ideals, a prime's or a
@@ -137,8 +139,9 @@ class _Frozen:
     equal keys, and a value hashes as its key.  A public constructor, and a
     cache stored on first use, writes a slot by name through
     object.__setattr__.  `_trusted`, `_rebuild`, the trusted ideal
-    constructors, `gens` and `decompose.irreducible_decomposition` fill the
-    values they build through `_setters` instead: each slot descriptor's
+    constructors, `gens`, a `RingContext` given its size and
+    `decompose.irreducible_decomposition` fill the values they build
+    through `_setters` instead: each slot descriptor's
     `__set__` in `__slots__` order, bound once per class by
     `__init_subclass__` and looked up through the class, so a subclass
     without its own `__slots__` gets its base's.  Every later assignment or
@@ -184,34 +187,58 @@ class RingContext(_Frozen):
     """Ambient polynomial ring: a number of variables plus display names.
 
     A name is a str that `_is_name` accepts, so that every monomial prints
-    and parses back; generated names x1..xn are not checked.  Every
-    name the library reads resolves through `_index`, built once."""
+    and parses back.  A ring given names builds and checks them, and their
+    name -> index table, at construction.  A ring given its size n keeps
+    only n: its names x1..xn, never checked, and their table are built
+    together by `_table` on first read, by printing, `names`, `index_of`, a
+    name lookup in the parser, or equality and hashing against another ring
+    object; races store equal values.  Every name the library reads
+    resolves through that one table."""
 
-    __slots__ = ("names", "n", "_index")
+    __slots__ = ("n", "_names", "_index")
 
     def __init__(self, names_or_size: Union[int, Iterable[str]]):
         if isinstance(names_or_size, int):
-            names = tuple(f"x{i + 1}" for i in range(names_or_size))
-        else:
-            try:
-                if isinstance(names_or_size, str):  # not one name per character
-                    raise TypeError
-                names = tuple(names_or_size)
-            except TypeError:
-                raise ValueError(
-                    f"a ring context needs a size or variable names, not {names_or_size!r}"
-                ) from None
-            for name in names:
-                if not _is_name(name):
-                    raise ValueError(f"invalid variable name {name!r}")
+            if names_or_size < 1:
+                raise ValueError("a ring context needs at least one variable")
+            put_n, put_names, put_index = self._setters
+            put_n(self, int(names_or_size))
+            put_names(self, None)
+            put_index(self, None)
+            return
+        try:
+            if isinstance(names_or_size, str):  # not one name per character
+                raise TypeError
+            names = tuple(names_or_size)
+        except TypeError:
+            raise ValueError(
+                f"a ring context needs a size or variable names, not {names_or_size!r}"
+            ) from None
+        for name in names:
+            if not _is_name(name):
+                raise ValueError(f"invalid variable name {name!r}")
         if not names:
             raise ValueError("a ring context needs at least one variable")
         index = dict(zip(names, range(len(names))))
         if len(index) != len(names):
             raise ValueError("variable names must be pairwise distinct")
-        object.__setattr__(self, "names", names)
         object.__setattr__(self, "n", len(names))
+        object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_index", index)
+
+    def _table(self) -> dict:
+        """The name -> index table; a sized ring builds it, with its names,
+        on first read."""
+        if self._index is None:  # the names are stored first, so a set table has them
+            names = tuple(f"x{i + 1}" for i in range(self.n))
+            object.__setattr__(self, "_names", names)
+            object.__setattr__(self, "_index", dict(zip(names, range(self.n))))
+        return self._index
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        self._table()
+        return self._names
 
     def _key(self):
         return self.names
@@ -221,7 +248,7 @@ class RingContext(_Frozen):
 
     def index_of(self, name: str) -> int:
         try:
-            return self._index[name]
+            return self._table()[name]
         except (KeyError, TypeError):
             raise ValueError(f"unknown variable {name!r}") from None
 

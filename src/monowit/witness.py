@@ -163,19 +163,27 @@ class SymmetricPattern(_Frozen):
         ideal I, from two membership tests: (a) no monomial off the prime
         times x^v lies in I, that is, v with every other variable raised to
         the top exponent does not; (b) x^v * x_i lies in I for each x_i of
-        the prime.  `rings.verify_witness` answers a symmetric ideal here."""
+        the prime.  `rings.verify_witness` answers a symmetric ideal here.
+
+        (b) sorts v once, largest first, and keeps the positions where the
+        threshold matching fails.  Raising v_i raises the first occurrence
+        of v_i in that order by 1 and keeps it sorted.  Some position
+        fails, since (a) holds only for v outside I, so x^v * x_i lies in I
+        exactly when one position fails, by 1, at a first occurrence of
+        v_i.  A single failing position is always a first occurrence: the
+        exponents descend along it, so a tie just before it would fail too."""
         raised = [self.exps[-1]] * self.context.n
         for i in prime_vars:
             raised[i] = v[i]
         if self._contains(raised):
             return False
-        w = list(v)
-        for i in prime_vars:
-            w[i] += 1
-            if not self._contains(w):
-                return False
-            w[i] -= 1
-        return True
+        ordered = sorted(v, reverse=True)
+        short = [j for j, e in enumerate(reversed(self.exps)) if e > ordered[j]]
+        if len(short) != 1:
+            return False
+        (j,) = short
+        s = ordered[j]
+        return self.exps[-1 - j] == s + 1 and all(v[i] == s for i in prime_vars)
 
     def _components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The irredundant irreducible decomposition of the pattern's ideal,
@@ -227,10 +235,10 @@ def symmetric_witness(
     tail exponent of the pattern.
     """
     ctx = pattern.context
-    breaks = pattern.breaks()
-    (value_index,) = _ints((value_index,), "value_index {} out of range", high=len(breaks))
-    first_pos = breaks[value_index]
-    value = pattern.exps[first_pos]
+    values = pattern.distinct_values()
+    (value_index,) = _ints((value_index,), "value_index {} out of range", high=len(values))
+    value = values[value_index]
+    first_pos = pattern.exps.index(value)
     prime = PrimeSupport(ctx, prime_vars)
     expected = ctx.n - pattern.k + first_pos + 1
     if len(prime.vars) != expected:
@@ -246,9 +254,9 @@ def symmetric_witness(
     for b, floor in zip(b_choices, tail_floors):
         if b < floor:
             raise ValueError(f"complement exponent {b} below its floor {floor}")
-    exps = [value - 1] * ctx.n  # the prime's exponents; each complement variable has a b
-    for i, b in zip(prime.complement(), b_choices):
-        exps[i] = b
+    exps = list(b_choices)  # the complement's exponents, in order
+    for i in prime.vars:  # ascending, so each lands at its own index
+        exps.insert(i, value - 1)
     return prime, _trusted(Monomial, ctx, tuple(exps))
 
 
@@ -274,7 +282,8 @@ def classify_uniqueness(ideal: MonomialIdeal, prime: PrimeSupport) -> Uniqueness
     floors = list(ideal.max_exponents())
     v1 = components[0]._witness(floors.copy())
     if not prime.is_full_support:
-        floors[prime.complement()[0]] += 1
+        # the first variable outside the prime: vars ascends, so the first i with vars[i] != i
+        floors[next((i for i, p in enumerate(prime.vars) if i != p), len(prime.vars))] += 1
         v2 = components[0]._witness(floors)
     elif len(components) > 1:
         v2 = components[1]._witness(floors)

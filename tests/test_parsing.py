@@ -323,6 +323,30 @@ class TestProblemFile:
         with pytest.raises(ParseError, match=r"^edges \{a\} and \{a,b\} are nested"):
             parse_problem_file("ring vars=a,b\nclutter C = {a,b},{a}\n")
 
+    @pytest.mark.parametrize("text", ["ring n=400000\n", "sym S = n:400000 exps:1\n",
+                                      "sym S = n:400000 exps:1\nring n=400000\n"])
+    def test_a_sized_ring_builds_no_names_until_one_is_read(self, text):
+        problem = parse_problem_file(text)
+        for ring in (problem.context, problem.pattern and problem.pattern.context):
+            if ring is not None:
+                assert ring.n == 400000 and ring._names is None and ring._index is None
+
+    @pytest.mark.parametrize("name", ["x0", "x01", "x4", "x1x", "X1"])
+    def test_names_outside_a_sized_ring_are_unknown(self, name):
+        # the messages, byte for byte, of a ring that built x1..x3 at once
+        for text, column in ((f"ideal I = x1, {name}", 15), (f"clutter C = {{x1,{name}}}", 17),
+                             (f"ideal I = x2*{name}^2", 14)):
+            with pytest.raises(ParseError) as info:
+                parse_problem_file(f"ring n=3\n{text}\n")
+            assert str(info.value) == f"unknown variable {name!r} (line 2, column {column})"
+        for parse in (parse_monomial, parse_ideal_gens):
+            with pytest.raises(ParseError) as info:
+                parse(name, RingContext(3))
+            assert str(info.value) == f"unknown variable {name!r} (line 1, column 1)"
+        with pytest.raises(ValueError) as info:
+            RingContext(3).index_of(name)
+        assert str(info.value) == f"unknown variable {name!r}"
+
 
 class TestLineBreaks:
     def test_a_form_feed_is_an_error_at_its_column(self):

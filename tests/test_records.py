@@ -202,10 +202,12 @@ def test_value_classes_share_one_base():
 
 _SLOTS = [(obj, name) for obj in _value_objects() for name in type(obj).__slots__]
 # Read-only properties that stand for stored fields: ``MonomialIdeal.gens`` is
-# rebuilt from ``_exps`` and ``Clutter.edges`` from ``_masks`` on each read, so
-# each must be guarded like a slot.
+# rebuilt from ``_exps`` and ``Clutter.edges`` from ``_masks`` on each read, and
+# ``RingContext.names`` reads ``_names``, which a ring given its size fills on
+# first read, so each must be guarded like a slot.
 _SLOTS += [(obj, "gens") for obj in _value_objects() if type(obj) is MonomialIdeal]
 _SLOTS += [(obj, "edges") for obj in _value_objects() if type(obj) is Clutter]
+_SLOTS += [(obj, "names") for obj in _value_objects() if type(obj) is RingContext]
 
 
 @pytest.mark.parametrize("obj, name", _SLOTS,

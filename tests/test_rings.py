@@ -1,8 +1,12 @@
 """Core monomial and ideal arithmetic, checked against definitional oracles."""
 
 import ast
+import copy
 import itertools
+import pickle
 import random
+import sys
+import threading
 from functools import reduce
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from monowit import (
     build_symmetric_ideal,
     exchange_closure,
     irreducible_decomposition,
+    parse_monomial,
     symmetric_witness,
 )
 from monowit.rings import _member, _minimize_exps
@@ -100,6 +105,95 @@ class TestRingContext:
         with pytest.raises(ValueError) as info:
             ctx(2).index_of(name)
         assert str(info.value) == f"unknown variable {name!r}"
+
+
+class TestSizedRing:
+    """A ring given its size keeps only n; its names x1..xn and their table
+    are built together on first read, and it is the ring that names them."""
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_equals_and_hashes_like_the_ring_that_names_x1_to_xn(self, n):
+        sized = RingContext(n)
+        assert sized._names is None and sized._index is None
+        named = RingContext([f"x{i + 1}" for i in range(n)])
+        assert sized == named and named == sized and not sized != named
+        assert hash(sized) == hash(named)
+        assert len({sized, named, RingContext(n)}) == 1
+        assert sized._names == named.names and sized._index == named._index
+
+    def test_differs_from_rings_of_other_sizes_or_names(self):
+        assert RingContext(3) != RingContext(4)
+        assert RingContext(2) != RingContext(["x1", "y"])
+        assert RingContext(["x2", "x1"]) != RingContext(2)
+
+    @pytest.mark.parametrize("read", [
+        str, repr, lambda r: r.names, lambda r: r.index_of("x2"),
+        lambda r: parse_monomial("x2", r), lambda r: r == RingContext(3),
+        lambda r: hash(r)], ids=["str", "repr", "names", "index_of", "parse", "eq", "hash"])
+    def test_every_read_builds_names_and_table_together(self, read):
+        r = RingContext(3)
+        read(r)
+        assert r._names == ("x1", "x2", "x3")
+        assert r._index == {"x1": 0, "x2": 1, "x3": 2}
+
+    def test_size_only_reads_build_nothing(self):
+        r = RingContext(5)
+        r.one, r.monomial((1, 0, 0, 0, 2)), r.monomial_from_powers({4: 3})
+        assert r == r and r.n == 5 and Monomial(r, (0,) * 5) in MonomialIdeal(r, [r.one])
+        assert r._names is None and r._index is None
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_of_an_unread_ring_stay_unread_and_equal(self, how):
+        copies = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                  "copy": copy.copy, "deepcopy": copy.deepcopy}
+        r = RingContext(4)
+        again = copies[how](r)
+        assert again._names is None and again._index is None and again.n == 4
+        assert r._names is None and r._index is None
+        assert again == r and hash(again) == hash(r)
+        assert again.names == r.names == ("x1", "x2", "x3", "x4")
+
+    def test_a_read_ring_pickles_with_its_names(self):
+        r = RingContext(2)
+        r.index_of("x1")
+        again = pickle.loads(pickle.dumps(r))
+        assert again._names == ("x1", "x2") and again._index == {"x1": 0, "x2": 1}
+
+    def test_threads_racing_to_the_first_read_all_see_names_and_table(self):
+        # the names are stored before the table, so no reader that finds the
+        # table sees the names unset; races store equal values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                r = RingContext(50)
+                start = threading.Barrier(8)
+                seen = []
+
+                def read(k):
+                    start.wait(timeout=10)
+                    names = [r.names for _ in range(20)]
+                    seen.append((r.index_of(f"x{k + 1}"), names.count(names[-1])))
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(seen) == [(k, 20) for k in range(8)]
+                assert r.names == tuple(f"x{i + 1}" for i in range(50))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("size", [0, -3, False])
+    def test_sizes_below_one_are_refused(self, size):
+        with pytest.raises(ValueError, match="^a ring context needs at least one variable$"):
+            RingContext(size)
+
+    def test_a_true_size_is_the_int_one(self):
+        r = RingContext(True)
+        assert type(r.n) is int and r.n == 1 and r.names == ("x1",)
 
 
 def test_zero_ideal_prints_as_zero():

@@ -42,6 +42,7 @@ from util import (
     mono,
     oracle_symmetric_gens,
     oracle_verify_witness,
+    resorting_colon_is_prime,
     session_ideal,
     six_var_ideal,
     squarefree_witness,
@@ -558,7 +559,9 @@ class TestSymmetricIdealFromItsPattern:
             for v in itertools.product(range(exps[-1] + 2), repeat=n):
                 m = Monomial(I.context, v)
                 for P in primes:
-                    assert verify_witness(I, P, m) == verify_witness(plain, P, m), (exps, P, v)
+                    verdict = verify_witness(I, P, m)
+                    assert verdict == verify_witness(plain, P, m), (exps, P, v)
+                    assert verdict == resorting_colon_is_prime(I._pattern, P.vars, v), (exps, P, v)
             assert I._table is None  # the pattern test reads no level table
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -570,7 +573,9 @@ class TestSymmetricIdealFromItsPattern:
                 m = Monomial(I.context, v)
                 for vs in primes:
                     P = PrimeSupport(I.context, vs)
-                    assert verify_witness(I, P, m) == tuple_colon_is_prime(I, v, vs), (exps, vs, v)
+                    verdict = verify_witness(I, P, m)
+                    assert verdict == tuple_colon_is_prime(I, v, vs), (exps, vs, v)
+                    assert verdict == resorting_colon_is_prime(I._pattern, vs, v), (exps, vs, v)
 
     @pytest.mark.parametrize("n, count", [(5, 4000), (6, 3000)])
     def test_agrees_with_both_oracles_on_seeded_samples(self, n, count):
@@ -596,6 +601,7 @@ class TestSymmetricIdealFromItsPattern:
             verdict = verify_witness(I, P, Monomial(I.context, v))
             assert verdict == verify_witness(plain, P, Monomial(I.context, v)), (exps, P, v)
             assert verdict == tuple_colon_is_prime(plain, v, P.vars), (exps, P, v)
+            assert verdict == resorting_colon_is_prime(I._pattern, P.vars, v), (exps, P, v)
             verified += verdict
         assert verified > count // 20  # the samples reach true verdicts too
 

@@ -144,10 +144,10 @@ def box_bounds(ideal_, slack=1):
 
 
 def oracle_member(ideal_, exps) -> bool:
-    """m is in I iff some minimal generator divides it, componentwise."""
-    return any(
-        all(ge <= me for ge, me in zip(g.exps, exps)) for g in ideal_.gens
-    )
+    """m is in I iff some minimal generator divides it, componentwise.  The
+    generator tuples are read as stored, with no `Monomial` built per probe,
+    and not through `rings._member`, which this checks."""
+    return any(all(map(operator.le, g, exps)) for g in ideal_._exps)
 
 
 def oracle_minimal_subset(vectors):
@@ -276,6 +276,25 @@ def oracle_symmetric_gens(pattern) -> list[tuple[int, ...]]:
     values = (0,) + tuple(sorted(set(pattern.exps)))
     return sorted((e for e in itertools.product(values, repeat=pattern.context.n)
                    if sorted(x for x in e if x) == list(pattern.exps)), reverse=True)
+
+
+def resorting_colon_is_prime(pattern, prime_vars, v) -> bool:
+    """`SymmetricPattern._colon_is_prime` as two membership tests that each
+    sort their tuple: (a) v with every variable off the prime raised to the
+    top exponent is outside I, and (b) v + e_i, sorted again for each x_i of
+    the prime, is inside.  The reference for the one-sort pattern test."""
+    raised = [pattern.exps[-1]] * pattern.context.n
+    for i in prime_vars:
+        raised[i] = v[i]
+    if pattern._contains(raised):
+        return False
+    w = list(v)
+    for i in prime_vars:
+        w[i] += 1
+        if not pattern._contains(w):
+            return False
+        w[i] -= 1
+    return True
 
 
 def every_prime(context):
