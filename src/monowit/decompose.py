@@ -12,6 +12,14 @@ contains I + (u) lies inside t with some t_j raised by one, and that raise
 loses a generator just when j has a private one.  This is the monomial form
 of the critical-edge test of minimal-transversal enumeration (Murakami and
 Uno, Discrete Appl. Math. 2014), and x_i is skipped, since u is private there.
+Say x_i reaches j when some generator added so far is divisible by x_i
+and reaches Q's exponent on x_j.  Only the j that x_i reaches are tested
+again; every other j keeps the private generator it had in Q, since each j
+of a kept component has one, by induction on the generators added:
+  - a generator private for j in t is private for j in Q;
+  - one private for j in Q stays private in t exactly when x_i^{u_i} does
+    not divide it;
+  - one that x_i^{u_i} divides is divisible by x_i, so x_i reaches j.
 
 Each monomial is one int on ranked level bits, read from the ideal's own
 level table (`rings._level_table`, the polarization of Herzog and Hibi,
@@ -21,10 +29,13 @@ most n * |G| bits however large the exponents are.  A generator sets every
 level of x_i at or below its own, and a component sets one bit per variable
 of its support, so u lies in Q exactly when their masks meet.  The
 generators are filed by the bit of each of their levels, and g is private
-for bit b of t when g misses every other bit of t.  The surviving masks are
-decoded once, at the end.  The engine reads that table alone: the variables
-of u are those whose bits its mask meets.  The ideal builds it once, and the
-Borel exchange kernel, the witness floors and the colon test read it too.
+for bit b of t when g misses every other bit of t; x_i reaches the bits of
+the generators it divides.  The surviving masks are decoded once, at the
+end.  The engine reads that table alone: u's level of x_i is the top of its
+run of x_i's bits, so u's heads are the bits of its mask with no bit of the
+same variable just above, and `levels` names each head's variable.  The
+ideal builds the table once, and the Borel exchange kernel, the witness
+floors and the colon test read it too.
 The result is unique, so it does not depend on how the input was presented.
 An ideal built from a symmetric pattern skips the engine and the table: its
 decomposition is the pattern's closed form (`SymmetricPattern._components`),
@@ -44,15 +55,24 @@ def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...
     """The irredundant components of the ideal whose minimal generators have
     this `_level_table`, as (support, exponents on the support) pairs."""
     levels, var_bits, masks, _ = table
+    firsts = 0  # each variable's lowest level bit
+    for bits in var_bits:
+        firsts |= bits & -bits
+    reach = [0] * len(var_bits)  # x_i -> the bits of the generators so far that x_i divides
     components = [0]  # the zero ideal: no pure power, and no generator in it
     others: dict[int, list[int]] = {}  # a level bit -> the generators exactly at it
     for mask in sorted(masks, key=int.bit_count):
-        heads = []  # (the bit of u's level of x_i, every bit off x_i), per x_i dividing u
-        for bits in var_bits:
-            up_to = mask & bits  # x_i's bits up to u's level: the top one is that level's
-            if up_to:
-                heads.append((up_to & ~(up_to >> 1), ~bits))
-        for b, _ in heads:
+        # (the bit of u's level of x_i, every bit off x_i, the bits x_i reaches off x_i),
+        # per x_i dividing u; a head is a bit of u with no bit of its variable above
+        heads = []
+        top = mask & ~((mask & ~firsts) >> 1)
+        while top:
+            b = top & -top
+            top ^= b
+            i = levels[b.bit_length() - 1][0]
+            reach[i] |= mask
+            off_i = ~var_bits[i]
+            heads.append((b, off_i, reach[i] & off_i))
             others.setdefault(b, []).append(mask)
         survivors, fresh = [], []
         for q in components:
@@ -61,9 +81,9 @@ def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...
                 continue
             # no candidate repeats: if Q + (x_i^{u_i}) = Q' + (x_k^{u_k}), then
             # i = k makes Q and Q' comparable, and i != k puts u in Q'
-            for b, off_i in heads:
-                rest = q & off_i  # the bits of t to find a private generator for
-                t = rest | b
+            for b, off_i, retest in heads:
+                t = q & off_i | b
+                rest = q & retest  # the bits of t whose private generators b may meet
                 while rest:
                     c = rest & -rest
                     rest ^= c

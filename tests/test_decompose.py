@@ -29,7 +29,7 @@ from monowit import (
     witness_from_component,
 )
 from monowit.decompose import _irreducible_components
-from monowit.rings import _level_table
+from monowit.rings import _level_table, _minimize_exps
 from util import (
     box_bounds,
     box_exponents,
@@ -41,6 +41,7 @@ from util import (
     ideal,
     ideals,
     intersect,
+    mono,
     oracle_radical,
     pairwise_components,
     session_ideal,
@@ -49,6 +50,8 @@ from util import (
     times_variable,
     tiny_corpus,
     tuple_components,
+    wide_clutter_corpus,
+    wide_ideal_corpus,
     witness_corpus,
 )
 
@@ -314,13 +317,15 @@ class TestHypothesisProperties:
             assert all(len(g.support()) == 1 for g in base.gens)
 
 
-def assert_matches_oracles(I, rng):
-    """The decomposition equals the split recursion and the pairwise filter,
-    and the engine fed the generators in given, reversed and shuffled order
-    equals the tuple engine fed the same order."""
+def assert_matches_oracles(I, rng, split=True):
+    """The decomposition equals the pairwise filter and, when split is true,
+    the split recursion, which takes seconds past eight variables; and the
+    engine fed the generators in given, reversed and shuffled order equals
+    the unpruned tuple engine fed the same order.  Returns the components."""
     gens, n = I._exps, I.context.n
-    expected = split_components(gens)
-    assert pairwise_components(gens, n) == expected
+    expected = pairwise_components(gens, n)
+    if split:
+        assert split_components(gens) == expected
     assert [q.pairs for q in irreducible_decomposition(I).components] == expected
     shuffled = list(gens)
     rng.shuffle(shuffled)
@@ -328,6 +333,20 @@ def assert_matches_oracles(I, rng):
         found = sorted(_irreducible_components(_level_table(order, n)))
         assert found == sorted(tuple_components(order, n))
         assert [tuple(zip(support, exps)) for support, exps in found] == expected
+    return expected
+
+
+def perrin(top):
+    """The Perrin numbers P(0..top), P(n) = P(n-2) + P(n-3): for n >= 3, the
+    number of minimal vertex covers of the n-cycle."""
+    out = [3, 0, 2]
+    while len(out) <= top:
+        out.append(out[-2] + out[-3])
+    return out
+
+
+def cycle_ideal(n):
+    return Clutter(n, [{i, (i + 1) % n} for i in range(n)]).edge_ideal()
 
 
 class TestSplitRecursionOracle:
@@ -347,6 +366,60 @@ class TestSplitRecursionOracle:
     def test_random_ideals(self, I, rng):
         assert_matches_oracles(I, rng)
 
+    @given(I=ideals(max_n=6, max_exp=1, max_gens=8), rng=st.randoms(use_true_random=False))
+    def test_squarefree_ideals(self, I, rng):
+        assert_matches_oracles(I, rng)
+
+
+class TestWideOracle:
+    """The engine against the pairwise filter and the unpruned tuple engine
+    on inputs too wide for the split recursion."""
+
+    def test_random_ideals_that_are_not_squarefree(self):
+        rng = random.Random(10)
+        corpus = wide_ideal_corpus()
+        assert all(15 <= len(I) <= 25 and 8 <= I.context.n <= 10 for I in corpus)
+        for I in corpus:
+            assert_matches_oracles(I, rng, split=False)
+
+    def test_graph_and_clutter_edge_ideals(self):
+        rng = random.Random(11)
+        corpus = wide_clutter_corpus()
+        assert {len(e) for c in corpus[1::2] for e in c.edges} == {3}
+        for clutter in corpus:
+            assert 10 <= clutter.n <= 14
+            assert_matches_oracles(clutter.edge_ideal(), rng, split=False)
+
+    def test_cycles_against_the_perrin_counts(self):
+        rng = random.Random(12)
+        counts = perrin(26)
+        for n in range(3, 27):
+            assert len(assert_matches_oracles(cycle_ideal(n), rng, split=False)) == counts[n]
+
+
+class TestReach:
+    """A candidate Q + (x_i^{u_i}) tests again only the variables of Q that
+    x_i reaches: those of a generator that x_i divides.  Each case feeds the
+    engine its generators in this order, all of one bit count, so the last
+    one, u = x2*x3, extends the component (x1) by x2 with x1 reached."""
+
+    @pytest.mark.parametrize("gens, expected", [
+        # x1's only private generator in (x1) is x1*x2, which x2 divides:
+        # (x1, x2) contains (x2) and is dropped
+        (["x1*x2", "x2*x3"], ["(x1, x3)", "(x2)"]),
+        # x1*x4 is private for x1 too, and x2 does not divide it: (x1, x2) is kept
+        (["x1*x2", "x1*x4", "x2*x3"], ["(x1, x2)", "(x1, x3)", "(x2, x4)"]),
+    ], ids=["only-private-generator-killed", "second-private-generator-survives"])
+    def test_the_new_head_against_the_private_generators(self, gens, expected):
+        n = 4
+        c = ctx(n)
+        order = [mono(c, g).exps for g in gens]
+        found = sorted(_irreducible_components(_level_table(order, n)))
+        assert [tuple(zip(support, exps)) for support, exps in found] == \
+            pairwise_components(_minimize_exps(order), n)
+        assert [str(IrreducibleComponent(c, dict(zip(support, exps))))
+                for support, exps in found] == expected
+
 
 def assert_certified(I, d):
     """Every generator lies in every component, and each component's
@@ -359,17 +432,13 @@ def assert_certified(I, d):
 
 class TestCycles:
     def test_perrin_counts(self):
-        # minimal vertex covers of the n-cycle: P(n) = P(n-2) + P(n-3)
-        perrin = [3, 0, 2]
-        while len(perrin) <= 30:
-            perrin.append(perrin[-2] + perrin[-3])
+        counts = perrin(30)
         for n in range(3, 31):
-            cycle = Clutter(n, [{i, (i + 1) % n} for i in range(n)])
-            d = irreducible_decomposition(cycle.edge_ideal())
-            assert len(d) == perrin[n]
+            d = irreducible_decomposition(cycle_ideal(n))
+            assert len(d) == counts[n]
             assert all(len(q.support()) >= n // 2 for q in d.components)
-        assert perrin[22] == 486 and perrin[30] == 4610
-        assert_certified(cycle.edge_ideal(), d)
+        assert counts[22] == 486 and counts[30] == 4610
+        assert_certified(cycle_ideal(30), d)
 
     def test_random_ideal_at_scale(self):
         rng = random.Random(2)

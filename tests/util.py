@@ -364,7 +364,10 @@ def split_components(gens):
 def tuple_components(gens, n):
     """Irredundant components by the private-generator test on exponent
     tuples, as unsorted (support, exponents on the support) pairs; the
-    reference for the engine's level bitmasks, and the engine it replaced.
+    unpruned reference for the engine, and the engine it replaced.  It tests
+    every variable of every candidate for a private generator, where the
+    engine on level bitmasks tests again only those that the new
+    generator's variable reaches.
 
     Inside, an absent variable has an exponent above every generator's, so
     u lies in the component q exactly when q_i <= u_i for some i.  Each
@@ -758,6 +761,47 @@ def graph_corpus(count=50, seed=777):
             if rng.random() < 0.3:
                 edges.add(frozenset({u, v}))
         out.append(Clutter(n, edges))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def wide_clutter_corpus(count=16, seed=4510):
+    """Random clutters on 10..14 vertices, alternately a connected simple
+    graph and a 3-uniform clutter with n to 3n/2 triples."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(10, 14)
+        if len(out) % 2:
+            edges = {frozenset(rng.sample(range(n), 3)) for _ in range(rng.randint(n, 3 * n // 2))}
+        else:
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            edges = {frozenset({vertices[i], vertices[rng.randrange(i)]}) for i in range(1, n)}
+            edges.update(frozenset(e) for e in itertools.combinations(range(n), 2)
+                         if rng.random() < 0.15)
+        out.append(Clutter(n, edges))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def wide_ideal_corpus(count=10, seed=4511):
+    """Random ideals that are not squarefree, on 8..10 variables, with
+    15..25 minimal generators, each on 2..4 variables with exponents 1..4."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, size = rng.randint(8, 10), rng.randint(15, 25)
+        context = ctx(n)
+        gens = []
+        while len(MonomialIdeal(context, gens)) < size:  # one more generator adds at most one
+            exps = [0] * n
+            for v in rng.sample(range(n), rng.randint(2, 4)):
+                exps[v] = rng.randint(1, 4)
+            gens.append(Monomial(context, tuple(exps)))
+        candidate = MonomialIdeal(context, gens)
+        if max(candidate.max_exponents()) > 1:
+            out.append(candidate)
     return tuple(out)
 
 
