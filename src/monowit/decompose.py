@@ -47,8 +47,8 @@ which holds only its components, so reference counting frees it with the ideal.
 
 from __future__ import annotations
 
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _row, _trusted, _values)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _int_map,
+                    _rebuild, _row, _trusted)
 
 
 def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -115,16 +115,15 @@ class IrreducibleComponent(_Frozen):
     __slots__ = ("context", "pairs", "_support")
 
     def __init__(self, context: RingContext, powers):
-        values = _values(powers, "powers must be a mapping from variable index to exponent")
+        powers = _int_map(powers, "powers must be a mapping from variable index to exponent",
+                          "variable index {} out of range",
+                          "pure-power exponents must be positive integers", high=context.n, low=1)
         if not powers:
             raise ValueError("an irreducible component needs at least one variable")
-        variables = _ints(powers, "variable index {} out of range", high=context.n)
-        exps = _ints(values, "pure-power exponents must be positive integers", low=1)
-        pairs = tuple(sorted(_by_index(variables, exps).items()))
+        pairs = tuple(sorted(powers.items()))
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_support",
-                           _trusted(PrimeSupport, context, tuple(v for v, _ in pairs)))
+        object.__setattr__(self, "_support", _trusted(PrimeSupport, context, tuple(sorted(powers))))
 
     def _key(self):
         return self.context, self.pairs
@@ -157,7 +156,8 @@ class Decomposition(_Frozen):
 
     The constructor indexes the components by support once, so the primes,
     the components of one prime and membership of a component are lookups;
-    each prime is the one its first component holds.
+    each prime is the one its first component holds, and the one all of
+    them share when `irreducible_decomposition` built them.
     """
 
     __slots__ = ("components", "_by_support", "_primes")
@@ -189,7 +189,7 @@ class Decomposition(_Frozen):
         its support."""
         if not isinstance(component, IrreducibleComponent):
             return False
-        return component in self._by_support.get(component.support(), ())
+        return component in self._by_support.get(component._support.vars, ())
 
     def primes(self) -> tuple[PrimeSupport, ...]:
         return self._primes
@@ -207,24 +207,27 @@ class Decomposition(_Frozen):
 def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero
     ideal, computed on first use and kept on the ideal: from the closed form
-    of its pattern for a symmetric ideal, by the engine otherwise."""
+    of its pattern for a symmetric ideal, by the engine otherwise.  One pass
+    over the sorted rows builds it, and components of one support share a prime."""
     if ideal._decomposition is not None:
         return ideal._decomposition
     ideal._require_proper("has no irreducible decomposition")
     context, pattern = ideal.context, ideal._pattern
-    if pattern is not None:
-        pairs = pattern._components()
-    else:
-        pairs = _irreducible_components(ideal._levels())
-    put_context, put_pairs, put_support = IrreducibleComponent._setters
-    components = []
-    for support, exps in sorted(pairs):
-        c = object.__new__(IrreducibleComponent)  # trusted: sorted support, exps >= 1
+    pairs = (pattern._components() if pattern is not None
+             else _irreducible_components(ideal._levels()))
+    new, (put_context, put_pairs, put_support) = object.__new__, IrreducibleComponent._setters
+    components, by_support, primes = [], {}, []
+    for support, exps in sorted(pairs):  # trusted: sorted supports, exponents at least 1
+        if not primes or primes[-1].vars != support:
+            primes.append(_trusted(PrimeSupport, context, support))
+            by_support[support] = group = []
+        components.append(c := new(IrreducibleComponent))
         put_context(c, context)
         put_pairs(c, tuple(zip(support, exps)))
-        put_support(c, _trusted(PrimeSupport, context, support))
-        components.append(c)
-    decomposition = Decomposition(components)
+        put_support(c, primes[-1])
+        group.append(c)
+    by_support = {support: tuple(group) for support, group in by_support.items()}
+    decomposition = _rebuild(Decomposition, (tuple(components), by_support, tuple(primes)))
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

@@ -6,45 +6,31 @@ its unique minimal generating set in a canonical order, and every operation
 (membership, colon by a monomial) is a pure function on those tuples.  The
 coefficient field is never represented.
 
-A ring context owns its names and their one name -> index table; a ring
-given only its size builds both on first read, so a ring that nothing
-prints or parses names in costs no more than its size.  An ideal stores
-only its exponent tuples.  The public constructor, the parser and
-`colon`'s quotients minimize them by `_minimize_exps`; an ideal whose
-generators are distinct and pairwise non-dividing by construction (the
-symmetric ideals, exchange closures, clutter edge ideals, a prime's or a
-component's own ideal and the unit ideal) is only sorted, by
-`MonomialIdeal._from_antichain`.  `gens` builds the `Monomial`s on each
-read.  An ideal keeps its level table (`_level_table`) once first read, as
-it keeps its decomposition, except a clutter's edge ideal, which is built
-with its table in place, by `_squarefree_table` from the edge masks rather
-than from its tuples.  The decomposition engine, the Borel exchange
-kernel, the witness floors (`max_exponents`) and `verify_witness`, behind
-every witness verification, all read it.  `verify_witness` decides the
-colon by `_colon_reaches`, the one colon kernel, which
-`Clutter.witness_base` runs on edge masks too; its docstring says why
-the test is exact.  The one
-exception is an ideal that `witness.build_symmetric_ideal` built: it keeps
-its pattern, which gives its floors and answers `verify_witness` by two
-exact membership tests instead.  Nothing is VERIFIED except through the
-colon kernel or the pattern test.  All value classes inherit `_Frozen`: immutability,
-equality, hashing, the default repr, copying and pickling, and the slot
-setters (`_setters`) that trusted values are filled through.
+An ideal stores only its exponent tuples, minimized by `_minimize_exps`
+or, when minimal by construction, only sorted
+(`MonomialIdeal._from_antichain`), and keeps its level table
+(`_level_table`) once first read.  The decomposition engine, the Borel
+exchange kernel, the witness floors and `verify_witness` all read it.
+`verify_witness` decides the colon by `_colon_reaches`, the one colon
+kernel, except on an ideal built from a symmetric pattern, which answers
+by two exact membership tests; nothing is VERIFIED except through one of
+the two.  All value classes inherit `_Frozen`: immutability, equality,
+hashing, the default repr, copying and pickling, and the slot setters
+(`_setters`) that trusted values are filled through.
 
-Four rules are stated here once, for every module: `_trusted` builds a
-value the library has already checked, through its class's slot setters,
-`MonomialIdeal._require_proper` refuses the zero and the unit ideal,
-`_values` reads an index-keyed mapping, and `_is_name` says what a variable
-name is.  `_ints` checks and converts outside integers, and `_by_index`
-refuses a mapping whose keys name one index twice.  Three operations are
-written once here too: `_bits` lists a mask's set bits, `_row` fills an
-exponent tuple from (variable, exponent) pairs, and `_member` asks whether
-some generator tuple divides a tuple; only the hottest loops walk inline.
+Rules stated here once, for every module: `_trusted` builds a value the
+library has already checked, `MonomialIdeal._require_proper` refuses the
+zero and the unit ideal, `_is_name` says what a variable name is, `_ints`
+checks and converts outside integers, and `_int_map` reads an index-keyed
+mapping of them in one pass.  Three operations are written once here too:
+`_bits` lists a mask's set bits, `_row` fills an exponent tuple from
+(variable, exponent) pairs, and `_member` asks whether some generator tuple
+divides a tuple; only the hottest loops walk inline.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, filterfalse
 from operator import index, le, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -68,24 +54,38 @@ def _ints(values, message: str, low: Optional[int] = 0,
     return tuple(out)
 
 
-def _values(mapping, message: str):
-    """mapping.values(); anything that is not a mapping raises ValueError(message)."""
-    try:
-        return mapping.values()
-    except AttributeError:
-        raise ValueError(message) from None
-
-
 def _is_name(token) -> bool:
     """Whether token is a variable name: a str matching [A-Za-z_][A-Za-z0-9_]*."""
     return isinstance(token, str) and token.isascii() and token.isidentifier()
 
 
-def _by_index(indices: tuple[int, ...], values) -> dict:
-    """dict(zip(indices, values)) for keys already read by `_ints`.  Keys
-    that are distinct to their mapping can still name one index, which raises."""
-    out = dict(zip(indices, values))
-    if len(out) < len(indices):
+def _int_map(mapping, what: str, keys: str, values: str, high=None, low=None) -> dict:
+    """An index-keyed mapping as a dict of plain ints, read in one pass.  A
+    ValueError names, in this order: a mapping without `items` (what), the
+    first key not an integer in range(high) (keys), the first value not an
+    integer of at least low (values), an index two keys name; None: no bound."""
+    try:
+        items = mapping.items()
+    except AttributeError:
+        raise ValueError(what) from None
+    out, bad = {}, []
+    for k, v in items:
+        try:
+            i = index(k)
+        except TypeError:
+            i = None
+        if i is None or high is not None and not 0 <= i < high:
+            raise ValueError(keys.format(k))
+        try:
+            out[i] = e = index(v)
+        except TypeError:
+            e = None
+        if e is None or low is not None and e < low:
+            bad.append(v)  # raised once every key is read
+    if bad:
+        raise ValueError(values.format(bad[0]))
+    if len(out) < len(mapping):
+        indices = [index(k) for k in mapping]
         twice = next(i for i in indices if indices.count(i) > 1)
         raise ValueError(f"variable index {twice} is given more than once")
     return out
@@ -138,10 +138,9 @@ class _Frozen:
     `_key()`: two values are equal exactly when they have the same type and
     equal keys, and a value hashes as its key.  A public constructor, and a
     cache stored on first use, writes a slot by name through
-    object.__setattr__.  `_trusted`, `_rebuild`, the trusted ideal
-    constructors, `gens`, a `RingContext` given its size and
-    `decompose.irreducible_decomposition` fill the values they build
-    through `_setters` instead: each slot descriptor's
+    object.__setattr__.  Trusted constructors, `_rebuild`, `WitnessSpec` and
+    a sized `RingContext` fill the values they build through `_setters`
+    instead: each slot descriptor's
     `__set__` in `__slots__` order, bound once per class by
     `__init_subclass__` and looked up through the class, so a subclass
     without its own `__slots__` gets its base's.  Every later assignment or
@@ -176,11 +175,10 @@ class _Frozen:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
 
 
 class RingContext(_Frozen):
@@ -260,9 +258,10 @@ class RingContext(_Frozen):
         return Monomial(self, tuple(exps))
 
     def monomial_from_powers(self, powers: Mapping[int, int]) -> "Monomial":
-        values = _values(powers, "powers must be a mapping from variable index to exponent")
-        indices = _ints(powers, "variable index {} out of range", high=self.n)
-        return Monomial(self, _row(self.n, _by_index(indices, values).items()))
+        powers = _int_map(powers, "powers must be a mapping from variable index to exponent",
+                          "variable index {} out of range",
+                          "exponents must be non-negative integers", high=self.n, low=0)
+        return _trusted(Monomial, self, _row(self.n, powers.items()))
 
 
 def _require_same_context(a, b):
@@ -478,7 +477,7 @@ class MonomialIdeal(_Frozen):
         or from the pattern, whose top exponent every variable takes."""
         if self._pattern is not None:
             return (self._pattern.exps[-1],) * self.context.n
-        return self._levels()[3]
+        return (self._table or self._levels())[3]
 
     def colon(self, v: Monomial) -> "MonomialIdeal":
         """The quotient (I : v) by a monomial: the unit ideal when v lies in
@@ -538,12 +537,13 @@ def verify_witness(ideal: MonomialIdeal, prime: PrimeSupport, v: Monomial) -> bo
     level, so that variable fails (b) and the answer is False before the
     masks are read.
     """
-    _require_same_context(ideal, v)
+    if v.context is not ideal.context and v.context != ideal.context:
+        _require_same_context(ideal, v)
     if prime.context is not ideal.context and prime.context != ideal.context:
         return False
     if ideal._pattern is not None:
         return ideal._pattern._colon_is_prime(prime.vars, v.exps)
-    levels, var_bits, masks, _ = ideal._levels()
+    levels, var_bits, masks, _ = ideal._table or ideal._levels()
     exps = v.exps
     below = steps = 0
     bit = 1
@@ -588,8 +588,7 @@ class PrimeSupport(_Frozen):
         return len(self.vars) == self.context.n
 
     def complement(self) -> tuple[int, ...]:
-        inside = set(self.vars)
-        return tuple(i for i in range(self.context.n) if i not in inside)
+        return tuple(filterfalse(set(self.vars).__contains__, range(self.context.n)))
 
     def as_ideal(self) -> MonomialIdeal:
         gens = (_row(self.context.n, ((i, 1),)) for i in self.vars)

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
-from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _by_index, _Frozen,
-                    _ints, _require_same_context, _trusted, _values, verify_witness)
+from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _int_map, _ints,
+                    _require_same_context, _trusted, verify_witness)
 
 
 class WitnessSpec(_Frozen):
@@ -44,26 +44,25 @@ class WitnessSpec(_Frozen):
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
     ):
-        offsets = {} if offsets is None else offsets
-        values = _values(offsets, "offsets must be a mapping from variable index to offset")
         message = "offset variables and offsets must be integers"
-        offsets = _by_index(_ints(offsets, message, low=None), _ints(values, message, low=None))
+        offsets = {} if offsets is None else _int_map(
+            offsets, "offsets must be a mapping from variable index to offset", message, message)
         _require_same_context(prime, component)
         if component.support() != prime.vars:
-            raise ValueError(
-                f"component support {component.support()} does not match "
-                f"prime {prime}"
-            )
+            raise ValueError(f"component support {component.support()} does not match "
+                             f"prime {prime}")
+        inside, n = set(prime.vars), prime.context.n
         for v, off in offsets.items():
-            if v in prime.vars:
+            if v in inside:
                 raise ValueError(f"offset for variable {v} inside the prime")
-            if not 0 <= v < prime.context.n:
+            if not 0 <= v < n:
                 raise ValueError(f"offset variable index {v} out of range")
             if off < 0:
                 raise ValueError("offsets must be non-negative")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "offsets", MappingProxyType(offsets))
+        put_prime, put_component, put_offsets = self._setters
+        put_prime(self, prime)
+        put_component(self, component)
+        put_offsets(self, MappingProxyType(offsets))
 
     def _key(self):
         return self.prime, self.component, self.offsets
@@ -87,12 +86,11 @@ def witness_from_component(ideal: MonomialIdeal, spec: WitnessSpec) -> Monomial:
     with zero offset are omitted entirely.  The caller's component is checked.
     """
     if spec.component not in irreducible_decomposition(ideal):
-        raise ValueError(
-            f"{spec.component} is not a component of the decomposition of {ideal}"
-        )
-    offsets = spec.offsets  # WitnessSpec keeps them off the prime, which the rule overwrites
-    return spec.component._witness(
-        [f + offsets.get(v, 0) for v, f in enumerate(ideal.max_exponents())])
+        raise ValueError(f"{spec.component} is not a component of the decomposition of {ideal}")
+    exps = list(ideal.max_exponents())
+    for v, off in spec.offsets.items():  # off the prime, which the rule overwrites
+        exps[v] += off
+    return spec.component._witness(exps)
 
 
 def component_from_witness(
@@ -105,7 +103,7 @@ def component_from_witness(
     """
     if not verify_witness(ideal, prime, v):
         raise ValueError(f"{v} is not a witness for {prime}")
-    pairs = tuple((i, v.exps[i] + 1) for i in prime.vars)  # verified: in range, positive
+    pairs = tuple([(i, v.exps[i] + 1) for i in prime.vars])  # verified: in range, positive
     for component in irreducible_decomposition(ideal)._by_support.get(prime.vars, ()):
         if component.pairs == pairs:
             return component

@@ -1,6 +1,9 @@
 """Irredundant irreducible decomposition and associated primes."""
 
+import copy
 import gc
+import itertools
+import pickle
 import random
 import re
 import time
@@ -18,9 +21,11 @@ from monowit import (
     MonomialIdeal,
     PrimeSupport,
     RingContext,
+    SymmetricPattern,
     WitnessSpec,
     associated_primes,
     borel_witness,
+    build_symmetric_ideal,
     classify_uniqueness,
     component_from_witness,
     irreducible_decomposition,
@@ -302,6 +307,47 @@ class TestIndexedLookups:
         P = PrimeSupport(ring, [0])
         with pytest.raises(ValueError, match=rf"^{re.escape(str(P))} is not an associated prime$"):
             check(I, P)
+
+
+def assert_one_pass_build_matches_constructor(d):
+    """d, as `irreducible_decomposition` built it in one pass, against the
+    public constructor handed its components: equal components, primes,
+    components per prime and membership; every component's prime is the
+    very object `primes()` lists for its support, and pickle, copy and
+    deepcopy keep all of that."""
+    public = Decomposition(d.components)
+    assert public == d and public.components == d.components
+    assert public.primes() == d.primes()
+    for q in near_components(d):
+        assert (q in public) == (q in d)
+    for e in (d, pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert e == d and e.primes() == d.primes()
+        listed = {P.vars: P for P in e.primes()}
+        assert all(q.prime() is listed[q.support()] for q in e.components)
+        for P in e.primes():
+            assert e.components_for(P) == public.components_for(P) == d.components_for(P)
+            assert all(q in e for q in e.components_for(P))
+
+
+class TestOnePassBuild:
+    """`irreducible_decomposition` fills its `Decomposition` in one pass over
+    the sorted rows, sharing one prime per support, without the public
+    constructor's regrouping."""
+
+    def test_witness_corpus(self):
+        for I in witness_corpus():
+            assert_one_pass_build_matches_constructor(irreducible_decomposition(I))
+
+    @given(I=ideals(max_n=5, max_exp=3, max_gens=6))
+    def test_hypothesis_ideals(self, I):
+        assert_one_pass_build_matches_constructor(irreducible_decomposition(I))
+
+    def test_symmetric_patterns(self):
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for exps in itertools.combinations_with_replacement(range(1, 4), k):
+                    I = build_symmetric_ideal(SymmetricPattern(ctx(n), exps))
+                    assert_one_pass_build_matches_constructor(irreducible_decomposition(I))
 
 
 class TestHypothesisProperties:

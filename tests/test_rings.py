@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+from collections.abc import Mapping
 from functools import reduce
 from pathlib import Path
 
@@ -280,6 +281,70 @@ def test_one_index_given_twice(build):
     # the keys are distinct to the mapping, so only their indices collide
     with pytest.raises(ValueError, match="^variable index 1 is given more than once$"):
         build(ctx(2))
+
+
+class _Pairs(Mapping):
+    """A mapping that keeps its (key, value) pairs as given, so keys equal
+    to each other, such as 1 and True, stay two keys."""
+
+    def __init__(self, *pairs):
+        self._pairs = pairs
+
+    def __getitem__(self, key):
+        return next(v for k, v in self._pairs if k is key)
+
+    def __iter__(self):
+        return (k for k, _ in self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def items(self):
+        return self._pairs
+
+
+_MAPPING_READERS = {
+    "powers": lambda c, m: c.monomial_from_powers(m),
+    "component": lambda c, m: IrreducibleComponent(c, m),
+    "offsets": lambda c, m: WitnessSpec(PrimeSupport(c, [0]), IrreducibleComponent(c, {0: 2}), m),
+}
+_OFFSETS_INTS = "offset variables and offsets must be integers"
+
+
+@pytest.mark.parametrize("reader, mapping, message", [
+    # a bad key raises before a bad value in an earlier item
+    ("powers", {1: -1, 5: 1}, "variable index 5 out of range"),
+    ("powers", {1: "a", 0.5: 1}, "variable index 0.5 out of range"),
+    ("component", {1: 0, "a": 1}, "variable index a out of range"),
+    ("component", {1: 1.5, 3: 1}, "variable index 3 out of range"),
+    ("offsets", {1: "x", "a": 1}, _OFFSETS_INTS),
+    # a bad value raises before an index that two keys name
+    ("powers", _Pairs((1, -1), (True, 2)), "exponents must be non-negative integers"),
+    ("component", _Pairs((1, 0), (True, 2)), "pure-power exponents must be positive integers"),
+    ("offsets", _Pairs((1, 0.5), (True, 2)), _OFFSETS_INTS),
+    # and so does a bad key after the index named twice
+    ("powers", _Pairs((1, 0), (True, 2), (3, 1)), "variable index 3 out of range"),
+    ("component", _Pairs((1, 1), (True, 2), ("a", 1)), "variable index a out of range"),
+    ("offsets", _Pairs((1, 0), (True, 2), ("a", 1)), _OFFSETS_INTS),
+    # {1: 0, True: 2} with two keys names index 1 twice; the first index in
+    # key order that is named twice is the one named
+    ("powers", _Pairs((1, 0), (True, 2)), "variable index 1 is given more than once"),
+    ("powers", _Pairs((2, 1), (1, 1), (_Index(1), 1), (_Index(2), 1)),
+     "variable index 2 is given more than once"),
+    ("component", _Pairs((1, 1), (True, 2)), "variable index 1 is given more than once"),
+    ("offsets", _Pairs((1, 0), (True, 2)), "variable index 1 is given more than once"),
+    # the offsets' own checks come after: inside the prime, out of range, negative
+    ("offsets", _Pairs((0, 1), (1, 0), (True, 2)), "variable index 1 is given more than once"),
+    ("offsets", _Pairs((5, -1), (1, 0), (True, 2)), "variable index 1 is given more than once"),
+    # anything without items is not a mapping
+    ("powers", 5, "powers must be a mapping from variable index to exponent"),
+    ("component", {0, 1}, "powers must be a mapping from variable index to exponent"),
+    ("offsets", "ab", "offsets must be a mapping from variable index to offset"),
+])
+def test_mapping_faults_raise_keys_then_values_then_repeats(reader, mapping, message):
+    with pytest.raises(ValueError) as info:
+        _MAPPING_READERS[reader](ctx(3), mapping)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("build, message", [
@@ -747,6 +812,18 @@ class TestPrimeSupport:
 
     def test_complement(self):
         assert PrimeSupport(ctx(4), [1, 2]).complement() == (0, 3)
+
+    def test_complement_matches_a_set_difference(self):
+        primes = [P for I in witness_corpus() for P in associated_primes(I)]
+        primes += [P for g in graph_corpus() for P in associated_primes(g.edge_ideal())]
+        primes += [PrimeSupport(ctx(n), vs) for n in range(1, 6)
+                   for r in range(1, n + 1) for vs in itertools.combinations(range(n), r)]
+        primes += [PrimeSupport(ctx(1000), [0, 3, 500, 998])]
+        for P in primes:
+            assert P.complement() == tuple(sorted(set(range(P.context.n)) - set(P.vars)))
+        assert PrimeSupport(ctx(4), range(4)).complement() == ()
+        assert PrimeSupport(ctx(1), [0]).complement() == ()
+        assert len(PrimeSupport(ctx(1000), [0, 3, 500, 998]).complement()) == 996
 
 
 class TestZeroAndUnitBehavior:

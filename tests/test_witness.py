@@ -205,6 +205,17 @@ class TestVerifyWitness:
         with pytest.raises(ContextMismatchError):
             verify_witness(I, PrimeSupport(ctx(3), [0, 2]), RingContext(["a", "b", "c"]).one)
 
+    @pytest.mark.parametrize("other", [ctx(4), RingContext(["a", "b", "c"])],
+                             ids=["larger", "renamed"])
+    def test_monomial_from_another_ring_raises_before_the_prime_is_read(self, other):
+        # a prime of another ring alone answers False, but the monomial is checked first
+        I = ideal(ctx(3), "x1", "x3")
+        with pytest.raises(ContextMismatchError):
+            verify_witness(I, PrimeSupport(other, [0, 2]), other.one)
+        I, _ = symmetric_and_plain(3, (1, 3, 3))
+        with pytest.raises(ContextMismatchError):
+            verify_witness(I, PrimeSupport(other, [0]), other.one)
+
 
 class TestLevelKernel:
     """`verify_witness` on the level masks, through `rings._colon_reaches`,
