@@ -45,20 +45,24 @@ VERIFY_ERROR = 2
 
 
 def _json_document(ideal, components=None, primes=None, witness=None, verified=None,
-                   certificate=None):
+                   certificate=None, witness_prime=None, witnesses=None):
     names = ideal.context.names
 
     def exponents(m: Monomial) -> dict:
         return {names[i]: e for i, e in enumerate(m.exps) if e}
+
+    def variables(p: PrimeSupport) -> list:
+        return [names[i] for i in p.vars]
 
     return {
         "ring": {"n": len(names), "names": list(names)},
         "ideal": [exponents(g) for g in ideal.gens],
         "components": None if components is None else [
             {names[v]: e for v, e in c.pairs} for c in components],
-        "associated_primes": None if primes is None else [
-            [names[i] for i in p.vars] for p in primes],
+        "associated_primes": None if primes is None else list(map(variables, primes)),
         "witness": None if witness is None else exponents(witness),
+        "witness_prime": None if witness_prime is None else variables(witness_prime),
+        "witnesses": None if witnesses is None else list(map(exponents, witnesses)),
         "verified": verified,
         "certificate": None if certificate is None else {
             "u": exponents(certificate[0]), "i": names[certificate[1]],
@@ -205,7 +209,7 @@ def _borel(args, ideal):
     prime, components = _resolve_prime(args.prime, ideal)
     component = _resolve_component(args, prime, components)
     v = borel_witness(ideal, prime, component)
-    return lines + [f"v = {v}"], fields, (prime, (v,))
+    return lines + [f"P = {prime}", f"v = {v}"], fields, (prime, (v,))
 
 
 def _uniqueness(args, ideal):
@@ -331,7 +335,7 @@ def _run(args) -> int:
         verdict = all(verify_witness(fields["ideal"], prime, v) for v in witnesses)
         lines.append("VERIFIED" if verdict else "FAILED")
         fields.setdefault("primes", (prime,))
-        fields["witness"] = witnesses[0]
+        fields.update(witness=witnesses[0], witness_prime=prime, witnesses=witnesses)
     fields.setdefault("verified", verdict)
     if args.format == "json":
         import json  # here, so that text output does not pay for it at start-up

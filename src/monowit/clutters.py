@@ -21,7 +21,7 @@ from typing import Iterable, Union
 from .decompose import irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _bits,
-                    _colon_reaches, _Frozen, _ints, _squarefree_table, _trusted)
+                    _colon_reaches, _Frozen, _ints, _rebuild, _squarefree_table, _trusted)
 
 _GOOD_SET_CAP = 1 << 16  # every clutter on at most 16 vertices fits
 
@@ -86,8 +86,8 @@ class Clutter(_Frozen):
 
     __slots__ = ("context", "_masks", "_ideal", "_covers")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         vertices: Union[int, Iterable[str]],
         edges: Iterable[Iterable[Union[int, str]]],
     ):
@@ -108,19 +108,13 @@ class Clutter(_Frozen):
             if any(not 0 <= v < context.n for v in members):
                 raise ValueError(f"edge {sorted(members)} mentions an unknown vertex")
             masks.append(sum(1 << v for v in members))
-        self._set(context, masks)
+        return cls._from_masks(context, masks)
 
     @classmethod
     def _from_masks(cls, context: RingContext, masks) -> "Clutter":
-        """Trusted constructor for non-empty edge masks over the context's
-        vertices; duplicates are dropped, and nested edges raise ValueError."""
-        clutter = object.__new__(cls)
-        clutter._set(context, masks)
-        return clutter
-
-    def _set(self, context: RingContext, masks):
-        """Sort the distinct masks into edge order (by their sorted vertex
-        lists), check that they form an antichain, and fill the slots."""
+        """Trusted builder for non-empty edge masks over the context's
+        vertices: the distinct masks in edge order (by their sorted vertex
+        lists), and a ValueError for nested edges."""
         masks = _edge_order(masks)
         nested = _nested_pair(masks)
         if nested is not None:
@@ -130,10 +124,7 @@ class Clutter(_Frozen):
                 f"{_braced(context.names, masks[j])} are nested; "
                 "a clutter's edges must form an antichain"
             )
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_ideal", None)
-        object.__setattr__(self, "_covers", None)
+        return _rebuild(cls, (context, masks, None, None))
 
     def _key(self):
         return self.context, self._masks
@@ -157,10 +148,9 @@ class Clutter(_Frozen):
         (`rings._squarefree_table`), rather than from the generators on
         first read: on an antichain, edge order is the generators' order."""
         if self._ideal is None:
-            n = self.n
-            gens = (_zero_one(e, n) for e in self._masks)
-            ideal = MonomialIdeal._from_antichain(self.context, gens)
-            object.__setattr__(ideal, "_table", _squarefree_table(self._masks, n))
+            n, masks = self.n, self._masks
+            ideal = MonomialIdeal._from_antichain(
+                self.context, (_zero_one(e, n) for e in masks), table=_squarefree_table(masks, n))
             object.__setattr__(self, "_ideal", ideal)  # racing threads store equal ideals
         return self._ideal
 

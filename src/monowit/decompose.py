@@ -114,16 +114,14 @@ class IrreducibleComponent(_Frozen):
 
     __slots__ = ("context", "pairs", "_support")
 
-    def __init__(self, context: RingContext, powers):
+    def __new__(cls, context: RingContext, powers):
         powers = _int_map(powers, "powers must be a mapping from variable index to exponent",
                           "variable index {} out of range",
                           "pure-power exponents must be positive integers", high=context.n, low=1)
         if not powers:
             raise ValueError("an irreducible component needs at least one variable")
-        pairs = tuple(sorted(powers.items()))
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_support", _trusted(PrimeSupport, context, tuple(sorted(powers))))
+        support = _trusted(PrimeSupport, context, tuple(sorted(powers)))
+        return _rebuild(cls, (context, tuple(sorted(powers.items())), support))
 
     def _key(self):
         return self.context, self.pairs
@@ -162,15 +160,14 @@ class Decomposition(_Frozen):
 
     __slots__ = ("components", "_by_support", "_primes")
 
-    def __init__(self, components):
+    def __new__(cls, components):
         components = tuple(components)
         groups: dict[tuple[int, ...], list[IrreducibleComponent]] = {}
         for c in components:
             groups.setdefault(c.support(), []).append(c)
         by_support = {vs: tuple(groups[vs]) for vs in sorted(groups)}
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_by_support", by_support)
-        object.__setattr__(self, "_primes", tuple(cs[0].prime() for cs in by_support.values()))
+        primes = tuple(cs[0].prime() for cs in by_support.values())
+        return _rebuild(cls, (components, by_support, primes))
 
     def _key(self):
         return self.components

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .decompose import IrreducibleComponent, irreducible_decomposition
 from .errors import TheoremViolationError
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _int_map, _ints,
-                    _require_same_context, _trusted, verify_witness)
+                    _rebuild, _require_same_context, _trusted, verify_witness)
 
 
 class WitnessSpec(_Frozen):
@@ -38,8 +38,8 @@ class WitnessSpec(_Frozen):
 
     __slots__ = ("prime", "component", "offsets")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         prime: PrimeSupport,
         component: IrreducibleComponent,
         offsets: Optional[Mapping[int, int]] = None,
@@ -59,10 +59,7 @@ class WitnessSpec(_Frozen):
                 raise ValueError(f"offset variable index {v} out of range")
             if off < 0:
                 raise ValueError("offsets must be non-negative")
-        put_prime, put_component, put_offsets = self._setters
-        put_prime(self, prime)
-        put_component(self, component)
-        put_offsets(self, MappingProxyType(offsets))
+        return _rebuild(cls, (prime, component, MappingProxyType(offsets)))
 
     def _key(self):
         return self.prime, self.component, self.offsets
@@ -71,7 +68,7 @@ class WitnessSpec(_Frozen):
     __hash__ = None
 
     def __reduce__(self):  # a MappingProxyType does not pickle
-        return WitnessSpec, (self.prime, self.component, dict(self.offsets))
+        return type(self), (self.prime, self.component, dict(self.offsets))
 
     def __repr__(self):
         return (f"WitnessSpec(prime={self.prime!r}, component={self.component!r}, "
@@ -117,8 +114,8 @@ class SymmetricPattern(_Frozen):
 
     __slots__ = ("context", "exps")
 
-    def __init__(self, context: RingContext, exps: Iterable[int]):
-        exps = tuple(exps)
+    def __new__(cls, context: RingContext, exps: Iterable[int]):
+        exps = tuple(exps)  # the one copy, and none of a tuple
         if not exps:
             raise ValueError("the exponent list must be non-empty")
         exps = _ints(exps, "exponents must be positive", low=1)
@@ -128,8 +125,7 @@ class SymmetricPattern(_Frozen):
             raise ValueError(
                 f"{len(exps)} exponents cannot be placed on {context.n} variables"
             )
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "exps", exps)
+        return _trusted(cls, context, exps)
 
     def _key(self):
         return self.context, self.exps
@@ -214,9 +210,8 @@ def build_symmetric_ideal(pattern: SymmetricPattern) -> MonomialIdeal:
                     placed[v] = value
                 grown.append(placed)
         partial = grown
-    ideal = MonomialIdeal._from_antichain(ctx, map(tuple, partial))  # one degree, distinct
-    object.__setattr__(ideal, "_pattern", pattern)  # colon tests and decomposition read it
-    return ideal
+    # one degree, distinct; colon tests and the decomposition read the pattern
+    return MonomialIdeal._from_antichain(ctx, map(tuple, partial), pattern=pattern)
 
 
 def symmetric_witness(

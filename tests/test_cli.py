@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import monowit.cli
-from monowit import TheoremViolationError, irreducible_decomposition, parse_monomial
+from monowit import (PrimeSupport, TheoremViolationError, irreducible_decomposition,
+                     parse_monomial, parse_problem_file, verify_witness)
 from monowit.cli import COMMANDS, _FORMAT, _read_argv, _Stop, main
 from util import argparse_oracle, fresh_interpreter
 
@@ -41,7 +42,7 @@ BOREL = "ring n=2\nideal I = x1^2, x1*x2\n"
 NOT_BOREL = "ring n=2\nideal I = x2\n"
 
 SCHEMA = {"ring", "ideal", "components", "associated_primes", "witness", "verified",
-          "certificate"}
+          "certificate", "witness_prime", "witnesses"}
 
 
 @pytest.fixture
@@ -97,6 +98,7 @@ class TestDecompose:
         assert {"x1": 1, "x2": 7, "x3": 5, "x4": 2} in doc["components"]
         assert ["x1", "x2", "x3", "x4"] in doc["associated_primes"]
         assert doc["witness"] is None and doc["verified"] is None and doc["certificate"] is None
+        assert doc["witness_prime"] is None and doc["witnesses"] is None
 
 
 class TestWitness:
@@ -272,7 +274,9 @@ class TestColon:
     "x2": 6,
     "x3": 4,
     "x4": 1
-  }
+  },
+  "witness_prime": null,
+  "witnesses": null
 }
 """
 
@@ -302,7 +306,7 @@ class TestBorel:
         assert code == 0
         assert "Borel type: yes" in out
         assert "P_0 = (x1)" in out
-        assert "v = x2" in out and "VERIFIED" in out
+        assert out.endswith("P = (x1)\nv = x2\nVERIFIED\n")
 
     def test_negative_certificate(self, problem, capsys):
         text = "ring n=2\nideal I = x2\n"
@@ -454,12 +458,68 @@ def test_command_matrix(
         assert doc["verified"] is verified
         # only a negative Borel detection has a certificate
         assert (doc["certificate"] is None) == (command != "borel" or verified is not False)
+        # only a verdict names the prime and the witnesses it verified
+        assert (doc["witness_prime"] is None) == (doc["witnesses"] is None) == (
+            verdict_line is None)
     else:
         last = out.splitlines()[-1]
         if verdict_line is None:
             assert last not in ("VERIFIED", "FAILED")
         else:
             assert last == verdict_line
+
+
+class TestJsonNamesWhatItVerified:
+    """`witness_prime` and `witnesses` name the prime `_run` verified against
+    and every witness it verified, in order; `witness` stays the first."""
+
+    def verified(self, problem, capsys, text, argv):
+        path = problem(text)
+        code, out, err = run(capsys, [argv[0], path, "--format", "json", *argv[1:]])
+        doc = json.loads(out)
+        assert (code, err) == (0, "") and doc["verified"] is True
+        assert doc["witness"] == doc["witnesses"][0]
+        ideal = parse_problem_file(text).ideal
+        ctx = ideal.context
+        prime = PrimeSupport(ctx, map(ctx.index_of, doc["witness_prime"]))
+        for w in doc["witnesses"]:
+            v = ctx.monomial_from_powers({ctx.index_of(x): e for x, e in w.items()})
+            assert verify_witness(ideal, prime, v)
+        return doc
+
+    def test_non_unique_prime_lists_both_witnesses(self, problem, capsys):
+        doc = self.verified(problem, capsys, SIX_VAR, ["uniqueness", "--prime", "x1,x2"])
+        assert doc["witness_prime"] == ["x1", "x2"] and len(doc["witnesses"]) == 2
+        assert doc["witnesses"][0] != doc["witnesses"][1]
+
+    def test_unique_prime_lists_one_witness(self, problem, capsys):
+        doc = self.verified(problem, capsys, "ring n=2\nideal I = x1^2, x2^3\n",
+                            ["uniqueness", "--prime", "x1,x2"])
+        assert doc["witness_prime"] == ["x1", "x2"] and doc["witnesses"] == [{"x1": 1, "x2": 2}]
+
+    def test_borel_names_the_prime_it_verified(self, problem, capsys):
+        text = "ring n=3\nideal I = x1^2, x1*x2\n"
+        doc = self.verified(problem, capsys, text, ["borel", "--prime", "1"])
+        assert doc["associated_primes"][0] == ["x1"]  # every prime, as before
+        assert doc["witness_prime"] == ["x1", "x2"] and doc["witnesses"] == [{"x1": 1}]
+        code, out, _ = run(capsys, ["borel", problem(text), "--prime", "1"])
+        assert code == 0 and out.endswith("P = (x1, x2)\nv = x1\nVERIFIED\n")
+
+
+# Each MATRIX row's JSON document as it was before `witness_prime` and
+# `witnesses` were added, keyed by the row's index: with those two keys
+# removed, every document is unchanged.
+DOCUMENTS = json.loads((Path(__file__).parent / "cli_documents.json").read_text())
+
+
+@pytest.mark.parametrize("k", range(len(MATRIX)), ids=[
+    f"{case[0]}-{k}" for k, case in enumerate(MATRIX)])
+def test_json_documents_only_gain_the_two_keys(problem, capsys, k):
+    command, text, extra, exit_code, *_ = MATRIX[k]
+    code, out, _ = run(capsys, [command, problem(text), "--format", "json"] + extra)
+    doc = json.loads(out)
+    del doc["witness_prime"], doc["witnesses"]
+    assert code == exit_code and doc == DOCUMENTS[str(k)]
 
 
 def _text_witness(out):

@@ -28,7 +28,7 @@ from monowit import (
     verify_witness,
     witness_from_component,
 )
-from monowit.rings import MonomialIdeal, _Frozen, _trusted
+from monowit.rings import MonomialIdeal, _Frozen, _rebuild, _trusted
 from util import ctx, ideal, mono
 
 
@@ -298,6 +298,52 @@ def test_subclass_without_slots_fills_through_its_base():
     assert type(again) is _PlainSubclass and again == made
     with pytest.raises(AttributeError, match="^_PlainSubclass is immutable$"):
         setattr(made, "vars", (1,))
+
+
+def _public_builds():
+    """(class, its public constructor's arguments, the trusted build of a
+    value's slots) for every value class; a sized and a named ring both."""
+    c = ctx(3)
+    q = IrreducibleComponent(c, {0: 2})
+    pair = lambda cls, v: _trusted(cls, v.context, getattr(v, cls.__slots__[1]))
+    every = lambda cls, v: _rebuild(cls, tuple(getattr(v, name) for name in cls.__slots__))
+    return [
+        (RingContext, (3,), every),
+        (RingContext, (["a", "b"],), every),
+        (Monomial, (c, [1, 0, 2]), pair),
+        (MonomialIdeal, (c, [mono(c, "x1^2"), mono(c, "x1*x2"), mono(c, "x1^3")]),
+         lambda cls, v: cls._from_exps(v.context, v._exps)),
+        (PrimeSupport, (c, [2, 0, 2]), pair),
+        (IrreducibleComponent, (c, {1: 3, 0: 2}), every),
+        (Decomposition, ([q, IrreducibleComponent(c, {1: 1})],), every),
+        (Clutter, (3, [{1, 2}, {0, 1}]), lambda cls, v: cls._from_masks(v.context, v._masks)),
+        (WitnessSpec, (q.prime(), q, {2: 1}), every),
+        (SymmetricPattern, (c, [1, 2]), pair),
+    ]
+
+
+# a subclass of each value class, without its own `__slots__`, found by
+# pickle under its name in this module
+_SUBCLASSES = {cls: type(f"_Sub{cls.__name__}", (cls,), {"__module__": __name__})
+               for cls in {cls for cls, _, _ in _public_builds()}}
+globals().update({sub.__name__: sub for sub in _SUBCLASSES.values()})
+
+
+@pytest.mark.parametrize("k", range(10), ids=[
+    f"{cls.__name__}-{k}" for k, (cls, _, _) in enumerate(_public_builds())])
+def test_public_constructor_builds_the_subclass_it_is_called_on(k):
+    """Each public constructor checks, then returns the trusted build of the
+    class it is called on: the same slots, and the same copies and pickles."""
+    cls, args, trusted = _public_builds()[k]
+    sub = _SUBCLASSES[cls]
+    made, plain = sub(*args), cls(*args)
+    assert type(made) is sub  # and its slots, read before any cache is filled, are the base's
+    assert [getattr(made, n) for n in cls.__slots__] == [getattr(plain, n) for n in cls.__slots__]
+    assert made == trusted(sub, made) and made != plain
+    for how, copied in _COPIES.items():
+        again = copied(made)
+        assert type(again) is sub and again == made and repr(again) == repr(made)
+        assert (again is made) == (how != "pickle")
 
 
 @pytest.mark.parametrize("how", _COPIES)

@@ -1122,3 +1122,66 @@ def _antichain_callers() -> set:
     for path in sorted(Path(monowit.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
     return callers
+
+
+# The one construction rule: a value's slots are filled by a trusted builder
+# through `_setters`, and afterwards only these first-use caches are written,
+# each from the function that owns it.
+CACHE_FILLS = {
+    ("rings.RingContext._table", "_names"),
+    ("rings.RingContext._table", "_index"),
+    ("rings.MonomialIdeal._levels", "_table"),
+    ("decompose.irreducible_decomposition", "_decomposition"),
+    ("clutters.Clutter.edge_ideal", "_ideal"),
+    ("clutters.Clutter._cover_masks", "_covers"),
+}
+
+SETTER_READERS = {  # `__init_subclass__` binds them
+    "rings._trusted",
+    "rings._rebuild",
+    "rings._Frozen.__init_subclass__",
+    "rings.MonomialIdeal.gens",  # both inline `_trusted` in a hot loop
+    "decompose.irreducible_decomposition",
+}
+
+
+def _library_sites():
+    """In monowit: (module.Class.function, slot) of each object.__setattr__
+    call, module.Class.function of each use of `_setters`, and the names
+    of every function and class defined."""
+    fills, readers, defined = set(), set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                defined.add(child.name)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "__setattr__"):
+                slot = child.args[1]
+                fills.add((".".join(scope), slot.value if isinstance(slot, ast.Constant) else None))
+            elif isinstance(child, ast.Attribute) and child.attr == "_setters":
+                readers.add(".".join(scope))
+            visit(child, inner)
+
+    for path in sorted(Path(monowit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,))
+    return fills, readers, defined
+
+
+class TestConstructionRule:
+    def test_only_first_use_caches_are_written_by_name(self):
+        """No module writes a slot after its builder but at a cache fill, so
+        no module other than `rings` writes an ideal's slot but its decomposition."""
+        fills, _, _ = _library_sites()
+        assert fills == CACHE_FILLS
+
+    def test_setters_are_read_only_by_the_builders(self):
+        _, readers, _ = _library_sites()
+        assert readers == SETTER_READERS
+
+    def test_no_slot_filler_besides_the_builders(self):
+        _, _, defined = _library_sites()
+        assert "_set" not in defined
+        assert not hasattr(MonomialIdeal, "_set") and not hasattr(Clutter, "_set")
