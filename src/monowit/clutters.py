@@ -92,11 +92,12 @@ class Clutter(_Frozen):
         edges: Iterable[Iterable[Union[int, str]]],
     ):
         if isinstance(vertices, int):
-            if vertices < 1:
-                raise ValueError("a clutter needs at least one vertex")
-            context = RingContext(tuple(f"t{i + 1}" for i in range(vertices)))
-        else:
-            context = RingContext(vertices)
+            vertices = tuple(f"t{i + 1}" for i in range(vertices))
+        elif isinstance(vertices, Iterable) and not isinstance(vertices, str):
+            vertices = tuple(vertices)  # a str, or no collection, is RingContext's to refuse
+        if vertices == ():
+            raise ValueError("a clutter needs at least one vertex")
+        context = RingContext(vertices)
         masks = []
         for edge in edges:
             if isinstance(edge, str):  # a vertex name, not one vertex per character

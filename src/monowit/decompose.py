@@ -48,7 +48,7 @@ which holds only its components, so reference counting frees it with the ideal.
 from __future__ import annotations
 
 from .rings import (Monomial, MonomialIdeal, PrimeSupport, RingContext, _Frozen, _int_map,
-                    _rebuild, _row, _trusted)
+                    _rebuild, _require_same_context, _row, _trusted)
 
 
 def _irreducible_components(table) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -152,22 +152,44 @@ class IrreducibleComponent(_Frozen):
 class Decomposition(_Frozen):
     """The irredundant irreducible decomposition of a monomial ideal.
 
-    The constructor indexes the components by support once, so the primes,
-    the components of one prime and membership of a component are lookups;
-    each prime is the one its first component holds, and the one all of
-    them share when `irreducible_decomposition` built them.
+    It is built once, by `_from_rows`, which indexes the components by
+    support, so the primes, the components of one prime and membership of
+    a component are lookups.  Every prime is shared: the components of one
+    support hold the very `PrimeSupport` that `primes()` lists for it.  The
+    public constructor checks that its items are components of one ring
+    and hands their distinct rows, sorted, to that builder, so the same
+    components in any order, with repeats, give an equal decomposition.
     """
 
     __slots__ = ("components", "_by_support", "_primes")
 
     def __new__(cls, components):
         components = tuple(components)
-        groups: dict[tuple[int, ...], list[IrreducibleComponent]] = {}
         for c in components:
-            groups.setdefault(c.support(), []).append(c)
-        by_support = {vs: tuple(groups[vs]) for vs in sorted(groups)}
-        primes = tuple(cs[0].prime() for cs in by_support.values())
-        return _rebuild(cls, (components, by_support, primes))
+            if not isinstance(c, IrreducibleComponent):
+                raise ValueError(f"a decomposition holds irreducible components, not {c!r}")
+            _require_same_context(components[0], c)
+        rows = sorted({(c.support(), tuple(e for _, e in c.pairs)) for c in components})
+        return cls._from_rows(components[0].context if components else None, rows)
+
+    @classmethod
+    def _from_rows(cls, context: RingContext, rows) -> "Decomposition":
+        """Trusted builder from sorted, distinct (support, exponents) rows of
+        the ring, exponents at least 1, in one pass: the components of one
+        support share one prime."""
+        new, (put_context, put_pairs, put_support) = object.__new__, IrreducibleComponent._setters
+        components, by_support, primes = [], {}, []
+        for support, exps in rows:
+            if not primes or primes[-1].vars != support:
+                primes.append(_trusted(PrimeSupport, context, support))
+                by_support[support] = group = []
+            components.append(c := new(IrreducibleComponent))
+            put_context(c, context)
+            put_pairs(c, tuple(zip(support, exps)))
+            put_support(c, primes[-1])
+            group.append(c)
+        by_support = {support: tuple(group) for support, group in by_support.items()}
+        return _rebuild(cls, (tuple(components), by_support, tuple(primes)))
 
     def _key(self):
         return self.components
@@ -204,27 +226,15 @@ class Decomposition(_Frozen):
 def irreducible_decomposition(ideal: MonomialIdeal) -> Decomposition:
     """The unique irredundant irreducible decomposition of a proper nonzero
     ideal, computed on first use and kept on the ideal: from the closed form
-    of its pattern for a symmetric ideal, by the engine otherwise.  One pass
-    over the sorted rows builds it, and components of one support share a prime."""
+    of its pattern for a symmetric ideal, by the engine otherwise.  Either
+    one's rows, sorted, go to `Decomposition._from_rows`, the one builder."""
     if ideal._decomposition is not None:
         return ideal._decomposition
     ideal._require_proper("has no irreducible decomposition")
-    context, pattern = ideal.context, ideal._pattern
+    pattern = ideal._pattern
     pairs = (pattern._components() if pattern is not None
              else _irreducible_components(ideal._levels()))
-    new, (put_context, put_pairs, put_support) = object.__new__, IrreducibleComponent._setters
-    components, by_support, primes = [], {}, []
-    for support, exps in sorted(pairs):  # trusted: sorted supports, exponents at least 1
-        if not primes or primes[-1].vars != support:
-            primes.append(_trusted(PrimeSupport, context, support))
-            by_support[support] = group = []
-        components.append(c := new(IrreducibleComponent))
-        put_context(c, context)
-        put_pairs(c, tuple(zip(support, exps)))
-        put_support(c, primes[-1])
-        group.append(c)
-    by_support = {support: tuple(group) for support, group in by_support.items()}
-    decomposition = _rebuild(Decomposition, (tuple(components), by_support, tuple(primes)))
+    decomposition = Decomposition._from_rows(ideal.context, sorted(pairs))
     object.__setattr__(ideal, "_decomposition", decomposition)  # races store equal ones
     return decomposition
 

@@ -16,7 +16,7 @@ import monowit.cli
 from monowit import (PrimeSupport, TheoremViolationError, irreducible_decomposition,
                      parse_monomial, parse_problem_file, verify_witness)
 from monowit.cli import COMMANDS, _FORMAT, _read_argv, _Stop, main
-from util import argparse_oracle, fresh_interpreter
+from util import argparse_oracle, fresh_interpreter, golden_stdout, run_cli
 
 SESSION = """\
 ring n=8
@@ -506,20 +506,36 @@ class TestJsonNamesWhatItVerified:
         assert code == 0 and out.endswith("P = (x1, x2)\nv = x1\nVERIFIED\n")
 
 
-# Each MATRIX row's JSON document as it was before `witness_prime` and
-# `witnesses` were added, keyed by the row's index: with those two keys
-# removed, every document is unchanged.
-DOCUMENTS = json.loads((Path(__file__).parent / "cli_documents.json").read_text())
+# The golden CLI contract, written by `make_cli_golden.py`: per case, the
+# argv, the exit code, stderr and stdout (a long one as its SHA-256 and
+# byte count), over the problem files it names.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("k", range(len(MATRIX)), ids=[
-    f"{case[0]}-{k}" for k, case in enumerate(MATRIX)])
-def test_json_documents_only_gain_the_two_keys(problem, capsys, k):
-    command, text, extra, exit_code, *_ = MATRIX[k]
-    code, out, _ = run(capsys, [command, problem(text), "--format", "json"] + extra)
-    doc = json.loads(out)
-    del doc["witness_prime"], doc["witnesses"]
-    assert code == exit_code and doc == DOCUMENTS[str(k)]
+def test_golden_cli_contract(tmp_path, monkeypatch):
+    """Every golden case gives the same bytes and exit code, run in process
+    in a directory holding the problem files under relative names.  Over
+    all of them, the exit code is 0, 1 or 2, exit 1 leaves stdout empty, a
+    JSON stdout parses, and a JSON document exits 2 exactly when it names
+    witnesses and is not verified."""
+    for name, text in GOLDEN["problems"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    names = [case["name"] for case in GOLDEN["cases"]]
+    assert len(set(names)) == len(names) > 100
+    changed = []
+    for case in GOLDEN["cases"]:
+        argv, name = case["argv"], case["name"]
+        code, out, err = run_cli(argv)
+        expected = {k: v for k, v in case.items() if k not in ("name", "argv")}
+        if {"exit": code, "stderr": err, **golden_stdout(out)} != expected:
+            changed.append(name)
+        assert code in (0, 1, 2), name
+        assert code != 1 or out == "", name
+        if code != 1 and any(a == "--format" and b == "json" for a, b in zip(argv, argv[1:])):
+            doc = json.loads(out)
+            assert (code == 2) == (doc["witnesses"] is not None and doc["verified"] is False), name
+    assert not changed, f"output changed in {len(changed)} golden cases: {changed}"
 
 
 def _text_witness(out):

@@ -138,8 +138,9 @@ class TestConstruction:
             Clutter(["a", "b", "c"], [["a", "d"]])
 
     def test_no_vertices_rejected(self):
-        with pytest.raises(ValueError, match="^a clutter needs at least one vertex$"):
-            Clutter(0, [])
+        for vertices in (0, [], ()):
+            with pytest.raises(ValueError, match="^a clutter needs at least one vertex$"):
+                Clutter(vertices, [])
 
 
 class TestEdgeIdeal:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from monowit import (
     Clutter,
+    ContextMismatchError,
     Decomposition,
     IrreducibleComponent,
     Monomial,
@@ -226,8 +227,9 @@ class TestLifetime:
 
 
 def corpus_decompositions():
-    """Each corpus decomposition, and the same components handed to the
-    constructor in reverse order."""
+    """Each corpus decomposition, and the public constructor handed its
+    components in reverse order, which builds an equal one through the
+    same builder."""
     out = [irreducible_decomposition(I) for I in witness_corpus()] + [
         irreducible_decomposition(g.edge_ideal()) for g in graph_corpus()]
     return out + [Decomposition(reversed(d.components)) for d in out]
@@ -330,9 +332,9 @@ def assert_one_pass_build_matches_constructor(d):
 
 
 class TestOnePassBuild:
-    """`irreducible_decomposition` fills its `Decomposition` in one pass over
-    the sorted rows, sharing one prime per support, without the public
-    constructor's regrouping."""
+    """`irreducible_decomposition` and the public constructor both build
+    through `Decomposition._from_rows`: one pass over the sorted rows,
+    sharing one prime per support."""
 
     def test_witness_corpus(self):
         for I in witness_corpus():
@@ -348,6 +350,71 @@ class TestOnePassBuild:
                 for exps in itertools.combinations_with_replacement(range(1, 4), k):
                     I = build_symmetric_ideal(SymmetricPattern(ctx(n), exps))
                     assert_one_pass_build_matches_constructor(irreducible_decomposition(I))
+
+
+def assert_constructor_rebuilds(d, rng):
+    """The public constructor, handed d's components shuffled with one of
+    them repeated, builds d again: equal, with an equal hash and equal
+    primes, its components in canonical order, and each component's prime
+    the very object that `primes()` lists for its support."""
+    given = list(d.components)
+    given.append(rng.choice(given))
+    rng.shuffle(given)
+    public = Decomposition(given)
+    assert public == d and hash(public) == hash(d)
+    assert public.primes() == d.primes() and len(public) == len(d)
+    rows = [(q.support(), tuple(e for _, e in q.pairs)) for q in public.components]
+    assert rows == sorted(set(rows))
+    listed = {P.vars: P for P in public.primes()}
+    assert all(q.prime() is listed[q.support()] for q in public.components)
+
+
+class TestPublicConstructor:
+    """`Decomposition(components)` checks its items, then builds through
+    `_from_rows`: the same components in any order, with repeats, give an
+    equal decomposition."""
+
+    def test_witness_corpus(self):
+        rng = random.Random(4801)
+        for I in witness_corpus():
+            assert_constructor_rebuilds(irreducible_decomposition(I), rng)
+
+    def test_graph_corpus(self):
+        rng = random.Random(4802)
+        for g in graph_corpus():
+            assert_constructor_rebuilds(irreducible_decomposition(g.edge_ideal()), rng)
+
+    @given(I=ideals(max_n=5, max_exp=3, max_gens=6), seed=st.integers(0, 2**16))
+    def test_hypothesis_ideals(self, I, seed):
+        assert_constructor_rebuilds(irreducible_decomposition(I), random.Random(seed))
+
+    @pytest.mark.parametrize("foreign_first", [False, True], ids=["last", "first"])
+    def test_components_of_another_ring_are_refused(self, foreign_first):
+        own = list(irreducible_decomposition(ideal(ctx(3), "x1^2", "x1*x2", "x3^2")))
+        foreign = IrreducibleComponent(RingContext(["a", "b", "c"]), dict(own[0].pairs))
+        assert foreign.pairs == own[0].pairs and foreign != own[0]
+        given = [foreign] + own if foreign_first else own + [foreign]
+        with pytest.raises(ContextMismatchError, match="^operands live in different rings"):
+            Decomposition(given)
+
+    @pytest.mark.parametrize("item", [
+        PrimeSupport(ctx(3), [0]), Monomial(ctx(3), (2, 0, 0)), 3,
+    ], ids=["PrimeSupport", "Monomial", "int"])
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_items_that_are_not_components_are_refused(self, item, where):
+        given = list(irreducible_decomposition(ideal(ctx(3), "x1^2", "x1*x2", "x3^2")))
+        given.insert(where, item)
+        with pytest.raises(ValueError, match="^a decomposition holds irreducible components, "
+                                             f"not {re.escape(repr(item))}$") as info:
+            Decomposition(given)
+        assert type(info.value) is ValueError
+
+    def test_no_components(self):
+        d = Decomposition([])
+        assert d == Decomposition(()) == Decomposition(iter([]))
+        assert hash(d) == hash(Decomposition(()))
+        assert len(d) == 0 and d.components == () and d.primes() == () and str(d) == ""
+        assert IrreducibleComponent(ctx(2), {0: 1}) not in d
 
 
 class TestHypothesisProperties:

@@ -187,7 +187,8 @@ class TestSizedRing:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("size", [0, -3, False])
+    @pytest.mark.parametrize("size", [0, -3, False, pytest.param([], id="empty-list"),
+                                      pytest.param((), id="empty-tuple")])
     def test_sizes_below_one_are_refused(self, size):
         with pytest.raises(ValueError, match="^a ring context needs at least one variable$"):
             RingContext(size)
@@ -1141,7 +1142,7 @@ SETTER_READERS = {  # `__init_subclass__` binds them
     "rings._rebuild",
     "rings._Frozen.__init_subclass__",
     "rings.MonomialIdeal.gens",  # both inline `_trusted` in a hot loop
-    "decompose.irreducible_decomposition",
+    "decompose.Decomposition._from_rows",
 }
 
 

@@ -3,6 +3,9 @@ exponent boxes, hypothesis strategies, and the seeded random corpora."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import itertools
 import operator
 import os
@@ -91,6 +94,29 @@ def argparse_oracle():
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
     return parser
+
+
+# the golden CLI manifest keeps a longer stdout as its SHA-256 and byte count
+GOLDEN_LARGE = 4096
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `monowit.cli.main(argv)`, run in process."""
+    from monowit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_stdout(out: str) -> dict:
+    """A stdout as the golden CLI manifest keeps it: the text, or, past
+    GOLDEN_LARGE bytes, its SHA-256 and byte count."""
+    data = out.encode()
+    if len(data) <= GOLDEN_LARGE:
+        return {"stdout": out}
+    return {"stdout_sha256": hashlib.sha256(data).hexdigest(), "stdout_bytes": len(data)}
 
 
 def mono(context: RingContext, text: str) -> Monomial:
