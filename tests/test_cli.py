@@ -538,6 +538,22 @@ def test_golden_cli_contract(tmp_path, monkeypatch):
     assert not changed, f"output changed in {len(changed)} golden cases: {changed}"
 
 
+# Each MATRIX row's JSON document as it was before `witness_prime` and
+# `witnesses` were added, keyed by the row's index: with those two keys
+# removed, every document is unchanged.
+DOCUMENTS = json.loads((Path(__file__).parent / "cli_documents.json").read_text())
+
+
+@pytest.mark.parametrize("k", range(len(MATRIX)), ids=[
+    f"{case[0]}-{k}" for k, case in enumerate(MATRIX)])
+def test_json_documents_only_gain_the_two_keys(problem, capsys, k):
+    command, text, extra, exit_code, *_ = MATRIX[k]
+    code, out, _ = run(capsys, [command, problem(text), "--format", "json"] + extra)
+    doc = json.loads(out)
+    del doc["witness_prime"], doc["witnesses"]
+    assert code == exit_code and doc == DOCUMENTS[str(k)]
+
+
 def _text_witness(out):
     """The first witness a text report names, as the JSON's exponent map."""
     lines = (re.fullmatch(r"v1? = (.*)|\(I : (.*?)\) = .*", line) for line in out.splitlines())
